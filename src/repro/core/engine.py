@@ -127,14 +127,6 @@ def assemble_result(
 def _concat_column(type_: ColumnType, parts: list[np.ndarray]) -> np.ndarray:
     if not parts:
         return np.zeros(0, dtype=type_.numpy_dtype or object)
-    if type_ is ColumnType.STRING:
-        total = sum(len(p) for p in parts)
-        out = np.empty(total, dtype=object)
-        pos = 0
-        for p in parts:
-            out[pos : pos + len(p)] = p
-            pos += len(p)
-        return out
     return np.concatenate(parts)
 
 
@@ -145,15 +137,6 @@ def result_wire_bytes(result: QueryResult) -> int:
     if result.rows is None:
         return 64
     return sum(col.plain_size() for col in result.rows.columns)
-
-
-def selected_plain_bytes(type_: ColumnType, values: np.ndarray) -> int:
-    """Real plain-encoded size of a selected value array (network charge
-    for pushed-down projection results)."""
-    width = type_.fixed_width
-    if width is not None:
-        return width * len(values)
-    return sum(4 + len(v.encode("utf-8")) for v in values)
 
 
 def needed_columns(plan: PhysicalPlan, query: Query) -> list[str]:

@@ -54,6 +54,7 @@ from repro.format.metadata import ColumnChunkMeta, FileMetadata
 from repro.format.pages import decode_column_chunk
 from repro.format.reader import read_metadata
 from repro.format.schema import ColumnType
+from repro.format.table import plain_size
 from repro.sql.aggregates import merge_partial_aggregates, partial_aggregate
 from repro.sql.ast_nodes import Aggregate, Query
 from repro.sql.bitmap import Bitmap
@@ -1082,10 +1083,13 @@ class FusionStore:
         filter_span = (
             tracer.begin("filter_stage", cat="store") if tracer is not None else None
         )
-        rg_selected: dict[int, np.ndarray] = {}
+        # Row-group bitmaps travel as Bitmap objects: each remembers its
+        # wire form, so one bitmap is tokenised once however many ops
+        # ship it.
+        rg_selected: dict[int, Bitmap] = {}
         ops = []
         keys: list[tuple[int, int]] = []
-        zero_bitmaps: dict[tuple[int, int], np.ndarray] = {}
+        zero_bitmaps: dict[tuple[int, int], Bitmap] = {}
         for rg in row_groups:
             num_rows = obj.metadata.row_groups[rg].num_rows
             for op in physical.filter_ops:
@@ -1094,7 +1098,7 @@ class FusionStore:
                     op.leaf, op.type, meta.stats.min_value, meta.stats.max_value
                 ):
                     # Footer stats prove no row matches: skip the RPC.
-                    zero_bitmaps[(rg, op.index)] = np.zeros(num_rows, dtype=np.bool_)
+                    zero_bitmaps[(rg, op.index)] = Bitmap.zeros(num_rows)
                     continue
                 keys.append((rg, op.index))
                 ops.append(self._filter_op(obj, coordinator, rg, op, meta, metrics))
@@ -1125,7 +1129,12 @@ class FusionStore:
                     coordinator.scan_seconds(num_rows // 8 + 1, self.config.size_scale),
                     metrics,
                 )
-            rg_selected[rg] = physical.combine_bitmaps(bitmaps, num_rows)
+            bits = physical.combine_bitmaps([b.bits for b in bitmaps], num_rows)
+            # A lone positive leaf is its own row-group bitmap: keep the
+            # filter reply, whose wire form is already known.
+            rg_selected[rg] = (
+                bitmaps[0] if bitmaps and bits is bitmaps[0].bits else Bitmap(bits)
+            )
         if filter_span is not None:
             tracer.finish(filter_span, ops=len(ops))
 
@@ -1155,7 +1164,7 @@ class FusionStore:
                 if rg in shed_rgs:
                     continue
                 bitmap = rg_selected[rg]
-                indices = np.flatnonzero(bitmap)
+                indices = bitmap.indices()
                 for col in physical.projection_columns:
                     type_ = physical.schema.field(col).type
                     if len(indices) == 0:
@@ -1182,7 +1191,11 @@ class FusionStore:
                     rg_projected[key] = values
             kept = [rg for rg in row_groups if rg not in shed_rgs]
             result = engine.assemble_result(
-                physical, obj.metadata, kept, rg_selected, rg_projected
+                physical,
+                obj.metadata,
+                kept,
+                {rg: rg_selected[rg].bits for rg in kept},
+                rg_projected,
             )
             if projection_span is not None:
                 tracer.finish(projection_span, ops=len(ops))
@@ -1311,7 +1324,7 @@ class FusionStore:
             if decision.push_down:
                 metrics.pushed_down_chunks += 1
                 selected = values[indices]
-                selected_bytes = engine.selected_plain_bytes(type_, selected)
+                selected_bytes = plain_size(type_, selected)
                 if rec is not None:
                     rec.actual_chosen_bytes = selected_bytes
                     rec.actual_alternative_bytes = loc.size
@@ -1322,9 +1335,7 @@ class FusionStore:
             metrics.fallback_chunks += 1
             if rec is not None:
                 rec.actual_chosen_bytes = loc.size
-                rec.actual_alternative_bytes = engine.selected_plain_bytes(
-                    type_, values[indices]
-                )
+                rec.actual_alternative_bytes = plain_size(type_, values[indices])
             reply = bitmap_wire + loc.size
             return self.config.scaled(reply), ("fallback", bits, values[indices])
 
@@ -1358,7 +1369,7 @@ class FusionStore:
             yield from coordinator.compute(
                 coordinator.scan_seconds(meta.plain_size, self.config.size_scale), metrics
             )
-            return eval_leaf(op.leaf, op.type, values)
+            return Bitmap(eval_leaf(op.leaf, op.type, values))
 
         if not self._usable(node) and not (
             node.alive and self._floor_attempt(obj, loc.block_id)
@@ -1381,8 +1392,8 @@ class FusionStore:
                 metrics,
             )
             values = self._decode_cached(obj.name, meta, data)
-            bits = eval_leaf(op.leaf, op.type, values)
-            return self.config.scaled(Bitmap(bits).wire_size()), bits
+            reply = Bitmap(eval_leaf(op.leaf, op.type, values))
+            return self.config.scaled(reply.wire_size()), reply
 
         return RemoteOp(
             node=node,
@@ -1397,7 +1408,7 @@ class FusionStore:
         coordinator,
         meta: ColumnChunkMeta,
         type_: ColumnType,
-        bitmap: np.ndarray,
+        bitmap: Bitmap,
         indices: np.ndarray,
         metrics: QueryMetrics,
     ) -> RemoteOp:
@@ -1441,7 +1452,7 @@ class FusionStore:
         if decision.push_down and not pressured:
             metrics.pushed_down_chunks += 1
             # Ship the bitmap with the op; receive selected raw values.
-            bitmap_wire = Bitmap(bitmap).wire_size()
+            bitmap_wire = bitmap.wire_size()
 
             def execute_pushed():
                 check_deadline(metrics, "projection chunk")
@@ -1455,7 +1466,7 @@ class FusionStore:
                     metrics,
                 )
                 values = self._decode_cached(obj.name, meta, data)[indices]
-                reply = engine.selected_plain_bytes(type_, values)
+                reply = plain_size(type_, values)
                 if rec is not None:
                     rec.actual_chosen_bytes = reply
                     rec.actual_alternative_bytes = loc.size
@@ -1490,7 +1501,7 @@ class FusionStore:
                 # What the pushdown branch would have shipped, measured on
                 # the decoded values rather than estimated from the footer.
                 rec.actual_chosen_bytes = loc.size
-                rec.actual_alternative_bytes = engine.selected_plain_bytes(type_, values)
+                rec.actual_alternative_bytes = plain_size(type_, values)
             return values
 
         return RemoteOp(
@@ -1507,19 +1518,19 @@ class FusionStore:
         coordinator,
         physical: PhysicalPlan,
         row_groups: list[int],
-        rg_selected: dict[int, np.ndarray],
+        rg_selected: dict[int, Bitmap],
         metrics: QueryMetrics,
     ):
         """Extension: nodes compute per-chunk partial aggregates in-situ."""
         query = physical.query
         aggs = [item for item in query.select if isinstance(item, Aggregate)]
-        matched = sum(int(rg_selected[rg].sum()) for rg in row_groups)
+        matched = sum(rg_selected[rg].count() for rg in row_groups)
 
         ops = []
         task_keys = []
         for rg in row_groups:
             bitmap = rg_selected[rg]
-            if not bitmap.any():
+            if not bitmap.bits.any():
                 continue
             for agg_idx, agg in enumerate(aggs):
                 if agg.column is None:
@@ -1553,7 +1564,7 @@ class FusionStore:
         )
 
     def _partial_aggregate_op(
-        self, obj, coordinator, meta, agg: Aggregate, bitmap, metrics
+        self, obj, coordinator, meta, agg: Aggregate, bitmap: Bitmap, metrics
     ) -> RemoteOp:
         """One pushed-down partial aggregate over a chunk."""
         loc = obj.location_map.lookup(meta.key)
@@ -1566,15 +1577,14 @@ class FusionStore:
             yield from coordinator.compute(
                 coordinator.scan_seconds(meta.plain_size, self.config.size_scale), metrics
             )
-            selected = values[np.flatnonzero(bitmap)]
-            return partial_aggregate(agg, selected, int(bitmap.sum()))
+            return partial_aggregate(agg, values[bitmap.indices()], bitmap.count())
 
         if not self._usable(node) and not (
             node.alive and self._floor_attempt(obj, loc.block_id)
         ):
             return RemoteOp(standalone=degraded)
 
-        bitmap_wire = Bitmap(bitmap).wire_size()
+        bitmap_wire = bitmap.wire_size()
 
         def execute():
             check_deadline(metrics, "aggregate chunk")
@@ -1587,8 +1597,8 @@ class FusionStore:
                 + node.scan_seconds(meta.plain_size, self.config.size_scale),
                 metrics,
             )
-            values = self._decode_cached(obj.name, meta, data)[np.flatnonzero(bitmap)]
-            partial = partial_aggregate(agg, values, int(bitmap.sum()))
+            values = self._decode_cached(obj.name, meta, data)[bitmap.indices()]
+            partial = partial_aggregate(agg, values, bitmap.count())
             metrics.pushed_down_chunks += 1
             return self.config.scaled(SCALAR_RESULT_BYTES), partial
 

@@ -222,30 +222,39 @@ class SnappyLikeCodec:
         return bytes(out)
 
     def _compress_small(self, out: bytearray, data, n: int) -> None:
-        """Tiny inputs: the scalar walk beats numpy setup overhead."""
-        if n < _MIN_MATCH:
-            _emit_literals(out, data, 0, n)
-            return
+        """The greedy hash-chain walk (every bitmap on the wire, and tiny
+        or fragmented page inputs where it beats the numpy setup)."""
+        if not isinstance(data, bytes):
+            data = bytes(data)  # hashable 4-byte slices without a wrap each
         table: dict[bytes, int] = {}
+        lookup = table.get
         i = 0
         literal_start = 0
         limit = n - _HASH_BYTES
         while i <= limit:
-            chunk = bytes(data[i : i + _HASH_BYTES])
-            candidate = table.get(chunk)
+            chunk = data[i : i + _HASH_BYTES]
+            candidate = lookup(chunk)
             table[chunk] = i
-            if candidate is not None and i - candidate <= _MAX_OFFSET:
-                length = _HASH_BYTES
-                max_len = min(_MAX_MATCH, n - i)
-                while length < max_len and data[candidate + length] == data[i + length]:
-                    length += 1
-                _emit_literals(out, data, literal_start, i)
-                out.append(0x80 | (length - _MIN_MATCH))
-                out += (i - candidate).to_bytes(2, "little")
-                i += length
-                literal_start = i
+            if candidate is None or i - candidate > _MAX_OFFSET:
+                i += 1
                 continue
-            i += 1
+            # Extend the match a slice at a time, then byte by byte.
+            shift = i - candidate
+            pos = i + _HASH_BYTES
+            end = min(i + _MAX_MATCH, n)
+            while pos + 8 <= end and data[pos : pos + 8] == data[pos - shift : pos - shift + 8]:
+                pos += 8
+            while pos < end and data[pos] == data[pos - shift]:
+                pos += 1
+            # Pending literals (bitmap runs are short: rarely > 128 bytes).
+            while literal_start < i:
+                run = min(_MAX_LITERAL, i - literal_start)
+                out.append(run - 1)
+                out += data[literal_start : literal_start + run]
+                literal_start += run
+            out.append(0x80 | (pos - i - _MIN_MATCH))
+            out += shift.to_bytes(2, "little")
+            i = literal_start = pos
         _emit_literals(out, data, literal_start, n)
 
     def compress_greedy(self, data: bytes) -> bytes:

@@ -18,6 +18,13 @@ from repro.format.schema import ColumnType, Field, Schema
 def _coerce_values(type_: ColumnType, values) -> np.ndarray:
     """Coerce raw values to the canonical array representation for a type."""
     if type_ is ColumnType.STRING:
+        if (
+            isinstance(values, np.ndarray)
+            and values.dtype == object
+            and values.ndim == 1
+            and all(issubclass(t, str) for t in set(map(type, values.tolist())))
+        ):
+            return values  # already canonical: checked at C speed, not copied
         arr = np.empty(len(values), dtype=object)
         for i, v in enumerate(values):
             if not isinstance(v, str):
@@ -29,6 +36,20 @@ def _coerce_values(type_: ColumnType, values) -> np.ndarray:
     if arr.dtype != dtype:
         arr = arr.astype(dtype)
     return arr
+
+
+def plain_size(type_: ColumnType, values: np.ndarray) -> int:
+    """Size in bytes of ``values`` in plain (uncompressed) form.
+
+    Mirrors the paper's notion of a chunk's "uncompressed size":
+    fixed-width values at their natural width, strings as
+    4-byte-length-prefixed UTF-8 (sized with one join, not one
+    ``encode`` per value).  Also the network charge for shipping values.
+    """
+    width = type_.fixed_width
+    if width is not None:
+        return width * len(values)
+    return 4 * len(values) + len("".join(values.tolist()).encode("utf-8"))
 
 
 @dataclass
@@ -61,16 +82,8 @@ class Column:
         return Column(self.field, self.values[start:stop])
 
     def plain_size(self) -> int:
-        """Size in bytes of this column's values in plain (uncompressed) form.
-
-        Mirrors the paper's notion of a chunk's "uncompressed size":
-        fixed-width values at their natural width, strings as
-        4-byte-length-prefixed UTF-8.
-        """
-        width = self.type.fixed_width
-        if width is not None:
-            return width * len(self.values)
-        return sum(4 + len(v.encode("utf-8")) for v in self.values)
+        """Size in bytes of this column's values in plain form (:func:`plain_size`)."""
+        return plain_size(self.type, self.values)
 
 
 class Table:

@@ -24,12 +24,17 @@ BITMAP_CODEC = "snappy-greedy"
 
 
 class Bitmap:
-    """A fixed-length boolean vector of row matches."""
+    """A fixed-length boolean vector of row matches.
 
-    __slots__ = ("bits",)
+    A value object: ``bits`` is not mutated after construction, so the
+    wire form is tokenised at most once per codec and remembered.
+    """
+
+    __slots__ = ("bits", "_wire")
 
     def __init__(self, bits: np.ndarray) -> None:
         self.bits = np.asarray(bits, dtype=np.bool_)
+        self._wire: dict[str, bytes] = {}
 
     @staticmethod
     def zeros(n: int) -> "Bitmap":
@@ -74,9 +79,12 @@ class Bitmap:
     def to_wire(self, codec_name: str = BITMAP_CODEC) -> bytes:
         """Serialise: varint-free header (count, codec id implied) + packed,
         compressed bits."""
-        packed = np.packbits(self.bits.astype(np.uint8)).tobytes()
-        compressed = get_codec(codec_name).compress(packed)
-        return struct.pack("<I", len(self.bits)) + compressed
+        wire = self._wire.get(codec_name)
+        if wire is None:
+            packed = np.packbits(self.bits).tobytes()
+            compressed = get_codec(codec_name).compress(packed)
+            wire = self._wire[codec_name] = struct.pack("<I", len(self.bits)) + compressed
+        return wire
 
     @staticmethod
     def from_wire(data: bytes, codec_name: str = BITMAP_CODEC) -> "Bitmap":
@@ -87,7 +95,8 @@ class Bitmap:
 
     def wire_size(self, codec_name: str = BITMAP_CODEC) -> int:
         """Bytes this bitmap occupies on the wire."""
-        return len(self.to_wire(codec_name))
+        wire = self._wire.get(codec_name)
+        return len(self.to_wire(codec_name) if wire is None else wire)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Bitmap) and np.array_equal(self.bits, other.bits)

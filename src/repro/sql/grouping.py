@@ -50,31 +50,36 @@ def evaluate_group_by(
         raise ValueError("evaluate_group_by requires a GROUP BY query")
     num_rows = len(next(iter(columns.values()))) if columns else 0
 
-    # Assign group ids by first-appearance, then order groups by key.
-    group_of: dict[tuple, int] = {}
-    row_gid = np.empty(num_rows, dtype=np.int64)
-    for i in range(num_rows):
-        key = tuple(columns[k][i] for k in keys)
-        gid = group_of.get(key)
-        if gid is None:
-            gid = len(group_of)
-            group_of[key] = gid
-        row_gid[i] = gid
-    ordered_keys = sorted(group_of)
-    order = {group_of[key]: rank for rank, key in enumerate(ordered_keys)}
+    # Dense group ids: factorise each key column and fold its codes into
+    # the ids so far, re-densifying every time so the product cannot
+    # overflow.  equal_nan=False keeps every NaN key a group of its own,
+    # as a dict keyed on the key tuples would.
+    row_gid = np.zeros(num_rows, dtype=np.intp)
+    for name in keys:
+        uniq, codes = np.unique(columns[name], return_inverse=True, equal_nan=False)
+        _, first_rows, row_gid = np.unique(
+            row_gid * len(uniq) + codes, return_index=True, return_inverse=True
+        )
+    # One stable argsort lists each group's rows in ascending row order.
+    rows_of = np.split(
+        np.argsort(row_gid, kind="stable"), np.cumsum(np.bincount(row_gid))[:-1]
+    )
 
-    rows_per_group: list[np.ndarray] = [np.zeros(0, dtype=np.int64)] * len(ordered_keys)
-    for gid, rank in order.items():
-        rows_per_group[rank] = np.flatnonzero(row_gid == gid)
+    # Emit groups in ascending key-tuple order.  The ids are already in
+    # that order unless a key is NaN (which has no order); sorting the
+    # tuples, listed by first appearance, is exact in both cases and is
+    # one C sort over the groups, not the rows.
+    seen = np.argsort(first_rows)
+    tuples = list(zip(*(columns[name][first_rows[seen]].tolist() for name in keys)))
+    emit = seen[sorted(range(len(tuples)), key=tuples.__getitem__)]
+    first_rows = first_rows[emit]
+    rows_per_group = [rows_of[gid] for gid in emit]
 
     out_columns: list[Column] = []
     for item in query.select:
         if isinstance(item, ColumnRef):
             type_ = key_types[item.name]
-            values = _column_of(
-                type_, [columns[item.name][rows[0]] if len(rows) else None for rows in rows_per_group]
-            )
-            out_columns.append(Column(Field(item.name, type_), values))
+            out_columns.append(Column(Field(item.name, type_), columns[item.name][first_rows]))
         else:
             results = []
             for rows in rows_per_group:

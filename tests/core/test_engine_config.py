@@ -9,9 +9,9 @@ from repro.core.engine import (
     needed_columns,
     prune_row_groups,
     result_wire_bytes,
-    selected_plain_bytes,
 )
 from repro.format import ColumnType, PaxFile, write_table
+from repro.format.table import plain_size
 from repro.sql import parse, plan
 
 
@@ -95,11 +95,11 @@ class TestByteHelpers:
         r = execute_local("SELECT count(*) FROM t", small_table)
         assert result_wire_bytes(r) == 64
 
-    def test_selected_plain_bytes(self):
+    def test_plain_size_of_selected_values(self):
         arr = np.arange(10, dtype=np.int64)
-        assert selected_plain_bytes(ColumnType.INT64, arr) == 80
+        assert plain_size(ColumnType.INT64, arr) == 80
         strs = np.array(["ab", "c"], dtype=object)
-        assert selected_plain_bytes(ColumnType.STRING, strs) == 11
+        assert plain_size(ColumnType.STRING, strs) == 11
 
     def test_needed_columns_order(self, small_file):
         metadata = PaxFile(small_file).metadata

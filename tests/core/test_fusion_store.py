@@ -6,7 +6,7 @@ import pytest
 from repro.cluster import Cluster, ClusterConfig, Simulator
 from repro.core import FusionStore, ObjectNotFound, PushdownMode, StoreConfig
 from repro.format import ColumnType, PaxFile, Table, write_table
-from repro.sql import execute_local
+from repro.sql import Bitmap, execute_local
 from tests.conftest import make_small_table
 
 QUERIES = [
@@ -172,6 +172,48 @@ class TestAggregatePushdown:
         _r, m_on = on.query(sql)
         _r, m_off = off.query(sql)
         assert m_on.network_bytes < m_off.network_bytes
+
+
+class TestBitmapTokenisation:
+    """One tokenisation per distinct bitmap per query, and not a simulated
+    byte or second moved by it."""
+
+    ROW_GROUPS = 4  # the small table in row groups of 500
+    #: sql, to_wire calls allowed, then network_bytes and latency as
+    #: measured on the commit before bitmaps were memoised (where the
+    #: same queries tokenised 20, 16, 8 and 16 times).  Pages use the
+    #: pure-Python snappy codec, so no number depends on the host's zlib.
+    CASES = [
+        # 2 leaf replies + 1 combined bitmap per group, whatever the
+        # number of projected columns that ship it.
+        ("SELECT id, price, note FROM tbl WHERE qty < 10 AND day > 16500",
+         3 * ROW_GROUPS, 1_838_300, 0.007168812999999989),
+        # A lone leaf's reply *is* the row-group bitmap.
+        ("SELECT id, price, note FROM tbl WHERE qty < 6",
+         ROW_GROUPS, 1_624_100, 0.006295659000000002),
+        ("SELECT tag, count(*), sum(price) FROM tbl WHERE tag LIKE '%-3' GROUP BY tag",
+         ROW_GROUPS, 654_100, 0.004148697999999992),
+        # Pushed-down partial aggregates ship the bitmap too.
+        ("SELECT sum(price), max(qty) FROM tbl WHERE note < 'note 5' AND tag IN ('tag-1', 'tag-2')",
+         3 * ROW_GROUPS, 568_000, 0.006231026000000004),
+    ]
+
+    @pytest.mark.parametrize("sql,max_calls,net_bytes,latency", CASES)
+    def test_calls_bounded_and_metrics_pinned(
+        self, small_table, monkeypatch, sql, max_calls, net_bytes, latency
+    ):
+        snappy_file = write_table(small_table, row_group_rows=500, codec="snappy")
+        store = _fresh_store(snappy_file, enable_aggregate_pushdown=True)
+        calls = []
+        to_wire = Bitmap.to_wire
+        monkeypatch.setattr(
+            Bitmap, "to_wire", lambda self, *a, **k: calls.append(1) or to_wire(self, *a, **k)
+        )
+        result, metrics = store.query(sql)
+        assert result.equals(execute_local(sql, small_table))
+        assert 0 < len(calls) <= max_calls
+        assert metrics.network_bytes == net_bytes
+        assert metrics.end_time - metrics.start_time == latency
 
 
 class TestFallbackToFixed:

@@ -180,6 +180,18 @@ def _snappy_corpora(rng: np.random.Generator):
     yield (b"abcdefgh" * 1000) + bytes(rng.integers(0, 256, 333, dtype=np.uint8))
 
 
+def _packed_bitmap_corpus(rng: np.random.Generator):
+    """Packed filter bitmaps as ``Bitmap.to_wire`` hands them to the codec."""
+    lengths = (0, 1, 7, 8, 9, 31, 63, 64, 65, 250, 1000, 3000, 4000, 4001, 8192)
+    for bits in lengths:
+        for density in (0.0, 1.0, 0.01, 0.03, 0.1, 0.5):
+            yield np.packbits(rng.random(bits) < density).tobytes()
+        for flip in {0, bits // 3, bits - 1} - {-1}:  # one 0 -> 1 transition
+            yield np.packbits(np.arange(bits) >= flip).tobytes()
+        for period in (2, 3, 8, 24, 100):
+            yield np.packbits(np.arange(bits) % period == 0).tobytes()
+
+
 class TestSnappyCross:
     def test_cross_decompression(self):
         rng = np.random.default_rng(41)
@@ -195,8 +207,7 @@ class TestSnappyCross:
         rng = np.random.default_rng(43)
         for raw in _snappy_corpora(rng):
             assert GREEDY.compress(raw) == SCALAR.compress(raw)
-        for sel in (0.0, 0.01, 0.5, 1.0):
-            packed = np.packbits(rng.random(8192) < sel).tobytes()
+        for packed in _packed_bitmap_corpus(rng):
             assert GREEDY.compress(packed) == SCALAR.compress(packed)
 
     def test_corrupt_streams_rejected(self):

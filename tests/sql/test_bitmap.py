@@ -62,6 +62,37 @@ class TestWire:
         wire = bm.to_wire(codec_name="zlib")
         assert Bitmap.from_wire(wire, codec_name="zlib") == bm
 
+    def test_wire_form_is_memoised(self, rng):
+        bm = Bitmap(rng.integers(0, 2, size=1000).astype(bool))
+        fresh = Bitmap(bm.bits).to_wire()
+        assert bm.wire_size() == len(fresh)
+        wire = bm.to_wire()
+        assert wire == fresh
+        assert bm.to_wire() is wire  # the bytes wire_size() produced, not a new stream
+        assert bm.to_wire(codec_name="zlib") == Bitmap(bm.bits).to_wire(codec_name="zlib")
+        assert bm.to_wire() is wire  # per codec: the zlib form did not displace it
+
+    def test_memo_is_not_shared_with_derived_bitmaps(self, rng):
+        a = Bitmap(rng.random(1000) < 0.1)
+        b = Bitmap(rng.random(1000) < 0.5)
+        a.wire_size(), b.wire_size()
+        for derived in (a & b, a | b, ~a):
+            assert derived.to_wire() == Bitmap(derived.bits.copy()).to_wire()
+            assert Bitmap.from_wire(derived.to_wire()) == derived
+        assert Bitmap.from_wire(a.to_wire()) == a  # and the operands keep their own
+
+    def test_wire_size_tokenises_through_to_wire_once(self, rng, monkeypatch):
+        # The perf tracer wraps Bitmap.to_wire: wire_size() must reach the
+        # tokeniser through it, and only the first time.
+        calls = []
+        original = Bitmap.to_wire
+        monkeypatch.setattr(
+            Bitmap, "to_wire", lambda self, *a, **k: calls.append(1) or original(self, *a, **k)
+        )
+        bm = Bitmap(rng.random(500) < 0.3)
+        assert bm.wire_size() == bm.wire_size() == len(original(bm))
+        assert len(calls) == 1
+
     @settings(max_examples=50, deadline=None)
     @given(bits=st.lists(st.booleans(), max_size=300))
     def test_roundtrip_property(self, bits):
