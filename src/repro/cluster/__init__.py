@@ -49,6 +49,7 @@ from repro.cluster.simcore import (
     Simulator,
     all_of,
     any_of,
+    record_schedule,
 )
 
 __all__ = [
@@ -96,4 +97,5 @@ __all__ = [
     "install_membership",
     "percentile",
     "random_schedule",
+    "record_schedule",
 ]

@@ -166,7 +166,13 @@ class Network:
         """
         if nbytes < 0:
             raise ValueError("cannot transfer a negative number of bytes")
-        yield from self.batch_transfer(src, dst, (nbytes,), query)
+        if src is dst:
+            return  # loopback, as in batch_transfer
+        self.rpcs_issued += 1
+        if query is not None:
+            query.rpcs_issued += 1
+        latency_s = self.config.rtt_s / 2 + self.config.rpc_overhead_s
+        yield from self._move(src, dst, nbytes, latency_s, query, self.sim.now)
 
     def batch_transfer(
         self,
@@ -279,25 +285,14 @@ class Network:
         # Network processing burns CPU at both endpoints, overlapped with
         # the transfer itself (busy time for utilisation accounting; it
         # contends with other CPU work but does not extend this transfer).
+        # Detached holds: a full admission-bounded CPU queue drops the
+        # charge rather than failing the transfer.
         if nbytes > 0 and self.config.cpu_bps > 0:
             cpu_seconds = nbytes / self.config.cpu_bps
             for endpoint in (src, dst):
                 if endpoint.cpu is not None:
-                    self.sim.process(_occupy(self.sim, endpoint.cpu, cpu_seconds))
+                    endpoint.cpu.occupy(cpu_seconds, BACKGROUND_PRIORITY)
         if query is not None:
             query.network_bytes += nbytes
             query.add(m.NETWORK, self.sim.now - start)
 
-
-def _occupy(sim: Simulator, cpu: Resource, seconds: float):
-    """Occupy one CPU core for ``seconds`` (network processing work).
-
-    Accounting-only: if the CPU queue is admission-bounded and full, the
-    busy-time charge is dropped rather than failing the transfer that
-    spawned this detached process.
-    """
-    try:
-        with (yield from cpu.acquire(BACKGROUND_PRIORITY)):
-            yield sim.timeout(seconds)
-    except QueueFull:
-        pass

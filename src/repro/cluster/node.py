@@ -193,9 +193,9 @@ class StorageNode:
 
     def read_block(self, block_id: str, scale: float, query: m.QueryMetrics | None = None):
         """Process: read a whole block."""
-        size = self.block_size(block_id)
-        data = yield from self.read_block_range(block_id, 0, size, scale, query)
-        return data
+        block = self._blocks[block_id]
+        yield from self.disk.read(int(block.size * scale), query)
+        return block
 
     def compute(self, seconds: float, query: m.QueryMetrics | None = None):
         """Process: occupy one CPU core for ``seconds`` of work.

@@ -34,8 +34,8 @@ Example::
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from heapq import heappop, heappush
 from typing import Callable, Generator, Iterable
 
 
@@ -74,7 +74,8 @@ class Event:
         self.sim = sim
         self._fired = False
         self.value: object = None
-        self._callbacks: list[Callable[[Event], None]] = []
+        #: The waiter's callback; a list only once a second waiter appears.
+        self._callbacks: Callable[[Event], None] | list | None = None
 
     @property
     def fired(self) -> bool:
@@ -86,16 +87,23 @@ class Event:
             raise SimulationError("event already fired")
         self._fired = True
         self.value = value
-        callbacks, self._callbacks = self._callbacks, []
-        for cb in callbacks:
-            cb(self)
+        callbacks, self._callbacks = self._callbacks, None
+        if callbacks.__class__ is list:
+            for cb in callbacks:
+                cb(self)
+        elif callbacks is not None:
+            callbacks(self)
         return self
 
     def add_callback(self, cb: Callable[["Event"], None]) -> None:
         if self._fired:
             cb(self)
-        else:
+        elif self._callbacks is None:
+            self._callbacks = cb
+        elif self._callbacks.__class__ is list:
             self._callbacks.append(cb)
+        else:
+            self._callbacks = [self._callbacks, cb]
 
 
 class Process(Event):
@@ -104,7 +112,7 @@ class Process(Event):
     __slots__ = ("_gen", "_ctx", "_cancelled")
 
     def __init__(self, sim: "Simulator", gen: Generator) -> None:
-        super().__init__(sim)
+        Event.__init__(self, sim)
         self._gen = gen
         self._cancelled = False
         # Trace context: a process inherits the span that was current when
@@ -140,16 +148,16 @@ class Process(Event):
     def _step(self, event: Event | None) -> None:
         if self._cancelled:
             return
-        tracer = self.sim.tracer
+        sim = self.sim
+        tracer = sim.tracer
         if tracer is not None:
             prev = tracer._current
             tracer._current = self._ctx
-        prev_active = self.sim.active_process
-        self.sim.active_process = self
+        prev_active = sim.active_process
+        sim.active_process = self
         try:
             try:
-                value = event.value if event is not None else None
-                target = self._gen.send(value)
+                target = self._gen.send(None if event is None else event.value)
             except StopIteration as stop:
                 self.succeed(stop.value)
                 return
@@ -157,9 +165,13 @@ class Process(Event):
                 raise SimulationError(
                     f"process yielded {target!r}; processes must yield Event objects"
                 )
-            target.add_callback(self._step)
+            # Event.add_callback, inlined: one frame less per resume.
+            if target._callbacks is None and not target._fired:
+                target._callbacks = self._step
+            else:
+                target.add_callback(self._step)
         finally:
-            self.sim.active_process = prev_active
+            sim.active_process = prev_active
             if tracer is not None:
                 self._ctx = tracer._current
                 tracer._current = prev
@@ -193,9 +205,12 @@ class Simulator:
         self._clock_listeners.append(callback)
 
     def _schedule(self, at: float, callback: Callable, arg: object) -> None:
+        """Push ``callback(arg)`` onto the heap.  Every heap push goes through
+        this method, looked up on the instance each time, so hooking it
+        (:func:`record_schedule`) shows the whole scheduled-event stream."""
         if at < self.now:
             raise SimulationError(f"cannot schedule in the past ({at} < {self.now})")
-        heapq.heappush(self._heap, (at, self._seq, callback, arg))
+        heappush(self._heap, (at, self._seq, callback, arg))
         self._seq += 1
 
     def timeout(self, delay: float, value: object = None) -> Event:
@@ -203,7 +218,7 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         event = Event(self)
-        self._schedule(self.now + delay, lambda _: event.succeed(value), None)
+        self._schedule(self.now + delay, event.succeed, value)
         return event
 
     def event(self) -> Event:
@@ -215,27 +230,38 @@ class Simulator:
         return Process(self, gen)
 
     def run(self, until: float | None = None) -> None:
-        """Run until the heap drains (or the clock passes ``until``)."""
+        """Run until the heap drains (or the clock passes ``until``; an
+        ``until`` in the past runs nothing and leaves the clock alone)."""
+        heap = self._heap
         listeners = self._clock_listeners
-        while self._heap:
-            at, _seq, callback, arg = self._heap[0]
-            if until is not None and at > until:
-                if listeners and until > self.now:
-                    for listener in listeners:
-                        listener(until)
-                self.now = until
-                return
-            heapq.heappop(self._heap)
-            if listeners and at > self.now:
+        while heap:
+            if until is not None and heap[0][0] > until:
+                break
+            at, _seq, callback, arg = heappop(heap)
+            if at > self.now:
                 for listener in listeners:
                     listener(at)
-            self.now = at
+                self.now = at
             callback(arg)
-        if until is not None:
-            if listeners and until > self.now:
-                for listener in listeners:
-                    listener(until)
-            self.now = max(self.now, until)
+        if until is not None and until > self.now:
+            for listener in listeners:
+                listener(until)
+            self.now = until
+
+
+def record_schedule(sim: Simulator) -> list[tuple[float, int]]:
+    """Record every heap push on ``sim`` from now on; returns the live list
+    of ``(at, seq)`` pairs.  Two runs are event-for-event identical exactly
+    when their lists are equal (the "does not perturb the timeline" probe)."""
+    stream: list[tuple[float, int]] = []
+    schedule = sim._schedule
+
+    def recording(at, callback, arg):
+        stream.append((at, sim._seq))
+        schedule(at, callback, arg)
+
+    sim._schedule = recording
+    return stream
 
 
 class _ReleaseContext:
@@ -247,7 +273,7 @@ class _ReleaseContext:
         self._resource = resource
         self._released = False
 
-    def release(self) -> None:
+    def release(self, *_exc) -> None:
         if not self._released:
             self._released = True
             self._resource._release()
@@ -255,8 +281,7 @@ class _ReleaseContext:
     def __enter__(self) -> "_ReleaseContext":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.release()
+    __exit__ = release
 
 
 class Resource:
@@ -405,16 +430,8 @@ class Resource:
                 raise QueueFull("request shed for higher-priority work", shed=True)
             self._finish_wait(wspan)
         else:
-            if (
-                priority is not None
-                and self.max_queue is not None
-                and len(self._waiters) >= self.max_queue
-            ):
-                self._admit(priority)
-            gate = Event(self.sim)
-            entry = (gate, priority)
-            self._waiters.append(entry)
-            wspan = self._begin_wait()
+            entry, wspan = self._enqueue(priority)
+            gate = entry[0]
             try:
                 got = yield gate
             except GeneratorExit:
@@ -436,6 +453,19 @@ class Resource:
             # Slot was transferred to us by _release; nothing to increment.
         return _ReleaseContext(self)
 
+    def _enqueue(self, priority: int | None):
+        """Join the legacy FIFO lane (admission-checked when ``priority`` is
+        given); returns the waiter entry and its ``queue.wait`` span."""
+        if (
+            priority is not None
+            and self.max_queue is not None
+            and len(self._waiters) >= self.max_queue
+        ):
+            self._admit(priority)
+        entry = (Event(self.sim), priority)
+        self._waiters.append(entry)
+        return entry, self._begin_wait()
+
     def _begin_wait(self):
         """Open a ``queue.wait`` span around a queued acquisition.
 
@@ -454,8 +484,53 @@ class Resource:
         if span is not None:
             self.sim.tracer.finish(span, **args)
 
-    def _release(self) -> None:
+    def occupy(self, seconds: float, priority: int | None = None) -> None:
+        """Detached hold: take a slot for ``seconds``; nobody waits for it.
+
+        Event for event what a spawned process running ``with (yield from
+        self.acquire(priority)): yield sim.timeout(seconds)`` and swallowing
+        :class:`QueueFull` does (a refused or shed hold drops its charge),
+        as two heap callbacks: it starts at ``now`` behind everything
+        already scheduled, queues FIFO with the other waiters, and its
+        ``queue.wait`` span opens under the caller's trace context.
+        """
+        tracer = self.sim.tracer
+        ctx = tracer._current if tracer is not None else None
+        self.sim._schedule(self.sim.now, self._occupy_start, (seconds, priority, ctx))
+
+    def _occupy_start(self, hold: tuple) -> None:
+        seconds, priority, ctx = hold
+        sim = self.sim
         self._account()
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            sim._schedule(sim.now + seconds, self._release, None)
+            return
+        tracer = sim.tracer
+        if tracer is not None:
+            prev, tracer._current = tracer._current, ctx
+        try:
+            (gate, _priority), wspan = self._enqueue(priority)
+        except QueueFull:
+            return
+        finally:
+            if tracer is not None:
+                tracer._current = prev
+
+        def granted(gate: Event) -> None:
+            if gate.value is _SHED:
+                self._finish_wait(wspan, shed=True)
+            else:
+                self._finish_wait(wspan)
+                sim._schedule(sim.now + seconds, self._release, None)
+
+        gate.add_callback(granted)
+
+    def _release(self, _end_of_hold: object = None) -> None:
+        """Free one slot or hand it on (also the heap callback ending a hold)."""
+        now = self.sim.now  # _account(), inlined
+        self.busy_time += self._in_use * (now - self._last_change)
+        self._last_change = now
         if self._waiters:
             # Legacy FIFO (untenanted/internal traffic) drains first so
             # control-plane work never starves behind tenant backlogs.

@@ -223,20 +223,37 @@ class SnappyLikeCodec:
 
     def _compress_small(self, out: bytearray, data, n: int) -> None:
         """The greedy hash-chain walk (every bitmap on the wire, and tiny
-        or fragmented page inputs where it beats the numpy setup)."""
+        or fragmented page inputs where it beats the numpy setup).
+
+        A 4-byte window whose key is unique in the buffer can neither find
+        a candidate nor be one, so only the windows a numpy pre-pass finds
+        repeated are visited, for the same tokens.  Tiny inputs, and long
+        runs of one byte (sparse or near-full bitmaps, where matches jump
+        most of the buffer anyway), skip the pre-pass and visit them all.
+        """
         if not isinstance(data, bytes):
             data = bytes(data)  # hashable 4-byte slices without a wrap each
+        windows = n - _HASH_BYTES + 1
+        if n < _VECTOR_MIN or 3 * max(data.count(0), data.count(255)) >= 2 * n:
+            visit = range(windows)
+        else:
+            keys = np.ndarray((windows,), "<u4", data, 0, (1,))  # overlapping, no copy
+            ordered = np.sort(keys)
+            repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+            visit = ()
+            if repeated.size:
+                hits = repeated.take(repeated.searchsorted(keys), mode="clip") == keys
+                visit = np.flatnonzero(hits).tolist()
         table: dict[bytes, int] = {}
         lookup = table.get
-        i = 0
         literal_start = 0
-        limit = n - _HASH_BYTES
-        while i <= limit:
+        for i in visit:
+            if i < literal_start:
+                continue  # inside the previous match
             chunk = data[i : i + _HASH_BYTES]
             candidate = lookup(chunk)
             table[chunk] = i
             if candidate is None or i - candidate > _MAX_OFFSET:
-                i += 1
                 continue
             # Extend the match a slice at a time, then byte by byte.
             shift = i - candidate
@@ -254,7 +271,7 @@ class SnappyLikeCodec:
                 literal_start += run
             out.append(0x80 | (pos - i - _MIN_MATCH))
             out += shift.to_bytes(2, "little")
-            i = literal_start = pos
+            literal_start = pos
         _emit_literals(out, data, literal_start, n)
 
     def compress_greedy(self, data: bytes) -> bytes:

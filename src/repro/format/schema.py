@@ -14,35 +14,25 @@ import numpy as np
 
 
 class ColumnType(enum.Enum):
-    """Physical/logical type of a column."""
+    """Physical/logical type of a column.
 
-    INT64 = "int64"
-    DOUBLE = "double"
-    DATE = "date"  # stored as int32 days since 1970-01-01
-    BOOL = "bool"
-    STRING = "string"
+    Members carry ``numpy_dtype`` (``None`` for strings) and ``fixed_width``
+    (plain-encoded bytes per value, ``None`` for variable width) as plain
+    attributes: both are read per chunk on the query path.
+    """
 
-    @property
-    def numpy_dtype(self) -> np.dtype | None:
-        """The numpy dtype backing this type, or ``None`` for strings."""
-        mapping = {
-            ColumnType.INT64: np.dtype(np.int64),
-            ColumnType.DOUBLE: np.dtype(np.float64),
-            ColumnType.DATE: np.dtype(np.int32),
-            ColumnType.BOOL: np.dtype(np.bool_),
-        }
-        return mapping.get(self)
+    def __new__(cls, value: str, dtype: type | None, width: int | None):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.numpy_dtype = None if dtype is None else np.dtype(dtype)
+        member.fixed_width = width
+        return member
 
-    @property
-    def fixed_width(self) -> int | None:
-        """Plain-encoded width in bytes, or ``None`` for variable width."""
-        widths = {
-            ColumnType.INT64: 8,
-            ColumnType.DOUBLE: 8,
-            ColumnType.DATE: 4,
-            ColumnType.BOOL: 1,
-        }
-        return widths.get(self)
+    INT64 = ("int64", np.int64, 8)
+    DOUBLE = ("double", np.float64, 8)
+    DATE = ("date", np.int32, 4)  # stored as int32 days since 1970-01-01
+    BOOL = ("bool", np.bool_, 1)
+    STRING = ("string", None, None)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ import pytest
 from repro.ec import gf256
 from repro.ec.reed_solomon import CodeParams, ReedSolomon
 from repro.format import _reference as ref
+from repro.format import compression
 from repro.format import encoding as enc
 from repro.format.compression import get_codec
 from repro.format.schema import ColumnType
@@ -192,6 +193,41 @@ def _packed_bitmap_corpus(rng: np.random.Generator):
             yield np.packbits(np.arange(bits) % period == 0).tobytes()
 
 
+def _prepass_corpus(rng: np.random.Generator):
+    """Inputs on both sides of every choice the greedy tokeniser's
+    unique-window pre-pass makes, and the cases where skipping a window
+    could change a token if the pre-pass were wrong."""
+
+    def noise(n: int, high: int = 256) -> bytes:
+        return bytes(rng.integers(0, high, n, dtype=np.uint8))
+
+    threshold = compression._VECTOR_MIN  # shorter inputs visit every window
+    for n in (threshold - 1, threshold, threshold + 1):
+        yield noise(n)  # all windows unique
+        yield noise(n, 3)  # almost all repeated
+        yield (b"abcdefg" * n)[:n]
+        yield b"\x07" * n  # all windows equal
+    # Long runs of one byte skip the pre-pass from two thirds of the buffer on.
+    for fill in (0, 255):
+        for run in (199, 200, 201):
+            body = bytearray(rng.integers(1, 255, 300, dtype=np.uint8))
+            body[50 : 50 + run] = bytes([fill]) * run
+            yield bytes(body)
+    for n in (64, 375, 500, 4096):
+        yield noise(n)
+        yield b"\x07" * n
+        yield noise(n, 2)
+    # A key that repeats only beyond _MAX_OFFSET: found, then refused.
+    marker = bytes([251, 252, 253, 254])
+    yield marker + noise(compression._MAX_OFFSET + 10, 251) + marker + noise(40, 251)
+    yield marker + noise(compression._MAX_OFFSET - 10, 251) + marker + noise(40, 251)
+    # A repeat that begins inside a previous match: the table only holds
+    # *visited* positions, so "6789AB" must point at the first copy.
+    unit = b"0123456789ABCDEF"
+    yield unit + noise(70, 48) + unit + noise(70, 48) + unit[6:12] + noise(70, 48) + unit[3:]
+    yield unit * 3 + noise(64, 48) + unit[5:] + unit[:7]
+
+
 class TestSnappyCross:
     def test_cross_decompression(self):
         rng = np.random.default_rng(41)
@@ -209,6 +245,15 @@ class TestSnappyCross:
             assert GREEDY.compress(raw) == SCALAR.compress(raw)
         for packed in _packed_bitmap_corpus(rng):
             assert GREEDY.compress(packed) == SCALAR.compress(packed)
+
+    def test_greedy_prepass_never_changes_a_token(self):
+        rng = np.random.default_rng(47)
+        for raw in _prepass_corpus(rng):
+            want = SCALAR.compress(raw)
+            assert GREEDY.compress(raw) == want
+            for view in (memoryview(raw), bytearray(raw), np.frombuffer(raw, dtype=np.uint8)):
+                assert GREEDY.compress(view) == want
+            assert GREEDY.decompress(want) == raw
 
     def test_corrupt_streams_rejected(self):
         blob = VEC.compress(b"hello world, hello world, hello world")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig, QueryMetrics, Simulator
+from repro.cluster import Cluster, ClusterConfig, QueryMetrics, Simulator, record_schedule
 from repro.core import BaselineStore, FusionStore, StoreConfig
 from repro.ec import gf256
 from repro.format import _reference as ref
@@ -38,16 +38,7 @@ def _run(store_cls):
     table = make_small_table(num_rows=2500, seed=77)
     data = write_table(table, row_group_rows=500)
     sim = Simulator()
-
-    stream: list[tuple[float, int]] = []
-    orig_schedule = sim._schedule
-
-    def recording_schedule(at, callback, arg):
-        stream.append((at, sim._seq))
-        orig_schedule(at, callback, arg)
-
-    sim._schedule = recording_schedule
-
+    stream = record_schedule(sim)
     cluster = Cluster(sim, ClusterConfig(num_nodes=12))
     store = store_cls(
         cluster,

@@ -4,7 +4,7 @@ stream identical to the same workload with everything off."""
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig, QueryMetrics, Simulator
+from repro.cluster import Cluster, ClusterConfig, QueryMetrics, Simulator, record_schedule
 from repro.core import BaselineStore, FusionStore, StoreConfig
 from repro.format import write_table
 from tests.conftest import make_small_table
@@ -25,16 +25,7 @@ def _run(store_cls, obs_on: bool, telemetry_on: bool = False):
     table = make_small_table(num_rows=2500, seed=77)
     data = write_table(table, row_group_rows=500)
     sim = Simulator()
-
-    stream: list[tuple[float, int]] = []
-    orig_schedule = sim._schedule
-
-    def recording_schedule(at, callback, arg):
-        stream.append((at, sim._seq))
-        orig_schedule(at, callback, arg)
-
-    sim._schedule = recording_schedule
-
+    stream = record_schedule(sim)
     cluster = Cluster(sim, ClusterConfig(num_nodes=12))
     store = store_cls(
         cluster,

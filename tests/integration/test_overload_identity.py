@@ -7,7 +7,7 @@ be deterministic per seed."""
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig, QueryMetrics, Simulator
+from repro.cluster import Cluster, ClusterConfig, QueryMetrics, Simulator, record_schedule
 from repro.cluster.faults import FaultEvent, FaultInjector
 from repro.core import BaselineStore, FusionStore, StoreConfig
 from repro.format import write_table
@@ -48,16 +48,7 @@ def _run(store_cls, protection_on: bool):
     table = make_small_table(num_rows=2500, seed=77)
     data = write_table(table, row_group_rows=500)
     sim = Simulator()
-
-    stream: list[tuple[float, int]] = []
-    orig_schedule = sim._schedule
-
-    def recording_schedule(at, callback, arg):
-        stream.append((at, sim._seq))
-        orig_schedule(at, callback, arg)
-
-    sim._schedule = recording_schedule
-
+    stream = record_schedule(sim)
     cluster = Cluster(sim, ClusterConfig(num_nodes=12))
     store = store_cls(cluster, _store_config(protection_on))
     store.put("tbl", data)
@@ -132,16 +123,7 @@ def _run_with_drop_window(jitter: float, placement_seed: int = 17):
     table = make_small_table(num_rows=2500, seed=77)
     data = write_table(table, row_group_rows=500)
     sim = Simulator()
-
-    stream: list[tuple[float, int]] = []
-    orig_schedule = sim._schedule
-
-    def recording_schedule(at, callback, arg):
-        stream.append((at, sim._seq))
-        orig_schedule(at, callback, arg)
-
-    sim._schedule = recording_schedule
-
+    stream = record_schedule(sim)
     cluster = Cluster(sim, ClusterConfig(num_nodes=12, placement_seed=placement_seed))
     store = FusionStore(
         cluster,

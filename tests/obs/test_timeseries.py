@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig, Simulator
+from repro.cluster import Cluster, ClusterConfig, Simulator, record_schedule
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeseries import Scraper, install_telemetry
 from repro.obs.validate import validate_timeseries
@@ -211,17 +211,10 @@ def test_install_telemetry_knobs():
 
 def test_scraper_never_schedules_events():
     sim, cluster = _cluster()
-    scheduled: list[float] = []
-    orig = sim._schedule
-
-    def recording(at, callback, arg):
-        scheduled.append(at)
-        orig(at, callback, arg)
-
-    sim._schedule = recording
+    scheduled = record_schedule(sim)
     scraper = Scraper(cluster, 0.1)
     scraper.install()
-    before = list(scheduled)
+    before = len(scheduled)
 
     def work():
         yield sim.timeout(1.0)
@@ -232,5 +225,5 @@ def test_scraper_never_schedules_events():
     # t=0 and its timeout); 10 samples were taken without touching the
     # event queue.
     assert len(scraper.times) == 10
-    assert scheduled[len(before):] == [0.0, 1.0]
-    assert math.isclose(scheduled[-1], 1.0)
+    assert [at for at, _seq in scheduled[before:]] == [0.0, 1.0]
+    assert math.isclose(scheduled[-1][0], 1.0)
