@@ -116,10 +116,11 @@ class Process(Event):
         self._gen = gen
         self._cancelled = False
         # Trace context: a process inherits the span that was current when
-        # it was spawned, and carries its own span stack across steps so
-        # interleaved processes don't corrupt each other's parentage.
+        # it was spawned (its id; 0 = none), and carries its own span stack
+        # across steps so interleaved processes don't corrupt each other's
+        # parentage.
         tracer = sim.tracer
-        self._ctx = tracer._current if tracer is not None else None
+        self._ctx = tracer._current if tracer is not None else 0
         sim._schedule(sim.now, self._step, None)
 
     @property
@@ -495,7 +496,7 @@ class Resource:
         ``queue.wait`` span opens under the caller's trace context.
         """
         tracer = self.sim.tracer
-        ctx = tracer._current if tracer is not None else None
+        ctx = tracer._current if tracer is not None else 0
         self.sim._schedule(self.sim.now, self._occupy_start, (seconds, priority, ctx))
 
     def _occupy_start(self, hold: tuple) -> None:

@@ -1338,7 +1338,7 @@ class BaselineStore:
     def _repair_stripe_body(
         self, name: str, stripe_id: int, metrics: QueryMetrics | None = None
     ):
-        from repro.core.repair import find_bad_shards
+        from repro.core.repair import localise_stripe
 
         obj = self._lookup(name)
         k, n = self.config.code.k, self.config.code.n
@@ -1373,14 +1373,8 @@ class BaselineStore:
             / coordinator.cpu_config.decode_bps,
             metrics,
         )
-        bad = [i for i in find_bad_shards(self.config.code, shards, data_sizes)
-               if holders[i] is not None]
-        if not bad:
-            return 0
-        good = [s if i not in bad else None for i, s in enumerate(shards)]
-        recovered = decode_stripe(self.config.code, good, data_sizes)
-        reencoded = encode_stripe(self.config.code, recovered)
-        all_blocks = reencoded.shards()
+        found, all_blocks = localise_stripe(self.config.code, shards, data_sizes)
+        bad = [i for i in found if holders[i] is not None]
         written = 0
         for i in sorted(bad):
             bid, nid = holders[i]

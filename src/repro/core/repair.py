@@ -8,7 +8,7 @@ accounts the traffic separately from query traffic — repair bytes land
 in ``ClusterMetrics.repair_bytes`` via :meth:`ClusterMetrics.record_repair`,
 never in ``network_bytes``.
 
-Corruption isolation lives here too: :func:`find_bad_shards` localises
+Corruption isolation lives here too: :func:`localise_stripe` localises
 *which* readable shard is damaged by treating candidate shards as
 erasures and checking whether the remainder re-encodes consistently —
 the standard decode-trial localisation for MDS codes.  Repair is paced
@@ -35,13 +35,14 @@ class RepairError(RuntimeError):
     """A stripe is damaged beyond what the code can localise or rebuild."""
 
 
-def _consistent(
+def _codeword(
     params: CodeParams,
     shards: list[np.ndarray | None],
     data_sizes: list[int],
     erased: frozenset[int],
-) -> bool:
-    """True when the non-erased shards form a consistent codeword.
+) -> list[np.ndarray] | None:
+    """The stripe's n shards when the non-erased ones form a consistent
+    codeword, else ``None``.
 
     Decodes the stripe with ``erased`` positions treated as lost,
     re-encodes, and compares every readable non-erased shard against its
@@ -53,22 +54,23 @@ def _consistent(
     try:
         recovered = decode_stripe(params, trial, data_sizes)
     except DecodeError:
-        return False
+        return None
     expected = encode_stripe(params, recovered).shards()
     for i, shard in enumerate(trial):
         if shard is None:
             continue
         if not np.array_equal(shard, expected[i]):
-            return False
-    return True
+            return None
+    return expected
 
 
-def find_bad_shards(
+def localise_stripe(
     params: CodeParams,
     shards: list[np.ndarray | None],
     data_sizes: list[int],
-) -> set[int]:
-    """Positions of missing or corrupt shards in one stripe.
+) -> tuple[set[int], list[np.ndarray]]:
+    """Positions of missing or corrupt shards in one stripe, and the
+    codeword that proves it.
 
     ``shards`` holds the n stripe positions in order (data then parity)
     at their true sizes; ``None`` marks an unreadable position.  Returns
@@ -77,6 +79,8 @@ def find_bad_shards(
     codeword.  Corruption is localised by decode trials: each candidate
     subset of readable shards is treated as erased, and the smallest
     subset whose exclusion leaves a consistent codeword is the damage.
+    The second value is that codeword's n shards as the winning trial
+    decoded and re-encoded them: what a repair writes back.
 
     Raises :class:`RepairError` when the stripe has lost more positions
     than the code tolerates, or when corruption cannot be localised
@@ -101,12 +105,22 @@ def find_bad_shards(
     budget = params.parity - len(missing)
     for r in range(budget + 1):
         for combo in combinations(readable, r):
-            if _consistent(params, shards, data_sizes, frozenset(missing) | frozenset(combo)):
-                return missing | set(combo)
+            codeword = _codeword(params, shards, data_sizes, frozenset(missing) | frozenset(combo))
+            if codeword is not None:
+                return missing | set(combo), codeword
     raise RepairError(
         "cannot localise corruption within the code's erasure budget "
         f"({len(missing)} unreadable, {params.parity} tolerated)"
     )
+
+
+def find_bad_shards(
+    params: CodeParams,
+    shards: list[np.ndarray | None],
+    data_sizes: list[int],
+) -> set[int]:
+    """The positions :func:`localise_stripe` finds, without the codeword."""
+    return localise_stripe(params, shards, data_sizes)[0]
 
 
 @dataclass

@@ -1925,7 +1925,7 @@ class FusionStore:
     def _repair_stripe_body(
         self, name: str, stripe_id: int, metrics: QueryMetrics | None = None
     ):
-        from repro.core.repair import find_bad_shards
+        from repro.core.repair import localise_stripe
 
         obj = self._lookup(name)
         placement = obj.stripes[stripe_id]
@@ -1958,13 +1958,7 @@ class FusionStore:
             / coordinator.cpu_config.decode_bps,
             metrics,
         )
-        bad = find_bad_shards(self.config.code, shards, placement.data_sizes)
-        if not bad:
-            return 0
-        good = [s if i not in bad else None for i, s in enumerate(shards)]
-        recovered = decode_stripe(self.config.code, good, placement.data_sizes)
-        reencoded = encode_stripe(self.config.code, recovered)
-        all_blocks = reencoded.shards()
+        bad, all_blocks = localise_stripe(self.config.code, shards, placement.data_sizes)
         written = 0
         for i in sorted(bad):
             payload = all_blocks[i]

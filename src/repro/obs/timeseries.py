@@ -33,8 +33,11 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
+from bisect import bisect_right
+from itertools import accumulate
 
-from repro.obs.registry import Histogram, MetricsRegistry, _fmt_value
+from repro.obs.registry import Histogram, MetricsRegistry, _fmt_labels, _fmt_value, _label_key
 from repro.obs.tracer import Tracer
 
 #: Circuit-breaker states as scraped gauge values.
@@ -44,16 +47,44 @@ BREAKER_STATE_VALUE = {"closed": 0, "half_open": 1, "open": 2}
 _NODE_RESOURCES = ("cpu", "disk", "nic_in", "nic_out")
 
 
-def _label_key(labels: dict) -> tuple:
-    return tuple(sorted(labels.items()))
+def _resources(node) -> tuple:
+    return node.cpu, node.disk.device, node.endpoint.ingress, node.endpoint.egress
+
+
+#: Live-state series in the order :meth:`Scraper._sample` reads them: per
+#: node (the breaker gauge only once a board is installed), then per node
+#: resource, then per cluster.
+_NODE_SERIES = (
+    "repro_node_up",
+    "repro_node_suspect",
+    "repro_node_health_tier",
+    "repro_node_disk_slow_factor",
+    "repro_node_breaker_state",
+)
+_RESOURCE_SERIES = ("repro_node_queue_depth", "repro_node_inflight")
+_CLUSTER_SERIES = (
+    "repro_cluster_requests_total",
+    "repro_cluster_bad_requests_total",
+    "repro_cluster_network_bytes",
+    "repro_cluster_repair_bytes",
+    "repro_cluster_rebalance_bytes",
+    "repro_cluster_read_repair_bytes",
+    "repro_cluster_quorum_lost_total",
+    "repro_cluster_severed_links",
+    "repro_cluster_migrations_inflight",
+)
 
 
 class Scraper:
     """Samples registry + cluster state into in-memory time series.
 
-    Series are keyed by ``(metric name, sorted label items)``; histogram
-    families keep full bucket snapshots per sample so windowed quantiles
-    can be derived from bucket deltas between two scrape points.
+    Series are keyed by ``(metric name, sorted label items)`` and stored
+    as two ``array('d')`` columns (sample times, values): no object per
+    point, and a trailing window is a ``bisect`` on the time column, so
+    neither a scrape nor an SLO evaluation depends on how much history
+    the series holds.  Histogram families keep full bucket snapshots per
+    sample so windowed quantiles can be derived from bucket deltas
+    between two scrape points.
     """
 
     def __init__(self, cluster, interval_s: float) -> None:
@@ -64,17 +95,20 @@ class Scraper:
         self.interval_s = float(interval_s)
         #: Scrape timestamps, in simulated seconds (k * interval, k >= 1).
         self.times: list[float] = []
-        self._samples_taken = 0
-        #: (name, label key) -> list of (t, value) points.
-        self._points: dict[tuple[str, tuple], list[tuple[float, float]]] = {}
-        self._labels: dict[tuple[str, tuple], dict] = {}
-        #: (name, label key) -> list of (t, count, sum, cumulative counts).
-        self._hist: dict[tuple[str, tuple], list[tuple]] = {}
-        self._hist_bounds: dict[tuple[str, tuple], list[float]] = {}
+        self._next_t = self.interval_s
+        #: (name, label key) -> (times, values) columns.
+        self._points: dict[tuple[str, tuple], tuple[array, array]] = {}
+        #: (name, label key) -> (times, [(count, sum, cumulative counts)], bounds).
+        self._hist: dict[tuple[str, tuple], tuple[array, list[tuple], list[float]]] = {}
         #: On-sample hooks: ``callback(scraper, t)`` after each sample
         #: lands (the SLO engine registers here).  Observers only.
         self.on_sample: list = []
         self._installed = False
+        # Collectors bound to their columns, rebuilt when ``_shape`` moves.
+        self._shape: tuple | None = None
+        self._scalars: list[tuple] = []  # (Counter | Gauge, times, values)
+        self._histograms: list[tuple] = []  # (Histogram, times, snapshots)
+        self._state: list[tuple[array, array]] = []  # one per live-state value
 
     # -- wiring ------------------------------------------------------------
 
@@ -86,91 +120,95 @@ class Scraper:
 
     def _on_clock(self, to: float) -> None:
         # Fire once per scrape boundary crossed by this clock advance.
-        # Boundaries are computed as k * interval from a sample counter
+        # Boundaries are computed as k * interval from the sample count
         # (not by accumulating floats), so long runs cannot drift.
-        next_t = (self._samples_taken + 1) * self.interval_s
-        while next_t <= to:
-            self._sample(next_t)
-            self._samples_taken += 1
-            next_t = (self._samples_taken + 1) * self.interval_s
+        while self._next_t <= to:
+            self._sample(self._next_t)
+            self._next_t = (len(self.times) + 1) * self.interval_s
 
     # -- sampling ----------------------------------------------------------
 
-    def _record(self, t: float, name: str, labels: dict, value: float) -> None:
-        key = (name, _label_key(labels))
-        points = self._points.get(key)
-        if points is None:
-            points = self._points[key] = []
-            self._labels[key] = dict(labels)
-        points.append((t, float(value)))
+    def _column(self, name: str, label_key: tuple) -> tuple[array, array]:
+        """The series' columns; a series exists from its first sample on."""
+        key = (name, label_key)
+        columns = self._points.get(key)
+        if columns is None:
+            columns = self._points[key] = (array("d"), array("d"))
+        return columns
 
-    def _record_hist(self, t: float, name: str, labels: dict, hist: Histogram) -> None:
-        key = (name, _label_key(labels))
-        snaps = self._hist.get(key)
-        if snaps is None:
-            snaps = self._hist[key] = []
-            self._labels[key] = dict(labels)
-            self._hist_bounds[key] = list(hist.bounds)
-        cumulative, total = [], 0
-        for c in hist.counts:
-            total += c
-            cumulative.append(total)
-        snaps.append((t, hist.count, hist.sum, tuple(cumulative)))
+    def _bind(self, registry, breakers) -> None:
+        """Resolve every collector's columns once; their labels are constants."""
+        self._scalars, self._histograms = [], []
+        if registry is not None:
+            for name, family in registry._families.items():
+                for label_key, inst in family.metrics.items():
+                    if not isinstance(inst, Histogram):
+                        self._scalars.append((inst, *self._column(name, label_key)))
+                        continue
+                    times, snapshots, _bounds = self._hist.setdefault(
+                        (name, label_key), (array("d"), [], list(inst.bounds))
+                    )
+                    self._histograms.append((inst, times, snapshots))
+        node_series = _NODE_SERIES if breakers is not None else _NODE_SERIES[:-1]
+        keys = []
+        for node in self.cluster.nodes:
+            nid = str(node.node_id)
+            keys += [(name, (("node", nid),)) for name in node_series]
+            for rname in _NODE_RESOURCES:
+                resource_key = (("node", nid), ("resource", rname))
+                keys += [(name, resource_key) for name in _RESOURCE_SERIES]
+        keys += [(name, ()) for name in _CLUSTER_SERIES]
+        self._state = [self._column(name, label_key) for name, label_key in keys]
 
     def _sample(self, t: float) -> None:
         cluster = self.cluster
         registry = cluster.metrics.registry
-        if registry is not None:
-            for name in sorted(registry._families):
-                family = registry._families[name]
-                for key in sorted(family.metrics):
-                    inst = family.metrics[key]
-                    if isinstance(inst, Histogram):
-                        self._record_hist(t, name, dict(key), inst)
-                    else:
-                        self._record(t, name, dict(key), inst.value)
-
-        # Live cluster state, beyond what the registry accumulates.
-        health = cluster.health.snapshot()
         breakers = cluster.breakers
+        # Breakers installed later, a joined node, a new registry family
+        # or label set: each gets its series from this sample on.
+        families = registry._families.values() if registry is not None else ()
+        shape = (registry, sum(len(f.metrics) for f in families), breakers, len(cluster.nodes))
+        if shape != self._shape:
+            self._bind(registry, breakers)
+            self._shape = shape
+        for inst, times, values in self._scalars:
+            times.append(t)
+            values.append(inst.value)
+        for hist, times, snapshots in self._histograms:
+            times.append(t)
+            snapshots.append((hist.count, hist.sum, tuple(accumulate(hist.counts))))
+
+        # Live cluster state, beyond what the registry accumulates; one
+        # value per ``_state`` column, in ``_bind``'s order.
+        health = cluster.health
+        row: list[float] = []
         for node in cluster.nodes:
             nid = node.node_id
-            lbl = {"node": str(nid)}
-            self._record(t, "repro_node_up", lbl, 0.0 if health[nid]["down"] else 1.0)
-            self._record(t, "repro_node_suspect", lbl, 1.0 if health[nid]["suspect"] else 0.0)
-            self._record(t, "repro_node_health_tier", lbl, cluster.health.tier_value(nid))
-            self._record(t, "repro_node_disk_slow_factor", lbl, node.disk.slow_factor)
+            row += (
+                0.0 if health.down[nid] else 1.0,
+                1.0 if health.is_suspect(nid) else 0.0,
+                health.tier_value(nid),
+                node.disk.slow_factor,
+            )
             if breakers is not None:
-                self._record(
-                    t, "repro_node_breaker_state", lbl,
-                    BREAKER_STATE_VALUE.get(breakers.state[nid], 0),
-                )
-            for rname, resource in zip(
-                _NODE_RESOURCES,
-                (node.cpu, node.disk.device, node.endpoint.ingress, node.endpoint.egress),
-            ):
-                rl = {"node": str(nid), "resource": rname}
-                self._record(t, "repro_node_queue_depth", rl, resource.queue_length)
-                self._record(t, "repro_node_inflight", rl, resource.in_use)
-
+                row.append(BREAKER_STATE_VALUE.get(breakers.state[nid], 0))
+            for resource in _resources(node):
+                row += (resource.queue_length, resource.in_use)
         cm = cluster.metrics
-        self._record(t, "repro_cluster_requests_total", {}, len(cm.queries))
-        bad = (
-            cm.requests_shed
-            + cm.requests_rejected
-            + cm.deadline_exceeded
-            + cm.quota_exceeded
+        row += (
+            len(cm.queries),
+            cm.requests_shed + cm.requests_rejected + cm.deadline_exceeded + cm.quota_exceeded,
+            cm.network_bytes,
+            cm.repair_bytes,
+            cm.rebalance_bytes,
+            cm.read_repair_bytes,
+            cm.quorum_lost_total,
+            cluster.network.severed_link_count(),
+            len(cluster.migrations),
         )
-        self._record(t, "repro_cluster_bad_requests_total", {}, bad)
-        self._record(t, "repro_cluster_network_bytes", {}, cm.network_bytes)
-        self._record(t, "repro_cluster_repair_bytes", {}, cm.repair_bytes)
-        self._record(t, "repro_cluster_rebalance_bytes", {}, cm.rebalance_bytes)
-        self._record(t, "repro_cluster_read_repair_bytes", {}, cm.read_repair_bytes)
-        self._record(t, "repro_cluster_quorum_lost_total", {}, cm.quorum_lost_total)
-        self._record(
-            t, "repro_cluster_severed_links", {}, cluster.network.severed_link_count()
-        )
-        self._record(t, "repro_cluster_migrations_inflight", {}, len(cluster.migrations))
+        for (times, values), value in zip(self._state, row):
+            times.append(t)
+            values.append(value)
 
         # Per-tenant DRR state: queued entries and deficit counters,
         # aggregated over every node resource with a fair queue attached.
@@ -178,10 +216,7 @@ class Scraper:
             queued: dict[str, int] = {}
             deficit: dict[str, float] = {}
             for node in cluster.nodes:
-                for resource in (
-                    node.cpu, node.disk.device,
-                    node.endpoint.ingress, node.endpoint.egress,
-                ):
+                for resource in _resources(node):
                     fair = resource.fair
                     if fair is None:
                         continue
@@ -191,10 +226,15 @@ class Scraper:
                                 queued[tenant] = queued.get(tenant, 0) + len(q)
                         for tenant, d in tier.deficit.items():
                             deficit[tenant] = deficit.get(tenant, 0.0) + d
-            for tenant in sorted(set(queued) | set(deficit) | set(cluster.qos.stats)):
-                lbl = {"tenant": tenant}
-                self._record(t, "repro_tenant_queue_depth", lbl, queued.get(tenant, 0))
-                self._record(t, "repro_tenant_deficit", lbl, deficit.get(tenant, 0.0))
+            for tenant in set(queued) | set(deficit) | set(cluster.qos.stats):
+                label_key = (("tenant", tenant),)
+                for name, value in (
+                    ("repro_tenant_queue_depth", queued.get(tenant, 0)),
+                    ("repro_tenant_deficit", deficit.get(tenant, 0.0)),
+                ):
+                    times, values = self._column(name, label_key)
+                    times.append(t)
+                    values.append(value)
 
         self.times.append(t)
         for callback in self.on_sample:
@@ -207,29 +247,22 @@ class Scraper:
 
     def latest(self, name: str, labels: dict | None = None) -> float | None:
         """Most recent sampled value of a series, or ``None``."""
-        points = self._series(name, labels)
-        return points[-1][1] if points else None
+        columns = self._series(name, labels)
+        return columns[1][-1] if columns else None
 
     def delta(
         self, name: str, labels: dict | None = None,
         window_s: float = math.inf, at: float | None = None,
     ) -> float:
         """Increase of a (cumulative) series over the trailing window."""
-        points = self._series(name, labels)
-        if not points:
+        columns = self._series(name, labels)
+        if columns is None:
             return 0.0
-        at = points[-1][0] if at is None else at
-        end_v = start_v = None
-        lo = at - window_s
-        for t, v in points:
-            if t > at:
-                break
-            end_v = v
-            if t <= lo:
-                start_v = v
-        if end_v is None:
+        times, values = columns
+        start, end = _window(times, window_s, at)
+        if end == 0:
             return 0.0
-        return end_v - (start_v if start_v is not None else 0.0)
+        return values[end - 1] - (values[start - 1] if start else 0.0)
 
     def rate(
         self, name: str, labels: dict | None = None,
@@ -246,36 +279,26 @@ class Scraper:
         window_s: float = math.inf, at: float | None = None,
     ) -> list[float]:
         """Raw sampled values of a series inside the trailing window."""
-        points = self._series(name, labels)
-        if not points:
+        columns = self._series(name, labels)
+        if columns is None:
             return []
-        at = points[-1][0] if at is None else at
-        lo = at - window_s
-        return [v for t, v in points if lo < t <= at]
-
-    def _hist_snapshots(self, name: str, labels: dict | None):
-        return self._hist.get((name, _label_key(labels or {})))
+        times, values = columns
+        start, end = _window(times, window_s, at)
+        return values[start:end].tolist()
 
     def _hist_window_delta(self, name, labels, window_s, at):
-        snaps = self._hist_snapshots(name, labels)
-        if not snaps:
+        got = self._hist.get((name, _label_key(labels or {})))
+        if got is None:
             return None
-        at = snaps[-1][0] if at is None else at
-        lo = at - window_s
-        end = start = None
-        for snap in snaps:
-            if snap[0] > at:
-                break
-            end = snap
-            if snap[0] <= lo:
-                start = snap
-        if end is None:
+        times, snapshots, bounds = got
+        start, end = _window(times, window_s, at)
+        if end == 0:
             return None
-        bounds = self._hist_bounds[(name, _label_key(labels or {}))]
-        if start is None:
-            return bounds, end[1], list(end[3])
-        counts = [e - s for e, s in zip(end[3], start[3])]
-        return bounds, end[1] - start[1], counts
+        count, _sum, cumulative = snapshots[end - 1]
+        if start == 0:
+            return bounds, count, list(cumulative)
+        count0, _sum0, cumulative0 = snapshots[start - 1]
+        return bounds, count - count0, [e - s for e, s in zip(cumulative, cumulative0)]
 
     def window_quantile(
         self, name: str, q: float, labels: dict | None = None,
@@ -322,20 +345,20 @@ class Scraper:
     def to_dict(self) -> dict:
         series: dict[str, list] = {}
         for key in sorted(self._points):
-            name, _lk = key
+            name, label_key = key
             series.setdefault(name, []).append(
-                {"labels": self._labels[key], "points": [[t, v] for t, v in self._points[key]]}
+                {"labels": dict(label_key), "points": list(map(list, zip(*self._points[key])))}
             )
         histograms: dict[str, list] = {}
         for key in sorted(self._hist):
-            name, _lk = key
+            name, label_key = key
             histograms.setdefault(name, []).append(
                 {
-                    "labels": self._labels[key],
-                    "bounds": self._hist_bounds[key] + ["+Inf"],
+                    "labels": dict(label_key),
+                    "bounds": self._hist[key][2] + ["+Inf"],
                     "snapshots": [
                         {"t": t, "count": count, "sum": total, "buckets": list(cum)}
-                        for t, count, total, cum in self._hist[key]
+                        for t, (count, total, cum) in zip(*self._hist[key][:2])
                     ],
                 }
             )
@@ -364,57 +387,58 @@ class Scraper:
         emitted_type: set[str] = set()
         registry = self.cluster.metrics.registry
 
-        def fmt_labels(labels: dict, extra: dict | None = None) -> str:
-            merged = dict(labels)
-            if extra:
-                merged.update(extra)
-            if not merged:
-                return ""
-            inner = ",".join(
-                f'{k}="{v}"' for k, v in sorted(merged.items())
-            )
-            return "{" + inner + "}"
-
         for key in sorted(self._points):
-            name, _lk = key
+            name, label_key = key
             if name not in emitted_type:
                 kind = "gauge"
                 if registry is not None and name in registry._families:
                     kind = registry._families[name].kind
                 lines.append(f"# TYPE {name} {kind}")
                 emitted_type.add(name)
-            label_str = fmt_labels(self._labels[key])
-            for t, v in self._points[key]:
+            label_str = _fmt_labels(dict(label_key))
+            for t, v in zip(*self._points[key]):
                 lines.append(f"{name}{label_str} {_fmt_value(v)} {t}")
 
         for key in sorted(self._hist):
-            name, _lk = key
+            name, label_key = key
             if name not in emitted_type:
                 lines.append(f"# TYPE {name} histogram")
                 emitted_type.add(name)
-            labels = self._labels[key]
-            t, count, total, cum = self._hist[key][-1]
-            bounds = self._hist_bounds[key]
+            labels = dict(label_key)
+            times, snapshots, bounds = self._hist[key]
+            t = times[-1]
+            count, total, cum = snapshots[-1]
             exemplars: dict[int, tuple[float, int]] = {}
             if registry is not None and name in registry._families:
-                inst = registry._families[name].metrics.get(_label_key(labels))
+                inst = registry._families[name].metrics.get(label_key)
                 if isinstance(inst, Histogram):
                     exemplars = inst.exemplars
             for i, (bound, c) in enumerate(zip(bounds + [math.inf], cum)):
                 line = (
                     f"{name}_bucket"
-                    f"{fmt_labels(labels, {'le': _fmt_value(bound)})} {c} {t}"
+                    f"{_fmt_labels({**labels, 'le': _fmt_value(bound)})} {c} {t}"
                 )
                 ex = exemplars.get(i)
                 if ex is not None:
                     value, trace_id = ex
                     line += f' # {{trace_id="{trace_id}"}} {_fmt_value(value)}'
                 lines.append(line)
-            lines.append(f"{name}_sum{fmt_labels(labels)} {_fmt_value(total)} {t}")
-            lines.append(f"{name}_count{fmt_labels(labels)} {count} {t}")
+            lines.append(f"{name}_sum{_fmt_labels(labels)} {_fmt_value(total)} {t}")
+            lines.append(f"{name}_count{_fmt_labels(labels)} {count} {t}")
 
         lines.append("# EOF")
         return "\n".join(lines) + "\n"
+
+
+def _window(times: array, window_s: float, at: float | None) -> tuple[int, int]:
+    """``(start, end)`` sample counts of a trailing window over a time
+    column: ``end`` samples lie at or before ``at`` (default: the last
+    sample), ``start`` of them at or before ``at - window_s``; the window
+    ``(at - window_s, at]`` is ``[start:end]``."""
+    if at is None:
+        at = times[-1]
+    end = bisect_right(times, at)
+    return bisect_right(times, at - window_s, 0, end), end
 
 
 def install_telemetry(cluster, config) -> None:

@@ -32,32 +32,61 @@ Export targets:
 from __future__ import annotations
 
 import json
+from array import array
+from collections.abc import Sequence
 
 #: Event categories understood by the exporters.
 _US = 1e6  # seconds -> microseconds (trace_event's ts unit)
 
+_OPEN = float("nan")  # the end column's value while a span is open
+
+
+def _cell(column: str) -> property:
+    """A read-only :class:`Span` attribute: its row of one tracer column."""
+    return property(lambda self: getattr(self._tracer, column)[self.span_id - 1])
+
 
 class Span:
-    """One timed operation; ``end`` is ``None`` while the span is open."""
+    """One timed operation: a handle ``(tracer, span_id)`` on one row of
+    the tracer's span columns; ``end`` is ``None`` while the span is open.
+    Handles are made on demand and compare equal by id."""
 
-    __slots__ = ("name", "cat", "start", "end", "args", "span_id", "parent_id")
+    __slots__ = ("_tracer", "span_id")
 
-    def __init__(self, name, cat, start, span_id, parent_id, args):
-        self.name = name
-        self.cat = cat
-        self.start = start
-        self.end = None
-        self.args = args
+    def __init__(self, tracer: "Tracer", span_id: int) -> None:
+        self._tracer = tracer
         self.span_id = span_id
-        self.parent_id = parent_id
+
+    name = _cell("_name")
+    cat = _cell("_cat")
+    args = _cell("_args")
+    start = _cell("_start")
+
+    @property
+    def end(self) -> float | None:
+        end = self._tracer._end[self.span_id - 1]
+        return end if end == end else None
+
+    @property
+    def parent_id(self) -> int | None:
+        return self._tracer._parent[self.span_id - 1] or None
 
     @property
     def duration(self) -> float:
-        return (self.end if self.end is not None else self.start) - self.start
+        end = self.end
+        return end - self.start if end is not None else 0.0
 
     def set(self, **args) -> None:
         """Attach (or overwrite) argument key/values on an open span."""
         self.args.update(args)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Span):
+            return NotImplemented
+        return self.span_id == other.span_id and self._tracer is other._tracer
+
+    def __hash__(self) -> int:
+        return hash(self.span_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Span({self.name!r}, {self.start:.6f}..{self.end}, id={self.span_id})"
@@ -82,23 +111,56 @@ class _SpanHandle:
         self._tracer.finish(self.span)
 
 
+class _SpanView(Sequence):
+    """``tracer.spans``: every recorded span in id order, read-only."""
+
+    __slots__ = ("_tracer",)
+
+    def __init__(self, tracer: "Tracer") -> None:
+        self._tracer = tracer
+
+    def __len__(self) -> int:
+        return len(self._tracer._name)
+
+    def __iter__(self):
+        return (Span(self._tracer, span_id) for span_id in range(1, len(self) + 1))
+
+    def __getitem__(self, index):
+        ids = range(1, len(self) + 1)[index]
+        if isinstance(index, slice):
+            return [Span(self._tracer, span_id) for span_id in ids]
+        return Span(self._tracer, ids)
+
+
 class Tracer:
-    """Collects spans and instant events against a simulator's clock."""
+    """Collects spans and instant events against a simulator's clock.
+
+    Spans are rows of six columns indexed by ``span_id - 1``, so however
+    many a long run records, none of them is an object the garbage
+    collector has to walk (an ``args`` dict of scalars is not tracked).
+    """
 
     def __init__(self, sim) -> None:
         self.sim = sim
-        self.spans: list[Span] = []
+        self._name: list[str] = []
+        self._cat: list[str] = []
+        self._args: list[dict] = []
+        self._start = array("d")
+        self._end = array("d")  # NaN while open
+        self._parent = array("q")  # 0 = no parent
+        self.spans = _SpanView(self)
         #: (time, name, cat, parent_id, args) instant events.
         self.instants: list[tuple[float, str, str, int | None, dict]] = []
-        self._current: Span | None = None
-        self._next_id = 1
+        #: Id of the innermost open span of the running process (0: none).
+        #: The kernel saves and restores it around every process step.
+        self._current = 0
 
     # -- recording ---------------------------------------------------------
 
     @property
     def current(self) -> Span | None:
         """The innermost open span of the currently-running process."""
-        return self._current
+        return Span(self, self._current) if self._current else None
 
     def span(self, name: str, cat: str = "sim", **args) -> _SpanHandle:
         """Open a span as a context manager (closed on ``__exit__``)."""
@@ -106,58 +168,47 @@ class Tracer:
 
     def begin(self, name: str, cat: str = "sim", **args) -> Span:
         """Open a span explicitly; pair with :meth:`finish`."""
-        parent = self._current
-        span = Span(
-            name,
-            cat,
-            self.sim.now,
-            self._next_id,
-            parent.span_id if parent is not None else None,
-            args,
-        )
-        self._next_id += 1
-        self.spans.append(span)
-        self._current = span
-        return span
+        self._name.append(name)
+        self._cat.append(cat)
+        self._args.append(args)
+        self._start.append(self.sim.now)
+        self._end.append(_OPEN)
+        self._parent.append(self._current)
+        span_id = self._current = len(self._name)
+        return Span(self, span_id)
 
     def finish(self, span: Span, **args) -> None:
         """Close ``span`` at the current simulated time."""
+        span_id = span.span_id
+        row = span_id - 1
         if args:
-            span.args.update(args)
-        if span.end is None:
-            span.end = self.sim.now
-        if self._current is span:
-            self._current = self._parent_of(span)
+            self._args[row].update(args)
+        end = self._end
+        if end[row] != end[row]:
+            end[row] = self.sim.now
+        if self._current == span_id:
+            self._current = self._parent[row]
 
     def instant(self, name: str, cat: str = "sim", **args) -> None:
         """Record a point event (WAL commit, retry, crash point, ...)."""
-        parent = self._current
-        self.instants.append(
-            (self.sim.now, name, cat, parent.span_id if parent is not None else None, args)
-        )
-
-    def _parent_of(self, span: Span) -> Span | None:
-        if span.parent_id is None:
-            return None
-        # Spans are appended in id order; ids are 1-based list offsets.
-        return self.spans[span.parent_id - 1]
+        self.instants.append((self.sim.now, name, cat, self._current or None, args))
 
     # -- queries -----------------------------------------------------------
 
     def find(self, name: str) -> list[Span]:
         """All spans with the given name, in open order."""
-        return [s for s in self.spans if s.name == name]
+        return [Span(self, i) for i, n in enumerate(self._name, 1) if n == name]
 
     def children_of(self, span: Span) -> list[Span]:
-        return [s for s in self.spans if s.parent_id == span.span_id]
+        return [Span(self, i) for i, p in enumerate(self._parent, 1) if p == span.span_id]
 
     def ancestors(self, span: Span) -> list[Span]:
         """Parent chain, innermost first."""
         chain = []
-        cur = self._parent_of(span)
-        while cur is not None:
-            chain.append(cur)
-            cur = self._parent_of(cur)
+        parent = self._parent[span.span_id - 1]
+        while parent:
+            chain.append(Span(self, parent))
+            parent = self._parent[parent - 1]
         return chain
 
     def path(self, span: Span) -> str:
@@ -165,58 +216,58 @@ class Tracer:
         names = [a.name for a in reversed(self.ancestors(span))] + [span.name]
         return "/".join(names)
 
+    def _effective_ends(self) -> list[float]:
+        """Per-row end times, open spans rendered as ending now (not recorded)."""
+        horizon = self.sim.now
+        return [e if e == e else max(horizon, s) for s, e in zip(self._start, self._end)]
+
     # -- Chrome trace_event export ----------------------------------------
 
     def chrome_trace(self, pid: int = 1, process_name: str | None = None) -> dict:
         """The trace as a Chrome ``trace_event`` object (``traceEvents``).
 
         Still-open spans are *rendered* as closed at the current simulated
-        time and marked ``"truncated": true`` — the Span objects themselves
-        are not mutated, so exporting mid-run is side-effect free and a
-        later ``finish()`` still records the real end.  Spans are packed
-        onto synthetic ``tid`` tracks so each track's ``B``/``E`` stream is
+        time and marked ``"truncated": true`` — the recorded rows are not
+        mutated, so exporting mid-run is side-effect free and a later
+        ``finish()`` still records the real end.  Spans are packed onto
+        synthetic ``tid`` tracks so each track's ``B``/``E`` stream is
         balanced and properly nested: a span goes on its parent's track
         when the parent's interval still contains it, otherwise onto the
         first track whose innermost open interval does (or a fresh track).
         """
-        horizon = self.sim.now
-        # Effective ends: never mutate the recorded spans at export time.
-        end_of = {
-            s.span_id: (s.end if s.end is not None else max(horizon, s.start))
-            for s in self.spans
-        }
-        ordered = sorted(
-            self.spans, key=lambda s: (s.start, -end_of[s.span_id], s.span_id)
-        )
+        # Everything below works on rows (``span_id - 1``).
+        names, cats, start, parents = self._name, self._cat, self._start, self._parent
+        end_of = self._effective_ends()
+        ordered = sorted(range(len(names)), key=lambda r: (start[r], -end_of[r], r))
 
-        tracks: list[list[Span]] = []  # per-track stack of open spans
-        forest: dict[int, list[Span]] = {}  # track -> roots
-        children: dict[int, list[Span]] = {}  # span_id -> nested spans
-        placed: dict[int, int] = {}  # span_id -> track index
+        tracks: list[list[int]] = []  # per-track stack of open rows
+        forest: dict[int, list[int]] = {}  # track -> root rows
+        children: dict[int, list[int]] = {}  # row -> nested rows
+        placed: dict[int, int] = {}  # row -> track index
 
-        def fits(track: list[Span], s: Span) -> bool:
+        def fits(track: list[int], row: int) -> bool:
             # A zero-duration span sitting exactly at the innermost open
             # span's end stays nested inside it (popping on `<=` used to
             # evict the parent and strand the instant-like span on the
             # track's root level).
-            s_end = end_of[s.span_id]
+            s_start, s_end = start[row], end_of[row]
             while track and (
-                end_of[track[-1].span_id] < s.start
-                or (end_of[track[-1].span_id] == s.start and s_end > s.start)
+                end_of[track[-1]] < s_start
+                or (end_of[track[-1]] == s_start and s_end > s_start)
             ):
                 track.pop()
             return not track or (
-                track[-1].start <= s.start and s_end <= end_of[track[-1].span_id]
+                start[track[-1]] <= s_start and s_end <= end_of[track[-1]]
             )
 
-        for s in ordered:
+        for row in ordered:
             tid = None
-            parent_tid = placed.get(s.parent_id) if s.parent_id is not None else None
-            if parent_tid is not None and fits(tracks[parent_tid], s):
+            parent_tid = placed.get(parents[row] - 1)
+            if parent_tid is not None and fits(tracks[parent_tid], row):
                 tid = parent_tid
             else:
                 for i, track in enumerate(tracks):
-                    if fits(track, s):
+                    if fits(track, row):
                         tid = i
                         break
                 if tid is None:
@@ -225,11 +276,11 @@ class Tracer:
                     forest[tid] = []
             stack = tracks[tid]
             if stack:
-                children.setdefault(stack[-1].span_id, []).append(s)
+                children.setdefault(stack[-1], []).append(row)
             else:
-                forest.setdefault(tid, []).append(s)
-            stack.append(s)
-            placed[s.span_id] = tid
+                forest.setdefault(tid, []).append(row)
+            stack.append(row)
+            placed[row] = tid
 
         events: list[dict] = []
         if process_name is not None:
@@ -243,22 +294,22 @@ class Tracer:
                  "args": {"name": f"track-{tid}"}}
             )
 
-        def emit(s: Span, tid: int) -> None:
-            args = {"span_id": s.span_id}
-            if s.parent_id is not None:
-                args["parent_id"] = s.parent_id
-            if s.end is None:
+        def emit(row: int, tid: int) -> None:
+            args = {"span_id": row + 1}
+            if parents[row]:
+                args["parent_id"] = parents[row]
+            if self._end[row] != self._end[row]:
                 args["truncated"] = True
-            args.update(_jsonable(s.args))
+            args.update(_jsonable(self._args[row]))
             events.append(
-                {"name": s.name, "cat": s.cat, "ph": "B", "ts": s.start * _US,
+                {"name": names[row], "cat": cats[row], "ph": "B", "ts": start[row] * _US,
                  "pid": pid, "tid": tid, "args": args}
             )
-            for child in children.get(s.span_id, []):
+            for child in children.get(row, []):
                 emit(child, tid)
             events.append(
-                {"name": s.name, "cat": s.cat, "ph": "E",
-                 "ts": end_of[s.span_id] * _US, "pid": pid, "tid": tid}
+                {"name": names[row], "cat": cats[row], "ph": "E",
+                 "ts": end_of[row] * _US, "pid": pid, "tid": tid}
             )
 
         for tid in sorted(forest):
@@ -266,7 +317,7 @@ class Tracer:
                 emit(root, tid)
 
         for when, name, cat, parent_id, args in self.instants:
-            tid = placed.get(parent_id, 0) if parent_id is not None else 0
+            tid = placed.get(parent_id - 1, 0) if parent_id is not None else 0
             events.append(
                 {"name": name, "cat": cat, "ph": "i", "ts": when * _US,
                  "pid": pid, "tid": tid, "s": "t", "args": _jsonable(args)}
@@ -281,15 +332,14 @@ class Tracer:
 
     def text_summary(self, min_seconds: float = 0.0) -> str:
         """Aggregate spans by path: count, total and self time per path."""
-        horizon = self.sim.now
         totals: dict[str, list[float]] = {}  # path -> [count, total, child_total]
-        paths: dict[int, str] = {}
-        for s in sorted(self.spans, key=lambda sp: sp.span_id):
-            parent_path = paths.get(s.parent_id, "") if s.parent_id is not None else ""
-            path = f"{parent_path};{s.name}" if parent_path else s.name
-            paths[s.span_id] = path
-            end = s.end if s.end is not None else max(horizon, s.start)
-            dur = max(0.0, end - s.start)
+        paths = [""]  # by span id; a parent's id is always below its child's
+        rows = zip(self._name, self._parent, self._start, self._effective_ends())
+        for name, parent, start, end in rows:
+            parent_path = paths[parent]
+            path = f"{parent_path};{name}" if parent_path else name
+            paths.append(path)
+            dur = max(0.0, end - start)
             agg = totals.setdefault(path, [0, 0.0, 0.0])
             agg[0] += 1
             agg[1] += dur

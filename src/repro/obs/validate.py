@@ -6,9 +6,11 @@
   track's ``B``/``E`` stream is balanced (stack discipline, matching
   names, non-decreasing timestamps).
 * :func:`validate_prometheus_text` — line-level parse of the Prometheus
-  text exposition format: sample lines match the grammar, ``TYPE``
-  declarations are known, histogram families carry ``_bucket``/``_sum``/
-  ``_count`` series and bucket counts are monotone in ``le``.
+  text exposition format, and of the scraper's OpenMetrics flavour of
+  it (fractional timestamps, exemplars, ``# EOF``): sample lines match
+  the grammar, ``TYPE`` declarations are known, histogram families carry
+  ``_bucket``/``_sum``/``_count`` series and bucket counts are monotone
+  in ``le``.
 * :func:`validate_timeseries` — structural checks over a scraper's
   ``TIMESERIES.json``: sample times strictly increasing on the scrape
   grid, every series point on a sampled time, histogram snapshots with
@@ -31,11 +33,14 @@ import sys
 
 _KNOWN_PHASES = set("BEXiIMCbnePsSfFtNOD")
 
+_NUMBER = r"[-+]?(?:[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?|Inf|NaN)"
+# A sample line; OpenMetrics adds a fractional timestamp and an exemplar
+# (``# {trace_id="7"} 0.25``) after the value.
 _SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
     r"(?P<labels>\{[^}]*\})?"
-    r"\s+(?P<value>[-+]?(?:[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?|Inf|NaN))"
-    r"(?:\s+[0-9]+)?$"
+    rf"\s+(?P<value>{_NUMBER})"
+    rf"(?:\s+{_NUMBER})?(?:\s+#\s+\{{[^}}]*\}}\s+{_NUMBER}(?:\s+{_NUMBER})?)?$"
 )
 _LABEL_PAIR_RE = re.compile(r'^[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"$')
 
@@ -118,7 +123,7 @@ def validate_prometheus_text(text: str) -> list[str]:
                     problems.append(f"line {lineno}: unknown TYPE {kind!r}")
                 else:
                     types[parts[2]] = kind
-            elif len(parts) >= 2 and parts[1] not in ("HELP", "TYPE"):
+            elif len(parts) >= 2 and parts[1] not in ("HELP", "TYPE", "EOF"):
                 problems.append(f"line {lineno}: unknown comment directive {parts[1]!r}")
             continue
         match = _SAMPLE_RE.match(line)

@@ -6,16 +6,21 @@ reduced to three sha256 digests: the scheduled-event stream ``(at, seq)``,
 the per-query ``QueryMetrics`` and the tracer's span list.  The digests
 were computed on the commit *before* the kernel fast lanes (PR 17's
 parent, 8443fb6) and must never move under a wall-only change; a model
-change re-pins them and says so in CHANGES.md.
+change re-pins them and says so in CHANGES.md.  With telemetry on, every
+exported artifact (TIMESERIES.json, OpenMetrics text, Chrome trace, text
+summary, SLO state, a critical-path attribution) is pinned the same way,
+so the obs layer's storage may change and its output may not.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig, QueryMetrics, Simulator, record_schedule
 from repro.core import BaselineStore, FusionStore, RepairManager, StoreConfig
 from repro.format import write_table
+from repro.obs import CriticalPathAnalyzer, SLObjective, SLOEngine, slowest_roots
 from tests.conftest import make_small_table
 
 QUERIES = [
@@ -29,17 +34,35 @@ NUM_CLIENTS = 4
 NUM_QUERIES = 20
 VICTIM = 2
 
-#: The full-telemetry knob set of ``benchmarks/perf/configs.py``.
+#: The full-telemetry knob set of ``benchmarks/perf/configs.py``, scraping
+#: every 5 ms instead of 250 ms: the scenario lasts 0.10-0.17 simulated
+#: seconds, and the scraper never schedules an event, so the interval moves
+#: no stream, metrics or span digest - it only decides how many samples the
+#: exported artifacts hold (33 Fusion, 19 baseline).
 TELEMETRY = {
     "tracing_enabled": True,
     "metrics_registry_enabled": True,
     "pushdown_audit_enabled": True,
-    "scrape_interval_s": 0.25,
+    "scrape_interval_s": 0.005,
     "slo_enabled": True,
     "exemplars_enabled": True,
 }
 
-#: (store, telemetry) -> (stream, query metrics, spans) digests on 8443fb6.
+WATCH_OBJECTIVES = [
+    SLObjective(
+        name="fast_queries", kind="latency_p99", target=0.9, threshold=0.008,
+        series="repro_query_latency_seconds", burn_threshold=2.0,
+    ),
+    SLObjective(
+        name="node3_ingress_idle", kind="gauge_above", threshold=2.0,
+        series="repro_node_queue_depth", labels={"node": "3", "resource": "nic_in"},
+        short_window_s=0.0125, long_window_s=0.03, burn_threshold=0.5, severity="ticket",
+    ),
+]
+
+#: (store, telemetry) -> (stream, query metrics, spans) digests on 8443fb6;
+#: with telemetry, six artifact digests follow (see ``_export_digests``),
+#: computed on e7d8134, the parent of the columnar telemetry storage.
 GOLDEN = {
     ("fusion", False): (
         "630be899702d4cd8364d1323a130a05001423e51aad199d1d9ffa6850b6bf4fa",
@@ -50,6 +73,12 @@ GOLDEN = {
         "630be899702d4cd8364d1323a130a05001423e51aad199d1d9ffa6850b6bf4fa",
         "18cbaa049aa7c0e0bb38d3bcf6e78ead14a23a132b77e6fe387362e3bd6a5c53",
         "086ef880ef12cd6e94260d220f34cfa9cc298dac1dbbd33b037aa3f3bcbb2384",
+        "4d4078e667526d973f96500abf0067678802786085e573b993538735f10e566e",
+        "bf60ff8fcb44bca6b980dfce691403c854d319666c48deda69978f7c342099a9",
+        "457cd281e5a9a6d3ffdd2b9efd70fde093c9be8797fc21b6a7b35a173ba3e914",
+        "7c099df01b2738f22015c2fe780acc4d967563c60d658e6e870e6cd1007d99f0",
+        "30699d84d27abe67184a90dd5380c543f3f9ddf248f611b60f68a7bfa9b2ed1b",
+        "8299c5943f4dafa7f81a7b1fc60b61e2d7f256f26ebdb82418ba6dbced8f1fe7",
     ),
     ("baseline", False): (
         "43ab50155fe5a5b7da8b7a5105b6c076bae5ebe860c131de4a5f8781d33692e4",
@@ -60,6 +89,12 @@ GOLDEN = {
         "43ab50155fe5a5b7da8b7a5105b6c076bae5ebe860c131de4a5f8781d33692e4",
         "96c6be6b0f21e75297984bab613a29131cb47e7be166b2a4d17574444aa85fa7",
         "6bf59736d46aff84ad12650f7253f99444cc75352be79317e0bf184e58d783bc",
+        "448d6d2573725adad2bf51eba13f36fa751e64e87ef7260c2c5edb56515dbc85",
+        "3d752af4a6695bf2f437b7969ab2c111194c0b9bf63c86d0deb3e3b2f25e1f11",
+        "2f7320b78dd3e0b44bc419ec2acad9855ccf88bfb720a90a86398b82a6200c7e",
+        "bf419839208602c18dbbbc6f847dd2c534ce67b89f6f5e069cd70ac5c4e6c15b",
+        "17fffc6b7804620ee3f83ac628db575e576c6685891d011cb1473d6a6b1cc03e",
+        "f9e3b9cd4b22f0a4840c6f36ed51dc6b371dd2914585e1f5fe19164e54c0ce13",
     ),
 }
 
@@ -68,8 +103,9 @@ def _digest(rows) -> str:
     return hashlib.sha256(repr(list(rows)).encode()).hexdigest()
 
 
-def scenario(store_cls, telemetry: bool) -> tuple[str, str, str]:
-    """Run the scenario; returns the three digests."""
+def scenario(store_cls, telemetry: bool) -> tuple[str, ...]:
+    """Run the scenario; returns the three digests, plus the artifact
+    digests with telemetry on."""
     data = write_table(make_small_table(num_rows=2500, seed=77), row_group_rows=500)
     sim = Simulator()
     stream = record_schedule(sim)
@@ -83,6 +119,12 @@ def scenario(store_cls, telemetry: bool) -> tuple[str, str, str]:
             **(TELEMETRY if telemetry else {}),
         ),
     )
+    # The stock objectives never burn on a healthy 0.1 s run; these two do
+    # (and resolve, and fire again), so the SLO digest covers window reads
+    # and the alert counters become registry series born mid-run.
+    watch = SLOEngine(
+        cluster.scraper, WATCH_OBJECTIVES, registry=cluster.metrics.registry, tracer=sim.tracer
+    ) if telemetry else None
     store.put("tbl", data)
     metrics: list[QueryMetrics] = []
 
@@ -110,11 +152,28 @@ def scenario(store_cls, telemetry: bool) -> tuple[str, str, str]:
 
     spans = sim.tracer.spans if sim.tracer is not None else []
     assert bool(spans) == telemetry
-    return (
+    core = (
         _digest(stream),
         _digest((q.start_time, q.end_time, q.network_bytes, q.rpcs_issued) for q in metrics),
         _digest((s.span_id, s.parent_id, s.name, s.start, s.end) for s in spans),
     )
+    return core + (_export_digests(sim, cluster, watch) if telemetry else ())
+
+
+def _export_digests(sim, cluster, watch) -> tuple[str, ...]:
+    """sha256 of every telemetry artifact: TIMESERIES.json, OpenMetrics,
+    Chrome trace, text summary, SLO state, slowest query's critical path."""
+    tracer = sim.tracer
+    (slowest,) = slowest_roots(tracer, "query", fraction=0.0)
+    texts = (
+        cluster.scraper.to_json(),
+        cluster.scraper.openmetrics(),
+        json.dumps(tracer.chrome_trace()),
+        tracer.text_summary(),
+        json.dumps([cluster.slo.to_dict(), watch.to_dict()], sort_keys=True),
+        json.dumps(CriticalPathAnalyzer(tracer).attribute(slowest), sort_keys=True),
+    )
+    return tuple(hashlib.sha256(text.encode()).hexdigest() for text in texts)
 
 
 @pytest.mark.parametrize("telemetry", [False, True], ids=["default", "telemetry"])

@@ -8,6 +8,8 @@ import math
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig, Simulator, record_schedule
+from repro.cluster.qos import TenantQos
+from repro.obs import validate
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeseries import Scraper, install_telemetry
 from repro.obs.validate import validate_timeseries
@@ -36,10 +38,10 @@ def test_samples_land_on_interval_boundaries():
     _idle(sim, 2.2)
     assert scraper.times == [0.5, 1.0, 1.5, 2.0]
     # Node gauges exist for every node at every sample.
-    for nid in range(4):
-        points = scraper._series("repro_node_up", {"node": str(nid)})
-        assert [t for t, _v in points] == scraper.times
-        assert all(v == 1.0 for _t, v in points)
+    node_up = scraper.to_dict()["series"]["repro_node_up"]
+    assert [s["labels"] for s in node_up] == [{"node": str(nid)} for nid in range(4)]
+    for series in node_up:
+        assert series["points"] == [[t, 1.0] for t in scraper.times]
 
 
 def test_one_clock_advance_crossing_many_boundaries_samples_each():
@@ -171,6 +173,30 @@ def test_openmetrics_text_has_types_timestamps_and_eof():
     assert "ticks_total 5 1" in text  # value with simulated timestamp
     assert '# TYPE repro_node_up gauge' in text
     assert 'repro_node_up{node="0"} 1 2' in text
+
+
+def test_openmetrics_escapes_label_values(tmp_path, capsys):
+    """A tenant named with a quote, a backslash and a newline used to end
+    its sample line early and corrupt every line after it."""
+    tenant = 'a"b\\c\nd'
+    sim, cluster = _cluster(num_nodes=2)
+    cluster.metrics.registry.histogram("lat_seconds", "latency", tenant=tenant).observe(0.5)
+    cluster.qos = TenantQos(sim)
+    cluster.qos.admit(tenant)
+    scraper = Scraper(cluster, 1.0)
+    scraper.install()
+    _idle(sim, 2.0)
+    text = scraper.openmetrics()
+    escaped = 'tenant="a\\"b\\\\c\\nd"'
+    assert f"repro_tenant_queue_depth{{{escaped}}} 0 2.0" in text.splitlines()
+    assert f'lat_seconds_bucket{{le="+Inf",{escaped}}} 1 2.0' in text.splitlines()
+    assert f"lat_seconds_count{{{escaped}}} 1 2.0" in text.splitlines()
+    # Round trip through the CLI validator: every line still parses, and
+    # the label pair reads back as one pair.
+    path = tmp_path / "scrape.om"
+    path.write_text(text)
+    assert validate.main(["--prom", str(path)]) == 0, capsys.readouterr().out
+    assert validate._split_label_pairs(escaped) == [escaped]
 
 
 def test_install_telemetry_knobs():

@@ -1,6 +1,8 @@
 """Tracer semantics: simulated-clock spans, per-process parent context,
 Chrome trace_event export, and the zero-cost-when-disabled contract."""
 
+import pytest
+
 from repro.cluster.simcore import Simulator
 from repro.obs.tracer import Tracer, traced
 from repro.obs.validate import validate_chrome_trace
@@ -89,6 +91,50 @@ def test_child_process_inherits_spawners_open_span():
     (c,) = tracer.find("child")
     (p,) = tracer.find("parent")
     assert c.parent_id == p.span_id
+
+
+def test_tracer_installed_after_a_process_was_spawned():
+    """A process spawned with tracing off carries no trace context; its
+    spans become roots once a tracer appears."""
+    sim = Simulator()
+
+    def work():
+        yield sim.timeout(1.0)
+        span = sim.tracer.begin("late")
+        yield sim.timeout(1.0)
+        sim.tracer.finish(span)
+
+    sim.process(work())
+    sim.run(until=0.5)
+    sim.tracer = Tracer(sim)
+    sim.run()
+    (span,) = sim.tracer.spans
+    assert (span.parent_id, span.start, span.end) == (None, 1.0, 2.0)
+    assert sim.tracer.current is None
+
+
+def test_spans_view_is_a_read_only_sequence_of_handles():
+    sim = Simulator()
+    tracer = Tracer(sim)
+    assert not tracer.spans and len(tracer.spans) == 0
+    a = tracer.begin("a", k=1)
+    b = tracer.begin("b")
+    assert tracer.current == b and tracer.current is not b
+    tracer.finish(b)
+    spans = tracer.spans
+    assert len(spans) == 2 and list(spans) == [a, b] == spans[:] == spans[-2:]
+    assert spans[0] == a and spans[-1] == b and spans[1].parent_id == a.span_id
+    assert spans.index(b) == 1 and b in spans and {a, spans[0]} == {a}
+    assert a != b and a != Tracer(sim).begin("a")
+    assert (a.end, a.duration, b.end) == (None, 0.0, 0.0)
+    with pytest.raises(IndexError):
+        spans[2]
+    with pytest.raises(TypeError):
+        spans[0] = a
+    with pytest.raises(AttributeError):
+        a.name = "renamed"
+    a.set(k=2)
+    assert spans[0].args == {"k": 2}
 
 
 def test_traced_wraps_generator_and_passes_value_through():
