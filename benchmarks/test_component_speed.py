@@ -86,6 +86,31 @@ def test_chunk_encode_speed(benchmark):
     assert chunk.compressibility > 4
 
 
+def test_chunk_encode_distinct_strings(benchmark):
+    """All-distinct text: the cardinality test says plain without a dictionary."""
+    values = np.array([f"comment {i:07d} carefully final deposits" for i in range(20_000)], dtype=object)
+    chunk = benchmark(encode_column_chunk, ColumnType.STRING, values, "zlib")
+    assert chunk.encoding == "plain"
+    assert chunk.plain_size == sum(4 + len(v) for v in values)
+
+
+def test_chunk_encode_repeated_strings(benchmark):
+    """Low-cardinality text: dictionary codes and min/max at C speed."""
+    modes = ["AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB", "REG AIR"]
+    values = np.array([modes[i] for i in np.random.default_rng(5).integers(0, 7, 100_000)], dtype=object)
+    chunk = benchmark(encode_column_chunk, ColumnType.STRING, values, "zlib")
+    assert chunk.encoding == "dictionary"
+    assert (chunk.stats.min_value, chunk.stats.max_value) == ("AIR", "TRUCK")
+
+
+def test_chunk_encode_distinct_doubles(benchmark):
+    """All-distinct doubles: one sort decides plain; no codes are built."""
+    values = np.random.default_rng(6).uniform(900, 105_000, size=100_000)
+    chunk = benchmark(encode_column_chunk, ColumnType.DOUBLE, values, "zlib")
+    assert chunk.encoding == "plain"
+    assert chunk.plain_size == 800_000
+
+
 def test_chunk_decode_speed(benchmark):
     rng = np.random.default_rng(3)
     values = rng.integers(0, 50, size=100_000)

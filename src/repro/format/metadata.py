@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.format.schema import ColumnType, Schema
 
 MAGIC = b"FUS1"
@@ -179,13 +181,21 @@ class FileMetadata:
 
 
 def compute_stats(type_: ColumnType, values) -> ChunkStats:
-    """Compute min/max stats in JSON-safe Python types."""
+    """Compute min/max stats in JSON-safe Python types.
+
+    Stats are omitted (``None``, which readers treat as "may match") for
+    an empty chunk and for a DOUBLE chunk holding a NaN: ``min``/``max``
+    propagate it, and a ``(nan, nan)`` range would prune every row.
+    """
     if len(values) == 0:
         return ChunkStats(min_value=None, max_value=None)
     if type_ is ColumnType.STRING:
-        return ChunkStats(min_value=min(values), max_value=max(values))
+        items = values.tolist()
+        return ChunkStats(min_value=min(items), max_value=max(items))
     lo, hi = values.min(), values.max()
     if type_ is ColumnType.DOUBLE:
+        if np.isnan(lo) or np.isnan(hi):
+            return ChunkStats(min_value=None, max_value=None)
         return ChunkStats(min_value=float(lo), max_value=float(hi))
     if type_ is ColumnType.BOOL:
         return ChunkStats(min_value=bool(lo), max_value=bool(hi))

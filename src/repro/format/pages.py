@@ -31,7 +31,9 @@ import numpy as np
 
 from repro.format import encoding as enc
 from repro.format.compression import get_codec
+from repro.format.metadata import ChunkStats, compute_stats
 from repro.format.schema import ColumnType
+from repro.format.table import plain_size
 
 #: Default number of values per data page (Parquet defaults to ~1MB pages;
 #: a row-count bound is simpler and equivalent for our purposes).
@@ -57,6 +59,7 @@ class EncodedChunk:
     encoding: str
     num_values: int
     plain_size: int  # uncompressed (plain-encoded) size in bytes
+    stats: ChunkStats  # chunk min/max, for the footer
 
     @property
     def compressed_size(self) -> int:
@@ -103,12 +106,12 @@ def _as_buffer(data):
     return memoryview(data).cast("B")
 
 
-def _encode_page_stats(type_: ColumnType, values: np.ndarray) -> bytes:
-    """Serialise min/max stats for one page (1 flag byte + payload)."""
-    if len(values) == 0:
+def _encode_page_stats(type_: ColumnType, stats: ChunkStats) -> bytes:
+    """Serialise a page's min/max stats (1 flag byte + payload)."""
+    lo, hi = stats.min_value, stats.max_value
+    if lo is None:
         return b"\x00"
     if type_ is ColumnType.STRING:
-        lo, hi = min(values), max(values)
         lo_b, hi_b = lo.encode("utf-8"), hi.encode("utf-8")
         if len(lo_b) > _MAX_STRING_STAT or len(hi_b) > _MAX_STRING_STAT:
             return b"\x00"  # long strings: omit stats, stay conservative
@@ -119,8 +122,7 @@ def _encode_page_stats(type_: ColumnType, values: np.ndarray) -> bytes:
             + enc.encode_varint(len(hi_b))
             + hi_b
         )
-    pair = np.array([values.min(), values.max()], dtype=type_.numpy_dtype)
-    return b"\x01" + enc.encode_plain(type_, pair)
+    return b"\x01" + enc.encode_plain(type_, np.array([lo, hi], dtype=type_.numpy_dtype))
 
 
 def _decode_page_stats(type_: ColumnType, data: bytes, pos: int):
@@ -159,20 +161,24 @@ def encode_column_chunk(
 
     The encoding (plain vs dictionary) is chosen by the Parquet-like
     heuristic in :func:`repro.format.encoding.should_use_dictionary`
-    unless ``force_encoding`` pins it.
+    unless ``force_encoding`` pins it.  Each thing is worked out once:
+    the distinct values decide the encoding and become the dictionary,
+    ``plain_size`` is computed rather than encoded, and a one-page
+    chunk's min/max serve its page header and the file footer.
     """
     codec = get_codec(codec_name)
     num_values = len(values)
-    plain = enc.encode_plain(type_, values)
 
-    if force_encoding is None:
-        uniques, codes = enc.build_dictionary(type_, values)
-        use_dict = enc.should_use_dictionary(num_values, len(uniques))
+    chosen, distinct = force_encoding, None
+    if chosen is None:
+        distinct = enc.distinct_values(type_, values)
+        use_dict = enc.should_use_dictionary(num_values, len(distinct))
         chosen = enc.DICTIONARY if use_dict else enc.PLAIN
-    else:
-        chosen = force_encoding
-        if chosen == enc.DICTIONARY:
-            uniques, codes = enc.build_dictionary(type_, values)
+    dictionary = chosen == enc.DICTIONARY
+    if dictionary:
+        uniques, codes = enc.build_dictionary(type_, values, distinct)
+    # A chunk's extremes are its dictionary's.
+    stats = compute_stats(type_, uniques if dictionary else values)
 
     out = bytearray()
     out.append(_TYPE_IDS[type_])
@@ -180,40 +186,39 @@ def encode_column_chunk(
     out.append(_ENCODING_IDS[chosen])
     out += enc.encode_varint(num_values)
 
-    if chosen == enc.DICTIONARY:
-        dict_plain = enc.encode_plain(type_, uniques)
-        dict_page = codec.compress(dict_plain)
+    if dictionary:
+        dict_page = codec.compress(enc.encode_plain(type_, uniques))
         out += enc.encode_varint(len(uniques))
         out += enc.encode_varint(len(dict_page))
         out += dict_page
         bit_width = enc.bit_width_for(max(0, len(uniques) - 1))
-        pages = _paginate(num_values, page_values)
-        out += enc.encode_varint(len(pages))
-        for start, stop in pages:
-            payload = enc.encode_index_stream(codes[start:stop], bit_width)
-            compressed = codec.compress(payload)
-            out += enc.encode_varint(stop - start)
-            out += _encode_page_stats(type_, values[start:stop])
-            out += enc.encode_varint(len(compressed))
-            out += compressed
-    else:
-        pages = _paginate(num_values, page_values)
-        out += enc.encode_varint(len(pages))
-        for start, stop in pages:
-            payload = enc.encode_plain(type_, values[start:stop])
-            compressed = codec.compress(payload)
-            out += enc.encode_varint(stop - start)
-            out += _encode_page_stats(type_, values[start:stop])
-            out += enc.encode_varint(len(compressed))
-            out += compressed
 
+    pages = _paginate(num_values, page_values)
+    out += enc.encode_varint(len(pages))
+    payload_size = 0
+    for start, stop in pages:
+        if dictionary:
+            payload = enc.encode_index_stream(codes[start:stop], bit_width)
+        else:
+            payload = enc.encode_plain(type_, values[start:stop])
+        payload_size += len(payload)
+        compressed = codec.compress(payload)
+        page_stats = stats if len(pages) == 1 else compute_stats(type_, values[start:stop])
+        out += enc.encode_varint(stop - start)
+        out += _encode_page_stats(type_, page_stats)
+        out += enc.encode_varint(len(compressed))
+        out += compressed
+
+    # Plain pages add up to the chunk's plain form; a dictionary chunk's
+    # is sized from its values (strings: one join, not one encode each).
     return EncodedChunk(
         data=bytes(out),
         type=type_,
         codec=codec_name,
         encoding=chosen,
         num_values=num_values,
-        plain_size=len(plain),
+        plain_size=plain_size(type_, values) if dictionary else payload_size,
+        stats=stats,
     )
 
 

@@ -24,7 +24,6 @@ from repro.format.metadata import (
     ColumnChunkMeta,
     FileMetadata,
     RowGroupMeta,
-    compute_stats,
 )
 from repro.format.pages import DEFAULT_PAGE_VALUES, encode_column_chunk
 from repro.format.table import Table
@@ -74,7 +73,7 @@ def write_table(
                     num_values=encoded.num_values,
                     encoding=encoded.encoding,
                     codec=encoded.codec,
-                    stats=compute_stats(column.type, values),
+                    stats=encoded.stats,
                 )
             )
         row_groups.append(

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.format.encoding import DICTIONARY, PLAIN
-from repro.format.pages import chunk_type, decode_column_chunk, encode_column_chunk
+from repro.format.pages import (
+    chunk_page_index,
+    chunk_type,
+    decode_column_chunk,
+    encode_column_chunk,
+)
 from repro.format.schema import ColumnType
 
 
@@ -110,6 +115,40 @@ class TestChunkFacts:
             encode_column_chunk(
                 ColumnType.INT64, np.arange(10, dtype=np.int64), "none", page_values=0
             )
+
+
+class TestDoubleFidelity:
+    """A DOUBLE dictionary is keyed by bit pattern: what ``==`` merges
+    (``-0.0`` with ``0.0``) or never matches (NaN) still round-trips."""
+
+    @pytest.mark.parametrize("force", [None, DICTIONARY, PLAIN])
+    def test_negative_zero_keeps_its_sign(self, force):
+        values = np.array([0.0, -0.0, 1.0] * 27)[:80]
+        chunk = encode_column_chunk(ColumnType.DOUBLE, values, "zlib", force_encoding=force)
+        assert chunk.encoding == (force or DICTIONARY)
+        out = decode_column_chunk(chunk.data)
+        assert np.array_equal(out, values)
+        assert np.array_equal(np.signbit(out), np.signbit(values))
+        assert np.signbit(out).sum() == 27
+
+    @pytest.mark.parametrize("page_values", [8192, 25])
+    def test_nans_stay_where_they_were(self, page_values):
+        values = np.array([2.5, np.nan, 1.0, 2.5] * 25)
+        values[60:] = 7.0  # pages 0-2 hold NaNs, page 3 does not
+        chunk = encode_column_chunk(ColumnType.DOUBLE, values, "none", page_values=page_values)
+        assert chunk.encoding == DICTIONARY
+        out = decode_column_chunk(chunk.data)
+        assert np.array_equal(np.isnan(out), np.isnan(values))
+        assert np.array_equal(out, values, equal_nan=True)
+        assert chunk.stats.min_value is None and chunk.stats.max_value is None
+        stats = [(p.min_value, p.max_value) for p in chunk_page_index(chunk.data)]
+        assert stats == ([(None, None)] if page_values == 8192 else [(None, None)] * 3 + [(7.0, 7.0)])
+
+    def test_nan_payloads_are_distinct_entries(self):
+        quiet, other = np.array([0x7FF8000000000000, 0x7FF8000000000001], dtype=np.uint64).view(np.float64)
+        values = np.array([quiet, other, quiet, other, 3.0, 3.0])
+        out = decode_column_chunk(encode_column_chunk(ColumnType.DOUBLE, values, "none").data)
+        assert np.array_equal(out.view(np.uint64), values.view(np.uint64))
 
 
 class TestSelfContainment:
