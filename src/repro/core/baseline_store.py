@@ -1387,8 +1387,11 @@ class BaselineStore:
             if not holder.alive or not self.cluster.reachable(
                 coordinator.node_id, holder.node_id
             ):
+                # The holder set as it stands *now*: an earlier position
+                # of this loop may already have moved onto a rescue node.
                 holder = self._pick_rescue_node(
-                    {h[1] for h in holders if h is not None}, nid,
+                    {h[1] for h in self._stripe_holders(obj, stripe_id) if h is not None},
+                    nid,
                     reachable_from=coordinator.node_id,
                 )
             yield from self.cluster.network.transfer(

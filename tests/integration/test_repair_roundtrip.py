@@ -63,6 +63,21 @@ def _placement_nodes(store) -> set[int]:
     return nodes
 
 
+def _stripe_nodes(store) -> list[list[int]]:
+    """Per stripe of ``tbl``: the nodes holding its written blocks."""
+    obj = store.objects["tbl"]
+    if isinstance(store, FusionStore):
+        k = store.config.code.k
+        return [
+            [nid for i, nid in enumerate(p.node_ids) if i >= k or p.data_sizes[i] > 0]
+            for p in obj.stripes
+        ]
+    return [
+        [h[1] for h in store._stripe_holders(obj, stripe) if h is not None]
+        for stripe in range(obj.layout.num_stripes)
+    ]
+
+
 @pytest.mark.parametrize("store_cls", [FusionStore, BaselineStore])
 class TestCorruptionRepair:
     def test_corrupt_scrub_repair_rescrub_clean(self, store_cls):
@@ -130,6 +145,20 @@ class TestCrashRepair:
         store.sim.run()
         assert proc.value.equals(execute_local(SQL, table))
         assert qm.degraded_reads == 0
+        assert store.get("tbl") == data
+
+    def test_two_lost_blocks_of_a_stripe_land_on_distinct_nodes(self, store_cls):
+        """The rescue node for a stripe's second lost block must not be
+        the one its first lost block just moved to."""
+        store, cluster, _table, data = _system(store_cls)
+        victims = _stripe_nodes(store)[0][:2]
+        for victim in victims:
+            cluster.fail_node(victim)
+        repair = RepairManager(store).repair_object("tbl")
+        assert repair.blocks_repaired >= 2
+        for nodes in _stripe_nodes(store):
+            assert len(set(nodes)) == len(nodes), "one block of a stripe per node"
+        assert not set(victims) & _placement_nodes(store)
         assert store.get("tbl") == data
 
     def test_crash_while_corrupt_elsewhere_both_healed(self, store_cls):
