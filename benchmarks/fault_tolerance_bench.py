@@ -137,7 +137,7 @@ def _placements_all_in(store, alive: set[int]) -> bool:
         stores.append(fallback)
     for s in stores:
         for obj in s.objects.values():
-            if hasattr(obj, "stripes"):  # FusionStore object
+            if hasattr(obj, "location_map"):  # FusionStore object
                 for placement in obj.stripes:
                     if not set(placement.node_ids) <= alive:
                         return False

@@ -10,7 +10,7 @@ Public entry points:
 * :class:`PushdownCostEstimator` — the Cost Equation.
 """
 
-from repro.core.baseline_store import BaselineStore, ObjectNotFound, PutReport
+from repro.core.baseline_store import BaselineStore
 from repro.core.config import OP_REQUEST_BYTES, SCALAR_RESULT_BYTES, StoreConfig
 from repro.core.cost_model import PushdownCostEstimator, PushdownDecision, PushdownMode
 from repro.core.fac import construct_stripes, construct_stripes_first_fit
@@ -20,6 +20,7 @@ from repro.core.fixed import (
     build_fixed_layout,
     fraction_of_chunks_split,
 )
+from repro.core.kernel import ObjectNotFound, PutReport, StripePlacement
 from repro.core.layout import Bin, BinSet, ChunkItem, StripeLayout
 from repro.core.location_map import (
     ChecksumError,
@@ -40,7 +41,7 @@ from repro.cluster.overload import DeadlineExceeded, PartialResult
 from repro.cluster.simcore import QueueFull
 from repro.core.scatter_gather import SHED, RemoteOp, RemoteOpError
 from repro.core.scrub import ScrubReport, check_stripe
-from repro.core.store import FusionStore, StoredFusionObject, StripePlacement
+from repro.core.store import FusionStore, StoredFusionObject
 from repro.core.wal import (
     CRASH_POINTS,
     DELETE_CRASH_POINTS,

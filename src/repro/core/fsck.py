@@ -133,58 +133,6 @@ class RecoveryReport:
         )
 
 
-# -- shared helpers ---------------------------------------------------------
-
-
-def _stores(store) -> list:
-    """The store plus its fixed-block fallback, when it has one."""
-    stores = [store]
-    fallback = getattr(store, "fallback_store", None)
-    if fallback is not None:
-        stores.append(fallback)
-    return stores
-
-
-def _store_kind(obj) -> str:
-    return "fac" if hasattr(obj, "stripes") else "fixed"
-
-
-def _target_store(store, kind: str):
-    """The store that owns records of ``kind`` (None if unmanaged here)."""
-    fallback = getattr(store, "fallback_store", None)
-    if kind == "fac":
-        return store if fallback is not None else None
-    return fallback if fallback is not None else store
-
-
-def _expected_blocks(sub, obj):
-    """Yield (node_id, block_id, size, checksum) for every block ``obj``
-    should have on disk (zero-size data bins are never written)."""
-    k = sub.config.code.k
-    if hasattr(obj, "stripes"):  # FAC-coded fusion object
-        for p in obj.stripes:
-            sums = p.checksums or [0] * (len(p.data_block_ids) + len(p.parity_block_ids))
-            for j, bid in enumerate(p.data_block_ids):
-                if p.data_sizes[j] > 0:
-                    yield p.node_ids[j], bid, p.data_sizes[j], sums[j]
-            for pj, bid in enumerate(p.parity_block_ids):
-                yield p.node_ids[k + pj], bid, p.max_size, sums[k + pj]
-    else:  # fixed-block object
-        for index, nid in sorted(obj.data_block_nodes.items()):
-            bid = obj.data_block_id(index)
-            yield nid, bid, obj.layout.blocks[index].size, obj.block_checksums.get(bid, 0)
-        for (stripe, pj), nid in sorted(obj.parity_block_nodes.items()):
-            bid = obj.parity_block_id(stripe, pj)
-            size = max(b.size for b in obj.layout.stripe_blocks(stripe))
-            yield nid, bid, size, obj.block_checksums.get(bid, 0)
-
-
-def _replica_nodes(obj) -> tuple[int, ...]:
-    if hasattr(obj, "stripes"):
-        return tuple(obj.location_map.replica_nodes)
-    return tuple(obj.replica_nodes)
-
-
 # -- fsck -------------------------------------------------------------------
 
 
@@ -197,54 +145,38 @@ def fsck(store) -> FsckReport:
     referenced: set[str] = set()
     all_names: set[str] = set()
 
-    for sub in _stores(store):
+    for sub in store.stores():
         for name, obj in sorted(sub.objects.items()):
             report.objects_checked += 1
             all_names.add(name)
 
-            # Blocks-on-disk leg: every expected block reachable + intact.
-            for nid, bid, _size, want in _expected_blocks(sub, obj):
-                referenced.add(bid)
-                report.blocks_checked += 1
-                node = cluster.node(nid)
-                if not node.alive:
-                    report.unreachable_blocks.append((name, bid))
-                    continue
-                if not node.has_block(bid):
-                    report.missing_blocks.append((name, bid))
-                    continue
-                if want and sub.config.checksum_verify:
-                    if chunk_checksum(node.peek_block(bid)) != want:
-                        report.checksum_mismatches.append((name, bid))
-
-            # Location-map leg (fusion only; the fixed store's placement
-            # dicts *are* its map and were walked above).
-            if hasattr(obj, "stripes"):
-                data_place: dict[str, tuple[int, int]] = {}
-                for p in obj.stripes:
-                    for j, bid in enumerate(p.data_block_ids):
-                        data_place[bid] = (p.node_ids[j], p.data_sizes[j])
-                for key, loc in sorted(obj.location_map.entries.items()):
-                    place = data_place.get(loc.block_id)
-                    if place is None:
-                        report.dangling_locations.append(
-                            (name, f"chunk {key} cites unknown block {loc.block_id}")
-                        )
+            # Blocks-on-disk leg: every block the stripe records expect
+            # is reachable + intact.
+            for placement in obj.stripes:
+                for nid, bid, _size, want in placement.stored_blocks():
+                    referenced.add(bid)
+                    report.blocks_checked += 1
+                    node = cluster.node(nid)
+                    if not node.alive:
+                        report.unreachable_blocks.append((name, bid))
                         continue
-                    nid, size = place
-                    if loc.node_id != nid:
-                        report.dangling_locations.append(
-                            (name, f"chunk {key} points at node {loc.node_id}; block lives on {nid}")
-                        )
-                    elif loc.offset_in_block + loc.size > size:
-                        report.dangling_locations.append(
-                            (name, f"chunk {key} range exceeds block {loc.block_id}")
-                        )
+                    if not node.has_block(bid):
+                        report.missing_blocks.append((name, bid))
+                        continue
+                    if want and sub.config.checksum_verify:
+                        if chunk_checksum(node.peek_block(bid)) != want:
+                            report.checksum_mismatches.append((name, bid))
+
+            # Location-map leg (a layout hook: the fixed store's stripe
+            # records *are* its map and were walked above).
+            report.dangling_locations.extend(
+                (name, problem) for problem in sub._dangling_locations(obj)
+            )
 
             # Metadata-replica leg: a quorum of alive holders must carry
             # the current epoch.
-            replicas = _replica_nodes(obj)
-            kind = _store_kind(obj)
+            replicas = obj.replica_nodes
+            kind = sub.store_kind
             fresh = 0
             for nid in replicas:
                 node = cluster.node(nid)
@@ -389,7 +321,8 @@ def recover(store) -> RecoveryReport:
         by_object.setdefault((rec.store_kind, rec.object_name), []).append(rec)
 
     for (kind, name), ops in sorted(by_object.items()):
-        target = _target_store(store, kind)
+        # The managed store that owns records of this kind, if any.
+        target = next((s for s in store.stores() if s.store_kind == kind), None)
         if target is None:
             continue
         last = ops[-1]
@@ -453,7 +386,7 @@ def recover(store) -> RecoveryReport:
     # still carry stale lower-epoch snapshots that a later quorum read
     # could only outvote, not erase; pushing the newest snapshot here
     # makes recover() idempotent against re-partitioning.
-    for sub in _stores(store):
+    for sub in store.stores():
         for name in sorted(sub.objects):
             report.meta_replicas_synced += sub._sync_meta_replicas(sub.objects[name])
 

@@ -117,12 +117,7 @@ def resolve_pending_migrations(store) -> int:
     reporting it as pending rather than losing track of the copy.
     """
     cluster = store.cluster
-    stores = {"fac": store}
-    fallback = getattr(store, "fallback_store", None)
-    if fallback is not None:
-        stores["fixed"] = fallback
-    else:
-        stores = {"fixed": store, "fac": store}
+    stores = {sub.store_kind: sub for sub in store.stores()}
     resolved = 0
     for bid, entry in sorted(cluster.migrations.items()):
         owner = stores.get(entry.store_kind)
@@ -197,7 +192,7 @@ class Rebalancer:
         report.pending_resolved = resolve_pending_migrations(self.store)
         n = self.config.code.n
         touched: set[str] = set()
-        for store in self._stores():
+        for store in self.store.stores():
             for name in sorted(store.objects):
                 obj = store.objects.get(name)
                 if obj is None:
@@ -256,14 +251,15 @@ class Rebalancer:
         membership = self.cluster.membership
         n = self.config.code.n
         wrong: list[tuple[str, int, int]] = []
-        for store in self._stores():
+        for store in self.store.stores():
             for name in sorted(store.objects):
                 for sid in store.stripes_of(name):
                     targets = membership.placement_for(
                         stripe_placement_key(name, sid), n
                     )
-                    current = self._current_nodes(store, name, sid)
+                    current = store.objects[name].stripes[sid].node_ids
                     for i, nid in enumerate(current):
+                        # None: a position the layout never gave a home.
                         if nid is not None and nid != targets[i]:
                             wrong.append((name, sid, i))
         return wrong
@@ -274,38 +270,13 @@ class Rebalancer:
         if self.cluster.migrations or self.misplaced():
             return False
         active = set(self.cluster.membership.active_members())
-        for store in self._stores():
+        for store in self.store.stores():
             for obj in store.objects.values():
-                if not set(self._replica_nodes(obj)) <= active:
+                if not set(obj.replica_nodes) <= active:
                     return False
         return True
 
     # -- internals --------------------------------------------------------
-
-    def _stores(self):
-        stores = [self.store]
-        fallback = getattr(self.store, "fallback_store", None)
-        if fallback is not None:
-            stores.append(fallback)
-        return stores
-
-    @staticmethod
-    def _replica_nodes(obj) -> tuple[int, ...]:
-        if hasattr(obj, "stripes"):
-            return tuple(obj.location_map.replica_nodes)
-        return tuple(obj.replica_nodes)
-
-    @staticmethod
-    def _current_nodes(store, name: str, stripe_id: int):
-        """Stripe-position-aligned current holder ids (None = position
-        does not exist, e.g. a partial fixed stripe's padding)."""
-        obj = store.objects[name]
-        if hasattr(obj, "stripes"):
-            return list(obj.stripes[stripe_id].node_ids)
-        return [
-            None if h is None else h[1]
-            for h in store._stripe_holders(obj, stripe_id)
-        ]
 
     def _migrate_meta(self, store, obj) -> bool:
         """Move the object's metadata replica set off non-active nodes.
@@ -315,16 +286,13 @@ class Rebalancer:
         repair-time republish as free.  Returns True when it moved.
         """
         membership = self.cluster.membership
-        current = self._replica_nodes(obj)
+        current = obj.replica_nodes
         active = set(membership.active_members())
         if set(current) <= active:
             return False
         count = len(current)
         new = tuple(membership.placement_for(meta_placement_key(obj.name), count))
-        if hasattr(obj, "stripes"):
-            obj.location_map.replica_nodes = new
-        else:
-            obj.replica_nodes = new
+        obj.replica_nodes = new
         # Republish bumps the epoch, writes the fresh snapshot to the new
         # holders, and invalidates the store's per-object caches.
         store._republish_meta(obj)

@@ -173,7 +173,7 @@ class RepairManager:
     def repair_node_process(self, node_id: int):
         targets = [
             (store, name, sid)
-            for store in self._stores()
+            for store in self.store.stores()
             for name, sid in store.stripes_on_node(node_id)
         ]
         report = yield from self._repair_targets(targets)
@@ -231,7 +231,7 @@ class RepairManager:
 
     def repair_read_reported_process(self):
         queue = self.cluster.read_repairs
-        managed = set(self._stores())
+        managed = set(self.store.stores())
         targets = []
         for (kind, name, sid), store in list(queue.items()):
             if store not in managed:
@@ -243,15 +243,8 @@ class RepairManager:
 
     # -- internals --------------------------------------------------------
 
-    def _stores(self):
-        stores = [self.store]
-        fallback = getattr(self.store, "fallback_store", None)
-        if fallback is not None:
-            stores.append(fallback)
-        return stores
-
     def _store_for(self, name: str):
-        for store in self._stores():
+        for store in self.store.stores():
             if name in store.objects:
                 return store
         raise KeyError(f"no object named {name!r} in any managed store")

@@ -70,49 +70,23 @@ def _digest(rows) -> str:
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
-def _stores(store) -> list:
-    fallback = getattr(store, "fallback_store", None)
-    return [store] if fallback is None else [store, fallback]
-
-
-def _holders(sub, obj, stripe_id: int) -> list:
+def _holders(obj, stripe_id: int) -> list:
     """Stripe-aligned ``(block_id, node_id)`` pairs, ``None`` at the
     never-written trailing positions of a partial fixed stripe."""
-    if hasattr(obj, "stripes"):
-        p = obj.stripes[stripe_id]
-        return list(zip(p.data_block_ids + p.parity_block_ids, p.node_ids))
-    return sub._stripe_holders(obj, stripe_id)
+    p = obj.stripes[stripe_id]
+    return [None if nid is None else (bid, nid) for bid, nid in zip(p.block_ids, p.node_ids)]
 
 
-def _placements(sub, obj) -> list:
+def _placements(obj) -> list:
     """``(stripe_id, node_ids, data_sizes)`` per stripe (size 0 = never
     written)."""
-    if hasattr(obj, "stripes"):
-        return [(p.stripe_id, tuple(p.node_ids), tuple(p.data_sizes)) for p in obj.stripes]
-    k = sub.config.code.k
-    rows = []
-    for stripe in range(obj.layout.num_stripes):
-        sizes = [b.size for b in obj.layout.stripe_blocks(stripe)]
-        rows.append(
-            (
-                stripe,
-                tuple(None if h is None else h[1] for h in _holders(sub, obj, stripe)),
-                tuple(sizes + [0] * (k - len(sizes))),
-            )
-        )
-    return rows
-
-
-def _replica_nodes(obj) -> tuple:
-    if hasattr(obj, "location_map"):
-        return tuple(obj.location_map.replica_nodes)
-    return tuple(obj.replica_nodes)
+    return [(p.stripe_id, tuple(p.node_ids), tuple(p.data_sizes)) for p in obj.stripes]
 
 
 def _object_state(store) -> list:
     return [
-        (name, obj.meta_epoch, _replica_nodes(obj), _placements(sub, obj))
-        for sub in _stores(store)
+        (name, obj.meta_epoch, tuple(obj.replica_nodes), _placements(obj))
+        for sub in store.stores()
         for name, obj in sorted(sub.objects.items())
     ]
 
@@ -196,7 +170,7 @@ def trace(store_cls) -> dict[str, list]:
 
     # Drain a block holder that is also dead: every block it held moves
     # by erasure reconstruction at the coordinator.
-    drained = _holders(store, store.objects["big"], 0)[0][1]
+    drained = _holders(store.objects["big"], 0)[0][1]
     cluster.drain_node(drained)
     cluster.fail_node(drained)
     step("drain rebalance", rebalancer.rebalance())
@@ -208,7 +182,7 @@ def trace(store_cls) -> dict[str, list]:
     # reconstruction gathers the corrupt shard, fails its CRC and falls
     # back to checksum-guided recovery; scrub then repairs the block.
     manager = RepairManager(store)
-    (_bid, dead), (rotten, rotten_node) = _holders(store, store.objects["big"], 0)[:2]
+    (_bid, dead), (rotten, rotten_node) = _holders(store.objects["big"], 0)[:2]
     cluster.fail_node(dead)
     cluster.node(rotten_node).corrupt_block(rotten, offset=11)
     assert store.get("big") == big
@@ -224,16 +198,16 @@ def trace(store_cls) -> dict[str, list]:
     # under a minority partition: the coordinator of ``big`` is cut off
     # from two of its three metadata holders, so repairing its stripes
     # defers with QuorumLost until the partition heals.
-    rebuilt = _holders(store, store.objects["big"], 0)[0][1]
+    rebuilt = _holders(store.objects["big"], 0)[0][1]
     cluster.fail_node(rebuilt, wipe=True)
     step("recover_node", store.recover_node(rebuilt))
     cluster.restore_node(rebuilt)
 
     coordinator = cluster.coordinator_for("big").node_id
-    holders = [nid for nid in _replica_nodes(store.objects["big"]) if nid != coordinator]
+    holders = [nid for nid in store.objects["big"].replica_nodes if nid != coordinator]
     victim = next(
         nid
-        for _bid, nid in _holders(store, store.objects["big"], 0)
+        for _bid, nid in _holders(store.objects["big"], 0)
         if nid != coordinator and nid not in holders
     )
     cluster.fail_node(victim, wipe=True)

@@ -306,3 +306,70 @@ class TestMinHealthyFloor:
         distinct = list(dict.fromkeys(holder_ids))
         self._greylist(cluster, distinct[: len(distinct) - k])  # k still usable
         assert not store._floor_attempt(obj, block)
+
+
+@pytest.mark.parametrize("store_cls", [FusionStore, BaselineStore])
+class TestMigrationAcrossSeveredLink:
+    """A migration that has to reconstruct its source block gathers
+    shards only from holders the coordinator can reach:
+    ``Network.transfer`` does not consult the link matrix, so a read over
+    a severed link would "succeed" in the model."""
+
+    def _retarget_lost_position(self, store_cls, severed_count: int):
+        """Wipe stripe 0's first holder, sever the coordinator from
+        ``severed_count`` surviving holders, then migrate position 0 to a
+        node outside the stripe.  Returns (cluster, coordinator, severed
+        holders, destination, blocks moved)."""
+        store, cluster, _table, _data = _system(store_cls, tracing_enabled=True)
+        placement = store.objects["tbl"].stripes[0]
+        coordinator = cluster.coordinator_for("tbl").node_id
+        lost = placement.node_ids[0]
+        assert lost != coordinator
+        cluster.fail_node(lost, wipe=True)
+        survivors = [
+            nid for nid, _bid, _size, _crc in placement.stored_blocks()
+            if nid not in (lost, coordinator)
+        ]
+        severed = survivors[:severed_count]
+        for nid in severed:
+            _sever(cluster, coordinator, nid)
+        holders = {nid for nid in placement.node_ids if nid is not None}
+        dst = next(n for n in range(cluster.num_nodes) if n not in holders)
+        targets = [dst] + list(placement.node_ids[1:])
+        proc = store.sim.process(store.migrate_stripe_process("tbl", 0, targets))
+        store.sim.run()
+        return store, cluster, coordinator, severed, dst, proc.value
+
+    def _transfers(self, cluster, src: int, dst: int) -> list:
+        src_name = cluster.node(src).endpoint.name
+        dst_name = cluster.node(dst).endpoint.name
+        return [
+            s for s in cluster.sim.tracer.spans
+            if s.name == "net.transfer"
+            and s.args["src"] == src_name and s.args["dst"] == dst_name
+        ]
+
+    def test_no_bytes_cross_the_severed_link_and_the_move_lands(self, store_cls):
+        store, cluster, coordinator, severed, dst, moved = self._retarget_lost_position(
+            store_cls, severed_count=1
+        )
+        assert not self._transfers(cluster, severed[0], coordinator)
+        assert moved == 1  # >= k holders are still reachable
+        placement = store.objects["tbl"].stripes[0]
+        assert placement.node_ids[0] == dst
+        assert cluster.node(dst).has_block(placement.block_ids[0])
+        assert not cluster.migrations
+
+    def test_too_few_reachable_holders_moves_nothing(self, store_cls):
+        # RS(9,6): one holder wiped and three more unreachable leaves
+        # fewer than k shards.
+        store, cluster, coordinator, severed, dst, moved = self._retarget_lost_position(
+            store_cls, severed_count=3
+        )
+        for nid in severed:
+            assert not self._transfers(cluster, nid, coordinator)
+        assert moved == 0
+        placement = store.objects["tbl"].stripes[0]
+        assert placement.node_ids[0] != dst
+        assert not cluster.node(dst).has_block(placement.block_ids[0])
+        assert not cluster.migrations

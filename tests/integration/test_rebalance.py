@@ -121,22 +121,13 @@ class TestDrainRebalance:
         store = _system(store_cls)
         cluster = store.cluster
         obj = next(iter(store.objects.values()))
-        replicas = (
-            obj.location_map.replica_nodes
-            if hasattr(obj, "stripes")
-            else obj.replica_nodes
-        )
+        replicas = obj.replica_nodes
         victim = replicas[0]
         cluster.drain_node(victim)
         rb = Rebalancer(store)
         report = rb.rebalance()
         assert report.meta_moved >= 1
-        new_replicas = (
-            obj.location_map.replica_nodes
-            if hasattr(obj, "stripes")
-            else obj.replica_nodes
-        )
-        assert victim not in new_replicas
+        assert victim not in obj.replica_nodes
         assert cluster.node(victim).get_meta("tbl") is None
         assert store.fsck().clean
 

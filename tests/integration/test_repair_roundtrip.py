@@ -46,35 +46,22 @@ def _corrupt_one_data_block(store, cluster) -> tuple[int, str]:
 
 def _placement_nodes(store) -> set[int]:
     nodes: set[int] = set()
-    stores = [store] + (
-        [store.fallback_store] if isinstance(store, FusionStore) else []
-    )
-    for s in stores:
+    for s in store.stores():
         for obj in s.objects.values():
-            if hasattr(obj, "stripes"):
-                for placement in obj.stripes:
-                    nodes |= set(placement.node_ids)
+            for placement in obj.stripes:
+                nodes |= {nid for nid in placement.node_ids if nid is not None}
+            if isinstance(s, FusionStore):
                 nodes |= {
                     loc.node_id for loc in obj.location_map.entries.values()
                 }
-            else:
-                nodes |= set(obj.data_block_nodes.values())
-                nodes |= set(obj.parity_block_nodes.values())
     return nodes
 
 
 def _stripe_nodes(store) -> list[list[int]]:
     """Per stripe of ``tbl``: the nodes holding its written blocks."""
-    obj = store.objects["tbl"]
-    if isinstance(store, FusionStore):
-        k = store.config.code.k
-        return [
-            [nid for i, nid in enumerate(p.node_ids) if i >= k or p.data_sizes[i] > 0]
-            for p in obj.stripes
-        ]
     return [
-        [h[1] for h in store._stripe_holders(obj, stripe) if h is not None]
-        for stripe in range(obj.layout.num_stripes)
+        [nid for nid, _bid, _size, _crc in p.stored_blocks()]
+        for p in store.objects["tbl"].stripes
     ]
 
 
