@@ -266,14 +266,6 @@ class BaselineStore(StoreKernel):
         optimal = layout.total_bytes * (1.0 + self.config.code.optimal_overhead)
         return (layout.stored_bytes - optimal) / optimal
 
-    def _write_block(self, coordinator, node_id: int, block_id: str, payload: np.ndarray):
-        node = self.cluster.node(node_id)
-        yield from self.cluster.network.transfer(
-            coordinator.endpoint, node.endpoint, self.config.scaled(payload.size)
-        )
-        yield from node.disk.read(self.config.scaled(payload.size))  # write ~ read cost
-        node.put_block(block_id, payload)
-
     # -- Integrity --------------------------------------------------------------
 
     def _verify_block(self, obj: StoredFixedObject, placement: StripePlacement, j: int, data) -> None:

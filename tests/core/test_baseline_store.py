@@ -40,6 +40,19 @@ class TestPut:
             node = loaded_baseline.cluster.node(node_id)
             assert node.has_block(obj.parity_block_id(stripe, pj))
 
+    def test_traced_put_charges_disk_writes(self, small_file):
+        sim = Simulator()
+        store = BaselineStore(
+            Cluster(sim, ClusterConfig(num_nodes=9)),
+            StoreConfig(size_scale=100.0, block_size=2_000_000, tracing_enabled=True),
+        )
+        store.put("tbl", small_file)
+        devices = [s.name for s in sim.tracer.spans if s.name.startswith("disk.")]
+        blocks = sum(
+            1 for p in store.objects["tbl"].stripes for _block in p.stored_blocks()
+        )
+        assert devices == ["disk.write"] * blocks
+
     def test_stored_bytes_include_parity(self, loaded_baseline, small_file):
         total = loaded_baseline.cluster.stored_bytes
         assert total > len(small_file)
