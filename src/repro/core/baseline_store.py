@@ -28,8 +28,6 @@ from repro.core.fixed import FixedLayout, build_fixed_layout
 from repro.core.kernel import ObjectNotFound, PutReport, StoreKernel, StripePlacement
 from repro.core.location_map import ChecksumError, chunk_checksum
 from repro.core.scatter_gather import SHED, RemoteOp, execute_remote_ops
-from repro.core.wal import WalRecord
-from repro.ec.stripe import encode_stripe
 from repro.format.metadata import FileMetadata
 from repro.format.pages import decode_column_chunk
 from repro.format.reader import read_metadata
@@ -142,8 +140,6 @@ class BaselineStore(StoreKernel):
         # order (one per stripe); the metadata replica set is derived
         # from the coordinator's hash slot (its successors) rather than
         # drawn, so the shared placement RNG is not perturbed.
-        wal_blocks: list[tuple[int, str]] = []
-        wal_sizes: list[int] = []
         for stripe in range(layout.num_stripes):
             blocks = layout.stripe_blocks(stripe)
             nodes = self.cluster.place_stripe(f"{name}/s{stripe}", config.code.n)
@@ -158,9 +154,6 @@ class BaselineStore(StoreKernel):
                 data_sizes=[b.size for b in blocks] + [0] * missing,
             )
             obj.stripes.append(placement)
-            for nid, bid, size, _crc in placement.stored_blocks():
-                wal_blocks.append((nid, bid))
-                wal_sizes.append(size)
         replica_count = config.resolved_metadata_replicas(self.cluster.num_nodes)
         if self.cluster.membership is not None:
             # Ring-derived replica set: stays on active members as the
@@ -174,21 +167,7 @@ class BaselineStore(StoreKernel):
                 (coordinator.node_id + i) % self.cluster.num_nodes for i in range(replica_count)
             )
 
-        op_id = self.wal.new_op_id()
-        self.wal.append(
-            coordinator,
-            WalRecord(
-                op_id=op_id,
-                seq=0,
-                phase="intent",
-                op="put",
-                store_kind=self.store_kind,
-                object_name=name,
-                blocks=tuple(wal_blocks),
-                block_sizes=tuple(wal_sizes),
-                replica_nodes=obj.replica_nodes,
-            ),
-        )
+        intent = self._log_intent(coordinator, "put", obj)
         self.wal.crash_point(coordinator, "put:after-intent")
 
         # Ship the object from the client to the coordinator.
@@ -202,22 +181,7 @@ class BaselineStore(StoreKernel):
         writes = []
         for placement in obj.stripes:
             payloads = [raw[b.start : b.end] for b in layout.stripe_blocks(placement.stripe_id)]
-            encode_bytes = sum(p.size for p in payloads)
-            yield from coordinator.compute(
-                encode_bytes * config.size_scale / coordinator.cpu_config.decode_bps
-            )
-            encoded = encode_stripe(config.code, payloads)
-            placement.checksums = [chunk_checksum(s) for s in encoded.shards()]
-            for i, payload in enumerate(encoded.shards()):
-                if placement.node_ids[i] is None:
-                    continue
-                writes.append(
-                    self.sim.process(
-                        self._write_block(
-                            coordinator, placement.node_ids[i], placement.block_ids[i], payload
-                        )
-                    )
-                )
+            writes += yield from self._write_stripe(coordinator, placement, payloads)
         yield all_of(self.sim, writes)
         if deadline is not None:
             deadline.check("put writes")
@@ -235,18 +199,7 @@ class BaselineStore(StoreKernel):
                 node.put_meta(name, replica)
         self.wal.crash_point(coordinator, "put:after-meta")
 
-        self.wal.append(
-            coordinator,
-            WalRecord(
-                op_id=op_id,
-                seq=1,
-                phase="commit",
-                op="put",
-                store_kind=self.store_kind,
-                object_name=name,
-                replica_nodes=obj.replica_nodes,
-            ),
-        )
+        self._log_outcome(coordinator, intent)
         self.wal.crash_point(coordinator, "put:after-commit")
 
         # Atomic visibility: the object appears only after commit.
@@ -316,13 +269,11 @@ class BaselineStore(StoreKernel):
         node = self.cluster.node(placement.node_ids[j])
         block_id = placement.data_block_ids[j]
 
-        def intact(block) -> bool:
-            want = placement.checksum(j)
-            return not want or chunk_checksum(block) == want
-
         def degraded():
+            want = placement.checksum(j)
             block = yield from self._degraded_block_read(
-                obj, placement, j, coordinator, query, intact
+                obj, placement, j, coordinator, query,
+                intact=lambda block: not want or chunk_checksum(block) == want,
             )
             return block[offset : offset + length]
 
@@ -427,19 +378,7 @@ class BaselineStore(StoreKernel):
         if shed_ops:
             metrics.partial_results += 1
             result = PartialResult(result, shed_ops)
-        inner = result.result if isinstance(result, PartialResult) else result
-        yield from traced(
-            self.sim,
-            self.cluster.network.transfer(
-                coordinator.endpoint,
-                self.cluster.client,
-                self.config.scaled(engine.result_wire_bytes(inner)),
-                metrics,
-            ),
-            "result_transfer", "store",
-        )
-        metrics.end_time = self.sim.now
-        self.cluster.metrics.record_query(metrics)
+        yield from self._return_result(coordinator, result, metrics)
         return result
 
     def _fetch_chunks_block_granular(

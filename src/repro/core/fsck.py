@@ -282,22 +282,10 @@ def _gc_blocks(cluster, intent: WalRecord) -> tuple[int, int]:
 
 
 def _log_outcome(store, cluster, intent: WalRecord, phase: str) -> None:
-    """Append a recovery-outcome record so the next replay (and fsck)
-    sees the operation as resolved.  ``seq=2`` marks recovery outcomes
-    (0 = intent, 1 = the coordinator's own outcome)."""
+    """Append a recovery-outcome record (``seq=2``) so the next replay
+    (and fsck) sees the operation as resolved."""
     coordinator = cluster.coordinator_for(intent.object_name)
-    store.wal.append(
-        coordinator,
-        WalRecord(
-            op_id=intent.op_id,
-            seq=2,
-            phase=phase,
-            op=intent.op,
-            store_kind=intent.store_kind,
-            object_name=intent.object_name,
-            replica_nodes=intent.replica_nodes,
-        ),
-    )
+    store._log_outcome(coordinator, intent, phase, seq=2)
 
 
 def recover(store) -> RecoveryReport:
@@ -320,9 +308,9 @@ def recover(store) -> RecoveryReport:
         rec = intents[op_id]
         by_object.setdefault((rec.store_kind, rec.object_name), []).append(rec)
 
+    owners = {sub.store_kind: sub for sub in store.stores()}
     for (kind, name), ops in sorted(by_object.items()):
-        # The managed store that owns records of this kind, if any.
-        target = next((s for s in store.stores() if s.store_kind == kind), None)
+        target = owners.get(kind)  # None: a kind this store does not manage
         if target is None:
             continue
         last = ops[-1]

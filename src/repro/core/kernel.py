@@ -26,6 +26,8 @@ layout hooks:
 * ``_block_moved(obj, block_id, node_id)`` - Fusion rewrites its
   ``LocationMap`` entries, the fixed layout has nothing to follow;
 * ``_dangling_locations(obj)`` - fsck's location-map leg (Fusion only);
+* ``_invalidate_object_caches(name)`` - Fusion extends it with its
+  page-index cache;
 * ``snapshot()`` and ``replica_nodes`` on the stored object - the deep
   copy a metadata replica holds, and where the replicas live;
 * the ``intact`` callable handed to :meth:`StoreKernel._degraded_block_read`
@@ -60,6 +62,7 @@ from repro.cluster.metrics import QueryMetrics
 from repro.cluster.overload import (
     Deadline,
     DeadlineExceeded,
+    PartialResult,
     arm_deadline,
     check_deadline,
     fail_query,
@@ -68,6 +71,7 @@ from repro.cluster.overload import (
 )
 from repro.cluster.qos import QuotaExceeded, install_qos
 from repro.cluster.simcore import QueueFull
+from repro.core import engine
 from repro.core.cache import LruDict
 from repro.core.config import StoreConfig
 from repro.core.fsck import FsckReport, RecoveryReport, fsck as run_fsck, recover as run_recover
@@ -303,11 +307,15 @@ class StoreKernel:
 
     # -- Put / Get / Query: run-the-sim and admission wrappers -------------------
 
-    def put(self, name: str, data: bytes, tenant: str | None = None) -> PutReport:
-        """Store an object (runs the simulation to completion)."""
-        proc = self.sim.process(self.put_process(name, data, tenant=tenant))
+    def _run(self, process_body):
+        """Run one process alone to completion; returns its value."""
+        proc = self.sim.process(process_body)
         self.sim.run()
         return proc.value
+
+    def put(self, name: str, data: bytes, tenant: str | None = None) -> PutReport:
+        """Store an object (runs the simulation to completion)."""
+        return self._run(self.put_process(name, data, tenant=tenant))
 
     def put_process(self, name: str, data: bytes, tenant: str | None = None):
         """Simulated Put (the store's ``_put_body`` under a span).
@@ -335,6 +343,65 @@ class StoreKernel:
         yield from node.disk.write(self.config.scaled(payload.size))
         node.put_block(block_id, payload)
 
+    def _write_stripe(self, coordinator, placement: StripePlacement, payloads):
+        """Process: charge the coordinator's encode of one stripe,
+        RS-encode it, record every block's CRC on the placement, and
+        spawn one write per stored block (data in order, then parity;
+        empty data blocks are never written).  Returns the write
+        processes for the caller to await together."""
+        encode_bytes = sum(p.size for p in payloads)
+        yield from coordinator.compute(
+            encode_bytes * self.config.size_scale / coordinator.cpu_config.decode_bps
+        )
+        shards = encode_stripe(self.config.code, payloads).shards()
+        placement.checksums = [chunk_checksum(s) for s in shards]
+        return [
+            self.sim.process(self._write_block(coordinator, nid, bid, payload))
+            for nid, bid, payload in zip(placement.node_ids, placement.block_ids, shards)
+            if payload.size
+        ]
+
+    # -- WAL records --------------------------------------------------------------
+
+    def _log_intent(self, coordinator, op: str, obj) -> WalRecord:
+        """Append (and return) the intent record of a Put or Delete.  It
+        names every block and metadata-replica holder the operation
+        touches, so roll-back / redo can find them with no other
+        metadata."""
+        stored = [block for p in obj.stripes for block in p.stored_blocks()]
+        intent = WalRecord(
+            op_id=self.wal.new_op_id(),
+            seq=0,
+            phase="intent",
+            op=op,
+            store_kind=self.store_kind,
+            object_name=obj.name,
+            blocks=tuple((nid, bid) for nid, bid, _size, _crc in stored),
+            block_sizes=tuple(size for _nid, _bid, size, _crc in stored),
+            replica_nodes=tuple(obj.replica_nodes),
+        )
+        self.wal.append(coordinator, intent)
+        return intent
+
+    def _log_outcome(
+        self, coordinator, intent: WalRecord, phase: str = "commit", seq: int = 1
+    ) -> None:
+        """Append the record that resolves ``intent``.  ``seq`` orders the
+        records of one operation: 0 = intent, 1 = the coordinator's own
+        outcome, 2 = an outcome decided by recovery."""
+        self.wal.append(
+            coordinator,
+            WalRecord(
+                op_id=intent.op_id,
+                seq=seq,
+                phase=phase,
+                op=intent.op,
+                store_kind=intent.store_kind,
+                object_name=intent.object_name,
+                replica_nodes=intent.replica_nodes,
+            ),
+        )
+
     def get(
         self,
         name: str,
@@ -346,11 +413,7 @@ class StoreKernel:
 
         Runs the simulation to completion; ``size=None`` means to the end.
         """
-        proc = self.sim.process(
-            self.get_process(name, offset=offset, size=size, tenant=tenant)
-        )
-        self.sim.run()
-        return proc.value
+        return self._run(self.get_process(name, offset=offset, size=size, tenant=tenant))
 
     def get_process(
         self,
@@ -393,9 +456,7 @@ class StoreKernel:
     ) -> tuple[QueryResult, QueryMetrics]:
         """Run one query alone on an idle cluster (runs the simulation)."""
         metrics = QueryMetrics()
-        proc = self.sim.process(self.query_process(sql, metrics, tenant=tenant))
-        self.sim.run()
-        return proc.value, metrics
+        return self._run(self.query_process(sql, metrics, tenant=tenant)), metrics
 
     def query_process(
         self, sql: str | Query, metrics: QueryMetrics, tenant: str | None = None
@@ -440,6 +501,23 @@ class StoreKernel:
             fail_query(self.cluster, metrics, shed=exc.shed)
             raise
         return result
+
+    def _return_result(self, coordinator, result, metrics: QueryMetrics):
+        """Process: the common tail of ``_query_body`` - ship the result
+        to the client, stamp the end time, record the query."""
+        inner = result.result if isinstance(result, PartialResult) else result
+        yield from traced(
+            self.sim,
+            self.cluster.network.transfer(
+                coordinator.endpoint,
+                self.cluster.client,
+                self.config.scaled(engine.result_wire_bytes(inner)),
+                metrics,
+            ),
+            "result_transfer", "store",
+        )
+        metrics.end_time = self.sim.now
+        self.cluster.metrics.record_query(metrics)
 
     # -- Metadata replicas ------------------------------------------------------
 
@@ -715,29 +793,7 @@ class StoreKernel:
             return fallback.delete(name)
         obj = self._lookup(name)
         coordinator = self.cluster.coordinator_for(name)
-        replica_nodes = tuple(obj.replica_nodes)
-        blocks: list[tuple[int, str]] = []
-        block_sizes: list[int] = []
-        for placement in obj.stripes:
-            for nid, bid, size, _crc in placement.stored_blocks():
-                blocks.append((nid, bid))
-                block_sizes.append(size)
-
-        op_id = self.wal.new_op_id()
-        self.wal.append(
-            coordinator,
-            WalRecord(
-                op_id=op_id,
-                seq=0,
-                phase="intent",
-                op="delete",
-                store_kind=self.store_kind,
-                object_name=name,
-                blocks=tuple(blocks),
-                block_sizes=tuple(block_sizes),
-                replica_nodes=replica_nodes,
-            ),
-        )
+        intent = self._log_intent(coordinator, "delete", obj)
         self.wal.crash_point(coordinator, "delete:after-intent")
 
         # The object leaves the namespace at intent time; everything
@@ -745,30 +801,18 @@ class StoreKernel:
         del self.objects[name]
         self._invalidate_object_caches(name)
 
-        for nid in replica_nodes:
+        for nid in obj.replica_nodes:
             self.cluster.node(nid).drop_meta(name)
         self.wal.crash_point(coordinator, "delete:after-meta-drop")
 
         reclaimed = 0
-        for node_id, bid in blocks:
+        for node_id, bid in intent.blocks:
             node = self.cluster.node(node_id)
             if node.has_block(bid):
                 node.drop_block(bid)
                 reclaimed += 1
         self.wal.crash_point(coordinator, "delete:after-data-drop")
-
-        self.wal.append(
-            coordinator,
-            WalRecord(
-                op_id=op_id,
-                seq=1,
-                phase="commit",
-                op="delete",
-                store_kind=self.store_kind,
-                object_name=name,
-                replica_nodes=replica_nodes,
-            ),
-        )
+        self._log_outcome(coordinator, intent)
         self.wal.crash_point(coordinator, "delete:after-commit")
         return reclaimed
 
@@ -776,9 +820,7 @@ class StoreKernel:
 
     def verify_object(self, name: str) -> ScrubReport:
         """Scrub one object: re-read stripes, check parity (runs the sim)."""
-        proc = self.sim.process(self.verify_object_process(name))
-        self.sim.run()
-        return proc.value
+        return self._run(self.verify_object_process(name))
 
     def verify_object_process(self, name: str):
         fallback = self._delegate(name)
@@ -832,9 +874,7 @@ class StoreKernel:
         """Reconstruct every block the given node held, placing the
         replacements on other nodes.  Returns the number of blocks
         rebuilt.  (Runs the simulation.)"""
-        proc = self.sim.process(self.recover_node_process(node_id))
-        self.sim.run()
-        return proc.value
+        return self._run(self.recover_node_process(node_id))
 
     def recover_node_process(self, node_id: int, metrics: QueryMetrics | None = None):
         rebuilt = 0

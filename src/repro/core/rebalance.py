@@ -172,9 +172,7 @@ class Rebalancer:
 
     def rebalance(self) -> RebalanceReport:
         """One full rebalance pass (runs the simulation)."""
-        proc = self.sim.process(self.rebalance_process())
-        self.sim.run()
-        return proc.value
+        return self.store._run(self.rebalance_process())
 
     def rebalance_process(self):
         """Process: resolve crash leftovers, then migrate every stripe

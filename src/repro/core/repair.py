@@ -166,9 +166,7 @@ class RepairManager:
 
     def repair_node(self, node_id: int) -> RepairReport:
         """Repair every stripe that had a block on ``node_id`` (runs sim)."""
-        proc = self.sim.process(self.repair_node_process(node_id))
-        self.sim.run()
-        return proc.value
+        return self.store._run(self.repair_node_process(node_id))
 
     def repair_node_process(self, node_id: int):
         targets = [
@@ -181,9 +179,7 @@ class RepairManager:
 
     def repair_from_scrub(self, scrub_report) -> RepairReport:
         """Repair the stripes a scrub flagged (runs the simulation)."""
-        proc = self.sim.process(self.repair_from_scrub_process(scrub_report))
-        self.sim.run()
-        return proc.value
+        return self.store._run(self.repair_from_scrub_process(scrub_report))
 
     def repair_from_scrub_process(self, scrub_report):
         targets = []
@@ -201,9 +197,7 @@ class RepairManager:
 
     def repair_object(self, name: str) -> RepairReport:
         """Examine and repair every stripe of one object (runs the sim)."""
-        proc = self.sim.process(self.repair_object_process(name))
-        self.sim.run()
-        return proc.value
+        return self.store._run(self.repair_object_process(name))
 
     def repair_object_process(self, name: str):
         targets = []
@@ -225,9 +219,7 @@ class RepairManager:
         next scrub.  Traffic is accounted as ``read_repair_bytes``,
         separate from both query and scrub-repair traffic.
         """
-        proc = self.sim.process(self.repair_read_reported_process())
-        self.sim.run()
-        return proc.value
+        return self.store._run(self.repair_read_reported_process())
 
     def repair_read_reported_process(self):
         queue = self.cluster.read_repairs

@@ -35,9 +35,7 @@ from repro.core.kernel import PutReport, StoreKernel, StripePlacement
 from repro.core.scatter_gather import SHED, RemoteOp, execute_remote_ops
 from repro.core.layout import ChunkItem, StripeLayout
 from repro.core.location_map import ChecksumError, ChunkLocation, LocationMap, chunk_checksum
-from repro.core.wal import WalRecord
 from repro.obs.tracer import traced
-from repro.ec.stripe import encode_stripe
 from repro.format.metadata import ColumnChunkMeta, FileMetadata
 from repro.format.pages import decode_column_chunk
 from repro.format.reader import read_metadata
@@ -247,28 +245,7 @@ class FusionStore(StoreKernel):
         replica_nodes = self.cluster.place_stripe(f"{name}/meta", replica_count)
         obj.location_map.replica_nodes = tuple(replica_nodes)
 
-        blocks: list[tuple[int, str]] = []
-        block_sizes: list[int] = []
-        for placement in obj.stripes:
-            for nid, bid, size, _crc in placement.stored_blocks():
-                blocks.append((nid, bid))
-                block_sizes.append(size)
-
-        op_id = self.wal.new_op_id()
-        self.wal.append(
-            coordinator,
-            WalRecord(
-                op_id=op_id,
-                seq=0,
-                phase="intent",
-                op="put",
-                store_kind=self.store_kind,
-                object_name=name,
-                blocks=tuple(blocks),
-                block_sizes=tuple(block_sizes),
-                replica_nodes=tuple(replica_nodes),
-            ),
-        )
+        intent = self._log_intent(coordinator, "put", obj)
         self.wal.crash_point(coordinator, "put:after-intent")
 
         yield from self.cluster.network.transfer(
@@ -283,37 +260,8 @@ class FusionStore(StoreKernel):
         )
 
         writes = []
-        for sid, payloads in enumerate(stripe_payloads):
-            placement = obj.stripes[sid]
-            node_ids = placement.node_ids
-            encode_bytes = sum(p.size for p in payloads)
-            yield from coordinator.compute(
-                encode_bytes * config.size_scale / coordinator.cpu_config.decode_bps
-            )
-            encoded = encode_stripe(config.code, payloads)
-            placement.checksums = [chunk_checksum(s) for s in encoded.shards()]
-
-            for j, payload in enumerate(encoded.data_blocks):
-                if payload.size == 0:
-                    continue
-                writes.append(
-                    self.sim.process(
-                        self._write_block(
-                            coordinator, node_ids[j], placement.data_block_ids[j], payload
-                        )
-                    )
-                )
-            for pj, payload in enumerate(encoded.parity_blocks):
-                writes.append(
-                    self.sim.process(
-                        self._write_block(
-                            coordinator,
-                            node_ids[config.code.k + pj],
-                            placement.parity_block_ids[pj],
-                            payload,
-                        )
-                    )
-                )
+        for placement, payloads in zip(obj.stripes, stripe_payloads):
+            writes += yield from self._write_stripe(coordinator, placement, payloads)
         yield all_of(self.sim, writes)
         if deadline is not None:
             deadline.check("put writes")
@@ -340,18 +288,7 @@ class FusionStore(StoreKernel):
             deadline.check("put meta")
         self.wal.crash_point(coordinator, "put:after-meta")
 
-        self.wal.append(
-            coordinator,
-            WalRecord(
-                op_id=op_id,
-                seq=1,
-                phase="commit",
-                op="put",
-                store_kind=self.store_kind,
-                object_name=name,
-                replica_nodes=tuple(replica_nodes),
-            ),
-        )
+        self._log_outcome(coordinator, intent)
         self.wal.crash_point(coordinator, "put:after-commit")
 
         # Atomic visibility: the object appears only after commit.
@@ -571,19 +508,7 @@ class FusionStore(StoreKernel):
                 ),
                 "fused_stage", "store", chunks=len(row_groups),
             )
-            inner = result.result if isinstance(result, PartialResult) else result
-            yield from traced(
-                self.sim,
-                self.cluster.network.transfer(
-                    coordinator.endpoint,
-                    self.cluster.client,
-                    self.config.scaled(engine.result_wire_bytes(inner)),
-                    metrics,
-                ),
-                "result_transfer", "store",
-            )
-            metrics.end_time = self.sim.now
-            self.cluster.metrics.record_query(metrics)
+            yield from self._return_result(coordinator, result, metrics)
             return result
 
         # ---- Filter stage: push every live leaf down, gather bitmaps. ----
@@ -710,19 +635,7 @@ class FusionStore(StoreKernel):
                 metrics.partial_results += 1
                 result = PartialResult(result, shed_chunks)
 
-        inner = result.result if isinstance(result, PartialResult) else result
-        yield from traced(
-            self.sim,
-            self.cluster.network.transfer(
-                coordinator.endpoint,
-                self.cluster.client,
-                self.config.scaled(engine.result_wire_bytes(inner)),
-                metrics,
-            ),
-            "result_transfer", "store",
-        )
-        metrics.end_time = self.sim.now
-        self.cluster.metrics.record_query(metrics)
+        yield from self._return_result(coordinator, result, metrics)
         return result
 
     @staticmethod
