@@ -660,12 +660,11 @@ class StoreKernel:
         only; simulated costs are charged on every call).  ``intact`` is
         the layout's end-to-end check of a reconstructed block.
         """
-        block = yield from traced(
+        return traced(
             self.sim,
             self._degraded_block_read_body(obj, placement, i, coordinator, metrics, intact),
             "degraded_read", "store", obj=obj.name, block=placement.data_block_ids[i],
         )
-        return block
 
     def _degraded_block_read_body(self, obj, placement, i, coordinator, metrics, intact):
         check_deadline(metrics, "degraded read")
@@ -924,7 +923,7 @@ class StoreKernel:
         self, obj, placement: StripePlacement, lost, metrics: QueryMetrics | None = None
     ):
         """Gather surviving shards, RS-decode, re-encode, re-place lost ones."""
-        yield from traced(
+        return traced(
             self.sim,
             self._rebuild_stripe_body(obj, placement, lost, metrics),
             "repair_stripe", "store", obj=obj.name, stripe=placement.stripe_id,
@@ -979,12 +978,11 @@ class StoreKernel:
         their live node, unreachable ones onto an alive rescue node,
         updating the placement (and the layout's own map).  Returns the
         number of blocks rewritten (0 when the stripe is healthy)."""
-        written = yield from traced(
+        return traced(
             self.sim,
             self._repair_stripe_body(name, stripe_id, metrics),
             "repair_stripe", "store", obj=name, stripe=stripe_id,
         )
-        return written
 
     def _repair_stripe_body(
         self, name: str, stripe_id: int, metrics: QueryMetrics | None = None
@@ -1035,12 +1033,11 @@ class StoreKernel:
         copy-then-republish-then-GC (reads are never wrong mid-flight:
         queries route via the old placement until republish).  Returns
         the number of blocks moved (0 when already in place)."""
-        moved = yield from traced(
+        return traced(
             self.sim,
             self._migrate_stripe_body(name, stripe_id, targets, metrics),
             "migrate_stripe", "store", obj=name, stripe=stripe_id,
         )
-        return moved
 
     def _migrate_stripe_body(
         self, name: str, stripe_id: int, targets, metrics: QueryMetrics | None = None
