@@ -14,35 +14,39 @@ import numpy as np
 
 from repro.format.compression import get_codec
 
-#: Codec used for bitmaps on the wire (the paper uses Snappy).  The
-#: greedy tokeniser is pinned here: packed bitmaps are small and
-#: run-structured, where the exhaustive greedy walk compresses tighter
-#: than the sampled vectorized matcher, and the resulting wire sizes
-#: feed the simulated network model so they must stay stable across
-#: compressor heuristics.
-BITMAP_CODEC = "snappy-greedy"
+#: Bitmaps go on the wire through the greedy tokeniser (the paper uses
+#: Snappy): packed bitmaps are small and run-structured, where the
+#: exhaustive greedy walk compresses tighter than the sampled vectorized
+#: matcher, and the resulting wire sizes feed the simulated network model
+#: so they must stay stable across compressor heuristics.
+_CODEC = get_codec("snappy-greedy")
 
 
 class Bitmap:
     """A fixed-length boolean vector of row matches.
 
     A value object: ``bits`` is not mutated after construction, so the
-    wire form is tokenised at most once per codec and remembered.
+    cardinality is counted and the wire form tokenised at most once.
     """
 
-    __slots__ = ("bits", "_wire")
+    __slots__ = ("bits", "_card", "_wire")
 
     def __init__(self, bits: np.ndarray) -> None:
         self.bits = np.asarray(bits, dtype=np.bool_)
-        self._wire: dict[str, bytes] = {}
+        self._card: int | None = None
+        self._wire: bytes | None = None
 
     @staticmethod
     def zeros(n: int) -> "Bitmap":
-        return Bitmap(np.zeros(n, dtype=np.bool_))
+        bitmap = Bitmap(np.zeros(n, dtype=np.bool_))
+        bitmap._card = 0
+        return bitmap
 
     @staticmethod
     def ones(n: int) -> "Bitmap":
-        return Bitmap(np.ones(n, dtype=np.bool_))
+        bitmap = Bitmap(np.ones(n, dtype=np.bool_))
+        bitmap._card = n
+        return bitmap
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -64,7 +68,9 @@ class Bitmap:
 
     def count(self) -> int:
         """Number of set bits (matching rows)."""
-        return int(self.bits.sum())
+        if self._card is None:
+            self._card = int(np.count_nonzero(self.bits))
+        return self._card
 
     def selectivity(self) -> float:
         """Fraction of rows selected (the paper's query selectivity)."""
@@ -76,27 +82,23 @@ class Bitmap:
         """Positions of set bits."""
         return np.flatnonzero(self.bits)
 
-    def to_wire(self, codec_name: str = BITMAP_CODEC) -> bytes:
-        """Serialise: varint-free header (count, codec id implied) + packed,
-        compressed bits."""
-        wire = self._wire.get(codec_name)
-        if wire is None:
+    def to_wire(self) -> bytes:
+        """Serialise: varint-free header (count) + packed, compressed bits."""
+        if self._wire is None:
             packed = np.packbits(self.bits).tobytes()
-            compressed = get_codec(codec_name).compress(packed)
-            wire = self._wire[codec_name] = struct.pack("<I", len(self.bits)) + compressed
-        return wire
+            self._wire = struct.pack("<I", len(self.bits)) + _CODEC.compress(packed)
+        return self._wire
 
     @staticmethod
-    def from_wire(data: bytes, codec_name: str = BITMAP_CODEC) -> "Bitmap":
+    def from_wire(data: bytes) -> "Bitmap":
         (n,) = struct.unpack_from("<I", data, 0)
-        packed = get_codec(codec_name).decompress(data[4:])
+        packed = _CODEC.decompress(data[4:])
         bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))[:n]
         return Bitmap(bits.astype(np.bool_))
 
-    def wire_size(self, codec_name: str = BITMAP_CODEC) -> int:
+    def wire_size(self) -> int:
         """Bytes this bitmap occupies on the wire."""
-        wire = self._wire.get(codec_name)
-        return len(self.to_wire(codec_name) if wire is None else wire)
+        return len(self.to_wire() if self._wire is None else self._wire)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Bitmap) and np.array_equal(self.bits, other.bits)
