@@ -516,8 +516,7 @@ class FusionStore(StoreKernel):
             tracer.begin("filter_stage", cat="store") if tracer is not None else None
         )
         # Row-group bitmaps travel as Bitmap objects: each remembers its
-        # wire form, so one bitmap is tokenised once however many ops
-        # ship it.
+        # cardinality, counted once however many ops ship it.
         rg_selected: dict[int, Bitmap] = {}
         ops = []
         keys: list[tuple[int, int]] = []
@@ -563,7 +562,7 @@ class FusionStore(StoreKernel):
                 )
             bits = physical.combine_bitmaps([b.bits for b in bitmaps], num_rows)
             # A lone positive leaf is its own row-group bitmap: keep the
-            # filter reply, whose wire form is already known.
+            # filter reply, whose cardinality is already known.
             rg_selected[rg] = (
                 bitmaps[0] if bitmaps and bits is bitmaps[0].bits else Bitmap(bits)
             )

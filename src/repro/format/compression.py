@@ -222,14 +222,15 @@ class SnappyLikeCodec:
         return bytes(out)
 
     def _compress_small(self, out: bytearray, data, n: int) -> None:
-        """The greedy hash-chain walk (every bitmap on the wire, and tiny
-        or fragmented page inputs where it beats the numpy setup).
+        """The greedy hash-chain walk (tiny or fragmented page inputs,
+        where it beats the numpy setup).
 
         A 4-byte window whose key is unique in the buffer can neither find
         a candidate nor be one, so only the windows a numpy pre-pass finds
         repeated are visited, for the same tokens.  Tiny inputs, and long
-        runs of one byte (sparse or near-full bitmaps, where matches jump
-        most of the buffer anyway), skip the pre-pass and visit them all.
+        runs of one byte (packed sparse or near-full bit vectors, where
+        matches jump most of the buffer anyway), skip the pre-pass and
+        visit them all.
         """
         if not isinstance(data, bytes):
             data = bytes(data)  # hashable 4-byte slices without a wrap each
@@ -263,7 +264,7 @@ class SnappyLikeCodec:
                 pos += 8
             while pos < end and data[pos] == data[pos - shift]:
                 pos += 1
-            # Pending literals (bitmap runs are short: rarely > 128 bytes).
+            # Pending literals (runs here are short: rarely > 128 bytes).
             while literal_start < i:
                 run = min(_MAX_LITERAL, i - literal_start)
                 out.append(run - 1)
@@ -278,11 +279,9 @@ class SnappyLikeCodec:
         """Greedy hash-chain tokenisation at every size.
 
         Emits the exact token stream of the original byte-at-a-time
-        compressor.  Small run-structured payloads (filter bitmaps) both
-        compress tighter under the exhaustive greedy walk and are too
-        small to amortise the vectorized setup, and the simulator charges
-        bitmap wire sizes to the network model, so those sizes must not
-        drift with vectorized-compressor heuristics.
+        compressor.  Small run-structured payloads compress tighter under
+        the exhaustive greedy walk and are too small to amortise the
+        vectorized setup.
         """
         data = memoryview(data).cast("B") if not isinstance(data, bytes) else data
         n = len(data)
@@ -353,8 +352,10 @@ class GreedySnappyCodec(SnappyLikeCodec):
     """Snappy-format codec that always uses the greedy tokeniser.
 
     Same self-describing stream (either codec decompresses the other's
-    output); registered separately so size-sensitive callers — the
-    bitmap wire path — can pin the greedy token choice.
+    output); registered separately so a size-sensitive caller can pin
+    the greedy token choice.  Filter bitmaps did until they got their own
+    wire frame (``repro.sql.bitmap``); the name stays registered because
+    the repo benchmark derives its metric names from ``codec_names()``.
     """
 
     name = "snappy-greedy"

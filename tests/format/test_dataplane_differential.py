@@ -182,7 +182,7 @@ def _snappy_corpora(rng: np.random.Generator):
 
 
 def _packed_bitmap_corpus(rng: np.random.Generator):
-    """Packed filter bitmaps as ``Bitmap.to_wire`` hands them to the codec."""
+    """Packed bit vectors, the small run-structured inputs the greedy walk is kept for."""
     lengths = (0, 1, 7, 8, 9, 31, 63, 64, 65, 250, 1000, 3000, 4000, 4001, 8192)
     for bits in lengths:
         for density in (0.0, 1.0, 0.01, 0.03, 0.1, 0.5):

@@ -1,6 +1,8 @@
-"""Bitmaps and their compressed wire form."""
+"""Bitmaps and their container-chosen wire frame."""
 
+import itertools
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.format import codec_names
+from repro.format import codec_names, get_codec
 from repro.sql import Bitmap
 
 
@@ -54,6 +56,59 @@ class TestOps:
         assert Bitmap.ones(3) != Bitmap.zeros(3)
 
 
+LENGTHS = (0, 1, 7, 8, 9, 255, 256, 257, 65535, 65536, 65537)
+DENSITIES = ("none", "one", 0.01, 0.5, 0.99, "all")
+EMPTY, FULL, SET, UNSET, RUNS, RAW = 0, 1, 2, 3, 4, 6
+
+
+def _bits(n: int, density, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if density in ("none", "all"):
+        return np.full(n, density == "all")
+    if density == "one":
+        bits = np.zeros(n, dtype=bool)
+        bits[rng.integers(0, n, size=min(n, 1))] = True
+        return bits
+    return rng.random(n) < density
+
+
+def _run_bits(n: int, cuts: list[int], first: bool) -> np.ndarray:
+    """``n`` bits that flip at every cut, starting from ``first``."""
+    bits = np.zeros(n, dtype=bool)
+    for cut in cuts:
+        bits[cut % n if n else 0 :] ^= True
+    return bits ^ first
+
+
+def _reference_container(bits: np.ndarray) -> tuple[int, int]:
+    """``(tag, body bytes)`` by walking the bits: positions and runs are
+    listed, not counted with numpy; ties go to the first container."""
+    values = bits.tolist()
+    n, card = len(values), sum(values)
+    if card == 0 or card == n:
+        return (FULL if card else EMPTY), 0
+    w = 1 if n <= 256 else 2 if n <= 65536 else 4
+    runs = [len(list(group)) for _bit, group in itertools.groupby(values)]
+    assert max(runs) < 256**w and n - 1 < 256**w  # every entry fits its width
+    bodies = [
+        (SET, w * len([i for i, v in enumerate(values) if v])),
+        (UNSET, w * len([i for i, v in enumerate(values) if not v])),
+        (RUNS + values[0], w * len(runs)),
+        (RAW, -(-n // 8)),
+    ]
+    return min(bodies, key=lambda body: body[1])
+
+
+def _check_frame(bits: np.ndarray) -> None:
+    bm = Bitmap(bits)
+    wire = bm.to_wire()
+    n = len(bits)
+    tag, body = _reference_container(bits)
+    assert Bitmap.from_wire(wire) == bm
+    assert len(wire) == bm.wire_size() == 5 + body <= 5 + -(-n // 8)
+    assert struct.unpack_from("<IB", wire) == (n, tag)
+
+
 class TestWire:
     def test_roundtrip(self, rng):
         bm = Bitmap(rng.integers(0, 2, size=1000).astype(bool))
@@ -67,16 +122,62 @@ class TestWire:
         bits = np.zeros(100_000, dtype=bool)
         bits[rng.integers(0, 100_000, size=100)] = True
         bm = Bitmap(bits)
-        # Packed raw is 12.5 KB; sparse content should compress well below.
-        assert bm.wire_size() < 6_000
+        # Packed raw is 12.5 KB; 100 four-byte positions are far below.
+        assert bm.wire_size() <= 5 + 4 * 100
 
-    def test_wire_form_is_memoised(self, rng):
-        bm = Bitmap(rng.integers(0, 2, size=1000).astype(bool))
-        fresh = Bitmap(bm.bits).to_wire()
-        assert bm.wire_size() == len(fresh)
-        wire = bm.to_wire()
-        assert wire == fresh
-        assert bm.to_wire() is wire  # the bytes wire_size() produced, not a new stream
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_every_length_and_density(self, n):
+        for seed, density in enumerate(DENSITIES):
+            _check_frame(_bits(n, density, seed))
+            _check_frame(~_bits(n, density, seed))
+
+    def test_each_container_is_chosen_where_it_is_smallest(self):
+        n = 4000  # two-byte entries, 500 packed bytes
+        cases = {
+            EMPTY: np.zeros(n, dtype=bool),
+            FULL: np.ones(n, dtype=bool),
+            SET: _run_bits(n, [10, 11, 500, 501, 900, 901], False),  # 3 positions < 7 runs
+            UNSET: _run_bits(n, [10, 11, 500, 501, 900, 901], True),
+            RUNS: _run_bits(n, [1000, 3000], False),  # 3 runs < 2000 positions
+            RUNS + 1: _run_bits(n, [1000, 3000], True),
+            RAW: _bits(n, 0.5, 7),
+        }
+        for tag, bits in cases.items():
+            assert Bitmap(bits).to_wire()[4] == tag
+            _check_frame(bits)
+        # The widest entries a one- and a two-byte body must hold: the
+        # last position, and the longest run a run container can have.
+        for n in (256, 65536):
+            for first in (False, True):
+                _check_frame(_run_bits(n, [n - 1], first))
+                assert Bitmap(_run_bits(n, [3], first)).to_wire()[4] == RUNS + first
+                _check_frame(_run_bits(n, [3], first))
+        # Ties go to the lower tag: one set bit of two is SET, not UNSET or RAW.
+        assert Bitmap(np.array([True, False])).to_wire() == struct.pack("<IBB", 2, SET, 0)
+        assert Bitmap(np.array([False, True])).to_wire() == struct.pack("<IBB", 2, SET, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.sampled_from(LENGTHS),
+        density=st.sampled_from(DENSITIES),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_frame_property_over_densities(self, n, density, seed):
+        _check_frame(_bits(n, density, seed))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.sampled_from(LENGTHS),
+        cuts=st.lists(st.integers(0, 70_000), max_size=12),
+        first=st.booleans(),
+    )
+    def test_frame_property_over_run_structure(self, n, cuts, first):
+        _check_frame(_run_bits(n, cuts, first))
+
+    @settings(max_examples=50, deadline=None)
+    @given(bits=st.lists(st.booleans(), max_size=300))
+    def test_roundtrip_property(self, bits):
+        _check_frame(np.asarray(bits, dtype=bool))
 
     def test_memo_is_not_shared_with_derived_bitmaps(self, rng):
         a = Bitmap(rng.random(1000) < 0.1)
@@ -87,23 +188,65 @@ class TestWire:
             assert Bitmap.from_wire(derived.to_wire()) == derived
         assert Bitmap.from_wire(a.to_wire()) == a  # and the operands keep their own
 
-    def test_wire_size_tokenises_through_to_wire_once(self, rng, monkeypatch):
-        # The perf tracer wraps Bitmap.to_wire: wire_size() must reach the
-        # tokeniser through it, and only the first time.
-        calls = []
-        original = Bitmap.to_wire
-        monkeypatch.setattr(
-            Bitmap, "to_wire", lambda self, *a, **k: calls.append(1) or original(self, *a, **k)
-        )
-        bm = Bitmap(rng.random(500) < 0.3)
-        assert bm.wire_size() == bm.wire_size() == len(original(bm))
-        assert len(calls) == 1
+    def test_wire_size_builds_no_frame(self, rng, monkeypatch):
+        # The size is a closed form over two counts: neither the frame
+        # nor any codec is reached for it (the perf tracer counts both).
+        def unreachable(*_args, **_kwargs):
+            raise AssertionError("wire_size() assembled bytes")
 
-    @settings(max_examples=50, deadline=None)
-    @given(bits=st.lists(st.booleans(), max_size=300))
-    def test_roundtrip_property(self, bits):
-        bm = Bitmap(np.asarray(bits, dtype=bool))
-        assert Bitmap.from_wire(bm.to_wire()) == bm
+        sizes = {}
+        for density in DENSITIES:
+            bm = Bitmap(_bits(3000, density, 3))
+            sizes[density] = len(bm.to_wire())
+        monkeypatch.setattr(Bitmap, "to_wire", unreachable)
+        for codec in codec_names():
+            monkeypatch.setattr(type(get_codec(codec)), "compress", unreachable)
+        for density, size in sizes.items():
+            bm = Bitmap(_bits(3000, density, 3))
+            assert bm.wire_size() == bm.wire_size() == size
+        assert Bitmap.zeros(3000).wire_size() == Bitmap.ones(3000).wire_size() == 5
+
+
+class TestMalformedFrames:
+    """``from_wire`` believes nothing its header says without checking."""
+
+    PAYLOAD = bytes(range(1, 9))  # 64 bits
+
+    @pytest.mark.parametrize(
+        "frame, match",
+        [
+            # The two frames the v1 decoder mis-read: 4,000 rows claimed
+            # over 64 bits (it returned 64 rows), 3 rows over 64 bits (it
+            # dropped 61).
+            (struct.pack("<IB", 4000, RAW) + PAYLOAD, "do not hold exactly 4000 rows"),
+            (struct.pack("<IB", 3, RAW) + PAYLOAD, "do not hold exactly 3 rows"),
+            (struct.pack("<IB", 64, RAW) + PAYLOAD + b"\0", "do not hold exactly 64 rows"),
+            (struct.pack("<IBB", 3, RAW, 0b1010_0001), "do not hold exactly 3 rows"),  # pad bit set
+            (b"\x08\0\0", "truncated header"),
+            (struct.pack("<IB", 8, EMPTY) + b"\0", "trailing bytes"),
+            (struct.pack("<IB", 8, FULL) + b"\xff", "trailing bytes"),
+            (struct.pack("<IB", 8, 5 + 2), "unknown container tag 7"),
+            (struct.pack("<IB", 8, 255), "unknown container tag 255"),
+            (struct.pack("<IB3B", 4000, SET, 1, 0, 2), "cut inside a 2-byte entry"),
+            (struct.pack("<IB2B", 8, SET, 3, 8), "positions not ascending below 8"),
+            (struct.pack("<IB2B", 8, SET, 5, 3), "positions not ascending below 8"),
+            (struct.pack("<IB2B", 8, UNSET, 3, 3), "positions not ascending below 8"),
+            (struct.pack("<IB2H", 4000, UNSET, 7, 4000), "positions not ascending below 4000"),
+            (struct.pack("<IB3B", 8, RUNS, 3, 2, 2), "run lengths do not sum to 8"),
+            (struct.pack("<IB3B", 8, RUNS + 1, 3, 2, 4), "run lengths do not sum to 8"),
+            (struct.pack("<IB2I", 70_000, RUNS, 2**32 - 1, 70_001), "run lengths do not sum to 70000"),
+        ],
+    )
+    def test_rejected(self, frame, match):
+        with pytest.raises(ValueError, match=match):
+            Bitmap.from_wire(frame)
+
+    def test_well_formed_neighbours_decode(self):
+        assert Bitmap.from_wire(struct.pack("<IB", 64, RAW) + self.PAYLOAD).count() == 13
+        assert Bitmap.from_wire(struct.pack("<IB2B", 8, SET, 3, 7)).indices().tolist() == [3, 7]
+        assert Bitmap.from_wire(struct.pack("<IB3B", 8, RUNS + 1, 3, 2, 3)).bits.tolist() == [
+            True, True, True, False, False, True, True, True
+        ]
 
 
 def test_benchmark_names_follow_the_codec_registry_and_to_wire():
