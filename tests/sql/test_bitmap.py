@@ -44,13 +44,6 @@ class TestOps:
         assert Bitmap.ones(5) == Bitmap(np.ones(5, dtype=bool))
         assert Bitmap.zeros(5) == Bitmap(np.zeros(5, dtype=bool))
 
-    def test_count_is_shared_not_inherited(self, rng):
-        a = Bitmap(rng.random(1000) < 0.1)
-        b = Bitmap.ones(1000)
-        assert a.count() == a.count() == int(a.bits.sum())
-        for derived in (a & b, a | b, ~a, ~b):
-            assert derived.count() == int(derived.bits.sum())
-
     def test_equality(self):
         assert Bitmap.ones(3) == Bitmap.ones(3)
         assert Bitmap.ones(3) != Bitmap.zeros(3)
@@ -180,12 +173,17 @@ class TestWire:
         _check_frame(np.asarray(bits, dtype=bool))
 
     def test_memo_is_not_shared_with_derived_bitmaps(self, rng):
+        # The remembered cardinality (born known in zeros / ones) belongs
+        # to one bitmap: nothing derived from it inherits the count.
         a = Bitmap(rng.random(1000) < 0.1)
         b = Bitmap(rng.random(1000) < 0.5)
+        full = Bitmap.ones(1000)
         a.wire_size(), b.wire_size()
-        for derived in (a & b, a | b, ~a):
+        for derived in (a & b, a | b, ~a, a & full, ~full):
+            assert derived.count() == int(derived.bits.sum())
             assert derived.to_wire() == Bitmap(derived.bits.copy()).to_wire()
             assert Bitmap.from_wire(derived.to_wire()) == derived
+        assert a.count() == int(a.bits.sum())
         assert Bitmap.from_wire(a.to_wire()) == a  # and the operands keep their own
 
     def test_wire_size_builds_no_frame(self, rng, monkeypatch):
