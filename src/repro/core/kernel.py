@@ -728,17 +728,28 @@ class StoreKernel:
             shards[j] = data
 
         yield from self._charge_decode(coordinator, shards, metrics)
-        cached = self._degraded_bin_cache.get(block_ids[i])
+        cache = self._degraded_bin_cache
+        cached = cache.get(block_ids[i])
+        siblings: list[str] = []
         if cached is None:
+            # One decode recovers every ungathered data bin: cache them
+            # all, so a read of a sibling bin decodes nothing.
             recovered = decode_stripe(self.config.code, shards, placement.data_sizes)
+            for j in range(k):
+                if shards[j] is None and j != i and block_ids[j] not in cache:
+                    cache[block_ids[j]] = recovered[j]
+                    siblings.append(block_ids[j])
             cached = recovered[i]
-            self._degraded_bin_cache[block_ids[i]] = cached
+            cache[block_ids[i]] = cached
         if self.config.checksum_verify and not intact(cached):
             # The reconstruction itself is wrong: one of the gathered
             # shards was silently corrupt (including, possibly, the
             # target block itself when this path was entered because a
-            # direct read failed its CRC).  Fall back to checksum-guided
+            # direct read failed its CRC), so the siblings that decode
+            # cached are suspect too.  Fall back to checksum-guided
             # recovery over every reachable shard.
+            for bid in siblings:
+                cache.pop(bid)
             if metrics is not None:
                 metrics.checksum_failures += 1
             rebuilt = yield from self._verified_block_recovery(
@@ -746,7 +757,7 @@ class StoreKernel:
             )
             if rebuilt is not None:
                 cached = rebuilt
-                self._degraded_bin_cache[block_ids[i]] = cached
+                cache[block_ids[i]] = cached
         # Anti-entropy read-repair: this foreground read had to
         # reconstruct — queue the stripe for background repair so the
         # damage heals from traffic instead of waiting for a scrub.

@@ -28,40 +28,11 @@ from repro.cluster.overload import BACKGROUND_PRIORITY
 from repro.cluster.simcore import QueueFull
 from repro.core.wal import QuorumLost
 from repro.ec.reed_solomon import CodeParams
-from repro.ec.stripe import DecodeError, decode_stripe, encode_stripe
+from repro.ec.stripe import stripe_codeword
 
 
 class RepairError(RuntimeError):
     """A stripe is damaged beyond what the code can localise or rebuild."""
-
-
-def _codeword(
-    params: CodeParams,
-    shards: list[np.ndarray | None],
-    data_sizes: list[int],
-    erased: frozenset[int],
-) -> list[np.ndarray] | None:
-    """The stripe's n shards when the non-erased ones form a consistent
-    codeword, else ``None``.
-
-    Decodes the stripe with ``erased`` positions treated as lost,
-    re-encodes, and compares every readable non-erased shard against its
-    recomputed value.
-    """
-    trial: list[np.ndarray | None] = [
-        None if (i in erased or s is None) else s for i, s in enumerate(shards)
-    ]
-    try:
-        recovered = decode_stripe(params, trial, data_sizes)
-    except DecodeError:
-        return None
-    expected = encode_stripe(params, recovered).shards()
-    for i, shard in enumerate(trial):
-        if shard is None:
-            continue
-        if not np.array_equal(shard, expected[i]):
-            return None
-    return expected
 
 
 def localise_stripe(
@@ -79,8 +50,8 @@ def localise_stripe(
     codeword.  Corruption is localised by decode trials: each candidate
     subset of readable shards is treated as erased, and the smallest
     subset whose exclusion leaves a consistent codeword is the damage.
-    The second value is that codeword's n shards as the winning trial
-    decoded and re-encoded them: what a repair writes back.
+    The second value is that codeword's n shards
+    (:func:`repro.ec.stripe.stripe_codeword`): what a repair writes back.
 
     Raises :class:`RepairError` when the stripe has lost more positions
     than the code tolerates, or when corruption cannot be localised
@@ -105,7 +76,9 @@ def localise_stripe(
     budget = params.parity - len(missing)
     for r in range(budget + 1):
         for combo in combinations(readable, r):
-            codeword = _codeword(params, shards, data_sizes, frozenset(missing) | frozenset(combo))
+            codeword = stripe_codeword(
+                params, shards, data_sizes, frozenset(missing) | frozenset(combo)
+            )
             if codeword is not None:
                 return missing | set(combo), codeword
     raise RepairError(

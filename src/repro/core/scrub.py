@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.ec.reed_solomon import CodeParams
-from repro.ec.stripe import DecodeError, decode_stripe, encode_stripe
+from repro.ec.stripe import encode_stripe, stripe_codeword
 
 
 @dataclass
@@ -70,7 +70,11 @@ def check_stripe(
     if missing:
         if data_sizes is None or missing > params.parity:
             return "incomplete"
-        if _degraded_stripe_corrupt(params, data_blocks, parity_blocks, data_sizes):
+        # Readable shards that form no codeword: at least one of them is
+        # damaged (which one is isolated at repair time, see
+        # ``repro.core.repair``).
+        shards = list(data_blocks) + list(parity_blocks)
+        if stripe_codeword(params, shards, data_sizes) is None:
             return "corrupt"
         return "incomplete"
     present = [np.ascontiguousarray(b, dtype=np.uint8) for b in data_blocks]
@@ -81,37 +85,3 @@ def check_stripe(
         if not np.array_equal(np.ascontiguousarray(stored, dtype=np.uint8), computed):
             return "corrupt"
     return "ok"
-
-
-def _degraded_stripe_corrupt(
-    params: CodeParams,
-    data_blocks: list[np.ndarray | None],
-    parity_blocks: list[np.ndarray | None],
-    data_sizes: list[int],
-) -> bool:
-    """True when a degraded stripe's *readable* shards are inconsistent.
-
-    Treats the unreadable shards as erasures, reconstructs the stripe
-    from the readable ones, re-encodes, and compares every readable
-    shard against its recomputed value.  Any mismatch means at least one
-    readable shard is damaged (which shard is isolated at repair time,
-    see ``repro.core.repair``).
-    """
-    shards: list[np.ndarray | None] = [
-        None if b is None else np.ascontiguousarray(b, dtype=np.uint8)
-        for b in list(data_blocks) + list(parity_blocks)
-    ]
-    try:
-        recovered = decode_stripe(params, shards, data_sizes)
-    except DecodeError:
-        return False  # cannot reconstruct: stays merely incomplete
-    reencoded = encode_stripe(params, recovered)
-    expected = reencoded.shards()
-    k = params.k
-    for i, shard in enumerate(shards):
-        if shard is None:
-            continue
-        want = expected[i][: data_sizes[i]] if i < k else expected[i]
-        if not np.array_equal(shard, want):
-            return True
-    return False

@@ -12,6 +12,8 @@ matrix construction/inversion, and as bulk helpers (``gf_mul_bytes``,
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 
 #: The irreducible polynomial x^8 + x^4 + x^3 + x^2 + 1 used for reduction.
@@ -125,11 +127,27 @@ def gf_addmul_bytes(acc: np.ndarray, coeff: int, data: np.ndarray) -> None:
 #: little-endian byte *pair* ``v``.  Gathering pairs halves the element
 #: count versus a per-byte ``_MUL`` gather, and packing up to four output
 #: rows per lane-table means one gather feeds four parity shards at once
-#: (XOR lanes never carry into each other).  Encoding matrices contain a
-#: handful of distinct columns, so the cache stays tiny.
-_LANE_TABLES: dict[tuple[int, ...], np.ndarray] = {}
+#: (XOR lanes never carry into each other).  A table is 128-512 KiB, and
+#: while an encoding matrix has a handful of distinct columns, decode's
+#: inverse rows bring new coefficients with almost every erasure pattern
+#: (every RS(14,10) pattern once: 8,066 tables, 3.5 GiB).  So the memo is
+#: an LRU bounded to ``_LANE_TABLE_BYTES``, which holds the encode tables
+#: plus a repair-heavy run's decode patterns (the perf benchmark's
+#: ``degraded_repair``: 106 tables, 23 MiB).
+_LANE_TABLES: OrderedDict[tuple[int, ...], np.ndarray] = OrderedDict()
+
+_LANE_TABLE_BYTES = 48 << 20
 
 _LANE_DTYPES = {1: np.uint16, 2: np.uint32, 3: np.uint64, 4: np.uint64}
+
+#: Row plans of :func:`gf_matmul_blocks`, keyed by coefficient matrix
+#: (shape and bytes).  Its callers pass the code's fixed parity rows
+#: and the inverse rows of each erasure pattern, so a handful of plans
+#: serve every call.  Plans hold lane tables: evicting a table drops every
+#: plan, so no plan pins one; at ``_MAX_PLANS`` the memo starts over.
+_PLANS: dict[tuple[tuple[int, int], bytes], tuple[list, list]] = {}
+
+_MAX_PLANS = 1024
 
 _LITTLE_ENDIAN = np.dtype(np.uint16).newbyteorder("=") == np.dtype("<u2")
 
@@ -143,15 +161,55 @@ _TILE_PAIRS = 1 << 16
 
 def _lane_table(coeffs: tuple[int, ...]) -> np.ndarray:
     table = _LANE_TABLES.get(coeffs)
-    if table is None:
-        dtype = _LANE_DTYPES[len(coeffs)]
-        table = np.zeros(FIELD_SIZE * FIELD_SIZE, dtype=dtype)
-        for lane, coeff in enumerate(coeffs):
-            row = _MUL[coeff].astype(np.uint16)
-            pair = np.tile(row, FIELD_SIZE) | (np.repeat(row, FIELD_SIZE) << 8)
-            table |= pair.astype(dtype) << dtype(16 * lane)
-        _LANE_TABLES[coeffs] = table
+    if table is not None:
+        _LANE_TABLES.move_to_end(coeffs)
+        return table
+    dtype = _LANE_DTYPES[len(coeffs)]
+    table = np.zeros(FIELD_SIZE * FIELD_SIZE, dtype=dtype)
+    for lane, coeff in enumerate(coeffs):
+        row = _MUL[coeff].astype(np.uint16)
+        pair = np.tile(row, FIELD_SIZE) | (np.repeat(row, FIELD_SIZE) << 8)
+        table |= pair.astype(dtype) << dtype(16 * lane)
+    _LANE_TABLES[coeffs] = table
+    held = sum(t.nbytes for t in _LANE_TABLES.values())
+    while held > _LANE_TABLE_BYTES:
+        held -= _LANE_TABLES.popitem(last=False)[1].nbytes
+        _PLANS.clear()
     return table
+
+
+def _matmul_plan(matrix: np.ndarray) -> tuple[list, list]:
+    """The row plan of one coefficient matrix, memoised.
+
+    Rows whose coefficients are all 0/1 (the all-ones Cauchy parity row,
+    identity-derived inverse rows) need no gathers at all, just an XOR of
+    the inputs they select.  The other rows go in groups of up to four
+    lanes, each with one lane table per input shard it reads."""
+    key = (matrix.shape, matrix.tobytes())
+    plan = _PLANS.get(key)
+    if plan is not None:
+        return plan
+    rows = matrix.tolist()
+    dense = [i for i, row in enumerate(rows) if max(row, default=0) > 1]
+    xor_rows = []
+    for i, row in enumerate(rows):
+        if i not in dense:
+            picked = [j for j, c in enumerate(row) if c]
+            # All k inputs (the all-ones row): a view, not a gathered copy.
+            xor_rows.append((i, slice(None) if len(picked) == len(row) else picked))
+    groups = []
+    for base in range(0, len(dense), 4):
+        group = dense[base : base + 4]
+        terms = []
+        for j in range(matrix.shape[1]):
+            coeffs = tuple(rows[i][j] for i in group)
+            if any(coeffs):
+                terms.append((j, _lane_table(coeffs)))
+        groups.append((group, terms))
+    if len(_PLANS) >= _MAX_PLANS:
+        _PLANS.clear()
+    plan = _PLANS[key] = (xor_rows, groups)
+    return plan
 
 
 def gf_matmul_blocks(matrix: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -161,7 +219,9 @@ def gf_matmul_blocks(matrix: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     uint8 matrix whose rows are whole shards.  Returns the ``(r, L)``
     product.  This is the Reed-Solomon inner loop: output rows are
     produced in groups of up to four, each group accumulated with one
-    lane-table gather per input shard over uint16 byte-pairs.
+    lane-table gather per input shard over uint16 byte-pairs.  The row
+    plan is derived once per matrix (:func:`_matmul_plan`), so a call at
+    Fusion's sub-KiB stripe sizes pays for little more than its gathers.
     """
     matrix = np.asarray(matrix, dtype=np.uint8)
     blocks = np.ascontiguousarray(blocks, dtype=np.uint8)
@@ -173,6 +233,7 @@ def gf_matmul_blocks(matrix: np.ndarray, blocks: np.ndarray) -> np.ndarray:
         return np.zeros((r, L), dtype=np.uint8)
     if not _LITTLE_ENDIAN:
         return gf_matmul(matrix, blocks)
+    xor_rows, groups = _matmul_plan(matrix)
     if L & 1:
         work = np.zeros((k, L + 1), dtype=np.uint8)
         work[:, :L] = blocks
@@ -181,49 +242,30 @@ def gf_matmul_blocks(matrix: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     pairs = work.view(np.uint16)
     half = pairs.shape[1]
     out = np.empty((r, half), dtype=np.uint16)
-    # Rows whose coefficients are all 0/1 (the all-ones Cauchy parity row,
-    # identity-derived inverse rows) need no gathers at all — just XOR.
-    xor_rows = [i for i in range(r) if int(matrix[i].max(initial=0)) <= 1]
-    dense_rows = [i for i in range(r) if int(matrix[i].max(initial=0)) > 1]
-    for i in xor_rows:
-        acc16 = np.zeros(half, dtype=np.uint16)
-        for j in range(k):
-            if matrix[i, j]:
-                acc16 ^= pairs[j]
-        out[i] = acc16
-    # Dense rows go in groups of up to 4 lanes; lane tables are resolved
-    # once per (group, shard) up front, then the product runs tile by
-    # tile so tables and accumulators stay cache-resident.  Gather
-    # indices are cast to intp once per shard per tile and shared by
-    # every group (numpy would otherwise re-cast per gather).
-    groups: list[tuple[list[int], list[np.ndarray | None]]] = []
-    for base in range(0, len(dense_rows), 4):
-        group = dense_rows[base : base + 4]
-        tables: list[np.ndarray | None] = []
-        for j in range(k):
-            coeffs = tuple(int(matrix[i, j]) for i in group)
-            tables.append(_lane_table(coeffs) if any(coeffs) else None)
-        groups.append((group, tables))
-    indices: list[np.ndarray | None] = [None] * k
+    for i, sel in xor_rows:
+        if sel:
+            np.bitwise_xor.reduce(pairs[sel], axis=0, out=out[i])
+        else:
+            out[i] = 0
+    # Dense groups run tile by tile so tables and accumulators stay
+    # cache-resident.  Gather indices are cast to intp once per shard per
+    # tile and shared by every group (numpy would otherwise re-cast per
+    # gather); a lane's 16 bits are a uint16 view of the accumulator.
     for lo in range(0, half, _TILE_PAIRS):
         hi = min(lo + _TILE_PAIRS, half)
-        for j in range(k):
-            indices[j] = None
-        for group, tables in groups:
-            acc = np.zeros(hi - lo, dtype=_LANE_DTYPES[len(group)])
-            for j in range(k):
-                table = tables[j]
-                if table is None:
-                    continue
+        indices: list[np.ndarray | None] = [None] * k
+        for group, terms in groups:
+            acc = None
+            for j, table in terms:
                 idx = indices[j]
                 if idx is None:
                     idx = indices[j] = pairs[j, lo:hi].astype(np.intp)
-                acc ^= np.take(table, idx)
-            if len(group) == 1:
-                out[group[0], lo:hi] = acc
-            else:
-                for lane, i in enumerate(group):
-                    out[i, lo:hi] = (acc >> acc.dtype.type(16 * lane)).astype(np.uint16)
+                if acc is None:
+                    acc = table.take(idx)
+                else:
+                    acc ^= table.take(idx)
+            lanes = acc.view(np.uint16).reshape(hi - lo, -1)
+            out[group, lo:hi] = lanes[:, : len(group)].T
     result = out.view(np.uint8)[:, :L]
     return result if result.flags.c_contiguous else np.ascontiguousarray(result)
 

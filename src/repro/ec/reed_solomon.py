@@ -115,6 +115,13 @@ class ReedSolomon:
             self._inversion_cache[rows] = inv
         return inv
 
+    def recover(
+        self, rows: tuple[int, ...], survivors: np.ndarray, missing: list[int]
+    ) -> np.ndarray:
+        """Data rows ``missing`` from ``survivors``, the ``(k, size)``
+        stack of the shards at stripe positions ``rows``."""
+        return gf256.gf_matmul_blocks(self._recovery_matrix(rows)[missing], survivors)
+
     def encode(self, data_blocks: list[np.ndarray] | np.ndarray) -> list[np.ndarray]:
         """Compute the ``n - k`` parity blocks for ``k`` equal-sized blocks.
 
@@ -168,13 +175,12 @@ class ReedSolomon:
             return [np.ascontiguousarray(shards[i], dtype=np.uint8) for i in range(k)]
 
         rows = tuple(present[:k])
-        inv = self._recovery_matrix(rows)
         size = shards[rows[0]].size  # type: ignore[union-attr]
         survivors = np.empty((k, size), dtype=np.uint8)
         for j, shard_idx in enumerate(rows):
             survivors[j] = shards[shard_idx]
         missing = [i for i in range(k) if shards[i] is None]
-        recovered = gf256.gf_matmul_blocks(inv[missing, :], survivors)
+        recovered = self.recover(rows, survivors, missing)
         out: list[np.ndarray] = []
         cursor = 0
         for i in range(k):

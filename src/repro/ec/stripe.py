@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.ec import gf256
 from repro.ec.reed_solomon import CodeParams, DecodeError, get_coder
 
 
@@ -87,12 +88,21 @@ class EncodedStripe:
         return list(self.data_blocks) + list(self.parity_blocks)
 
 
-def _pad_to(block: np.ndarray, size: int) -> np.ndarray:
-    if block.size == size:
-        return block
-    out = np.zeros(size, dtype=np.uint8)
-    out[: block.size] = block
-    return out
+def _solve(
+    params: CodeParams, shards: list[np.ndarray | None], present: list[int], width: int
+) -> tuple[np.ndarray, list[int]]:
+    """The ``(n, width)`` stripe matrix: the ``present`` shards stacked
+    once, zero-padded, with the other data rows recovered from the first
+    ``k`` of them.  Returns it and the recovered rows."""
+    stack = np.zeros((params.n, width), dtype=np.uint8)
+    for i in present:
+        stack[i, : shards[i].size] = shards[i]
+    kept = set(present)
+    lost = [i for i in range(params.k) if i not in kept]
+    if lost:
+        rows = present[: params.k]
+        stack[lost] = get_coder(params).recover(tuple(rows), stack[rows], lost)
+    return stack, lost
 
 
 def encode_stripe(params: CodeParams, data_blocks: list[np.ndarray]) -> EncodedStripe:
@@ -137,22 +147,57 @@ def decode_stripe(
         raise ValueError(f"expected {params.n} shards, got {len(shards)}")
     if len(data_sizes) != params.k:
         raise ValueError(f"expected {params.k} data sizes, got {len(data_sizes)}")
-
-    present_sizes = [s.size for s in shards if s is not None]
-    if not present_sizes:
+    present = [i for i, s in enumerate(shards) if s is not None]
+    if not present:
         raise DecodeError("no surviving shards")
-    max_size = max(max(present_sizes), max(data_sizes))
+    if len(present) < params.k:
+        raise DecodeError(
+            f"unrecoverable stripe: only {len(present)} of {params.n} shards "
+            f"survive but {params.k} are required"
+        )
+    width = max(max(shards[i].size for i in present), max(data_sizes))
+    stack, _lost = _solve(params, shards, present, width)
+    return [stack[i, :size].copy() for i, size in enumerate(data_sizes)]
 
-    padded: list[np.ndarray | None] = []
-    for shard in shards:
-        if shard is None:
-            padded.append(None)
-        else:
-            arr = np.ascontiguousarray(shard, dtype=np.uint8)
-            padded.append(_pad_to(arr, max_size))
 
-    recovered = get_coder(params).decode(padded)
-    return [recovered[i][: data_sizes[i]].copy() for i in range(params.k)]
+def stripe_codeword(
+    params: CodeParams,
+    shards: list[np.ndarray | None],
+    data_sizes: list[int],
+    erased: frozenset[int] = frozenset(),
+) -> list[np.ndarray] | None:
+    """The stripe's ``n`` shards when its readable shards, less the
+    positions in ``erased``, form one consistent codeword; else ``None``.
+
+    ``shards`` holds the ``n`` positions at their true sizes (``None`` =
+    unreadable).  One pass: lost data rows are recovered with the code's
+    memoised inverse rows, parity is recomputed with its fixed parity
+    rows.  There is no codeword when fewer than ``k`` shards are readable,
+    a readable shard has the wrong length, a recovered data row has
+    non-zero bytes past its true size, or a readable parity shard differs
+    from its recomputed value: exactly the stripes a decode, re-encode and
+    compare of every readable shard rejects.  Unreadable and erased
+    positions come back as new arrays (safe to store); the others are the
+    caller's own shards.
+    """
+    k = params.k
+    width = max(data_sizes)
+    readable = [i for i, s in enumerate(shards) if s is not None and i not in erased]
+    if len(readable) < k or any(
+        shards[i].size != (data_sizes[i] if i < k else width) for i in readable
+    ):
+        return None
+    stack, lost = _solve(params, shards, readable, width)
+    if any(stack[i, data_sizes[i] :].any() for i in lost):
+        return None
+    parity = gf256.gf_matmul_blocks(get_coder(params).matrix[k:], stack[:k])
+    if any(not np.array_equal(parity[i - k], stack[i]) for i in readable if i >= k):
+        return None
+    keep = set(readable)
+    return [
+        shards[i] if i in keep else (stack[i, : data_sizes[i]] if i < k else parity[i - k]).copy()
+        for i in range(params.n)
+    ]
 
 
 def fixed_stripe_stats(params: CodeParams, total_bytes: int, block_size: int) -> StripeShapeStats:

@@ -1,11 +1,13 @@
 """GF(2^8) arithmetic: field axioms, table consistency, matrix algebra."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.ec import gf256
+from repro.ec import RS_14_10, decode_stripe, encode_stripe, gf256
 
 elements = st.integers(min_value=0, max_value=255)
 nonzero = st.integers(min_value=1, max_value=255)
@@ -138,3 +140,24 @@ class TestMatrixOps:
         assert (v[:, 0] == 1).all()
         # Row i is powers of i.
         assert v[3, 2] == gf256.gf_mul(3, 3)
+
+
+class TestLaneTableMemo:
+    def test_decoding_every_pattern_stays_bounded(self):
+        """Decode's inverse rows mint lane tables per erasure pattern
+        (every RS(14,10) pattern: 8,066 tables, 3.5 GiB unbounded); the
+        memo stays within 64 MiB, and no plan keeps an evicted table."""
+        rng = np.random.default_rng(14)
+        data = [rng.integers(0, 256, 64, dtype=np.uint8) for _ in range(10)]
+        shards = encode_stripe(RS_14_10, data).shards()
+        for lost in range(1, RS_14_10.parity + 1):
+            for erased in combinations(range(RS_14_10.n), lost):
+                trial = [None if i in erased else s for i, s in enumerate(shards)]
+                recovered = decode_stripe(RS_14_10, trial, [64] * 10)
+                assert all(np.array_equal(r, d) for r, d in zip(recovered, data))
+                held = sum(t.nbytes for t in gf256._LANE_TABLES.values())
+                assert held <= 64 << 20
+        live = {id(t) for t in gf256._LANE_TABLES.values()}
+        for _xor_rows, groups in gf256._PLANS.values():
+            for _group, terms in groups:
+                assert all(id(table) in live for _j, table in terms)
