@@ -131,24 +131,19 @@ def _post_repair_clean(system, victim: int) -> dict:
 
 def _placements_all_in(store, alive: set[int]) -> bool:
     """Every stripe placement and location-map entry names a live node."""
-    stores = [store]
-    fallback = getattr(store, "fallback_store", None)
-    if fallback is not None:
-        stores.append(fallback)
-    for s in stores:
-        for obj in s.objects.values():
-            if hasattr(obj, "location_map"):  # FusionStore object
-                for placement in obj.stripes:
-                    if not set(placement.node_ids) <= alive:
-                        return False
-                for loc in obj.location_map.entries.values():
-                    if loc.node_id not in alive:
-                        return False
-            else:  # BaselineStore object
-                if not set(obj.data_block_nodes.values()) <= alive:
+    for obj in store.objects.values():
+        if hasattr(obj, "location_map"):  # FAC object
+            for placement in obj.stripes:
+                if not set(placement.node_ids) <= alive:
                     return False
-                if not set(obj.parity_block_nodes.values()) <= alive:
+            for loc in obj.location_map.entries.values():
+                if loc.node_id not in alive:
                     return False
+        else:  # fixed-block object
+            if not set(obj.data_block_nodes.values()) <= alive:
+                return False
+            if not set(obj.parity_block_nodes.values()) <= alive:
+                return False
     return True
 
 

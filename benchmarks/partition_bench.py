@@ -156,19 +156,6 @@ def _gray_run_seq(greylist_factor: float, fail_slow: bool):
 # ---------------------------------------------------------------------------
 
 
-def _owning_store(store, name: str):
-    if name in store.objects:
-        return store
-    return store.fallback_store
-
-
-def _meta_holders(sub, name: str) -> tuple[int, ...]:
-    obj = sub.objects[name]
-    if hasattr(obj, "location_map"):
-        return tuple(obj.location_map.replica_nodes)
-    return tuple(obj.replica_nodes)
-
-
 def _max_holder_epoch(cluster, name: str, holders) -> int:
     epochs = [
         replica.epoch
@@ -199,9 +186,8 @@ def _phase_partition() -> dict:
     # holding none of obj00's metadata replicas — so at most one of that
     # object's three holders is reachable from its coordinator and at
     # least one republish is guaranteed to lose quorum.
-    sub0 = _owning_store(store, names[0])
     c0 = cluster.coordinator_for(names[0]).node_id
-    holders0 = set(_meta_holders(sub0, names[0]))
+    holders0 = set(store.objects[names[0]].replica_nodes)
     partner = next(
         nid for nid in range(PARTITION_NODES) if nid != c0 and nid not in holders0
     )
@@ -254,18 +240,16 @@ def _phase_partition() -> dict:
     # meta-replica holders or raise the typed QuorumLost.
     republish_ok = republish_lost = 0
     for name in names:
-        sub = _owning_store(store, name)
         try:
-            sub._republish_meta(sub.objects[name])
+            store._republish_meta(store.objects[name])
             republish_ok += 1
         except QuorumLost:
             republish_lost += 1
     split_brain = sum(
         1
         for name in names
-        for sub in [_owning_store(store, name)]
-        if _max_holder_epoch(cluster, name, _meta_holders(sub, name))
-        > sub.objects[name].meta_epoch
+        if _max_holder_epoch(cluster, name, store.objects[name].replica_nodes)
+        > store.objects[name].meta_epoch
     )
     read_repairs_queued = len(cluster.read_repairs)
 
@@ -279,10 +263,8 @@ def _phase_partition() -> dict:
     fsck_clean = store.fsck().clean
     post_heal_wrong = sum(1 for name in names if store.get(name) != data)
     converged = all(
-        _max_holder_epoch(
-            cluster, name, _meta_holders(_owning_store(store, name), name)
-        )
-        == _owning_store(store, name).objects[name].meta_epoch
+        _max_holder_epoch(cluster, name, store.objects[name].replica_nodes)
+        == store.objects[name].meta_epoch
         for name in names
     )
 

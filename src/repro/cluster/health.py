@@ -4,9 +4,8 @@ The hot path (``repro.core.scatter_gather``) cannot afford to keep
 retrying a node that is clearly gone: after a few consecutive failed ops
 the node is *suspect* and new ops route straight to degraded-read
 reconstruction instead of paying the timeout again.  The tracker is
-owned by the :class:`~repro.cluster.cluster.Cluster` so Fusion, its
-fixed-block fallback store, and the standalone baseline all share one
-view of node health, and it subscribes to the cluster's liveness
+owned by the :class:`~repro.cluster.cluster.Cluster` so every store
+built on the cluster shares one view of node health, and it subscribes to the cluster's liveness
 notifications so an explicit ``fail_node``/``restore_node`` updates it
 without callers polling ``node.alive``.
 

@@ -180,8 +180,8 @@ def install_membership(cluster, config) -> None:
     """Install the membership manager when the knob is on.
 
     No-op with ``membership_enabled`` off (the default) or when a
-    manager is already installed — a FusionStore and its fallback store
-    share one cluster, and the first install wins.
+    manager is already installed — every store built on one cluster
+    calls this, and the first install wins.
     """
     if not getattr(config, "membership_enabled", False):
         return

@@ -109,9 +109,9 @@ class Deadline:
 def arm_deadline(sim: Simulator, config, metrics) -> None:
     """Attach the configured operation deadline to a request's metrics.
 
-    A deadline already present wins: a parent op's remaining budget
-    propagates to delegated work (e.g. FusionStore handing a query to
-    its fixed-block fallback store) instead of being reset.
+    A deadline already present wins: a caller that armed the metrics
+    itself, or reuses them across requests, keeps that budget instead of
+    having it reset.
     """
     if metrics is not None and metrics.deadline is None:
         metrics.deadline = Deadline.from_config(sim, config)
@@ -381,7 +381,7 @@ def install_admission_control(cluster, config) -> None:
     egress pipes of each storage node.  With ``admission_queue_depth``
     at 0 or the ``block`` policy this is a no-op and queues stay
     unbounded (the pre-overload-protection behaviour).  Idempotent, so
-    a store pair sharing one cluster can both install it.
+    every store built on one cluster can install it.
     """
     if config.admission_policy not in ADMISSION_POLICIES:
         raise ValueError(
@@ -409,8 +409,8 @@ def install_circuit_breakers(cluster, config) -> None:
     """Install the per-node breaker board on the cluster when enabled.
 
     No-op with ``breaker_failure_threshold`` at 0 (the default) or when
-    a board is already installed — a FusionStore and its fallback store
-    share one cluster, and the first install wins.
+    a board is already installed — every store built on one cluster
+    calls this, and the first install wins.
     """
     if config.breaker_failure_threshold <= 0 or cluster.breakers is not None:
         return

@@ -10,13 +10,15 @@ footer-based row-group pruning.
 
 Durability and repair (WAL, metadata replicas, degraded reads, scrub,
 rebuild, repair, migration) are the shared :mod:`repro.core.kernel`; this
-module is the fixed-block layout policy on top of it.
+module is the fixed-block layout policy on top of it, which
+:class:`~repro.core.store.FusionStore` inherits for its over-budget objects.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,6 +44,13 @@ __all__ = ["BaselineStore", "ObjectNotFound", "PutReport", "StoredFixedObject"]
 @dataclass
 class StoredFixedObject:
     """Placement record for one object striped into fixed blocks."""
+
+    #: Layout stamp on WAL records, metadata replicas, migration intents
+    #: and read-repair keys.
+    kind: ClassVar[str] = "fixed"
+    #: Fixed cuts ignore chunk boundaries: queries reassemble at the
+    #: coordinator.
+    splits_chunks: ClassVar[bool] = True
 
     name: str
     metadata: FileMetadata
@@ -69,6 +78,20 @@ class StoredFixedObject:
         """Copy for a metadata replica: shares the immutable footer and
         layout, never the stripe records repair mutates."""
         return dataclasses.replace(self, stripes=[p.copy() for p in self.stripes])
+
+    # Layout hooks of the kernel (see its module docstring).
+
+    def locate_block(self, block_index: int) -> tuple[StripePlacement, int]:
+        """The stripe record and position of data block ``block_index``."""
+        k = self.layout.params.k
+        return self.stripes[block_index // k], block_index % k
+
+    def block_moved(self, block_id: str, node_id: int) -> None:
+        """The stripe records are the whole map: nothing else to follow."""
+
+    def dangling_locations(self) -> list[str]:
+        """No map besides the stripe records, so nothing can dangle."""
+        return []
 
     # Read-only views for tests and benches (the store itself indexes
     # ``stripes`` directly and never builds these).
@@ -98,13 +121,7 @@ class StoredFixedObject:
 class BaselineStore(StoreKernel):
     """Fixed-block erasure-coded store with coordinator-side execution."""
 
-    store_kind = "fixed"
     span_label = "baseline"
-
-    def _locate_block(self, obj, block_index: int) -> tuple[StripePlacement, int]:
-        """The stripe record and position of data block ``block_index``."""
-        k = self.config.code.k
-        return obj.stripes[block_index // k], block_index % k
 
     # -- Put -----------------------------------------------------------------
 
@@ -265,7 +282,7 @@ class BaselineStore(StoreKernel):
 
     def _fetch_fragment_op(self, obj, coordinator, block_index, offset, length, query) -> RemoteOp:
         """Op reading one block fragment on its node and shipping it back."""
-        placement, j = self._locate_block(obj, block_index)
+        placement, j = obj.locate_block(block_index)
         node = self.cluster.node(placement.node_ids[j])
         block_id = placement.data_block_ids[j]
 

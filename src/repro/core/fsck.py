@@ -145,64 +145,64 @@ def fsck(store) -> FsckReport:
     referenced: set[str] = set()
     all_names: set[str] = set()
 
-    for sub in store.stores():
-        for name, obj in sorted(sub.objects.items()):
-            report.objects_checked += 1
-            all_names.add(name)
+    for name, obj in sorted(store.objects.items()):
+        report.objects_checked += 1
+        all_names.add(name)
 
-            # Blocks-on-disk leg: every block the stripe records expect
-            # is reachable + intact.
-            for placement in obj.stripes:
-                for nid, bid, _size, want in placement.stored_blocks():
-                    referenced.add(bid)
-                    report.blocks_checked += 1
-                    node = cluster.node(nid)
-                    if not node.alive:
-                        report.unreachable_blocks.append((name, bid))
-                        continue
-                    if not node.has_block(bid):
-                        report.missing_blocks.append((name, bid))
-                        continue
-                    if want and sub.config.checksum_verify:
-                        if chunk_checksum(node.peek_block(bid)) != want:
-                            report.checksum_mismatches.append((name, bid))
-
-            # Location-map leg (a layout hook: the fixed store's stripe
-            # records *are* its map and were walked above).
-            report.dangling_locations.extend(
-                (name, problem) for problem in sub._dangling_locations(obj)
-            )
-
-            # Metadata-replica leg: a quorum of alive holders must carry
-            # the current epoch.
-            replicas = obj.replica_nodes
-            kind = sub.store_kind
-            fresh = 0
-            for nid in replicas:
+        # Blocks-on-disk leg: every block the stripe records expect is
+        # reachable + intact.
+        for placement in obj.stripes:
+            for nid, bid, _size, want in placement.stored_blocks():
+                referenced.add(bid)
+                report.blocks_checked += 1
                 node = cluster.node(nid)
                 if not node.alive:
+                    report.unreachable_blocks.append((name, bid))
                     continue
-                rep = node.get_meta(name)
-                if rep is None or rep.store_kind != kind:
+                if not node.has_block(bid):
+                    report.missing_blocks.append((name, bid))
                     continue
-                if rep.epoch == obj.meta_epoch:
-                    fresh += 1
-                else:
-                    report.stale_replicas.append((name, nid))
-            if replicas and fresh < len(replicas) // 2 + 1:
-                report.under_replicated.append(name)
+                if want and store.config.checksum_verify:
+                    if chunk_checksum(node.peek_block(bid)) != want:
+                        report.checksum_mismatches.append((name, bid))
+
+        # Location-map leg (a layout hook: a fixed object's stripe
+        # records *are* its map and were walked above).
+        report.dangling_locations.extend(
+            (name, problem) for problem in obj.dangling_locations()
+        )
+
+        # Metadata-replica leg: a quorum of alive holders must carry the
+        # current epoch.
+        replicas = obj.replica_nodes
+        fresh = 0
+        for nid in replicas:
+            node = cluster.node(nid)
+            if not node.alive:
+                continue
+            rep = node.get_meta(name)
+            if rep is None or rep.store_kind != obj.kind:
+                continue
+            if rep.epoch == obj.meta_epoch:
+                fresh += 1
+            else:
+                report.stale_replicas.append((name, nid))
+        if replicas and fresh < len(replicas) // 2 + 1:
+            report.under_replicated.append(name)
 
     # WAL leg: unresolved operations and committed-but-invisible puts.
+    # One namespace, one timeline: the last operation on a name decides,
+    # whichever layout each operation used.
     records = cluster.wal_records()
     pending = pending_operations(records)
     report.pending_ops = sorted(pending)
     intents = {r.op_id: r for r in records if r.phase == "intent"}
     committed = {r.op_id for r in records if r.phase == "commit"}
-    last_by_object: dict[tuple[str, str], WalRecord] = {}
+    last_by_object: dict[str, WalRecord] = {}
     for op_id in sorted(intents):
         rec = intents[op_id]
-        last_by_object[(rec.store_kind, rec.object_name)] = rec
-    for (_kind, name), rec in sorted(last_by_object.items()):
+        last_by_object[rec.object_name] = rec
+    for name, rec in sorted(last_by_object.items()):
         if rec.op == "put" and rec.op_id in committed and name not in all_names:
             report.unapplied_commits.append(name)
 
@@ -216,7 +216,7 @@ def fsck(store) -> FsckReport:
     }
     explained_meta = all_names | {
         name
-        for (_kind, name), rec in last_by_object.items()
+        for name, rec in last_by_object.items()
         if rec.op_id in pending or name in report.unapplied_commits
     }
     for node in cluster.nodes:
@@ -300,19 +300,16 @@ def recover(store) -> RecoveryReport:
     resolved = {r.op_id for r in records if r.phase in ("commit", "abort")}
     committed = {r.op_id for r in records if r.phase == "commit"}
 
-    # The last operation on each object decides its final state; older
-    # unresolved intents were superseded (their blocks now belong to the
-    # newer incarnation) and are only marked resolved.
-    by_object: dict[tuple[str, str], list[WalRecord]] = {}
+    # The last operation on each name decides its final state, whichever
+    # layout each operation used; older unresolved intents were
+    # superseded (their blocks now belong to the newer incarnation) and
+    # are only marked resolved.
+    by_object: dict[str, list[WalRecord]] = {}
     for op_id in sorted(intents):
         rec = intents[op_id]
-        by_object.setdefault((rec.store_kind, rec.object_name), []).append(rec)
+        by_object.setdefault(rec.object_name, []).append(rec)
 
-    owners = {sub.store_kind: sub for sub in store.stores()}
-    for (kind, name), ops in sorted(by_object.items()):
-        target = owners.get(kind)  # None: a kind this store does not manage
-        if target is None:
-            continue
+    for name, ops in sorted(by_object.items()):
         last = ops[-1]
         for rec in ops[:-1]:
             if rec.op_id not in resolved:
@@ -321,10 +318,12 @@ def recover(store) -> RecoveryReport:
 
         if last.op == "put":
             if last.op_id in committed:
-                if name not in target.objects:
-                    replica = _quorum_read(cluster, kind, name, last.replica_nodes)
+                if name not in store.objects:
+                    replica = _quorum_read(
+                        cluster, last.store_kind, name, last.replica_nodes
+                    )
                     if replica is not None:
-                        target._install_from_replica(replica)
+                        store._install_from_replica(replica)
                         report.rolled_forward.append(name)
                     else:
                         report.lost_objects.append(name)
@@ -338,8 +337,8 @@ def recover(store) -> RecoveryReport:
                     node = cluster.node(nid)
                     if node.alive:
                         node.drop_meta(name)
-                target.objects.pop(name, None)
-                target._invalidate_object_caches(name)
+                store.objects.pop(name, None)
+                store._invalidate_object_caches(name)
                 _log_outcome(store, cluster, last, "abort")
                 report.rolled_back.append(name)
         else:  # delete: a logged intent is durable -> redo (idempotent)
@@ -347,9 +346,9 @@ def recover(store) -> RecoveryReport:
                 pass  # explicitly aborted: nothing to redo
             else:
                 incomplete = last.op_id not in committed
-                if name in target.objects:
-                    del target.objects[name]
-                    target._invalidate_object_caches(name)
+                if name in store.objects:
+                    del store.objects[name]
+                    store._invalidate_object_caches(name)
                 for nid in last.replica_nodes:
                     node = cluster.node(nid)
                     if node.alive:
@@ -374,9 +373,8 @@ def recover(store) -> RecoveryReport:
     # still carry stale lower-epoch snapshots that a later quorum read
     # could only outvote, not erase; pushing the newest snapshot here
     # makes recover() idempotent against re-partitioning.
-    for sub in store.stores():
-        for name in sorted(sub.objects):
-            report.meta_replicas_synced += sub._sync_meta_replicas(sub.objects[name])
+    for name in sorted(store.objects):
+        report.meta_replicas_synced += store._sync_meta_replicas(store.objects[name])
 
     report.wall_seconds = time.perf_counter() - started
     if cluster.sim.tracer is not None:

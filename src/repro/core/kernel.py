@@ -11,27 +11,35 @@ metadata-replica publish (quorum-guarded) and anti-entropy, scrub, the
 degraded read's gather-rank-fetch-decode, checksum-guided recovery, node
 rebuild, stripe repair, stripe migration, fsck and WAL recovery.
 
-A store built on the kernel supplies what is genuinely its own policy -
-``_put_body`` (FAC bins vs. fixed cuts), ``_get_body`` and
-``_query_body`` with their fetch / pushdown ops - and a short list of
-layout hooks:
+The layout is a property of the stored object, not of the store: one
+store holds one namespace, and a Fusion store's over-budget objects sit
+in it as fixed-layout objects beside its FAC ones.  What depends on the
+layout is therefore asked of the object:
 
-* :attr:`StoreKernel.store_kind` / :attr:`StoreKernel.span_label` - the
-  stamp on WAL records, metadata replicas, migration intents and
-  read-repair keys, and the ``store=`` label of tracer spans;
-* ``_locate_block(obj, handle)`` - the stripe record and position behind
-  the store's read handle (Fusion: a block id; fixed: a block index);
+* ``kind`` - ``"fac"`` or ``"fixed"``, the stamp on WAL records,
+  metadata replicas, migration intents and read-repair keys;
+* ``splits_chunks`` - may a column chunk cross a block boundary (fixed
+  cuts) or does each live whole in one bin (FAC)?  Split means
+  reassemble at the coordinator, whole means push down;
+* ``locate_block(handle)`` - the stripe record and position behind the
+  layout's read handle (FAC: a block id; fixed: a block index);
+* ``block_moved(block_id, node_id)`` - FAC rewrites its ``LocationMap``
+  entries, the fixed layout has nothing to follow;
+* ``dangling_locations()`` - fsck's location-map leg (empty for fixed);
+* ``snapshot()`` and ``replica_nodes`` - the deep copy a metadata
+  replica holds, and where the replicas live.
+
+A store built on the kernel supplies its own policy - ``_put_body`` (FAC
+bins vs. fixed cuts), ``_get_body`` and ``_query_body`` with their
+fetch / pushdown ops - plus the hooks that touch its caches:
+
+* :attr:`StoreKernel.span_label` - the ``store=`` label of tracer spans;
 * ``_invalidate_block(obj, placement, i)`` - drop what was decoded from
   a rewritten or moved block;
-* ``_block_moved(obj, block_id, node_id)`` - Fusion rewrites its
-  ``LocationMap`` entries, the fixed layout has nothing to follow;
-* ``_dangling_locations(obj)`` - fsck's location-map leg (Fusion only);
 * ``_invalidate_object_caches(name)`` - Fusion extends it with its
   page-index cache;
-* ``snapshot()`` and ``replica_nodes`` on the stored object - the deep
-  copy a metadata replica holds, and where the replicas live;
 * the ``intact`` callable handed to :meth:`StoreKernel._degraded_block_read`
-  - the end-to-end check of what was just reconstructed (Fusion: the
+  - the end-to-end check of what was just reconstructed (FAC: the
   chunk's CRC; fixed: the block's).
 
 Two orderings the former twin implementations disagreed on, one rule
@@ -172,8 +180,6 @@ _EMPTY = np.zeros(0, dtype=np.uint8)
 class StoreKernel:
     """What :class:`FusionStore` and :class:`BaselineStore` share."""
 
-    #: "fac" | "fixed" (see the module docstring).
-    store_kind = ""
     #: ``store=`` label on this store's tracer spans.
     span_label = ""
 
@@ -181,13 +187,9 @@ class StoreKernel:
         self.cluster = cluster
         self.config = config or StoreConfig()
         self.sim = cluster.sim
+        #: name -> stored object, whatever its layout.
         self.objects: dict = {}
-        #: A second kernel store holding the objects this one routed
-        #: away (FusionStore's fixed-block fallback); None otherwise.
-        self.fallback_store: StoreKernel | None = None
-        # Put/Delete write-ahead log.  A store serving as another's
-        # fallback has this overwritten with its owner's writer so both
-        # share one op-id space.
+        # Put/Delete write-ahead log.
         self.wal = WalWriter(cluster, self.config.wal_enabled)
         # Decoded-value memoisation: chunks are immutable once Put, and
         # simulated decode time is charged independently, so re-decoding
@@ -219,7 +221,7 @@ class StoreKernel:
             cluster.metrics.registry = MetricsRegistry()
         self.audit = PushdownAuditLog(self.sim, self.config.pushdown_audit_enabled)
         # The planes below are all no-ops at their default knobs and
-        # idempotent, so a store and its fallback share one cluster.
+        # idempotent: the first store on a cluster installs them.
         # Overload protection: bound the node service queues and install
         # the per-node circuit breakers (depth 0 / threshold 0 = off).
         install_admission_control(cluster, self.config)
@@ -233,16 +235,6 @@ class StoreKernel:
         # scraper rides the kernel's clock-listener hook (observe-only,
         # never schedules events).
         install_telemetry(cluster, self.config)
-
-    def stores(self) -> list["StoreKernel"]:
-        """This store plus its fixed-block fallback, when it has one:
-        everything fsck, recovery, repair and rebalance must cover."""
-        return [self] if self.fallback_store is None else [self, self.fallback_store]
-
-    def _delegate(self, name: str) -> "StoreKernel | None":
-        """The fallback store, when it is the one holding ``name``."""
-        fallback = self.fallback_store
-        return fallback if fallback is not None and name in fallback.objects else None
 
     def _on_liveness(self, node_id: int, alive: bool) -> None:
         """A node's liveness changed: cached reconstructions may describe
@@ -279,7 +271,7 @@ class StoreKernel:
         :meth:`_usable` fails, so fault-free runs never pay the scan.
         """
         try:
-            placement, _ = self._locate_block(obj, handle)
+            placement, _ = obj.locate_block(handle)
         except KeyError:
             return False
         usable = sum(
@@ -294,16 +286,6 @@ class StoreKernel:
         self._decode_cache.evict_where(lambda key: key[0] == name)
         # Block ids are "<name>/b<i>" or "<name>/s<i>/<d|p><j>".
         self._degraded_bin_cache.evict_where(lambda bid: bid.startswith(name + "/"))
-
-    def _block_moved(self, obj, block_id: str, node_id: int) -> None:
-        """Layout hook: stripe position ``block_id`` now lives on
-        ``node_id``.  The stripe record is already updated; a layout with
-        a finer-grained map overrides this to follow."""
-
-    def _dangling_locations(self, obj) -> list[str]:
-        """Layout hook for fsck: inconsistencies between the layout's own
-        map and the stripe records (the fixed layout has no other map)."""
-        return []
 
     # -- Put / Get / Query: run-the-sim and admission wrappers -------------------
 
@@ -374,7 +356,7 @@ class StoreKernel:
             seq=0,
             phase="intent",
             op=op,
-            store_kind=self.store_kind,
+            store_kind=obj.kind,
             object_name=obj.name,
             blocks=tuple((nid, bid) for nid, bid, _size, _crc in stored),
             block_sizes=tuple(size for _nid, _bid, size, _crc in stored),
@@ -466,9 +448,7 @@ class StoreKernel:
         ``tenant`` stamps the metrics and charges the query against that
         tenant's quota buckets before any device work; an over-quota
         request is refused with a typed QuotaExceeded (``reject``) or
-        demoted to the background lane (``demote``).  Delegations to the
-        fallback store pass the already-stamped metrics, never the
-        tenant kwarg, so a query is charged exactly once.
+        demoted to the background lane (``demote``).
         """
         query = parse(sql) if isinstance(sql, str) else sql
         if tenant is not None:
@@ -480,10 +460,6 @@ class StoreKernel:
                 except QuotaExceeded:
                     fail_query(self.cluster, metrics, quota=True)
                     raise
-        fallback = self._delegate(query.table)
-        if fallback is not None:
-            result = yield from fallback.query_process(query, metrics)
-            return result
         arm_deadline(self.sim, self.config, metrics)
         try:
             result = yield from traced(
@@ -528,7 +504,7 @@ class StoreKernel:
         return MetaReplica(
             object_name=obj.name,
             epoch=obj.meta_epoch,
-            store_kind=self.store_kind,
+            store_kind=obj.kind,
             payload={"object": obj.snapshot()},
         )
 
@@ -589,7 +565,7 @@ class StoreKernel:
             existing = node.get_meta(obj.name)
             if (
                 existing is not None
-                and existing.store_kind == self.store_kind
+                and existing.store_kind == obj.kind
                 and existing.epoch >= obj.meta_epoch
             ):
                 continue
@@ -763,7 +739,7 @@ class StoreKernel:
         # damage heals from traffic instead of waiting for a scrub.
         if self.config.read_repair_enabled:
             self.cluster.enqueue_read_repair(
-                self, self.store_kind, obj.name, placement.stripe_id
+                self, obj.kind, obj.name, placement.stripe_id
             )
         return cached
 
@@ -798,9 +774,6 @@ class StoreKernel:
         logged the delete is durable: recovery *redoes* it (every stage
         is idempotent).  Metadata-plane operation: no simulated data
         movement, exactly as in the seed."""
-        fallback = self._delegate(name)
-        if fallback is not None:
-            return fallback.delete(name)
         obj = self._lookup(name)
         coordinator = self.cluster.coordinator_for(name)
         intent = self._log_intent(coordinator, "delete", obj)
@@ -833,10 +806,6 @@ class StoreKernel:
         return self._run(self.verify_object_process(name))
 
     def verify_object_process(self, name: str):
-        fallback = self._delegate(name)
-        if fallback is not None:
-            report = yield from fallback.verify_object_process(name)
-            return report
         report = yield from traced(
             self.sim, self._verify_object_body(name), "scrub", "store",
             obj=name, store=self.span_label,
@@ -899,8 +868,6 @@ class StoreKernel:
                 yield from self._rebuild_stripe(obj, placement, lost, metrics)
             if touched:
                 self._republish_meta(obj)
-        if self.fallback_store is not None:
-            rebuilt += yield from self.fallback_store.recover_node_process(node_id, metrics)
         return rebuilt
 
     def _pick_rescue_node(
@@ -978,7 +945,7 @@ class StoreKernel:
         """Point the placement (and whatever finer map the layout keeps)
         at the node now holding stripe position ``i``."""
         placement.node_ids[i] = node_id
-        self._block_moved(obj, placement.block_ids[i], node_id)
+        obj.block_moved(placement.block_ids[i], node_id)
 
     def repair_stripe_process(
         self, name: str, stripe_id: int, metrics: QueryMetrics | None = None
@@ -1080,7 +1047,7 @@ class StoreKernel:
         copied: list[tuple[int, str, int, int, MigrationEntry]] = []
         for i, bid, src, dst in moves:
             entry = MigrationEntry(
-                block_id=bid, object_name=name, store_kind=self.store_kind,
+                block_id=bid, object_name=name, store_kind=obj.kind,
                 stripe_id=stripe_id, position=i, src=src, dst=dst,
             )
             self.cluster.migrations[bid] = entry
@@ -1175,8 +1142,8 @@ class StoreKernel:
     # -- Consistency ------------------------------------------------------------
 
     def fsck(self) -> FsckReport:
-        """Cluster-wide invariant check over this store and its fixed
-        fallback: blocks on disk vs stripe records vs metadata replicas,
+        """Cluster-wide invariant check over this store's objects, every
+        layout: blocks on disk vs stripe records vs metadata replicas,
         plus block checksums and pending WAL operations.  Metadata-
         plane: runs outside the simulation (see :mod:`repro.core.fsck`)."""
         return run_fsck(self)
@@ -1199,7 +1166,4 @@ class StoreKernel:
     def object_plan(self, sql: str | Query) -> PhysicalPlan:
         """Plan a query against a stored object's schema (no execution)."""
         query = parse(sql) if isinstance(sql, str) else sql
-        fallback = self._delegate(query.table)
-        if fallback is not None:
-            return fallback.object_plan(query)
         return make_plan(query, self._lookup(query.table).metadata.schema)

@@ -3,9 +3,9 @@
 The repair twin for *deliberate* topology change.  When membership
 shifts (a node joins or drains), existing stripe placements no longer
 match what the consistent-hash ring would choose today; the
-:class:`Rebalancer` walks every stripe of every object (in the wrapped
-store and its fixed-block fallback), recomputes the ring targets, and
-asks the owning store to migrate each mismatched position.
+:class:`Rebalancer` walks every stripe of every object in the wrapped
+store (whatever its layout), recomputes the ring targets, and asks the
+store to migrate each mismatched position.
 
 Migration is per-stripe **copy-then-republish-then-GC**, so reads are
 never wrong mid-flight:
@@ -117,13 +117,13 @@ def resolve_pending_migrations(store) -> int:
     reporting it as pending rather than losing track of the copy.
     """
     cluster = store.cluster
-    stores = {sub.store_kind: sub for sub in store.stores()}
     resolved = 0
     for bid, entry in sorted(cluster.migrations.items()):
-        owner = stores.get(entry.store_kind)
-        if owner is None or entry.object_name not in owner.objects:
-            # The object vanished (deleted / rolled back) mid-move: the
-            # WAL path GC'd its blocks; just clear the intent.
+        obj = store.objects.get(entry.object_name)
+        if obj is None or obj.kind != entry.store_kind:
+            # The object vanished (deleted / rolled back, or its name now
+            # holds a new incarnation) mid-move: the WAL path GC'd its
+            # blocks; just clear the intent.
             del cluster.migrations[bid]
             resolved += 1
             continue
@@ -153,8 +153,7 @@ class Rebalancer:
     """Migrates every managed object to its current ring placement.
 
     Wraps one store exactly like :class:`~repro.core.repair.RepairManager`
-    does — for a ``FusionStore`` the fixed-block fallback's objects are
-    covered too.  Requires an installed membership manager
+    does.  Requires an installed membership manager
     (``StoreConfig.membership_enabled``).
     """
 
@@ -188,45 +187,43 @@ class Rebalancer:
             else None
         )
         report.pending_resolved = resolve_pending_migrations(self.store)
+        store = self.store
         n = self.config.code.n
         touched: set[str] = set()
-        for store in self.store.stores():
-            for name in sorted(store.objects):
-                obj = store.objects.get(name)
-                if obj is None:
-                    continue  # deleted while this run was in flight
-                for sid in store.stripes_of(name):
-                    targets = membership.placement_for(
-                        stripe_placement_key(name, sid), n
+        for name in sorted(store.objects):
+            obj = store.objects.get(name)
+            if obj is None:
+                continue  # deleted while this run was in flight
+            for sid in store.stripes_of(name):
+                targets = membership.placement_for(stripe_placement_key(name, sid), n)
+                report.stripes_examined += 1
+                try:
+                    moved = yield from store.migrate_stripe_process(
+                        name, sid, targets, metrics
                     )
-                    report.stripes_examined += 1
-                    try:
-                        moved = yield from store.migrate_stripe_process(
-                            name, sid, targets, metrics
-                        )
-                    except QueueFull:
-                        # Too busy to admit background migration traffic:
-                        # leave the stripe for a later run.
-                        report.stripes_deferred += 1
-                        metrics.requests_shed += 1
-                        yield from self._throttle(metrics, report.started)
-                        continue
-                    except QuorumLost:
-                        # Partition strands this coordinator with a
-                        # minority of the object's meta-replica holders:
-                        # migrating now would republish a minority-epoch
-                        # snapshot.  Defer to a post-heal run.
-                        report.stripes_deferred += 1
-                        yield from self._throttle(metrics, report.started)
-                        continue
-                    if moved:
-                        report.stripes_migrated += 1
-                        report.blocks_moved += moved
-                        touched.add(name)
+                except QueueFull:
+                    # Too busy to admit background migration traffic:
+                    # leave the stripe for a later run.
+                    report.stripes_deferred += 1
+                    metrics.requests_shed += 1
                     yield from self._throttle(metrics, report.started)
-                if self._migrate_meta(store, obj):
-                    report.meta_moved += 1
+                    continue
+                except QuorumLost:
+                    # Partition strands this coordinator with a minority
+                    # of the object's meta-replica holders: migrating now
+                    # would republish a minority-epoch snapshot.  Defer
+                    # to a post-heal run.
+                    report.stripes_deferred += 1
+                    yield from self._throttle(metrics, report.started)
+                    continue
+                if moved:
+                    report.stripes_migrated += 1
+                    report.blocks_moved += moved
                     touched.add(name)
+                yield from self._throttle(metrics, report.started)
+            if self._migrate_meta(obj):
+                report.meta_moved += 1
+                touched.add(name)
         report.objects = sorted(touched)
         report.rebalance_bytes = metrics.network_bytes
         report.finished = self.sim.now
@@ -249,17 +246,14 @@ class Rebalancer:
         membership = self.cluster.membership
         n = self.config.code.n
         wrong: list[tuple[str, int, int]] = []
-        for store in self.store.stores():
-            for name in sorted(store.objects):
-                for sid in store.stripes_of(name):
-                    targets = membership.placement_for(
-                        stripe_placement_key(name, sid), n
-                    )
-                    current = store.objects[name].stripes[sid].node_ids
-                    for i, nid in enumerate(current):
-                        # None: a position the layout never gave a home.
-                        if nid is not None and nid != targets[i]:
-                            wrong.append((name, sid, i))
+        for name, obj in sorted(self.store.objects.items()):
+            for placement in obj.stripes:
+                sid = placement.stripe_id
+                targets = membership.placement_for(stripe_placement_key(name, sid), n)
+                for i, nid in enumerate(placement.node_ids):
+                    # None: a position the layout never gave a home.
+                    if nid is not None and nid != targets[i]:
+                        wrong.append((name, sid, i))
         return wrong
 
     def converged(self) -> bool:
@@ -268,15 +262,11 @@ class Rebalancer:
         if self.cluster.migrations or self.misplaced():
             return False
         active = set(self.cluster.membership.active_members())
-        for store in self.store.stores():
-            for obj in store.objects.values():
-                if not set(obj.replica_nodes) <= active:
-                    return False
-        return True
+        return all(set(obj.replica_nodes) <= active for obj in self.store.objects.values())
 
     # -- internals --------------------------------------------------------
 
-    def _migrate_meta(self, store, obj) -> bool:
+    def _migrate_meta(self, obj) -> bool:
         """Move the object's metadata replica set off non-active nodes.
 
         Metadata-plane, like repair's republish: replica maps are tiny
@@ -293,7 +283,7 @@ class Rebalancer:
         obj.replica_nodes = new
         # Republish bumps the epoch, writes the fresh snapshot to the new
         # holders, and invalidates the store's per-object caches.
-        store._republish_meta(obj)
+        self.store._republish_meta(obj)
         for nid in set(current) - set(new):
             node = self.cluster.node(nid)
             if node.alive:

@@ -2,7 +2,7 @@
 
 The :class:`RepairManager` is the control loop between failure detection
 and durability: it consumes scrub reports (``verify_object``) and node
-failures, asks the owning store to repair each damaged stripe via
+failures, asks the store to repair each damaged stripe via
 EC reconstruction (``repair_stripe_process`` on either store), and
 accounts the traffic separately from query traffic — repair bytes land
 in ``ClusterMetrics.repair_bytes`` via :meth:`ClusterMetrics.record_repair`,
@@ -123,10 +123,8 @@ class RepairReport:
 class RepairManager:
     """Consumes scrub reports and node failures; rebuilds onto live nodes.
 
-    Wraps one store (``FusionStore`` or ``BaselineStore``).  For a
-    ``FusionStore`` the manager also covers objects the store routed to
-    its fixed-block fallback, so one manager repairs everything reachable
-    through the store it was built for.
+    Wraps one store (``FusionStore`` or ``BaselineStore``) and repairs
+    every object in it, whatever the object's layout.
     """
 
     def __init__(self, store) -> None:
@@ -142,12 +140,7 @@ class RepairManager:
         return self.store._run(self.repair_node_process(node_id))
 
     def repair_node_process(self, node_id: int):
-        targets = [
-            (store, name, sid)
-            for store in self.store.stores()
-            for name, sid in store.stripes_on_node(node_id)
-        ]
-        report = yield from self._repair_targets(targets)
+        report = yield from self._repair_targets(self.store.stripes_on_node(node_id))
         return report
 
     def repair_from_scrub(self, scrub_report) -> RepairReport:
@@ -155,17 +148,11 @@ class RepairManager:
         return self.store._run(self.repair_from_scrub_process(scrub_report))
 
     def repair_from_scrub_process(self, scrub_report):
-        targets = []
-        try:
-            store = self._store_for(scrub_report.object_name)
-        except KeyError:
-            pass  # deleted since the scrub ran: nothing left to repair
-        else:
-            damaged = sorted(
-                set(scrub_report.corrupt_stripes) | set(scrub_report.incomplete_stripes)
-            )
-            targets = [(store, scrub_report.object_name, sid) for sid in damaged]
-        report = yield from self._repair_targets(targets)
+        name = scrub_report.object_name
+        damaged: set[int] = set()
+        if name in self.store.objects:  # else deleted since the scrub ran
+            damaged = set(scrub_report.corrupt_stripes) | set(scrub_report.incomplete_stripes)
+        report = yield from self._repair_targets([(name, sid) for sid in sorted(damaged)])
         return report
 
     def repair_object(self, name: str) -> RepairReport:
@@ -173,13 +160,8 @@ class RepairManager:
         return self.store._run(self.repair_object_process(name))
 
     def repair_object_process(self, name: str):
-        targets = []
-        try:
-            store = self._store_for(name)
-        except KeyError:
-            pass  # deleted since repair was requested
-        else:
-            targets = [(store, name, sid) for sid in store.stripes_of(name)]
+        obj = self.store.objects.get(name)  # None: deleted since requested
+        targets = [] if obj is None else [(name, p.stripe_id) for p in obj.stripes]
         report = yield from self._repair_targets(targets)
         return report
 
@@ -196,26 +178,19 @@ class RepairManager:
 
     def repair_read_reported_process(self):
         queue = self.cluster.read_repairs
-        managed = set(self.store.stores())
         targets = []
         for (kind, name, sid), store in list(queue.items()):
-            if store not in managed:
-                continue  # another store pair's stripe; leave it queued
+            if store is not self.store:
+                continue  # another store's stripe; leave it queued
             del queue[(kind, name, sid)]
-            targets.append((store, name, sid))
+            targets.append((name, sid))
         report = yield from self._repair_targets(targets, accounting="read_repair")
         return report
 
     # -- internals --------------------------------------------------------
 
-    def _store_for(self, name: str):
-        for store in self.store.stores():
-            if name in store.objects:
-                return store
-        raise KeyError(f"no object named {name!r} in any managed store")
-
     def _repair_targets(self, targets, accounting: str = "repair"):
-        """Process: repair each (store, object, stripe) target in order.
+        """Process: repair each (object, stripe) target in order.
 
         One :class:`QueryMetrics` accumulates the whole run's traffic;
         it is *never* passed to ``record_query``, so repair bytes stay
@@ -235,8 +210,9 @@ class RepairManager:
             if tracer is not None
             else None
         )
+        store = self.store
         touched: set[str] = set()
-        for store, name, sid in targets:
+        for name, sid in targets:
             if name not in store.objects:
                 # Deleted (or crash-rolled-back) between scheduling and
                 # execution: nothing to repair, and looking it up would

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from repro.core.cache import LruDict
 from repro.core.config import OP_REQUEST_BYTES, SCALAR_RESULT_BYTES, StoreConfig
 from repro.core.cost_model import PushdownCostEstimator
 from repro.core.fac import construct_stripes
-from repro.core.kernel import PutReport, StoreKernel, StripePlacement
+from repro.core.kernel import PutReport, StripePlacement
 from repro.core.scatter_gather import SHED, RemoteOp, execute_remote_ops
 from repro.core.layout import ChunkItem, StripeLayout
 from repro.core.location_map import ChecksumError, ChunkLocation, LocationMap, chunk_checksum
@@ -54,6 +55,12 @@ __all__ = ["FusionStore", "StoredFusionObject", "StripePlacement"]
 @dataclass
 class StoredFusionObject:
     """Everything Fusion remembers about one object."""
+
+    #: Layout stamp on WAL records, metadata replicas, migration intents
+    #: and read-repair keys.
+    kind: ClassVar[str] = "fac"
+    #: Every chunk lives whole in one bin: queries push down per chunk.
+    splits_chunks: ClassVar[bool] = False
 
     name: str
     metadata: FileMetadata
@@ -90,23 +97,56 @@ class StoredFusionObject:
             stripes=[p.copy() for p in self.stripes],
         )
 
+    # Layout hooks of the kernel (see its module docstring).
 
-class FusionStore(StoreKernel):
-    """The Fusion analytics object store."""
+    def locate_block(self, block_id: str) -> tuple[StripePlacement, int]:
+        """The stripe record and bin index holding ``block_id``."""
+        for placement in self.stripes:
+            if block_id in placement.data_block_ids:
+                return placement, placement.data_block_ids.index(block_id)
+        raise KeyError(f"object {self.name!r} has no data block {block_id!r}")
 
-    store_kind = "fac"
+    def block_moved(self, block_id: str, node_id: int) -> None:
+        """Point the location-map entries of a moved data bin at the node
+        now holding it (parity ids match no entry)."""
+        entries = self.location_map.entries
+        for key, loc in list(entries.items()):
+            if loc.block_id == block_id:
+                entries[key] = dataclasses.replace(loc, node_id=node_id)
+
+    def dangling_locations(self) -> list[str]:
+        """fsck's location-map leg: entries inconsistent with the stripe
+        record they cite."""
+        data_place: dict[str, tuple[int, int]] = {}
+        for p in self.stripes:
+            for j, bid in enumerate(p.data_block_ids):
+                data_place[bid] = (p.node_ids[j], p.data_sizes[j])
+        problems = []
+        for key, loc in sorted(self.location_map.entries.items()):
+            place = data_place.get(loc.block_id)
+            if place is None:
+                problems.append(f"chunk {key} cites unknown block {loc.block_id}")
+                continue
+            nid, size = place
+            if loc.node_id != nid:
+                problems.append(
+                    f"chunk {key} points at node {loc.node_id}; block lives on {nid}"
+                )
+            elif loc.offset_in_block + loc.size > size:
+                problems.append(f"chunk {key} range exceeds block {loc.block_id}")
+        return problems
+
+
+class FusionStore(BaselineStore):
+    """The Fusion analytics object store: a :class:`BaselineStore` whose
+    Put tries FAC first.  An object it codes in fixed blocks instead
+    (paper 4.2) takes the inherited Get and Query (``obj.splits_chunks``)."""
+
     span_label = "fusion"
 
     def __init__(self, cluster: Cluster, config: StoreConfig | None = None) -> None:
         super().__init__(cluster, config)
         self.estimator = PushdownCostEstimator(self.config.pushdown_mode)
-        # Objects whose FAC layout blew the storage budget fall back to
-        # fixed-block coding and baseline-style execution.  One WAL op-id
-        # space and one audit log across both stores: fused and fallback
-        # operations interleave in the same cluster-wide log.
-        self.fallback_store = BaselineStore(cluster, self.config)
-        self.fallback_store.wal = self.wal
-        self.fallback_store.audit = self.audit
         # Page-index cache for node-local page skipping (invalidated with
         # the kernel's decode and degraded-read caches).
         self._page_index_cache: LruDict[tuple[str, tuple[int, int]], list] = LruDict(
@@ -162,7 +202,7 @@ class FusionStore(StoreKernel):
     def _put_body(self, name: str, data: bytes):
         """Put with FAC stripe construction (fixed-block fallback when
         the layout blows the storage-overhead budget)."""
-        if name in self.objects or name in self.fallback_store.objects:
+        if name in self.objects:
             raise ValueError(f"object {name!r} already exists (updates are fresh inserts)")
         # A reused name (put after delete) must never serve bytes decoded
         # from its previous incarnation.
@@ -183,7 +223,7 @@ class FusionStore(StoreKernel):
         layout = construct_stripes(config.code, items)
         if layout.overhead_vs_optimal > config.storage_overhead_threshold:
             # Budget exceeded: default to fixed-block coding (paper 4.2).
-            report = yield from self.fallback_store.put_process(name, data)
+            report = yield from super()._put_body(name, data)
             report.strategy = "fixed-fallback"
             report.fallback = True
             report.layout_build_seconds = layout.build_seconds
@@ -341,12 +381,10 @@ class FusionStore(StoreKernel):
         and reads only the overlapping parts of each chunk — each from the
         single node holding it.
         """
-        if name in self.fallback_store.objects:
-            data = yield from self.fallback_store.get_process(
-                name, metrics, offset=offset, size=size
-            )
-            return data
         obj = self._lookup(name)
+        if obj.splits_chunks:
+            data = yield from super()._get_body(name, metrics, offset, size)
+            return data
         chunks = obj.metadata.all_chunks()
         total = len(obj.header_bytes) + sum(c.size for c in chunks) + len(obj.trailer_bytes)
         if size is None:
@@ -435,13 +473,6 @@ class FusionStore(StoreKernel):
 
     # -- Degraded reads ----------------------------------------------------------
 
-    def _locate_block(self, obj: StoredFusionObject, block_id: str):
-        """Find the stripe placement and bin index holding ``block_id``."""
-        for placement in obj.stripes:
-            if block_id in placement.data_block_ids:
-                return placement, placement.data_block_ids.index(block_id)
-        raise KeyError(f"object {obj.name!r} has no data block {block_id!r}")
-
     def _degraded_chunk_read(
         self,
         obj: StoredFusionObject,
@@ -452,7 +483,7 @@ class FusionStore(StoreKernel):
         """Reconstruct a chunk whose node is down, at the coordinator:
         the kernel's degraded read of the chunk's bin, checked against
         the chunk's own CRC, with the chunk sliced out."""
-        placement, bin_idx = self._locate_block(obj, loc.block_id)
+        placement, bin_idx = obj.locate_block(loc.block_id)
         span = slice(loc.offset_in_block, loc.offset_in_block + loc.size)
 
         def intact(bin_bytes) -> bool:
@@ -479,6 +510,9 @@ class FusionStore(StoreKernel):
     def _query_body(self, query: Query, metrics: QueryMetrics):
         """Two-stage adaptive-pushdown execution."""
         obj = self._lookup(query.table)
+        if obj.splits_chunks:
+            result = yield from super()._query_body(query, metrics)
+            return result
         physical = make_plan(query, obj.metadata.schema)
         coordinator = self.cluster.coordinator_for(obj.name)
         metrics.start_time = self.sim.now
@@ -1030,44 +1064,18 @@ class FusionStore(StoreKernel):
 
     # -- Layout hooks of the kernel ----------------------------------------------
 
-    def _block_moved(self, obj: StoredFusionObject, block_id: str, node_id: int) -> None:
-        """Point the location-map entries of a moved data bin at the node
-        now holding it (parity ids match no entry)."""
-        for key, loc in list(obj.location_map.entries.items()):
-            if loc.block_id == block_id:
-                obj.location_map.entries[key] = dataclasses.replace(loc, node_id=node_id)
-
-    def _invalidate_block(self, obj: StoredFusionObject, placement: StripePlacement, i: int) -> None:
+    def _invalidate_block(self, obj, placement: StripePlacement, i: int) -> None:
         """A block was rewritten (repair) or changed reachability: drop
         every cached artefact derived from it."""
+        if obj.splits_chunks:
+            super()._invalidate_block(obj, placement, i)
+            return
         block_id = placement.block_ids[i]
         self._degraded_bin_cache.pop(block_id)
         for key, loc in obj.location_map.entries.items():
             if loc.block_id == block_id:
                 self._decode_cache.pop((obj.name, key))
                 self._page_index_cache.pop((obj.name, key))
-
-    def _dangling_locations(self, obj: StoredFusionObject) -> list[str]:
-        """fsck's location-map leg: entries inconsistent with the stripe
-        record they cite."""
-        data_place: dict[str, tuple[int, int]] = {}
-        for p in obj.stripes:
-            for j, bid in enumerate(p.data_block_ids):
-                data_place[bid] = (p.node_ids[j], p.data_sizes[j])
-        problems = []
-        for key, loc in sorted(obj.location_map.entries.items()):
-            place = data_place.get(loc.block_id)
-            if place is None:
-                problems.append(f"chunk {key} cites unknown block {loc.block_id}")
-                continue
-            nid, size = place
-            if loc.node_id != nid:
-                problems.append(
-                    f"chunk {key} points at node {loc.node_id}; block lives on {nid}"
-                )
-            elif loc.offset_in_block + loc.size > size:
-                problems.append(f"chunk {key} range exceeds block {loc.block_id}")
-        return problems
 
     def chunk_nodes(self, name: str) -> dict[tuple[int, int], int]:
         """Which node holds each chunk (for placement assertions in tests)."""

@@ -444,7 +444,7 @@ def _window(times: array, window_s: float, at: float | None) -> tuple[int, int]:
 def install_telemetry(cluster, config) -> None:
     """Install the continuous-telemetry layer behind the store knobs.
 
-    Idempotent for the store pair sharing one cluster (same pattern as
+    Idempotent for every store built on one cluster (same pattern as
     admission control / QoS) and a no-op at the default knobs.  Enabling
     any telemetry knob force-installs a metrics registry; exemplars also
     force-install the tracer (trace ids must exist to be captured).

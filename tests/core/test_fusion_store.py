@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster import Cluster, ClusterConfig, Simulator
 from repro.core import FusionStore, ObjectNotFound, PushdownMode, StoreConfig
+from repro.core.baseline_store import StoredFixedObject
 from repro.format import ColumnType, PaxFile, Table, get_codec, write_table
 from repro.sql import Bitmap, execute_local
 from tests.conftest import make_small_table
@@ -256,7 +257,7 @@ class TestFallbackToFixed:
         report = store.put("skewed", data)
         assert report.fallback
         assert report.strategy == "fixed-fallback"
-        assert "skewed" in store.fallback_store.objects
+        assert isinstance(store.objects["skewed"], StoredFixedObject)
 
     def test_fallback_object_still_queryable(self):
         data, table = self._skewed_file()

@@ -1,10 +1,16 @@
 """Focused tests for recently-added store paths: page-fraction costing,
-fallback-object scrub/get/delete routing, and fused-path degraded ops."""
+fixed-layout object scrub/get/query routing, and fused-path degraded ops."""
 
 import numpy as np
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig, Simulator
+from repro.cluster import (
+    Cluster,
+    ClusterConfig,
+    DeadlineExceeded,
+    QueryMetrics,
+    Simulator,
+)
 from repro.core import FusionStore, StoreConfig
 from repro.format import ColumnType, Table, write_table
 from repro.sql import execute_local
@@ -66,44 +72,83 @@ class TestPageFraction:
         assert ("tbl", meta.key) in store._page_index_cache
 
 
+def _fixed_layout_store(**config):
+    """A FusionStore holding one object whose FAC layout blows the
+    storage budget, so it is coded in fixed blocks (paper Section 4.2)."""
+    rng = np.random.default_rng(0)
+    n = 2000
+    table = Table.from_dict(
+        {
+            "k": (ColumnType.INT64, np.arange(n)),
+            "pad": (ColumnType.STRING, ["x" * int(v) for v in rng.integers(300, 600, n)]),
+        }
+    )
+    data = write_table(table, row_group_rows=n, codec="none")
+    sim = Simulator()
+    cluster = Cluster(sim, ClusterConfig(num_nodes=9))
+    store = FusionStore(
+        cluster, StoreConfig(size_scale=10.0, storage_overhead_threshold=0.02, **config)
+    )
+    report = store.put("skewed", data)
+    assert report.fallback and report.strategy == "fixed-fallback"
+    return store, table, data
+
+
 class TestFallbackObjectRouting:
-    """Objects stored via the fixed-block fallback must support the whole
-    store API through the FusionStore facade."""
+    """Objects stored in the fixed-block layout must support the whole
+    store API through the FusionStore, each operation done once."""
 
     @pytest.fixture
-    def fallback_store(self):
-        rng = np.random.default_rng(0)
-        n = 2000
-        table = Table.from_dict(
-            {
-                "k": (ColumnType.INT64, np.arange(n)),
-                "pad": (ColumnType.STRING, ["x" * int(v) for v in rng.integers(300, 600, n)]),
-            }
-        )
-        data = write_table(table, row_group_rows=n, codec="none")
-        sim = Simulator()
-        cluster = Cluster(sim, ClusterConfig(num_nodes=9))
-        store = FusionStore(
-            cluster, StoreConfig(size_scale=10.0, storage_overhead_threshold=0.02)
-        )
-        report = store.put("skewed", data)
-        assert report.fallback
-        return store, table, data
+    def fixed_object(self):
+        return _fixed_layout_store()
 
-    def test_ranged_get(self, fallback_store):
-        store, _table, data = fallback_store
+    def test_ranged_get(self, fixed_object):
+        store, _table, data = fixed_object
         assert store.get("skewed", 100, 999) == data[100:1099]
 
-    def test_scrub(self, fallback_store):
-        store, _table, _data = fallback_store
+    def test_scrub(self, fixed_object):
+        store, _table, _data = fixed_object
         report = store.verify_object("skewed")
         assert report.clean
 
-    def test_grouped_query(self, fallback_store):
-        store, table, _data = fallback_store
+    def test_grouped_query(self, fixed_object):
+        store, table, _data = fixed_object
         sql = "SELECT count(*) FROM skewed WHERE k < 500 GROUP BY k LIMIT 5"
         result, _ = store.query(sql)
         assert result.equals(execute_local(sql, table))
+
+    def test_expired_get_counts_one_deadline(self, fixed_object):
+        store, _table, _data = fixed_object
+        store.config.default_deadline_s = 1e-6
+        metrics = QueryMetrics()
+        store.sim.process(store.get_process("skewed", metrics))
+        with pytest.raises(DeadlineExceeded):
+            store.sim.run()
+        assert metrics.deadline_exceeded == 1
+
+    def test_each_operation_opens_one_fusion_span(self):
+        store, _table, _data = _fixed_layout_store(tracing_enabled=True)
+        tracer = store.sim.tracer
+        seen = 0
+
+        def store_spans():
+            nonlocal seen
+            spans = [s for s in list(tracer.spans)[seen:] if "store" in s.args]
+            seen = len(tracer.spans)
+            return [(s.name, s.args["store"], s.parent_id) for s in spans]
+
+        assert store_spans() == [("put", "fusion", None)]
+        store.get("skewed")
+        assert store_spans() == [("get", "fusion", None)]
+        store.query("SELECT k FROM skewed WHERE k < 5")
+        assert store_spans() == [("query", "fusion", None)]
+        store.verify_object("skewed")
+        assert store_spans() == [("scrub", "fusion", None)]
+
+    def test_tenant_query_is_admitted_once(self):
+        store, _table, _data = _fixed_layout_store(qos_enabled=True)
+        store.query("SELECT k FROM skewed WHERE k < 5", tenant="t1")
+        assert store.cluster.qos.stats["t1"]["admitted"] == 1
 
 
 class TestDegradedFusedPath:

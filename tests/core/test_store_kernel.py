@@ -1,10 +1,13 @@
-"""Structure guard: one durability-and-repair kernel under both stores.
+"""Structure guard: one durability-and-repair kernel, one store per namespace.
 
 ``FusionStore`` and ``BaselineStore`` used to be unrelated classes with
-43 same-named methods, every fix written twice.  Both now build on
-``repro.core.kernel.StoreKernel``; what a store class still defines
-itself is its layout / query policy and the documented hook set.  These
-checks fail when a second copy of a kernel method grows back.
+43 same-named methods, every fix written twice, and a ``FusionStore``
+kept a whole second ``BaselineStore`` for its fixed-block fallback.  Now
+the kernel (``repro.core.kernel.StoreKernel``) holds everything both
+layouts share, ``FusionStore`` is a ``BaselineStore`` whose Put tries
+FAC first, and what depends on the layout is asked of the stored object.
+These checks fail when a second copy of a kernel method, a layout hook
+on a store class, or a second store grows back.
 """
 
 import dataclasses
@@ -12,19 +15,22 @@ import pathlib
 import re
 
 import repro.core
-from repro.core import BaselineStore, FusionStore, StoreConfig
+from repro.core import BaselineStore, FusionStore, StoreConfig, StoredFusionObject
+from repro.core.baseline_store import StoredFixedObject
 from repro.core.kernel import StoreKernel
 
 CORE = pathlib.Path(repro.core.__file__).parent
 SRC = CORE.parent
 
-#: Layout hooks both stores define (see the kernel's module docstring).
-HOOKS = {"_locate_block", "_invalidate_block"}
-#: Genuinely different policy per store: FAC bins vs. fixed cuts,
+#: The cache hook both stores define (see the kernel's module docstring).
+HOOKS = {"_invalidate_block"}
+#: Genuinely different policy per layout: FAC bins vs. fixed cuts,
 #: pushdown vs. fetch-and-evaluate.
 POLICY = {"_put_body", "_get_body", "_query_body"}
-#: Hooks with a kernel default that only Fusion overrides.
-FUSION_OVERRIDES = {"__init__", "_block_moved", "_dangling_locations", "_invalidate_object_caches"}
+#: What FusionStore redefines of what it inherits.
+FUSION_OVERRIDES = {"__init__", "_invalidate_object_caches"} | HOOKS | POLICY
+#: Layout hooks every stored-object class defines.
+OBJECT_HOOKS = {"locate_block", "block_moved", "dangling_locations", "snapshot"}
 
 
 def _defined(cls) -> set[str]:
@@ -40,22 +46,32 @@ def test_the_two_stores_share_only_hooks_and_policy_bodies():
 
 
 def test_kernel_methods_are_overridden_only_where_documented():
-    assert _defined(FusionStore) & _defined(StoreKernel) == FUSION_OVERRIDES
+    inherited = _defined(BaselineStore) | _defined(StoreKernel)
+    assert _defined(FusionStore) & inherited == FUSION_OVERRIDES
     assert _defined(BaselineStore) & _defined(StoreKernel) == set()
 
 
-def test_both_stores_build_on_the_kernel_and_not_on_each_other():
-    assert issubclass(FusionStore, StoreKernel) and issubclass(BaselineStore, StoreKernel)
-    assert not issubclass(FusionStore, BaselineStore)
+def test_fusion_is_a_baseline_store_with_a_fac_first_put():
+    assert issubclass(BaselineStore, StoreKernel) and issubclass(FusionStore, BaselineStore)
     for cls in (FusionStore, BaselineStore):
-        assert cls.store_kind and cls.span_label
+        assert cls.span_label
+
+
+def test_layout_hooks_live_on_the_stored_objects():
+    for cls in (StoredFusionObject, StoredFixedObject):
+        assert OBJECT_HOOKS <= _defined(cls), cls
+    assert (StoredFusionObject.kind, StoredFixedObject.kind) == ("fac", "fixed")
+    assert StoredFixedObject.splits_chunks and not StoredFusionObject.splits_chunks
+    for cls in (StoreKernel, BaselineStore, FusionStore):
+        assert not {"_locate_block", "_block_moved", "_dangling_locations"} & _defined(cls)
+        assert not hasattr(cls, "store_kind"), cls
 
 
 def test_kernel_dispatches_through_hooks_only():
-    source = (CORE / "kernel.py").read_text()
-    code = re.sub(r'""".*?"""', "", source, flags=re.S)
-    for forbidden in (r"hasattr\(", r"isinstance\((self|obj)", r"self\.store_kind\s*(==|!=|in\b)"):
-        assert not re.search(forbidden, code), forbidden
+    for name in ("kernel.py", "store.py", "baseline_store.py", "fsck.py", "repair.py", "rebalance.py"):
+        code = re.sub(r'""".*?"""', "", (CORE / name).read_text(), flags=re.S)
+        for forbidden in (r"hasattr\(", r"isinstance\((self|obj)"):
+            assert not re.search(forbidden, code), (name, forbidden)
 
 
 def test_consumers_walk_the_stripe_records():
@@ -63,7 +79,9 @@ def test_consumers_walk_the_stripe_records():
         source = (CORE / name).read_text()
         assert 'hasattr(obj, "stripes")' not in source, name
         assert "def _stores" not in source, name
-        assert 'getattr(store, "fallback_store"' not in source, name
+    pattern = re.compile(r"fallback_store|def _delegate\b|def stores\b")
+    for path in SRC.rglob("*.py"):
+        assert not pattern.search(path.read_text()), path
 
 
 def test_fixed_object_views_are_for_tests_and_benches_only():

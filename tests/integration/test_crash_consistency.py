@@ -22,6 +22,7 @@ from repro.core import (
     StoreConfig,
     StoredFusionObject,
 )
+from repro.core.baseline_store import StoredFixedObject
 from repro.format import write_table
 from tests.conftest import make_small_table
 
@@ -171,9 +172,10 @@ class TestWalDurability:
         assert store.fsck().pending_ops == []
 
     def test_fallback_routed_put_recovers_into_fallback(self):
-        """A Put the FusionStore routed to its fixed-block fallback logs
-        store_kind="fixed" and recovery reinstalls it there."""
-        # Default row grouping routes this small file to the fallback.
+        """A Put the FusionStore coded in fixed blocks logs
+        store_kind="fixed" and recovery reinstalls it as a fixed-layout
+        object."""
+        # Default row grouping sends this small file to the fallback.
         data = write_table(make_small_table())
         store = _system(FusionStore, put=False)
         store.cluster.faults.arm_crash_point("put:after-commit")
@@ -181,9 +183,28 @@ class TestWalDurability:
             store.put("tbl", data)
         recovery = store.recover()
         assert recovery.rolled_forward == ["tbl"]
-        assert "tbl" in store.fallback_store.objects
+        assert isinstance(store.objects["tbl"], StoredFixedObject)
         assert bytes(store.get("tbl")) == data
         assert store.fsck().clean
+
+    def test_name_reused_across_layouts_keeps_one_timeline(self):
+        """Put a name in fixed blocks, Delete it, Put it again with FAC:
+        the newer Put supersedes the committed Delete.  Keyed by layout,
+        recovery redid that Delete against the live FAC object and
+        dropped the parity block both layouts name ``<name>/s0/p1``."""
+        store = _system(FusionStore, put=False)
+        store.config.storage_overhead_threshold = 1e-9
+        assert store.put("t", DATA).fallback
+        store.delete("t")
+        store.config.storage_overhead_threshold = 0.1
+        assert not store.put("t", DATA).fallback
+        assert store.fsck().clean
+        recovery = store.recover()
+        assert recovery.redone_deletes == [] and recovery.orphan_blocks_gcd == 0
+        report = store.fsck()
+        assert report.clean, report.summary()
+        assert isinstance(store.objects["t"], StoredFusionObject)
+        assert bytes(store.get("t")) == DATA
 
 
 class TestCoordinatorFailover:

@@ -7,7 +7,10 @@ store with the WAL, membership and read-repair on, walking migration
 repair (typed ``QuorumLost`` deferral, then heal), a ``CoordinatorCrash``
 at two Put, a migrate and a Delete crash point each followed by
 ``recover()``, and - on the Fusion instance - an object forced through
-the fixed-block fallback so every ``fallback_store`` delegation runs.
+the fixed-block fallback, so a FAC and a fixed-layout object share one
+namespace through every step.  The walks visit objects in name order;
+the scenario's names (``big`` < ``late`` < ``small``) also sort FAC
+before fixed, the order in which the digests were pinned.
 
 Four digests per store: the scheduled-event stream, the WAL records, the
 per-object placement state and every report the steps returned.  They
@@ -39,6 +42,7 @@ from repro.core import (
     RepairManager,
     StoreConfig,
 )
+from repro.core.baseline_store import StoredFixedObject
 from repro.format import write_table
 from tests.conftest import make_small_table
 
@@ -91,8 +95,7 @@ def _placements(obj) -> list:
 def _object_state(store) -> list:
     return [
         (name, obj.meta_epoch, tuple(obj.replica_nodes), _placements(obj))
-        for sub in store.stores()
-        for name, obj in sorted(sub.objects.items())
+        for name, obj in sorted(store.objects.items())
     ]
 
 
@@ -151,14 +154,13 @@ def trace(store_cls) -> dict[str, list]:
         fields = _fields(report) if dataclasses.is_dataclass(report) else report
         steps.append((label, fields, _object_state(store)))
 
-    # Two objects; on Fusion the second blows a tiny FAC budget and lands
-    # in the fixed-block fallback.
+    # Two objects; on Fusion the second blows a tiny FAC budget and is
+    # stored in the fixed-block layout.
     step("put big", store.put("big", big))
     store.config.storage_overhead_threshold = 1e-9
     step("put small", store.put("small", small))
     store.config.storage_overhead_threshold = 0.1
-    if store_cls is FusionStore:
-        assert "small" in store.fallback_store.objects and "big" in store.objects
+    assert isinstance(store.objects["small"], StoredFixedObject)
     for name, data in (("big", big), ("small", small)):
         assert store.get(name) == data
         assert store.get(name, offset=1000, size=5000) == data[1000:6000]

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig, QueryMetrics, Simulator
-from repro.core import BaselineStore, FusionStore, RepairManager, StoreConfig
+from repro.core import (
+    BaselineStore,
+    FusionStore,
+    RepairManager,
+    StoreConfig,
+    StoredFusionObject,
+)
 from repro.format import write_table
 from repro.sql import execute_local
 from tests.conftest import make_small_table
@@ -46,14 +52,11 @@ def _corrupt_one_data_block(store, cluster) -> tuple[int, str]:
 
 def _placement_nodes(store) -> set[int]:
     nodes: set[int] = set()
-    for s in store.stores():
-        for obj in s.objects.values():
-            for placement in obj.stripes:
-                nodes |= {nid for nid in placement.node_ids if nid is not None}
-            if isinstance(s, FusionStore):
-                nodes |= {
-                    loc.node_id for loc in obj.location_map.entries.values()
-                }
+    for obj in store.objects.values():
+        for placement in obj.stripes:
+            nodes |= {nid for nid in placement.node_ids if nid is not None}
+        if isinstance(obj, StoredFusionObject):
+            nodes |= {loc.node_id for loc in obj.location_map.entries.values()}
     return nodes
 
 
