@@ -3,8 +3,7 @@
 Every benchmark under ``benchmarks/*_bench.py`` writes its result
 through :mod:`repro.bench.envelope`, so the files share a top level
 (``benchmark``, ``wall_seconds``, ``acceptance.pass``,
-``acceptance.floors``).  Pre-envelope files from older runs are
-normalized on load, so a mixed directory still aggregates.
+``acceptance.floors``).
 
 Usage::
 
@@ -12,8 +11,7 @@ Usage::
 
 Scans ``DIR`` (default: the repository root) for ``BENCH_*.json``,
 prints a verdict table, writes ``BENCH_SUMMARY.json`` (or ``--out``),
-and exits nonzero if any benchmark failed.  Files whose verdict cannot
-be recovered count as unknown, not as failures.
+and exits nonzero if any benchmark failed.
 """
 
 from __future__ import annotations
@@ -51,19 +49,10 @@ def summarize(directory: str) -> dict:
     return {
         "benchmarks": rows,
         "total": len(rows),
-        "passed": sum(1 for v in verdicts if v is True),
-        "failed": sum(1 for v in verdicts if v is False),
-        "unknown": sum(1 for v in verdicts if v is None),
-        "all_pass": bool(rows) and all(v is True for v in verdicts),
+        "passed": sum(verdicts),
+        "failed": len(verdicts) - sum(verdicts),
+        "all_pass": bool(rows) and all(verdicts),
     }
-
-
-def _verdict_text(value: bool | None) -> str:
-    if value is True:
-        return "PASS"
-    if value is False:
-        return "FAIL"
-    return "?"
 
 
 def main(argv: list[str]) -> int:
@@ -89,14 +78,11 @@ def main(argv: list[str]) -> int:
         floors = ", ".join(f"{k}={v}" for k, v in sorted(row["floors"].items()))
         print(
             f"{row['benchmark']:{width}s}  "
-            f"{_verdict_text(row['pass']):7s}  "
+            f"{'PASS' if row['pass'] else 'FAIL':7s}  "
             f"{row['wall_seconds']:7.1f}  "
             f"{floors or '-'}"
         )
-    print(
-        f"{summary['passed']}/{summary['total']} passed, "
-        f"{summary['failed']} failed, {summary['unknown']} unknown"
-    )
+    print(f"{summary['passed']}/{summary['total']} passed, {summary['failed']} failed")
 
     if out_path is None:
         out_path = os.path.join(directory, SUMMARY_NAME)

@@ -20,10 +20,6 @@ knowledge::
 computed against (speedup floors, goodput fractions, overhead caps);
 the per-check evidence stays inside ``detail`` in whatever shape the
 benchmark always used.
-
-:func:`load_bench_report` also understands pre-envelope files (anything
-without the ``schema`` marker) by nesting them under ``detail`` with a
-best-effort verdict, so mixed result directories keep aggregating.
 """
 
 from __future__ import annotations
@@ -66,46 +62,14 @@ def write_bench_report(
     return doc
 
 
-def _legacy_verdict(doc: dict) -> bool | None:
-    """Best-effort pass/fail from a pre-envelope report (None: unknown)."""
-    for key in ("ok", "passed"):
-        if isinstance(doc.get(key), bool):
-            return doc[key]
-    acceptance = doc.get("acceptance")
-    if isinstance(acceptance, dict):
-        if isinstance(acceptance.get("pass"), bool):
-            return acceptance["pass"]
-        if isinstance(acceptance.get("passes"), bool):
-            return acceptance["passes"]
-        verdicts = [
-            entry["passes"]
-            for entry in acceptance.values()
-            if isinstance(entry, dict) and isinstance(entry.get("passes"), bool)
-        ]
-        if verdicts:
-            return all(verdicts)
-    return None
-
-
 def load_bench_report(path: str) -> dict:
-    """Read one BENCH_*.json, normalized to the envelope shape.
-
-    Envelope files come back as-is; legacy files are wrapped (their
-    whole document becomes ``detail``, the verdict is recovered from
-    the common legacy markers, ``wall_seconds`` is absent as 0.0).
-    """
+    """Read one BENCH_*.json; raises ``ValueError`` naming ``path`` when
+    the document is not an envelope."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if isinstance(doc, dict) and doc.get("schema") == SCHEMA:
-        return doc
-    verdict = _legacy_verdict(doc) if isinstance(doc, dict) else None
-    return {
-        "schema": "legacy",
-        "benchmark": doc.get("benchmark", "?") if isinstance(doc, dict) else "?",
-        "wall_seconds": 0.0,
-        "acceptance": {"pass": verdict, "floors": {}},
-        "detail": doc,
-    }
+    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
+        raise ValueError(f"{path}: not a {SCHEMA} report")
+    return doc
 
 
 __all__ = ["SCHEMA", "bench_report", "load_bench_report", "write_bench_report"]

@@ -67,13 +67,9 @@ class MembershipManager:
     route through the ring instead of the seed's name-hash / RNG paths.
     """
 
-    def __init__(self, cluster, config) -> None:
+    def __init__(self, cluster) -> None:
         self.cluster = cluster
-        self.ring = HashRing(
-            cluster.config.placement_seed,
-            vnodes=config.ring_vnodes,
-            node_ids=range(cluster.num_nodes),
-        )
+        self.ring = HashRing(cluster.config.placement_seed, node_ids=range(cluster.num_nodes))
         self.record = MembershipRecord(
             epoch=1, members=tuple(range(cluster.num_nodes))
         )
@@ -187,4 +183,4 @@ def install_membership(cluster, config) -> None:
         return
     if cluster.membership is not None:
         return
-    cluster.membership = MembershipManager(cluster, config)
+    cluster.membership = MembershipManager(cluster)

@@ -242,8 +242,6 @@ class BaselineStore(StoreKernel):
         """Whole-block reads must match the CRC recorded at Put; raises
         :class:`ChecksumError` (non-retryable — the scatter-gather layer
         falls back to degraded reconstruction)."""
-        if not self.config.checksum_verify:
-            return
         want = placement.checksum(j)
         if want and chunk_checksum(data) != want:
             raise ChecksumError(f"block {placement.data_block_ids[j]} of {obj.name!r} failed CRC")

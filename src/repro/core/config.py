@@ -33,7 +33,6 @@ class StoreConfig:
     storage_overhead_threshold: float = 0.02  # FAC budget vs optimal (paper: 2%)
     pushdown_mode: PushdownMode = PushdownMode.ADAPTIVE
     enable_aggregate_pushdown: bool = False  # paper future work (extension)
-    map_replicas_extra: int = 1  # location map stored on k + this many nodes
     # Fixed-block stores read at block granularity (the unit of placement
     # and I/O in MinIO/Ceph-style systems): reassembling a chunk fetches
     # the whole blocks covering it.  Disable for byte-granular reads (an
@@ -52,22 +51,14 @@ class StoreConfig:
     # the FIFO pipes, so traffic and results are identical to the
     # unbatched path.  Off for the A/B ablation.
     enable_rpc_batching: bool = True
-    # Bounds (in entries) for the stores' real-bytes memoisation caches;
-    # they exist to save benchmark wall-clock, not simulated time, so a
-    # small LRU suffices.
-    decode_cache_entries: int = 512
-    degraded_cache_entries: int = 64
     # -- failure handling (repro.core.scatter_gather + repair) ------------
     # A remote op whose reply has not arrived this long after it was sent
     # is declared failed (dropped request/reply, node died mid-op).
     op_timeout_s: float = 0.05
     # Failed ops are re-attempted up to this many times with exponential
-    # backoff before falling back to degraded-read reconstruction.
+    # backoff (scatter_gather.RETRY_BACKOFF_S, doubling) before falling
+    # back to degraded-read reconstruction.
     rpc_max_retries: int = 2
-    rpc_retry_backoff_s: float = 0.002
-    # Consecutive op failures before the health tracker marks a node
-    # suspect and new ops stop being sent to it (straight to degraded).
-    suspicion_threshold: int = 3
     # Gray-failure (fail-slow) detection: a node whose successful-op
     # latency EWMA exceeds this multiple of the cluster median is
     # *greylisted* — deprioritized for foreground reads and hedge
@@ -75,35 +66,16 @@ class StoreConfig:
     # 0 (default) disables latency verdicts entirely, keeping routing
     # bit-identical to the binary up/suspect tracker.
     greylist_latency_factor: float = 0.0
-    # Anti-entropy read-repair: a degraded or checksum-failed read that
-    # had to reconstruct data enqueues its stripe for background repair
-    # (separately accounted read_repair_bytes) so partitions self-heal
-    # from foreground traffic.  Enqueueing is metadata-plane; the queue
-    # is only drained by an installed RepairManager, so fault-free runs
-    # stay event-identical with this on.
-    read_repair_enabled: bool = True
     # Background-repair pacing: bytes/second of repair traffic allowed
     # (simulated); 0 disables throttling.
     repair_throttle_bps: float = 0.0
     # -- metadata durability (repro.core.wal + repro.core.fsck) -----------
     # How many nodes hold each object's materialized metadata replica
     # (location map / placement map + footer).  0 = auto: the paper's
-    # k + map_replicas_extra, so the map survives the same failures as
-    # an RS(n, k) stripe.
+    # k + 1, so the map survives the same failures as an RS(n, k) stripe.
+    # The write-ahead log, end-to-end chunk CRCs and anti-entropy
+    # read-repair are always on (docs/SIMULATION.md).
     metadata_replicas: int = 0
-    # Write-ahead intent log for Put/Delete: intent record -> data blocks
-    # -> metadata replicas -> commit record, with named crash points the
-    # FaultInjector can kill the coordinator at.  WAL appends are
-    # metadata-plane operations (not charged to simulated devices), so
-    # fault-free runs are event-identical with the log on or off.
-    wal_enabled: bool = True
-    # Verify each chunk/block's end-to-end CRC on every full read (query
-    # ops, whole-chunk Gets, degraded reconstructions, repair rewrites).
-    # Verification runs on real bytes and is not charged to simulated
-    # devices (it is folded into decode cost), so fault-free runs stay
-    # event-identical either way; a mismatch triggers the degraded
-    # reconstruction path instead of returning bad bytes.
-    checksum_verify: bool = True
     # -- observability (repro.obs) ----------------------------------------
     # Span-based tracing on the simulated clock: the store installs a
     # Tracer on the simulator and every layer (store stages, scatter-
@@ -165,16 +137,9 @@ class StoreConfig:
     # default-knob runs stay event-identical to a build without the
     # membership layer.
     membership_enabled: bool = False
-    # Virtual nodes per member on the hash ring: more vnodes smooth each
-    # member's keyspace share at the cost of a larger token table.
-    ring_vnodes: int = 64
-    # Background-rebalance pacing: bytes/second of simulated migration
-    # traffic allowed (the Rebalancer's twin of repair_throttle_bps);
-    # 0 disables throttling.
-    rebalance_throttle_bps: float = 0.0
     # Full-jitter on retry backoff: attempt n sleeps uniformly in
     # [backoff * (1 - jitter), backoff] where backoff is the exponential
-    # rpc_retry_backoff_s schedule, drawn from the cluster's dedicated
+    # retry schedule, drawn from the cluster's dedicated
     # seeded jitter RNG so runs stay reproducible while synchronized
     # retry storms cannot form.  0 (default) draws nothing and sleeps
     # exactly the deterministic schedule.
@@ -231,7 +196,7 @@ class StoreConfig:
 
     def resolved_metadata_replicas(self, num_nodes: int) -> int:
         """The effective metadata replica count for a cluster size."""
-        count = self.metadata_replicas or (self.code.k + self.map_replicas_extra)
+        count = self.metadata_replicas or (self.code.k + 1)
         return max(1, min(count, num_nodes))
 
     @property

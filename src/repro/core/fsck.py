@@ -162,9 +162,8 @@ def fsck(store) -> FsckReport:
                 if not node.has_block(bid):
                     report.missing_blocks.append((name, bid))
                     continue
-                if want and store.config.checksum_verify:
-                    if chunk_checksum(node.peek_block(bid)) != want:
-                        report.checksum_mismatches.append((name, bid))
+                if want and chunk_checksum(node.peek_block(bid)) != want:
+                    report.checksum_mismatches.append((name, bid))
 
         # Location-map leg (a layout hook: a fixed object's stripe
         # records *are* its map and were walked above).

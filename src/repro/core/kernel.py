@@ -176,6 +176,13 @@ class StripePlacement:
 
 _EMPTY = np.zeros(0, dtype=np.uint8)
 
+#: LRU bounds (entries) of the real-bytes memo caches: decoded column
+#: chunks, and blocks recovered by a degraded read.  They save benchmark
+#: wall-clock, not simulated time (every access is still charged), so a
+#: small cache suffices.
+DECODE_CACHE_ENTRIES = 512
+DEGRADED_CACHE_ENTRIES = 64
+
 
 class StoreKernel:
     """What :class:`FusionStore` and :class:`BaselineStore` share."""
@@ -190,7 +197,7 @@ class StoreKernel:
         #: name -> stored object, whatever its layout.
         self.objects: dict = {}
         # Put/Delete write-ahead log.
-        self.wal = WalWriter(cluster, self.config.wal_enabled)
+        self.wal = WalWriter(cluster)
         # Decoded-value memoisation: chunks are immutable once Put, and
         # simulated decode time is charged independently, so re-decoding
         # the same chunk for every simulated query would only burn real
@@ -198,17 +205,12 @@ class StoreKernel:
         # (simulated costs are charged per access), is bounded by a small
         # LRU, is keyed by object name first, and is invalidated on
         # put/delete so a reused name never serves stale values.
-        self._decode_cache: LruDict[tuple, np.ndarray] = LruDict(
-            self.config.decode_cache_entries
-        )
+        self._decode_cache: LruDict[tuple, np.ndarray] = LruDict(DECODE_CACHE_ENTRIES)
         # Degraded-read reconstruction cache: block id -> recovered block.
-        self._degraded_bin_cache: LruDict[str, np.ndarray] = LruDict(
-            self.config.degraded_cache_entries
-        )
+        self._degraded_bin_cache: LruDict[str, np.ndarray] = LruDict(DEGRADED_CACHE_ENTRIES)
         # Failure detection: share the cluster's health tracker and hear
         # about liveness changes so degraded-read reconstructions are
         # never served stale after a restore or repair.
-        cluster.health.suspicion_threshold = self.config.suspicion_threshold
         cluster.health.greylist_factor = self.config.greylist_latency_factor
         cluster.add_liveness_listener(self._on_liveness)
         # Observability (repro.obs): all three attachments are metadata-
@@ -717,7 +719,7 @@ class StoreKernel:
                     siblings.append(block_ids[j])
             cached = recovered[i]
             cache[block_ids[i]] = cached
-        if self.config.checksum_verify and not intact(cached):
+        if not intact(cached):
             # The reconstruction itself is wrong: one of the gathered
             # shards was silently corrupt (including, possibly, the
             # target block itself when this path was entered because a
@@ -737,10 +739,7 @@ class StoreKernel:
         # Anti-entropy read-repair: this foreground read had to
         # reconstruct — queue the stripe for background repair so the
         # damage heals from traffic instead of waiting for a scrub.
-        if self.config.read_repair_enabled:
-            self.cluster.enqueue_read_repair(
-                self, obj.kind, obj.name, placement.stripe_id
-            )
+        self.cluster.enqueue_read_repair(self, obj.kind, obj.name, placement.stripe_id)
         return cached
 
     def _verified_block_recovery(self, placement: StripePlacement, i: int, coordinator, metrics):
@@ -833,7 +832,7 @@ class StoreKernel:
                     node.endpoint, coordinator.endpoint, self.config.scaled(payload.size)
                 )
                 want = placement.checksum(i)
-                if self.config.checksum_verify and want and chunk_checksum(payload) != want:
+                if want and chunk_checksum(payload) != want:
                     report.checksum_mismatch_blocks.append(bid)
                 (data_blocks if i < k else parity_blocks).append(payload)
             yield from self._charge_decode(coordinator, data_blocks, None)
@@ -936,7 +935,7 @@ class StoreKernel:
         """Reconstructed block payload fails its Put-time CRC: refuse to
         write bytes we can prove are wrong (and count the event)."""
         want = placement.checksum(i)
-        if not self.config.checksum_verify or not want or chunk_checksum(payload) == want:
+        if not want or chunk_checksum(payload) == want:
             return False
         self.cluster.metrics.checksum_failures += 1
         return True

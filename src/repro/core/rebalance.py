@@ -31,9 +31,9 @@ source GC finished.
 
 Scheduling rides the :class:`~repro.core.repair.RepairManager` pattern:
 background priority lane (shed first under admission pressure),
-``QueueFull`` defers the stripe to a later run, pacing via
-``StoreConfig.rebalance_throttle_bps``, and the run's traffic lands in
-``ClusterMetrics.record_rebalance`` — never in query or repair totals.
+``QueueFull`` defers the stripe to a later run, and the run's traffic
+lands in ``ClusterMetrics.record_rebalance`` — never in query or repair
+totals.  Migration is not paced.
 """
 
 from __future__ import annotations
@@ -206,7 +206,6 @@ class Rebalancer:
                     # leave the stripe for a later run.
                     report.stripes_deferred += 1
                     metrics.requests_shed += 1
-                    yield from self._throttle(metrics, report.started)
                     continue
                 except QuorumLost:
                     # Partition strands this coordinator with a minority
@@ -214,13 +213,11 @@ class Rebalancer:
                     # would republish a minority-epoch snapshot.  Defer
                     # to a post-heal run.
                     report.stripes_deferred += 1
-                    yield from self._throttle(metrics, report.started)
                     continue
                 if moved:
                     report.stripes_migrated += 1
                     report.blocks_moved += moved
                     touched.add(name)
-                yield from self._throttle(metrics, report.started)
             if self._migrate_meta(obj):
                 report.meta_moved += 1
                 touched.add(name)
@@ -289,13 +286,3 @@ class Rebalancer:
             if node.alive:
                 node.drop_meta(obj.name)
         return True
-
-    def _throttle(self, metrics: QueryMetrics, started: float):
-        """Pace migration to ``rebalance_throttle_bps`` of traffic."""
-        bps = self.config.rebalance_throttle_bps
-        if bps <= 0:
-            return
-        target_elapsed = metrics.network_bytes / bps
-        lag = target_elapsed - (self.sim.now - started)
-        if lag > 0:
-            yield self.sim.timeout(lag)

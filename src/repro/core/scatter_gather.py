@@ -31,14 +31,14 @@ keys exactly as they did with per-op process barriers.
 Failure handling
 ----------------
 
-When a :class:`~repro.core.config.StoreConfig` is passed, the executor
-survives nodes that die, drop RPCs, or lose blocks *mid-stage*:
+The executor survives nodes that die, drop RPCs, or lose blocks
+*mid-stage*:
 
 1. every attempt is bounded by ``op_timeout_s`` — a dropped request or
    reply, or a node that dies before replying, costs the coordinator
    the remaining timeout instead of hanging forever;
 2. failed ops are retried (``rpc_max_retries`` times, exponential
-   backoff from ``rpc_retry_backoff_s``), re-batched per node;
+   backoff from :data:`RETRY_BACKOFF_S`), re-batched per node;
 3. ops that exhaust their retries — or whose node the shared
    :class:`~repro.cluster.health.NodeHealthTracker` no longer considers
    usable — run their ``fallback`` (degraded-read reconstruction)
@@ -48,9 +48,7 @@ Every op outcome feeds the health tracker, so a node that keeps failing
 crosses the suspicion threshold and later stages stop sending ops to it
 at construction time (the stores consult the tracker).  Node-side
 exceptions from ``execute`` (e.g. a wiped block) are treated as an
-immediate error reply — a fast failure, no timeout wait.  Without a
-config the executor behaves exactly as the seed did: no timeouts, no
-retries, exceptions propagate.
+immediate error reply — a fast failure, no timeout wait.
 
 Overload protection
 -------------------
@@ -83,6 +81,9 @@ from repro.cluster.overload import CancelScope, DeadlineExceeded
 from repro.cluster.simcore import QueueFull, all_of, any_of
 
 from repro.core.location_map import ChecksumError
+
+#: First retry's backoff (seconds); attempt n waits ``2 ** (n - 1)`` times it.
+RETRY_BACKOFF_S = 0.002
 
 #: Internal sentinel: an attempt failed and the op is eligible for retry.
 _FAILED = object()
@@ -218,7 +219,7 @@ def _shielded(cluster, gen, node_id, metrics, scope, op=None):
     """Run ``gen``, mapping typed overload failures to op sentinels.
 
     Neither exception type can be raised in a run without the overload
-    knobs, so seed-mode exception propagation is unchanged.  ``op`` is
+    knobs.  ``op`` is
     the RemoteOp the work belongs to, threaded through so a refusal is
     deduped per logical request (see :func:`_record_rejection`).
     """
@@ -265,7 +266,7 @@ def _await_barrier(sim, barrier, scope, cluster, metrics, where):
 
 
 def execute_remote_ops(
-    cluster, coordinator, ops, metrics, batched: bool, config=None,
+    cluster, coordinator, ops, metrics, batched: bool, config,
     allow_shed: bool = False,
 ):
     """Process: run ``ops``; returns their final values in op order.
@@ -277,9 +278,8 @@ def execute_remote_ops(
     independently — no barrier, so node-side work still overlaps the
     reply transfers exactly as in the unbatched pipeline.
 
-    With ``config`` set, failed ops are retried then routed to their
-    ``fallback`` (see module docstring); on a fault-free run the event
-    sequence is identical to the seed's.
+    Failed ops are retried then routed to their ``fallback`` (see module
+    docstring) under ``config``'s timeout, retry and hedge settings.
 
     With ``allow_shed`` set (scan stages under
     ``StoreConfig.allow_partial_results``), ops refused by admission
@@ -290,8 +290,8 @@ def execute_remote_ops(
     sim = cluster.sim
     results: list[object] = [None] * len(ops)
     pending = list(range(len(ops)))
-    max_retries = config.rpc_max_retries if config is not None else 0
-    deadline = _deadline_of(metrics) if config is not None else None
+    max_retries = config.rpc_max_retries
+    deadline = _deadline_of(metrics)
     scope = CancelScope(sim) if deadline is not None else None
     if deadline is not None:
         deadline.check("stage entry")
@@ -340,9 +340,9 @@ def execute_remote_ops(
                 "rpc.retry", cat="rpc", ops=len(retry), attempt=attempts,
                 nodes=sorted({ops[i].node.node_id for i in retry}),
             )
-        backoff = config.rpc_retry_backoff_s * (2 ** (attempts - 1))
+        backoff = RETRY_BACKOFF_S * (2 ** (attempts - 1))
         jitter = config.rpc_retry_jitter
-        if backoff > 0 and jitter > 0:
+        if jitter > 0:
             # Seeded full-jitter: sleep uniformly in
             # [backoff * (1 - jitter), backoff] so synchronized retry
             # storms decorrelate.  jitter=0 draws nothing from the RNG.
@@ -507,9 +507,8 @@ def _single_op(cluster, coordinator, op: RemoteOp, metrics, config, scope=None, 
     if op.standalone is not None:
         value = yield from _shielded_fallback(cluster, op.standalone(), metrics, scope, op)
         return value
-    resilient = config is not None
     attempt = _attempt_single(cluster, coordinator, op, metrics, config, scope, deadline)
-    if resilient and config.hedge_after_s > 0 and op.fallback is not None:
+    if config.hedge_after_s > 0 and op.fallback is not None:
         value = yield from _hedged(cluster, op, attempt, metrics, config, scope, deadline)
     else:
         value = yield from attempt
@@ -520,16 +519,14 @@ def _attempt_single(cluster, coordinator, op: RemoteOp, metrics, config, scope=N
     """One unbatched attempt: request RPC, node-side work, reply RPC."""
     sim = cluster.sim
     node = op.node
-    resilient = config is not None
     # Loopback ops (coordinator-local chunks) cannot be dropped.
-    faults = cluster.faults if resilient and node.endpoint is not coordinator.endpoint else None
+    faults = cluster.faults if node.endpoint is not coordinator.endpoint else None
     start = sim.now
     tracer = sim.tracer
     span = tracer.begin("rpc", cat="rpc", node=node.node_id) if tracer is not None else None
     try:
         value = yield from _attempt_single_body(
-            cluster, coordinator, op, metrics, config, node, resilient, faults, start,
-            deadline,
+            cluster, coordinator, op, metrics, config, node, faults, start, deadline,
         )
         return value
     except DeadlineExceeded:
@@ -545,8 +542,7 @@ def _attempt_single(cluster, coordinator, op: RemoteOp, metrics, config, scope=N
 
 
 def _attempt_single_body(
-    cluster, coordinator, op, metrics, config, node, resilient, faults, start,
-    deadline=None,
+    cluster, coordinator, op, metrics, config, node, faults, start, deadline=None,
 ):
     sim = cluster.sim
     if deadline is not None:
@@ -559,15 +555,13 @@ def _attempt_single_body(
         yield from cluster.network.transfer(
             coordinator.endpoint, node.endpoint, op.request_bytes, metrics
         )
-    if resilient and not node.alive:
+    if not node.alive:
         yield from _op_timeout(sim, start, metrics, config)
         _record_failure(cluster, node.node_id, metrics)
         return _FAILED
     try:
         reply_bytes, value = yield from op.execute()
     except ChecksumError:
-        if not resilient:
-            raise
         # Stored bytes are rotten: detected at read time, answered by
         # reconstruction.  Not a node-health signal and not retryable.
         if metrics is not None:
@@ -576,13 +570,11 @@ def _attempt_single_body(
     except (DeadlineExceeded, QueueFull):
         raise
     except Exception:
-        if not resilient:
-            raise
         # The node answered with an error (e.g. block not found after a
         # wipe): a fast failure, no timeout wait.
         _record_failure(cluster, node.node_id, metrics)
         return _FAILED
-    if resilient and not node.alive:
+    if not node.alive:
         # Died mid-execute: the reply never leaves the node.
         yield from _op_timeout(sim, start, metrics, config)
         _record_failure(cluster, node.node_id, metrics)
@@ -613,8 +605,7 @@ def _node_group(cluster, coordinator, group: list[RemoteOp], metrics, config, sc
     sim = cluster.sim
     net = cluster.network
     node = group[0].node
-    resilient = config is not None
-    faults = cluster.faults if resilient and node.endpoint is not coordinator.endpoint else None
+    faults = cluster.faults if node.endpoint is not coordinator.endpoint else None
     start = sim.now
     tracer = sim.tracer
     batch_span = (
@@ -643,7 +634,7 @@ def _node_group(cluster, coordinator, group: list[RemoteOp], metrics, config, sc
             if batch_span is not None:
                 tracer.finish(batch_span, outcome="rejected")
             return [_REJECTED] * len(group)
-    if resilient and not node.alive:
+    if not node.alive:
         yield from _op_timeout(sim, start, metrics, config)
         _record_failure(cluster, node.node_id, metrics)
         if batch_span is not None:
@@ -669,19 +660,15 @@ def _node_group(cluster, coordinator, group: list[RemoteOp], metrics, config, sc
         try:
             reply_bytes, value = yield from op.execute()
         except ChecksumError:
-            if not resilient:
-                raise
             if metrics is not None:
                 metrics.checksum_failures += 1
             return _CORRUPT
         except (DeadlineExceeded, QueueFull):
             raise
         except Exception:
-            if not resilient:
-                raise
             _record_failure(cluster, node.node_id, metrics)
             return _FAILED
-        if resilient and not node.alive:
+        if not node.alive:
             yield from _op_timeout(sim, start, metrics, config)
             _record_failure(cluster, node.node_id, metrics)
             return _FAILED
@@ -707,7 +694,7 @@ def _node_group(cluster, coordinator, group: list[RemoteOp], metrics, config, sc
             value = yield from op.finalize(value)
         return value
 
-    hedge = resilient and config.hedge_after_s > 0
+    hedge = config.hedge_after_s > 0
     procs = [
         _spawn(
             sim, scope,

@@ -32,7 +32,7 @@ from repro.core.cache import LruDict
 from repro.core.config import OP_REQUEST_BYTES, SCALAR_RESULT_BYTES, StoreConfig
 from repro.core.cost_model import PushdownCostEstimator
 from repro.core.fac import construct_stripes
-from repro.core.kernel import PutReport, StripePlacement
+from repro.core.kernel import DECODE_CACHE_ENTRIES, PutReport, StripePlacement
 from repro.core.scatter_gather import SHED, RemoteOp, execute_remote_ops
 from repro.core.layout import ChunkItem, StripeLayout
 from repro.core.location_map import ChecksumError, ChunkLocation, LocationMap, chunk_checksum
@@ -150,7 +150,7 @@ class FusionStore(BaselineStore):
         # Page-index cache for node-local page skipping (invalidated with
         # the kernel's decode and degraded-read caches).
         self._page_index_cache: LruDict[tuple[str, tuple[int, int]], list] = LruDict(
-            self.config.decode_cache_entries
+            DECODE_CACHE_ENTRIES
         )
 
     def _node_pressured(self, node) -> bool:
@@ -364,9 +364,7 @@ class FusionStore(BaselineStore):
         treats it as non-retryable and falls straight back to degraded
         reconstruction (re-reading the same bad bytes cannot help, and a
         media error says nothing about the node's liveness)."""
-        if not self.config.checksum_verify or not loc.checksum:
-            return
-        if chunk_checksum(data) != loc.checksum:
+        if loc.checksum and chunk_checksum(data) != loc.checksum:
             raise ChecksumError(
                 f"chunk {loc.chunk_key} of {obj_name!r} failed CRC in block {loc.block_id}"
             )

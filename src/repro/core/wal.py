@@ -21,9 +21,8 @@ wins), uncommitted ones roll back with orphan-block garbage collection.
 
 WAL records are mirrored to the object's metadata replica nodes at
 append time so the log itself survives a dead coordinator.  Appends are
-metadata-plane operations: like Delete in the seed, they move no
-simulated bytes, so fault-free runs are event-identical with the log on
-or off.
+metadata-plane operations: like Delete, they move no simulated bytes
+and schedule no events.  Every store keeps the log.
 """
 
 from __future__ import annotations
@@ -128,9 +127,8 @@ class WalWriter:
     can reconstruct the log from any surviving replica holder.
     """
 
-    def __init__(self, cluster, enabled: bool = True) -> None:
+    def __init__(self, cluster) -> None:
         self.cluster = cluster
-        self.enabled = enabled
         self._next_op_id = 0
 
     def new_op_id(self) -> int:
@@ -140,8 +138,6 @@ class WalWriter:
     def append(self, coordinator, record: WalRecord) -> None:
         """Log ``record`` at the coordinator and mirror it to the
         object's replica nodes (idempotent per record)."""
-        if not self.enabled:
-            return
         tracer = self.cluster.sim.tracer
         if tracer is not None:
             tracer.instant(
@@ -163,8 +159,6 @@ class WalWriter:
         raising :class:`CoordinatorCrash` — state already written stays
         exactly as a real crash would leave it.
         """
-        if not self.enabled:
-            return
         if point not in CRASH_POINTS:
             raise ValueError(f"unknown crash point {point!r}")
         injector = getattr(self.cluster, "faults", None)

@@ -81,12 +81,6 @@ class TestFsckOracle:
         assert ("tbl", bid) in report.checksum_mismatches
         assert not report.clean
 
-    def test_checksum_verify_off_skips_crc(self, store_cls):
-        store = _system(store_cls, checksum_verify=False)
-        nid, bid = _first_data_block(store)
-        store.cluster.node(nid).corrupt_block(bid, offset=3)
-        assert store.fsck().checksum_mismatches == []
-
     def test_detects_under_replication(self, store_cls):
         store = _system(store_cls)
         obj = store.objects["tbl"]
@@ -185,15 +179,6 @@ class TestEndToEndChecksums:
         assert result.equals(execute_local(SQL, TABLE))
         assert metrics.checksum_failures >= 1
         assert store.cluster.metrics.checksum_failures >= 1
-
-    def test_verify_off_returns_corrupt_bytes(self, store_cls):
-        """With verification disabled the corruption flows through —
-        proving the checksum path is what catches it."""
-        store = _system(store_cls, checksum_verify=False)
-        nid, bid = _corrupt_queried_chunk(store)
-        assert store.cluster.node(nid).has_block(bid)
-        _result, metrics = store.query(SQL)
-        assert metrics.checksum_failures == 0
 
     def test_scrub_reports_block_level_mismatch(self, store_cls):
         store = _system(store_cls)

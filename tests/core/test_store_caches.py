@@ -88,7 +88,6 @@ class TestStaleCacheInvalidation:
 
     def test_caches_stay_bounded(self, kind):
         store = _store(kind)
-        store.config.decode_cache_entries = 4
         store._decode_cache.max_entries = 4
         store.put("tbl", _table(fill=7))
         store.query("SELECT id, val FROM tbl WHERE id >= 0")

@@ -7,7 +7,8 @@ the kernel (``repro.core.kernel.StoreKernel``) holds everything both
 layouts share, ``FusionStore`` is a ``BaselineStore`` whose Put tries
 FAC first, and what depends on the layout is asked of the stored object.
 These checks fail when a second copy of a kernel method, a layout hook
-on a store class, or a second store grows back.
+on a store class, or a second store grows back, and when a
+``StoreConfig`` field appears that only the tests set.
 """
 
 import dataclasses
@@ -97,8 +98,54 @@ def test_fixed_object_views_are_for_tests_and_benches_only():
             assert not hits, path
 
 
+#: Every ``StoreConfig`` field.  A new one needs a bench, benchmark or
+#: example that sets it (below); a deleted one leaves this list.
+KNOBS = (
+    "code", "block_size", "size_scale", "storage_overhead_threshold",
+    "pushdown_mode", "enable_aggregate_pushdown", "baseline_whole_block_reads",
+    "enable_page_skipping", "enable_rpc_batching", "op_timeout_s",
+    "rpc_max_retries", "greylist_latency_factor", "repair_throttle_bps",
+    "metadata_replicas", "tracing_enabled", "metrics_registry_enabled",
+    "hedge_after_s", "pushdown_audit_enabled", "default_deadline_s",
+    "admission_queue_depth", "admission_policy", "breaker_failure_threshold",
+    "breaker_window_s", "breaker_reset_s", "allow_partial_results",
+    "membership_enabled", "rpc_retry_jitter", "qos_enabled", "tenant_weights",
+    "tenant_requests_per_s", "tenant_bytes_per_s", "quota_burst_s",
+    "quota_policy", "tenant_queue_depth", "scrape_interval_s", "slo_enabled",
+    "exemplars_enabled",
+)
+#: Knobs no bench, benchmark or example sets, each kept for a reason.
+UNBENCHED_KNOBS = {
+    # ROADMAP item 4 picks the baseline's one read mode and deletes this.
+    "baseline_whole_block_reads",
+    # ROADMAP 3(c) paces bounded-concurrency rebuild with it.
+    "repair_throttle_bps",
+    # Only tests set these.
+    "rpc_max_retries", "hedge_after_s", "tenant_bytes_per_s", "quota_burst_s",
+    # Its "demote" path feeds the exported repro_*quota_demotions_total
+    # families; deleting it would move the telemetry digests.
+    "quota_policy",
+}
+#: Where a knob counts as used: the experiment harness, the benchmarks
+#: and the examples (tests do not count).
+KNOB_USERS = (SRC / "bench", SRC.parents[1] / "benchmarks", SRC.parents[1] / "examples")
+
+
 def test_no_new_knob():
-    assert len(dataclasses.fields(StoreConfig)) == 47
+    assert {f.name for f in dataclasses.fields(StoreConfig)} == set(KNOBS)
+    sources = "\n".join(
+        path.read_text() for root in KNOB_USERS for path in sorted(root.rglob("*.py"))
+    )
+    # Set as a ``name=`` keyword, a ``"name":`` dict key, or a
+    # ``config.name =`` assignment on a built store.
+    unset = {
+        name
+        for name in KNOBS
+        if not re.search(
+            rf"(?<![.\w]){name}=(?!=)|[\"']{name}[\"']\s*:|\bconfig\.{name}\s*=(?!=)", sources
+        )
+    }
+    assert unset == UNBENCHED_KNOBS
 
 
 def test_import_paths_the_harness_and_benches_use():

@@ -157,11 +157,6 @@ class TestWalDurability:
         survivors = [r for n in cluster.nodes if n.alive for r in n.wal]
         assert any(r.phase == "intent" for r in survivors)
 
-    def test_wal_disabled_writes_no_records(self):
-        store = _system(FusionStore, wal_enabled=False)
-        assert store.cluster.wal_records() == []
-        assert store.fsck().clean
-
     def test_fault_free_put_leaves_resolved_log(self):
         store = _system(FusionStore)
         records = store.cluster.wal_records()

@@ -143,9 +143,7 @@ def trace(store_cls) -> dict[str, list]:
             storage_overhead_threshold=0.1,
             block_size=150_000,
             metadata_replicas=3,
-            wal_enabled=True,
             membership_enabled=True,
-            read_repair_enabled=True,
         ),
     )
     steps: list = []

@@ -228,12 +228,6 @@ class TestReadRepair:
         assert store.get("tbl") == data
         assert not cluster.read_repairs
 
-    def test_knob_disables_enqueue(self, store_cls):
-        store, cluster, _table, data = _system(store_cls, read_repair_enabled=False)
-        cluster.fail_node(_first_data_holder(store))
-        assert store.get("tbl") == data
-        assert not cluster.read_repairs
-
 
 @pytest.mark.parametrize("store_cls", [FusionStore, BaselineStore])
 class TestMinHealthyFloor:
