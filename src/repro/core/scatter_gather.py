@@ -219,9 +219,9 @@ def _shielded(cluster, gen, node_id, metrics, scope, op=None):
     """Run ``gen``, mapping typed overload failures to op sentinels.
 
     Neither exception type can be raised in a run without the overload
-    knobs.  ``op`` is
-    the RemoteOp the work belongs to, threaded through so a refusal is
-    deduped per logical request (see :func:`_record_rejection`).
+    knobs.  ``op`` is the RemoteOp the work belongs to, threaded through
+    so a refusal is deduped per logical request (see
+    :func:`_record_rejection`).
     """
     try:
         value = yield from gen
