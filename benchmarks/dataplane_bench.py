@@ -311,8 +311,8 @@ _QUERY_SQLS = [
 
 
 def _e2e_query(table: Table) -> None:
-    """Write a snappy-coded table, load it, run the query mix (the
-    rpc_batching bench's shape: one store, a batch of pushdown queries)."""
+    """Write a snappy-coded table, load it into one Fusion store, and
+    run the pushdown query mix sequentially."""
     data = write_table(table, row_group_rows=4_000, codec="snappy")
     sim = Simulator()
     cluster = Cluster(sim, ClusterConfig(num_nodes=12))

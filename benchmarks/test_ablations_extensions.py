@@ -5,7 +5,6 @@ from repro.bench.experiments import (
     ablation_cost_model,
     ablation_fac_policy,
     ablation_page_skipping,
-    ablation_rpc_batching,
     ext_aggregate_pushdown,
     ext_degraded_reads,
     ext_grouped_query,
@@ -49,18 +48,6 @@ def test_ext_aggregate_pushdown(run_experiment):
     # The paper's future-work extension: less traffic and lower latency.
     assert on.network_bytes < off.network_bytes
     assert on.p50() < off.p50()
-
-
-def test_ablation_rpc_batching(run_experiment):
-    result = run_experiment(ablation_rpc_batching, num_queries=20)
-    for kind in ("fusion", "baseline"):
-        on = result.raw[(kind, True)]
-        off = result.raw[(kind, False)]
-        # Fewer wire messages, same traffic, and no latency regression.
-        assert on.rpcs_issued < off.rpcs_issued
-        assert on.rpcs_issued + on.rpcs_saved == off.rpcs_issued
-        assert on.network_bytes == off.network_bytes
-        assert on.mean_latency() <= off.mean_latency()
 
 
 def test_ablation_page_skipping(run_experiment):

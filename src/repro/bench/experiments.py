@@ -989,56 +989,6 @@ def ablation_page_skipping(num_queries: int = 30) -> ExperimentResult:
     )
 
 
-def ablation_rpc_batching(num_queries: int = 30) -> ExperimentResult:
-    """Scatter-gather RPC batching on vs off, for both stores.
-
-    Batching coalesces each stage's per-chunk ops into one batched
-    request per destination node (replies stream per-op), amortising the
-    fixed RPC overhead and RTT; payload bytes and results are identical.
-    """
-    ldata, ltable = dataset("lineitem")
-    tdata, ttable = dataset("taxi")
-    queries = {q.name: q for q in real_world_queries(ltable, ttable)}
-    sqls = [queries["Q1"].sql, queries["Q3"].sql]
-    rows = []
-    raw: dict = {}
-    for kind in ("fusion", "baseline"):
-        for enabled in (True, False):
-            cfg = store_config("lineitem", enable_rpc_batching=enabled)
-            system = build_system(
-                kind, {"lineitem": ldata, "taxi": tdata}, store_config=cfg
-            )
-            stats = run_workload(system, sqls, num_clients=10, num_queries=num_queries)
-            raw[(kind, enabled)] = stats
-            rows.append(
-                [
-                    kind,
-                    "batched" if enabled else "unbatched",
-                    round(stats.mean_latency() * 1000, 2),
-                    round(stats.p99() * 1000, 2),
-                    stats.rpcs_issued,
-                    stats.rpcs_saved,
-                    round(stats.network_bytes / MB, 1),
-                ]
-            )
-    return ExperimentResult(
-        experiment="ablation-rpc-batching",
-        title="Per-node scatter-gather RPC batching (Q1 + Q3, ms)",
-        headers=[
-            "system",
-            "mode",
-            "mean (ms)",
-            "p99 (ms)",
-            "rpcs issued",
-            "rpcs saved",
-            "net MB",
-        ],
-        rows=rows,
-        notes="one batched request per (node, stage); traffic and results identical",
-        raw=raw,
-    )
-
-
 def put_latency(datasets_to_run: tuple[str, ...] = ("lineitem", "taxi")) -> ExperimentResult:
     """Put latency: Fusion (FAC) vs baseline (fixed blocks).
 

@@ -99,7 +99,7 @@ class Network:
         self.total_bytes = 0
         #: Messages actually put on the wire (loopback excluded).
         self.rpcs_issued = 0
-        #: Per-op messages coalesced away by batching: a batched request
+        #: Per-op messages coalesced into an exchange: a batched request
         #: carrying ``p`` op payloads counts as 1 issued and ``p - 1``
         #: saved, and every streamed reply riding an open exchange
         #: counts as 1 saved.
@@ -188,8 +188,8 @@ class Network:
         and tail-latency shape are preserved), but the fixed per-RPC
         overhead and the half-RTT propagation delay are paid *once* for
         the whole batch instead of once per op.  ``sizes`` lists each
-        op's payload bytes; byte accounting is the sum, so batched and
-        unbatched executions move identical traffic.
+        op's payload bytes; byte accounting is the sum, so coalescing
+        changes when bytes travel, never how many.
         """
         sizes = list(sizes)
         if not sizes:
@@ -228,8 +228,8 @@ class Network:
         The payload still serialises through the FIFO pipes at link
         bandwidth, but no new RPC is set up: the message pays no
         per-RPC overhead (and propagation only when ``half_rtt`` is set,
-        for the first reply of an exchange).  Counts as one saved RPC —
-        unbatched, this reply would have been its own round trip.
+        for the first reply of an exchange).  Counts as one saved RPC:
+        sent on its own, this reply would have been its own round trip.
         """
         if nbytes < 0:
             raise ValueError("cannot transfer a negative number of bytes")

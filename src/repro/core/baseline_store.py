@@ -273,7 +273,6 @@ class BaselineStore(StoreKernel):
                 for f in fragments
             ],
             query,
-            self.config.enable_rpc_batching,
             config=self.config,
         )
         return b"".join(parts)
@@ -424,7 +423,6 @@ class BaselineStore(StoreKernel):
                 for idx in indices
             ],
             metrics,
-            self.config.enable_rpc_batching,
             config=self.config,
             allow_shed=allow_shed,
         )
@@ -461,8 +459,8 @@ class BaselineStore(StoreKernel):
     ):
         """Reassemble each needed chunk from its exact byte fragments.
 
-        All chunks' fragments travel in one scatter-gather round (batched:
-        one reply per holding node); each chunk is then decoded at the
+        All chunks' fragments travel in one scatter-gather round (one
+        exchange per holding node); each chunk is then decoded at the
         coordinator once its bytes are assembled.  Returns
         ``(decoded, shed_ops)``: chunks with a shed fragment map to the
         ``SHED`` sentinel and are never decoded.
@@ -483,7 +481,6 @@ class BaselineStore(StoreKernel):
             coordinator,
             frag_ops,
             metrics,
-            self.config.enable_rpc_batching,
             config=self.config,
             allow_shed=allow_shed,
         )

@@ -699,7 +699,6 @@ class StoreKernel:
             coordinator,
             [fetch_op(node, bid) for _j, node, bid in gather],
             metrics,
-            self.config.enable_rpc_batching,
             config=self.config,
         )
         for (j, _node, _bid), data in zip(gather, payloads):

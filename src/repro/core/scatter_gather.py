@@ -1,17 +1,14 @@
-"""Scatter-gather execution of per-chunk remote ops, optionally batched.
+"""Scatter-gather execution of per-chunk remote ops, one exchange per node.
 
 Both stores execute query stages as fan-outs of small per-chunk ops
-(push a filter, push a projection, fetch a fragment).  Unbatched, every
-op is its own round trip: request message, node-side work, reply
-message — hundreds of serialized RPC setups for a many-row-group object.
-This module centralises the fan-out so the stores can coalesce it: with
-batching enabled, all ops bound for the same storage node share *one*
-batched request message per stage (``Network.batch_transfer``), and
-their replies stream back per-op over the open exchange
-(``Network.stream_transfer``) as each op finishes — amortising the
-fixed per-RPC overhead and the RTT across the node's whole op group
-while payload bytes still serialise through the pipes and node-side
-work keeps pipelining with the reply transfers.
+(push a filter, push a projection, fetch a fragment).  This module
+groups each stage's ops by destination node: all ops bound for the same
+storage node share *one* batched request message
+(``Network.batch_transfer``), and their replies stream back per-op over
+the open exchange (``Network.stream_transfer``) as each op finishes —
+paying the fixed per-RPC overhead and the RTT once per node instead of
+once per chunk, while payload bytes still serialise through the pipes
+and node-side work keeps pipelining with the reply transfers.
 
 An op is described declaratively by :class:`RemoteOp`:
 
@@ -19,9 +16,9 @@ An op is described declaratively by :class:`RemoteOp`:
   common healthy-node shape — ``execute`` runs on the node (disk reads,
   compute) and returns ``(reply_bytes, value)``; ``finalize`` optionally
   continues at the coordinator after the reply arrives;
-* ``standalone`` for ops that cannot ride a batch (degraded reads that
-  reconstruct at the coordinator); they run as independent processes in
-  both modes;
+* ``standalone`` for ops that cannot ride an exchange (degraded reads
+  that reconstruct at the coordinator); they run as independent
+  processes beside the node exchanges;
 * ``fallback`` optionally names a degraded-path generator used when the
   primary attempt fails for good (see below).
 
@@ -37,8 +34,8 @@ The executor survives nodes that die, drop RPCs, or lose blocks
 1. every attempt is bounded by ``op_timeout_s`` — a dropped request or
    reply, or a node that dies before replying, costs the coordinator
    the remaining timeout instead of hanging forever;
-2. failed ops are retried (``rpc_max_retries`` times, exponential
-   backoff from :data:`RETRY_BACKOFF_S`), re-batched per node;
+2. failed ops are retried (:data:`MAX_RETRIES` times, exponential
+   backoff from :data:`RETRY_BACKOFF_S`), regrouped per node;
 3. ops that exhaust their retries — or whose node the shared
    :class:`~repro.cluster.health.NodeHealthTracker` no longer considers
    usable — run their ``fallback`` (degraded-read reconstruction)
@@ -82,6 +79,10 @@ from repro.cluster.simcore import QueueFull, all_of, any_of
 
 from repro.core.location_map import ChecksumError
 
+#: Retries a failed op gets before it falls back to degraded-read
+#: reconstruction.
+MAX_RETRIES = 2
+
 #: First retry's backoff (seconds); attempt n waits ``2 ** (n - 1)`` times it.
 RETRY_BACKOFF_S = 0.002
 
@@ -120,8 +121,8 @@ class RemoteOp:
     Exactly one of ``execute`` (with ``node``) or ``standalone`` must be
     set.  ``request_bytes`` and the first element of ``execute``'s
     return value are *simulated* (already scaled) byte counts; byte
-    accounting sums them per batch, so batched and unbatched runs move
-    identical traffic.  ``fallback`` (batchable ops only) is the
+    accounting sums them per node exchange, so traffic equals the sum of
+    the ops' payloads.  ``fallback`` (``execute`` ops only) is the
     degraded path run if every attempt fails.
     """
 
@@ -266,20 +267,17 @@ def _await_barrier(sim, barrier, scope, cluster, metrics, where):
 
 
 def execute_remote_ops(
-    cluster, coordinator, ops, metrics, batched: bool, config,
-    allow_shed: bool = False,
+    cluster, coordinator, ops, metrics, config, allow_shed: bool = False,
 ):
     """Process: run ``ops``; returns their final values in op order.
 
-    Unbatched, each op is an independent process paying its own request
-    and reply RPCs (the seed behaviour).  Batched, ops are grouped by
-    destination node: one coalesced request per node opens the exchange,
-    then each op executes, streams its reply, and finalises
-    independently — no barrier, so node-side work still overlaps the
-    reply transfers exactly as in the unbatched pipeline.
+    Ops are grouped by destination node: one coalesced request per node
+    opens the exchange, then each op executes, streams its reply, and
+    finalises independently — no barrier, so node-side work overlaps
+    the reply transfers.
 
     Failed ops are retried then routed to their ``fallback`` (see module
-    docstring) under ``config``'s timeout, retry and hedge settings.
+    docstring) under ``config``'s timeout and hedge settings.
 
     With ``allow_shed`` set (scan stages under
     ``StoreConfig.allow_partial_results``), ops refused by admission
@@ -290,7 +288,6 @@ def execute_remote_ops(
     sim = cluster.sim
     results: list[object] = [None] * len(ops)
     pending = list(range(len(ops)))
-    max_retries = config.rpc_max_retries
     deadline = _deadline_of(metrics)
     scope = CancelScope(sim) if deadline is not None else None
     if deadline is not None:
@@ -300,8 +297,7 @@ def execute_remote_ops(
     shed: set[int] = set()
     while True:
         failed, corrupt, rejected, deadlined = yield from _run_round(
-            cluster, coordinator, ops, pending, results, metrics, batched, config,
-            scope, deadline,
+            cluster, coordinator, ops, pending, results, metrics, config, scope, deadline,
         )
         exhausted.extend(corrupt)
         if deadlined or (deadline is not None and deadline.expired):
@@ -320,7 +316,7 @@ def execute_remote_ops(
         for i in failed:
             node = ops[i].node
             if (
-                attempts <= max_retries
+                attempts <= MAX_RETRIES
                 and node is not None
                 and node.alive
                 and cluster.routable(node.node_id)
@@ -409,10 +405,7 @@ def execute_remote_ops(
     return results
 
 
-def _run_round(
-    cluster, coordinator, ops, indices, results, metrics, batched, config,
-    scope, deadline,
-):
+def _run_round(cluster, coordinator, ops, indices, results, metrics, config, scope, deadline):
     """One attempt over ``indices``; fills ``results``, returns the
     (retryable, checksum-corrupt, admission-rejected, deadline-hit)
     failure index lists.
@@ -439,19 +432,6 @@ def _run_round(
             results[i] = value
 
     waits: list[tuple[list[int], object]] = []
-    if not batched:
-        for i in indices:
-            waits.append(
-                ([i], _spawn(sim, scope, _single_op(
-                    cluster, coordinator, ops[i], metrics, config, scope, deadline
-                )))
-            )
-        barrier = all_of(sim, [proc for _indices, proc in waits])
-        yield from _await_barrier(sim, barrier, scope, cluster, metrics, "round barrier")
-        for ([i], _proc), value in zip(waits, barrier.value):
-            classify(i, value)
-        return failed, corrupt, rejected, deadlined
-
     groups: dict[int, list[int]] = {}
     for i in indices:
         op = ops[i]
@@ -502,96 +482,6 @@ def _op_timeout(sim, op_start, metrics, config):
         metrics.add(m.OTHER, remaining)
 
 
-def _single_op(cluster, coordinator, op: RemoteOp, metrics, config, scope=None, deadline=None):
-    """One op, unbatched: its own request RPC, work, and reply RPC."""
-    if op.standalone is not None:
-        value = yield from _shielded_fallback(cluster, op.standalone(), metrics, scope, op)
-        return value
-    attempt = _attempt_single(cluster, coordinator, op, metrics, config, scope, deadline)
-    if config.hedge_after_s > 0 and op.fallback is not None:
-        value = yield from _hedged(cluster, op, attempt, metrics, config, scope, deadline)
-    else:
-        value = yield from attempt
-    return value
-
-
-def _attempt_single(cluster, coordinator, op: RemoteOp, metrics, config, scope=None, deadline=None):
-    """One unbatched attempt: request RPC, node-side work, reply RPC."""
-    sim = cluster.sim
-    node = op.node
-    # Loopback ops (coordinator-local chunks) cannot be dropped.
-    faults = cluster.faults if node.endpoint is not coordinator.endpoint else None
-    start = sim.now
-    tracer = sim.tracer
-    span = tracer.begin("rpc", cat="rpc", node=node.node_id) if tracer is not None else None
-    try:
-        value = yield from _attempt_single_body(
-            cluster, coordinator, op, metrics, config, node, faults, start, deadline,
-        )
-        return value
-    except DeadlineExceeded:
-        if scope is not None:
-            scope.note_deadline()
-        return _DEADLINE
-    except QueueFull as exc:
-        _record_rejection(cluster, node.node_id, metrics, exc, (op,))
-        return _REJECTED
-    finally:
-        if span is not None:
-            tracer.finish(span)
-
-
-def _attempt_single_body(
-    cluster, coordinator, op, metrics, config, node, faults, start, deadline=None,
-):
-    sim = cluster.sim
-    if deadline is not None:
-        deadline.check("rpc")
-    if op.request_bytes is not None:
-        if faults is not None and faults.drop_rpc(node.node_id, coordinator.node_id):
-            yield from _op_timeout(sim, start, metrics, config)
-            _record_failure(cluster, node.node_id, metrics)
-            return _FAILED
-        yield from cluster.network.transfer(
-            coordinator.endpoint, node.endpoint, op.request_bytes, metrics
-        )
-    if not node.alive:
-        yield from _op_timeout(sim, start, metrics, config)
-        _record_failure(cluster, node.node_id, metrics)
-        return _FAILED
-    try:
-        reply_bytes, value = yield from op.execute()
-    except ChecksumError:
-        # Stored bytes are rotten: detected at read time, answered by
-        # reconstruction.  Not a node-health signal and not retryable.
-        if metrics is not None:
-            metrics.checksum_failures += 1
-        return _CORRUPT
-    except (DeadlineExceeded, QueueFull):
-        raise
-    except Exception:
-        # The node answered with an error (e.g. block not found after a
-        # wipe): a fast failure, no timeout wait.
-        _record_failure(cluster, node.node_id, metrics)
-        return _FAILED
-    if not node.alive:
-        # Died mid-execute: the reply never leaves the node.
-        yield from _op_timeout(sim, start, metrics, config)
-        _record_failure(cluster, node.node_id, metrics)
-        return _FAILED
-    if faults is not None and faults.drop_rpc(node.node_id, coordinator.node_id):
-        yield from _op_timeout(sim, start, metrics, config)
-        _record_failure(cluster, node.node_id, metrics)
-        return _FAILED
-    yield from cluster.network.transfer(
-        op.node.endpoint, coordinator.endpoint, reply_bytes, metrics
-    )
-    _record_success(cluster, node.node_id, sim.now - start)
-    if op.finalize is not None:
-        value = yield from op.finalize(value)
-    return value
-
-
 def _node_group(cluster, coordinator, group: list[RemoteOp], metrics, config, scope=None, deadline=None):
     """All of one node's ops for a stage, as one scatter-gather exchange.
 
@@ -605,6 +495,7 @@ def _node_group(cluster, coordinator, group: list[RemoteOp], metrics, config, sc
     sim = cluster.sim
     net = cluster.network
     node = group[0].node
+    # Loopback ops (coordinator-local chunks) cannot be dropped.
     faults = cluster.faults if node.endpoint is not coordinator.endpoint else None
     start = sim.now
     tracer = sim.tracer
@@ -660,15 +551,20 @@ def _node_group(cluster, coordinator, group: list[RemoteOp], metrics, config, sc
         try:
             reply_bytes, value = yield from op.execute()
         except ChecksumError:
+            # Stored bytes are rotten: detected at read time, answered by
+            # reconstruction.  Not a node-health signal and not retryable.
             if metrics is not None:
                 metrics.checksum_failures += 1
             return _CORRUPT
         except (DeadlineExceeded, QueueFull):
             raise
         except Exception:
+            # The node answered with an error (e.g. block not found after
+            # a wipe): a fast failure, no timeout wait.
             _record_failure(cluster, node.node_id, metrics)
             return _FAILED
         if not node.alive:
+            # Died mid-execute: the reply never leaves the node.
             yield from _op_timeout(sim, start, metrics, config)
             _record_failure(cluster, node.node_id, metrics)
             return _FAILED

@@ -421,7 +421,7 @@ class FusionStore(BaselineStore):
             parts.append((lo, obj.trailer_bytes[lo - trailer_start : end - trailer_start]))
 
         payloads = yield from execute_remote_ops(
-            self.cluster, coordinator, fetch_ops, metrics, self.config.enable_rpc_batching, config=self.config
+            self.cluster, coordinator, fetch_ops, metrics, config=self.config
         )
         for start, payload in zip(fetch_starts, payloads):
             parts.append((start, payload))
@@ -566,7 +566,7 @@ class FusionStore(BaselineStore):
                 keys.append((rg, op.index))
                 ops.append(self._filter_op(obj, coordinator, rg, op, meta, metrics))
         bitmaps_out = yield from execute_remote_ops(
-            self.cluster, coordinator, ops, metrics, self.config.enable_rpc_batching,
+            self.cluster, coordinator, ops, metrics,
             config=self.config, allow_shed=allow_shed,
         )
         leaf_results = dict(zip(keys, bitmaps_out))
@@ -641,7 +641,7 @@ class FusionStore(BaselineStore):
                         )
                     )
             values_out = yield from execute_remote_ops(
-                self.cluster, coordinator, ops, metrics, self.config.enable_rpc_batching,
+                self.cluster, coordinator, ops, metrics,
                 config=self.config, allow_shed=allow_shed,
             )
             for key, values in zip(task_keys, values_out):
@@ -702,7 +702,7 @@ class FusionStore(BaselineStore):
             task_rgs.append(rg)
             ops.append(self._fused_op(obj, coordinator, op, meta, type_, metrics))
         fused_out = yield from execute_remote_ops(
-            self.cluster, coordinator, ops, metrics, self.config.enable_rpc_batching,
+            self.cluster, coordinator, ops, metrics,
             config=self.config, allow_shed=allow_shed,
         )
         shed_rgs: set[int] = set()
@@ -992,7 +992,7 @@ class FusionStore(BaselineStore):
                     self._partial_aggregate_op(obj, coordinator, meta, agg, bitmap, metrics)
                 )
         partials_out = yield from execute_remote_ops(
-            self.cluster, coordinator, ops, metrics, self.config.enable_rpc_batching, config=self.config
+            self.cluster, coordinator, ops, metrics, config=self.config
         )
         partials_by_agg: dict[int, list[dict]] = {i: [] for i in range(len(aggs))}
         for (rg, agg_idx), partial in zip(task_keys, partials_out):

@@ -103,10 +103,9 @@ def test_fixed_object_views_are_for_tests_and_benches_only():
 KNOBS = (
     "code", "block_size", "size_scale", "storage_overhead_threshold",
     "pushdown_mode", "enable_aggregate_pushdown", "baseline_whole_block_reads",
-    "enable_page_skipping", "enable_rpc_batching", "op_timeout_s",
-    "rpc_max_retries", "greylist_latency_factor", "repair_throttle_bps",
-    "metadata_replicas", "tracing_enabled", "metrics_registry_enabled",
-    "hedge_after_s", "pushdown_audit_enabled", "default_deadline_s",
+    "enable_page_skipping", "op_timeout_s", "greylist_latency_factor",
+    "repair_throttle_bps", "metadata_replicas", "tracing_enabled",
+    "metrics_registry_enabled", "hedge_after_s", "pushdown_audit_enabled", "default_deadline_s",
     "admission_queue_depth", "admission_policy", "breaker_failure_threshold",
     "breaker_window_s", "breaker_reset_s", "allow_partial_results",
     "membership_enabled", "rpc_retry_jitter", "qos_enabled", "tenant_weights",
@@ -121,7 +120,7 @@ UNBENCHED_KNOBS = {
     # ROADMAP 3(c) paces bounded-concurrency rebuild with it.
     "repair_throttle_bps",
     # Only tests set these.
-    "rpc_max_retries", "hedge_after_s", "tenant_bytes_per_s", "quota_burst_s",
+    "hedge_after_s", "tenant_bytes_per_s", "quota_burst_s",
     # Its "demote" path feeds the exported repro_*quota_demotions_total
     # families; deleting it would move the telemetry digests.
     "quota_policy",

@@ -224,7 +224,6 @@ def test_partial_result_under_saturating_overload():
             admission_queue_depth=1,
             admission_policy="reject",
             allow_partial_results=True,
-            rpc_max_retries=0,
         ),
     )
     store.put("tbl", data)
