@@ -178,10 +178,30 @@ _EMPTY = np.zeros(0, dtype=np.uint8)
 
 #: LRU bounds (entries) of the real-bytes memo caches: decoded column
 #: chunks, and blocks recovered by a degraded read.  They save benchmark
-#: wall-clock, not simulated time (every access is still charged), so a
-#: small cache suffices.
+#: wall-clock, not simulated time (a chunk decode is charged on every
+#: access; a degraded gather and its decode once per request and
+#: stripe, whatever the cache holds), so a small cache suffices.
 DECODE_CACHE_ENTRIES = 512
 DEGRADED_CACHE_ENTRIES = 64
+
+
+class _SharedGather:
+    """One request's degraded gather of one stripe.
+
+    The first degraded read of the stripe fetches and decode-charges
+    the shards; later reads in the same request wait on ``done`` and
+    reuse ``shards``.  When the gather fails, the entry leaves the
+    table, ``shards`` stays ``None`` and ``error`` holds what it raised
+    (``None`` if it was cancelled).
+    """
+
+    __slots__ = ("done", "shards", "error", "waiters")
+
+    def __init__(self, done) -> None:
+        self.done = done
+        self.shards: list[np.ndarray | None] | None = None
+        self.error: Exception | None = None
+        self.waiters = 0
 
 
 class StoreKernel:
@@ -202,12 +222,16 @@ class StoreKernel:
         # simulated decode time is charged independently, so re-decoding
         # the same chunk for every simulated query would only burn real
         # wall-clock in benchmarks.  Every cache holds real bytes only
-        # (simulated costs are charged per access), is bounded by a small
-        # LRU, is keyed by object name first, and is invalidated on
-        # put/delete so a reused name never serves stale values.
+        # (simulated costs are charged whatever it holds), is bounded by
+        # a small LRU, is keyed by object name first, and is invalidated
+        # on put/delete so a reused name never serves stale values.
         self._decode_cache: LruDict[tuple, np.ndarray] = LruDict(DECODE_CACHE_ENTRIES)
         # Degraded-read reconstruction cache: block id -> recovered block.
         self._degraded_bin_cache: LruDict[str, np.ndarray] = LruDict(DEGRADED_CACHE_ENTRIES)
+        # Degraded gathers of the requests in flight: id of the request's
+        # metrics -> (object name, stripe id) -> _SharedGather.  Each
+        # table lives exactly as long as its Get or query.
+        self._request_gathers: dict[int, dict[tuple[str, int], _SharedGather]] = {}
         # Failure detection: share the cluster's health tracker and hear
         # about liveness changes so degraded-read reconstructions are
         # never served stale after a restore or repair.
@@ -409,13 +433,15 @@ class StoreKernel:
     ):
         """Simulated Get (the store's ``_get_body`` under a span)."""
         if metrics is None:
-            # Deadlines and the tenant id ride on the metrics object;
-            # synthesize a carrier when either needs one so bare Gets
-            # are budgeted and fair-scheduled too.
-            deadline = Deadline.from_config(self.sim, self.config)
-            if deadline is not None or tenant is not None:
-                metrics = QueryMetrics()
-                metrics.deadline = deadline
+            # Deadlines, the tenant id and the request's degraded gathers
+            # ride on the metrics object, so a bare Get gets a carrier.
+            # With neither a deadline nor a tenant the carrier stays
+            # exempt from admission control (priority None), as a Get
+            # without metrics always was.
+            metrics = QueryMetrics()
+            metrics.deadline = Deadline.from_config(self.sim, self.config)
+            if metrics.deadline is None and tenant is None:
+                metrics.priority = None
         else:
             arm_deadline(self.sim, self.config, metrics)
         if tenant is not None:
@@ -426,12 +452,12 @@ class StoreKernel:
                 )
         try:
             data = yield from traced(
-                self.sim, self._get_body(name, metrics, offset, size), "get", "store",
-                obj=name, store=self.span_label,
+                self.sim,
+                self._request_scoped(self._get_body(name, metrics, offset, size), metrics),
+                "get", "store", obj=name, store=self.span_label,
             )
         except DeadlineExceeded:
-            if metrics is not None:
-                metrics.deadline_exceeded += 1
+            metrics.deadline_exceeded += 1
             raise
         return data
 
@@ -465,8 +491,8 @@ class StoreKernel:
         arm_deadline(self.sim, self.config, metrics)
         try:
             result = yield from traced(
-                self.sim, self._query_body(query, metrics), "query", "store",
-                metrics=metrics, table=query.table, store=self.span_label,
+                self.sim, self._request_scoped(self._query_body(query, metrics), metrics),
+                "query", "store", metrics=metrics, table=query.table, store=self.span_label,
             )
         except DeadlineExceeded:
             # The body records metrics only on success, so accounting the
@@ -626,6 +652,21 @@ class StoreKernel:
             gathered * self.config.size_scale / coordinator.cpu_config.decode_bps, metrics
         )
 
+    def _request_scoped(self, body, metrics: QueryMetrics):
+        """Process: run a Get or query ``body`` with a degraded-gather
+        table keyed by the request's ``metrics``, freed when the body
+        ends, however it ends.  Requests run concurrently with one
+        metrics object share its table, and the first to open it frees
+        it."""
+        key = id(metrics)
+        if key in self._request_gathers:
+            return (yield from body)
+        self._request_gathers[key] = {}
+        try:
+            return (yield from body)
+        finally:
+            del self._request_gathers[key]
+
     def _degraded_block_read(
         self, obj, placement: StripePlacement, i: int, coordinator, metrics, intact
     ):
@@ -634,9 +675,10 @@ class StoreKernel:
 
         Gathers ``k`` surviving blocks of the stripe, RS-decodes the lost
         block and returns its bytes — the expensive path that justifies
-        prompt recovery.  Reconstructed blocks are cached (real bytes
-        only; simulated costs are charged on every call).  ``intact`` is
-        the layout's end-to-end check of a reconstructed block.
+        prompt recovery.  The gather and its decode are charged once per
+        (request, stripe) (:meth:`_stripe_shards`); reconstructed blocks
+        are cached as real bytes only.  ``intact`` is the layout's
+        end-to-end check of a reconstructed block.
         """
         return traced(
             self.sim,
@@ -645,9 +687,105 @@ class StoreKernel:
         )
 
     def _degraded_block_read_body(self, obj, placement, i, coordinator, metrics, intact):
-        check_deadline(metrics, "degraded read")
+        shards = yield from self._stripe_shards(obj, placement, coordinator, metrics)
+        k = self.config.code.k
+        block_ids = placement.block_ids
+        cache = self._degraded_bin_cache
+        cached = cache.get(block_ids[i])
+        siblings: list[str] = []
+        if cached is None:
+            # One decode recovers every ungathered data bin: cache them
+            # all, so a read of a sibling bin decodes nothing.
+            recovered = decode_stripe(self.config.code, shards, placement.data_sizes)
+            for j in range(k):
+                if shards[j] is None and j != i and block_ids[j] not in cache:
+                    cache[block_ids[j]] = recovered[j]
+                    siblings.append(block_ids[j])
+            cached = recovered[i]
+            cache[block_ids[i]] = cached
+        if not intact(cached):
+            # The reconstruction itself is wrong: one of the gathered
+            # shards was silently corrupt (including, possibly, the
+            # target block itself when this path was entered because a
+            # direct read failed its CRC), so the siblings that decode
+            # cached are suspect too.  Fall back to checksum-guided
+            # recovery over every reachable shard.
+            for bid in siblings:
+                cache.pop(bid)
+            if metrics is not None:
+                metrics.checksum_failures += 1
+            rebuilt = yield from self._verified_block_recovery(
+                placement, i, coordinator, metrics
+            )
+            if rebuilt is not None:
+                cached = rebuilt
+                cache[block_ids[i]] = cached
+        # Anti-entropy read-repair: this foreground read had to
+        # reconstruct — queue the stripe for background repair so the
+        # damage heals from traffic instead of waiting for a scrub.
+        self.cluster.enqueue_read_repair(self, obj.kind, obj.name, placement.stripe_id)
+        return cached
+
+    def _stripe_shards(self, obj, placement: StripePlacement, coordinator, metrics):
+        """Process: the shards a degraded read of ``placement`` decodes.
+
+        One gather and one decode charge per (request, stripe): a real
+        coordinator reconstructing several lost bins of one stripe for
+        one request reads the k survivors once, and one decode recovers
+        every lost bin.  The first read publishes its gather in the
+        request's table (:meth:`_request_scoped`); a later read of the
+        stripe takes the shards, waiting if the gather is still in
+        flight, and is not counted in ``degraded_reads``.  A gather that
+        fails leaves the table and wakes its waiters: they re-raise its
+        typed error (``DeadlineExceeded``, ``QueueFull``,
+        ``RemoteOpError``) as their own, as a read that gathered alone
+        under the same load would have; if it was cancelled instead,
+        they gather for themselves.  Outside a request (no table) every
+        call gathers.
+        """
+        table = self._request_gathers.get(id(metrics))
+        key = (obj.name, placement.stripe_id)
+        while True:
+            check_deadline(metrics, "degraded read")
+            shared = table.get(key) if table is not None else None
+            if shared is None:
+                break
+            if shared.shards is None:
+                shared.waiters += 1
+                yield shared.done
+            if shared.shards is not None:
+                return shared.shards
+            if shared.error is not None:
+                raise shared.error
         if metrics is not None:
             metrics.degraded_reads += 1
+        shared = _SharedGather(self.sim.event())
+        if table is not None:
+            table[key] = shared
+        try:
+            shards = yield from self._gather_for_decode(placement, coordinator, metrics)
+            yield from self._charge_decode(coordinator, shards, metrics)
+        except BaseException as exc:
+            # Raised, or cancelled (GeneratorExit): drop the entry, and
+            # wake the waiters from the heap rather than from this
+            # unwinding frame, so a waiter cancelled by the same scope
+            # is already gone when the wake lands.
+            if table is not None:
+                table.pop(key, None)
+            if isinstance(exc, Exception):
+                shared.error = exc
+            if shared.waiters:
+                self.sim.timeout(0).add_callback(lambda _event: shared.done.succeed())
+            raise
+        shared.shards = shards
+        shared.done.succeed()
+        return shards
+
+    def _gather_for_decode(self, placement: StripePlacement, coordinator, metrics):
+        """Process: fetch the first ``k`` reachable shards of the stripe
+        onto the coordinator as one scatter-gather round; returns the n
+        shards (``None`` where nothing was fetched, an empty array for
+        never-written data positions)."""
         k, n = self.config.code.k, self.config.code.n
         block_ids = placement.block_ids
         shards: list[np.ndarray | None] = [None] * n
@@ -703,43 +841,7 @@ class StoreKernel:
         )
         for (j, _node, _bid), data in zip(gather, payloads):
             shards[j] = data
-
-        yield from self._charge_decode(coordinator, shards, metrics)
-        cache = self._degraded_bin_cache
-        cached = cache.get(block_ids[i])
-        siblings: list[str] = []
-        if cached is None:
-            # One decode recovers every ungathered data bin: cache them
-            # all, so a read of a sibling bin decodes nothing.
-            recovered = decode_stripe(self.config.code, shards, placement.data_sizes)
-            for j in range(k):
-                if shards[j] is None and j != i and block_ids[j] not in cache:
-                    cache[block_ids[j]] = recovered[j]
-                    siblings.append(block_ids[j])
-            cached = recovered[i]
-            cache[block_ids[i]] = cached
-        if not intact(cached):
-            # The reconstruction itself is wrong: one of the gathered
-            # shards was silently corrupt (including, possibly, the
-            # target block itself when this path was entered because a
-            # direct read failed its CRC), so the siblings that decode
-            # cached are suspect too.  Fall back to checksum-guided
-            # recovery over every reachable shard.
-            for bid in siblings:
-                cache.pop(bid)
-            if metrics is not None:
-                metrics.checksum_failures += 1
-            rebuilt = yield from self._verified_block_recovery(
-                placement, i, coordinator, metrics
-            )
-            if rebuilt is not None:
-                cached = rebuilt
-                cache[block_ids[i]] = cached
-        # Anti-entropy read-repair: this foreground read had to
-        # reconstruct — queue the stripe for background repair so the
-        # damage heals from traffic instead of waiting for a scrub.
-        self.cluster.enqueue_read_repair(self, obj.kind, obj.name, placement.stripe_id)
-        return cached
+        return shards
 
     def _verified_block_recovery(self, placement: StripePlacement, i: int, coordinator, metrics):
         """Checksum-guided reconstruction of one data block.

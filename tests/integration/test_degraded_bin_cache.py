@@ -1,13 +1,15 @@
-"""One decode per degraded stripe, and the bin cache stays wall-only.
+"""One gather and one decode per degraded stripe, and the bin cache
+stays wall-only.
 
 A degraded read decodes every data bin its gathered shards do not
 cover, so the kernel caches the lost siblings of the bin it was asked
-for (``StoreKernel._degraded_block_read_body``).  The cache holds real
-bytes only: the simulated gather and decode charges are paid on every
-read, so the event stream must be the one a cache holding only the
-requested bin produced (digests below pinned with that cache), and a
-sibling decoded from shards that produced a wrong target bin must never
-be served.
+for (``StoreKernel._degraded_block_read_body``).  The simulated gather
+and its decode are charged once per (request, stripe)
+(``StoreKernel._stripe_shards``), whatever the cache holds: a Get that
+reads two lost bins of one stripe pays one gather, counted as one
+degraded read.  The cache holds real bytes only, so the event stream is
+pinned below, and a sibling decoded from shards that produced a wrong
+target bin must never be served.
 """
 
 from __future__ import annotations
@@ -17,17 +19,34 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig, QueryMetrics, Simulator, record_schedule
-from repro.core import BaselineStore, FusionStore, StoreConfig, kernel
+from repro.cluster import (
+    Cluster,
+    ClusterConfig,
+    Deadline,
+    QueryMetrics,
+    Simulator,
+    record_schedule,
+)
+from repro.core import (
+    BaselineStore,
+    DeadlineExceeded,
+    FusionStore,
+    RemoteOpError,
+    StoreConfig,
+    kernel,
+)
 from repro.core.location_map import chunk_checksum
 from repro.format import write_table
+from repro.sql.local import execute_local
 from tests.conftest import make_small_table
 
-#: sha256 of the Get's ``record_schedule`` stream, pinned with the cache
-#: that kept only the requested bin of each decode.
+#: sha256 of the Get's ``record_schedule`` stream.  First pinned with
+#: the cache that kept only the requested bin of each decode; re-pinned
+#: for both stores by the declared model change that charges a degraded
+#: gather once per (request, stripe) instead of once per read.
 GOLDEN_STREAM = {
-    "fusion": "b5acc172ab8c7d8fc7d812385276c4945048b466ed00903cc1994fd5617fdd0e",
-    "baseline": "80f9977444ce740fdd011c59b5e76a4723b52e4bb43b58deb076817e8edee180",
+    "fusion": "fedba83084055ae842ff85e78fc811cf9da3bf3f1dac2fee312629b096d0cf42",
+    "baseline": "64d28fe44e1df4b409810d48bdca769ee0a9de867642d386a511aaa228f2e2c2",
 }
 
 
@@ -77,10 +96,12 @@ def test_get_decodes_each_degraded_stripe_once(store_cls, monkeypatch):
     store, _cluster, stream, data, _placement, _lost = _two_lost_bins(store_cls)
     decodes = _count_decodes(monkeypatch)
     lost = _lost_bins(store)
-    assert store.get("tbl") == data
+    metrics = QueryMetrics()
+    assert store._run(store.get_process("tbl", metrics)) == data
     stripes = {sid for sid, _i in lost}
     assert len(lost) > len(stripes)  # some stripe lost two bins
     assert len(decodes) == len(stripes)
+    assert metrics.degraded_reads == len(stripes)
     digest = hashlib.sha256(repr(stream).encode()).hexdigest()
     assert digest == GOLDEN_STREAM[store_cls.__name__.removesuffix("Store").lower()]
 
@@ -119,3 +140,175 @@ def test_siblings_of_a_wrong_reconstruction_are_never_served(monkeypatch):
     assert len(decodes) == before + 2
     assert metrics.checksum_failures == 1
     assert chunk_checksum(got_b) == placement.checksum(b)
+
+
+TAG_SQL = "SELECT tag FROM tbl WHERE tag = 'tag-3'"
+
+
+def _lost_tag_bin():
+    """A loaded Fusion store whose node holding the most ``tag`` chunks
+    in one bin is down, so one query reads two or more chunks of one
+    lost stripe.  Returns the store, the table and that stripe's id."""
+    table = make_small_table(num_rows=2500, seed=77)
+    sim = Simulator()
+    cluster = Cluster(sim, ClusterConfig(num_nodes=12))
+    store = FusionStore(
+        cluster,
+        StoreConfig(size_scale=50.0, storage_overhead_threshold=0.1, block_size=500_000),
+    )
+    store.put("tbl", write_table(table, row_group_rows=500))
+    obj = store.objects["tbl"]
+    tag = obj.metadata.schema.names().index("tag")
+    bins: dict[str, int] = {}
+    for meta in obj.metadata.all_chunks():
+        if meta.key[1] == tag:
+            loc = obj.location_map.lookup(meta.key)
+            bins[loc.block_id] = bins.get(loc.block_id, 0) + 1
+    block_id = max(bins, key=bins.get)
+    assert bins[block_id] >= 2
+    placement, i = obj.locate_block(block_id)
+    cluster.fail_node(placement.node_ids[i])
+    return store, table, placement.stripe_id
+
+
+def _watch_gathers(store) -> list[tuple[float, float]]:
+    """Record the simulated (start, end) of every degraded gather round."""
+    windows: list[tuple[float, float]] = []
+    gather = store._gather_for_decode
+
+    def watched(*args):
+        start = store.sim.now
+        shards = yield from gather(*args)
+        windows.append((start, store.sim.now))
+        return shards
+
+    store._gather_for_decode = watched
+    return windows
+
+
+def _watch_stripe_reads(store) -> list[int]:
+    """Record the stripe id of every degraded read, shared or not."""
+    stripes: list[int] = []
+    stripe_shards = store._stripe_shards
+
+    def watched(obj, placement, *rest):
+        stripes.append(placement.stripe_id)
+        return stripe_shards(obj, placement, *rest)
+
+    store._stripe_shards = watched
+    return stripes
+
+
+def test_query_pays_one_gather_per_lost_stripe():
+    store, table, _stripe = _lost_tag_bin()
+    reads = _watch_stripe_reads(store)
+    windows = _watch_gathers(store)
+    result, metrics = store.query(TAG_SQL)
+    assert result.equals(execute_local(TAG_SQL, table))
+    assert len(reads) > len(set(reads))  # two chunks of one lost stripe
+    assert metrics.degraded_reads == len(windows) == len(set(reads))
+    assert store._request_gathers == {}  # freed with its query
+
+
+def test_deadline_mid_gather_wakes_the_waiter_and_frees_the_table():
+    # Dry run on an identical store: when does the first gather run?
+    store, _table, _stripe = _lost_tag_bin()
+    windows = _watch_gathers(store)
+    began = store.sim.now
+    store.query(TAG_SQL)
+    start, end = windows[0]
+    assert start < end
+
+    store, table, stripe = _lost_tag_bin()
+    assert store.sim.now == began
+    reads = _watch_stripe_reads(store)
+    outcome = []
+
+    def client():
+        metrics = QueryMetrics()
+        metrics.deadline = Deadline(store.sim, (start + end) / 2 - store.sim.now)
+        try:
+            yield from store.query_process(TAG_SQL, metrics)
+        except DeadlineExceeded:
+            outcome.append("deadline")
+
+    store.sim.process(client())
+    store.sim.run()
+    assert outcome == ["deadline"]  # typed, and nobody hung
+    assert reads.count(stripe) >= 2  # a second read of the stripe was in line
+    assert not store.sim._heap
+    assert store._request_gathers == {}
+
+    # Nothing of the failed gather outlives its request: the next query
+    # on the same stripe gathers for itself and answers.
+    windows = _watch_gathers(store)
+    result, metrics = store.query(TAG_SQL)
+    assert result.equals(execute_local(TAG_SQL, table))
+    assert windows and metrics.degraded_reads == len(windows)
+
+
+def test_failed_gather_wakes_its_waiter_with_the_typed_error():
+    """A gather that fails without cancelling the stage (here a typed
+    RemoteOpError; under load a QueueFull) must still wake the read in
+    line behind it, which re-raises the same typed error: the query
+    fails typed instead of hanging on a barrier nobody will fire."""
+    store, _table, stripe = _lost_tag_bin()
+    reads = _watch_stripe_reads(store)
+    gather = store._gather_for_decode
+    gathers: list[int] = []
+
+    def fails_first(placement, *rest):
+        gathers.append(placement.stripe_id)
+        if placement.stripe_id == stripe:
+            yield store.sim.timeout(0.001)
+            raise RemoteOpError("survivor lost mid-gather")
+        shards = yield from gather(placement, *rest)
+        return shards
+
+    store._gather_for_decode = fails_first
+    outcome = []
+
+    def client():
+        try:
+            yield from store.query_process(TAG_SQL, QueryMetrics())
+        except RemoteOpError:
+            outcome.append("failed")
+
+    store.sim.process(client())
+    store.sim.run()
+    assert outcome == ["failed"]
+    # Two reads of the stripe, one gather: the second read waited for
+    # the first and took its error instead of gathering again.
+    assert reads.count(stripe) >= 2 and gathers.count(stripe) == 1
+    assert not store.sim._heap
+    assert store._request_gathers == {}
+
+
+def test_cancelled_gather_hands_over_to_its_waiter():
+    """A gatherer cancelled mid-gather has no error to share: the read
+    waiting on it wakes and gathers for itself."""
+    store, _table, stripe = _lost_tag_bin()
+    obj = store.objects["tbl"]
+    placement = obj.stripes[stripe]
+    coordinator = store.cluster.coordinator_for("tbl")
+    windows = _watch_gathers(store)
+    metrics = QueryMetrics()
+
+    def request():
+        procs = [
+            store.sim.process(store._stripe_shards(obj, placement, coordinator, metrics))
+            for _ in range(2)
+        ]
+        yield store.sim.timeout(0)  # both reads started: one gathers, one waits
+        procs[0].cancel()
+        yield procs[1]
+        return procs[1].value
+
+    proc = store.sim.process(store._request_scoped(request(), metrics))
+    store.sim.run()
+    shards = proc.value
+    assert sum(s is not None for s in shards) >= store.config.code.k
+    assert len(windows) == 1  # only the waiter's own gather finished
+    assert metrics.degraded_reads == 2
+    assert not store.sim._heap
+    assert store._request_gathers == {}

@@ -73,22 +73,29 @@ WATCH_OBJECTIVES = [
 #: requests weigh a few bytes more or less, so transfer times, the stream
 #: and everything derived from them moved; only the SLO state (index 7: the
 #: same objectives burn and resolve) did not.  No baseline digest moved:
-#: the baseline ships no bitmaps.
+#: the baseline ships no bitmaps.  Both Fusion entries were re-pinned
+#: again by the declared model change that charges a degraded gather once
+#: per (request, stripe): the degraded Get and the degraded queries read
+#: the survivors of a lost bin's stripe once, not once per chunk in the
+#: bin, so the stream, the query metrics, the spans and five of the six
+#: artifacts moved; the critical-path attribution (index 8) did not.  No
+#: baseline digest moved: the victim holds one block per stripe and the
+#: baseline reads each lost block once per request.
 GOLDEN = {
     ("fusion", False): (
-        "d92edda3a7ac7abade870efc47065956047f76619ab6200560a8acc893442fa2",
-        "3f704a065f0cfaada19c168d864fe4e509750541b50e13d42272116098eafe49",
+        "839f81f77c4f2f062426a4e6f168e64f5fafdcb4ed11fbbd9aa555dbfc03ddd0",
+        "958a2008b67191c930200cdb8bc91878c0c0ec6b5920727c372b41cd716454cd",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     ),
     ("fusion", True): (
-        "d92edda3a7ac7abade870efc47065956047f76619ab6200560a8acc893442fa2",
-        "3f704a065f0cfaada19c168d864fe4e509750541b50e13d42272116098eafe49",
-        "d9b8dab30aafbaa5f10d94cd3e32d2f62ec448d4f95df9ef68c053c90cbfe4ea",
-        "6838bea7a1c3f8420354f2184406b03e48d2052b5cb0ae9c891150c6af8645c9",
-        "7b07f9f10a840bccea006b5f3e18ebd8be4b4793718705b1f77671b2a502d997",
-        "c7dc71022610d47994937aeef4bd83aa928533a6bafa5807d509d9fe23ad65ff",
-        "d72b47e0e2e2f88b6c9f8fd8c3edc0dcdde5b8d73227a631d994b24bbf9d5c87",
-        "30699d84d27abe67184a90dd5380c543f3f9ddf248f611b60f68a7bfa9b2ed1b",
+        "839f81f77c4f2f062426a4e6f168e64f5fafdcb4ed11fbbd9aa555dbfc03ddd0",
+        "958a2008b67191c930200cdb8bc91878c0c0ec6b5920727c372b41cd716454cd",
+        "085593dddc4fec012315f6b2882a4ca8f934cfc8ae74b0dd491875fe8369030a",
+        "d5d40f33e4d8dc4464162119664061d6d3f16e05f3e09c214ed1ad380807a228",
+        "cc90d41c717e0558563c19fea8402d88e0749cf859ebaaea47bfe5d4500df1c7",
+        "25c980d591ba123f6717db9cf5aafad7d8de7feb1db15da6b1e96a26f3ca35a7",
+        "4213ff357d1b97c90e460ea1715295323c288eae0eac6fb02475ad8a9ecb62a5",
+        "645bba012d047deb53311a01ba6911532bf06574b27fbd9d676b647130dc97d4",
         "1f03dd7b712f61edfb70b244952b895e344d06b777a63196c3c2f90c7beaccfd",
     ),
     ("baseline", False): (
