@@ -5,7 +5,9 @@ Usage::
     python -m repro.bench list
     python -m repro.bench fig13ab [--json DIR]
     python -m repro.bench all [--json DIR]
+    python -m repro.bench bench <plane|all|list|summary [DIR]>
 
+``bench`` runs the acceptance planes (see :mod:`repro.bench.acceptance`).
 ``--json DIR`` additionally writes each result as ``DIR/<name>.json``.
 ``--trace-out PATH`` captures a merged Chrome ``trace_event`` JSON of
 every system built during the run (open it at https://ui.perfetto.dev).
@@ -26,6 +28,7 @@ import os
 import sys
 import time
 
+from repro.bench import acceptance
 from repro.bench.experiments import ALL_EXPERIMENTS
 
 
@@ -41,6 +44,8 @@ def _take_flag(argv: list[str], flag: str) -> tuple[list[str], str | None]:
 
 
 def main(argv: list[str]) -> int:
+    if argv[:1] == ["bench"]:
+        return acceptance.main(argv[1:])
     json_dir = None
     if "--json" in argv:
         at = argv.index("--json")

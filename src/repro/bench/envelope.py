@@ -1,9 +1,8 @@
 """Shared envelope schema for the acceptance benchmarks' BENCH_*.json.
 
-The standalone benchmarks under ``benchmarks/*_bench.py`` each grew
-their own report shape; the envelope normalizes the top level so CI and
-:mod:`benchmarks.bench_summary` can aggregate them without per-benchmark
-knowledge::
+Every plane of ``python -m repro.bench bench`` (:mod:`repro.bench.acceptance`)
+writes its report in this envelope, so CI and ``bench summary`` can
+aggregate them without per-plane knowledge::
 
     {
       "schema": "bench-envelope/v1",
@@ -13,13 +12,13 @@ knowledge::
         "pass": true|false,
         "floors": { "<threshold name>": <value>, ... }
       },
-      "detail": { ...the benchmark's own report, unchanged... }
+      "detail": { ...the plane's table and, per system, its raw
+                  numbers and named check verdicts... }
     }
 
 ``floors`` documents the named thresholds the pass/fail verdict was
-computed against (speedup floors, goodput fractions, overhead caps);
-the per-check evidence stays inside ``detail`` in whatever shape the
-benchmark always used.
+computed against (speedup floors, goodput fractions, alert bounds);
+the per-check evidence stays inside ``detail``.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ the vectorized production code in :mod:`repro.format.compression` and
 
 * the differential test suite round-trips the vectorized paths against
   them over randomized inputs (``tests/format/test_dataplane_differential``);
-* ``benchmarks/dataplane_bench.py`` measures the vectorized speedup
-  against them, which is the PR's headline number;
+* ``python -m repro.bench bench dataplane`` measures the vectorized
+  speedup against them and holds it to committed floors;
 * they document the wire format in the most literal way possible.
 
 They must stay byte-compatible with the production code: the *plain*,

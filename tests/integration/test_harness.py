@@ -1,5 +1,7 @@
 """The bench harness itself: workload drivers and comparison stats."""
 
+import dataclasses
+
 import pytest
 
 from repro.bench import (
@@ -10,6 +12,7 @@ from repro.bench import (
     run_open_loop,
     run_workload,
 )
+from repro.bench.experiments import _placements_all_in
 from repro.core import StoreConfig
 from repro.format import write_table
 from repro.sql import execute_local
@@ -134,3 +137,34 @@ class TestComparison:
         comp = Comparison(label="t", fusion=f, baseline=b)
         assert comp.traffic_ratio > 0
         assert -100 <= comp.p50_reduction <= 100
+
+
+class TestPlacementCheck:
+    """The fault-tolerance plane's "placements on live nodes" check."""
+
+    @pytest.mark.parametrize("kind", ["fusion", "baseline"])
+    def test_live_until_a_holder_dies(self, objects, config, kind):
+        data, _ = objects
+        system = build_system(kind, data, store_config=config)
+        store = system.store
+        alive = set(system.cluster.alive_nodes())
+        assert _placements_all_in(store, alive)
+        holder = store.objects["tbl"].stripes[0].node_ids[0]
+        assert not _placements_all_in(store, alive - {holder})
+
+    def test_never_written_fixed_blocks_have_no_home(self, objects, config):
+        data, _ = objects
+        system = build_system("baseline", data, store_config=config)
+        obj = system.store.objects["tbl"]
+        homes = [nid for p in obj.stripes for nid in p.node_ids]
+        assert None in homes
+        assert _placements_all_in(system.store, set(system.cluster.alive_nodes()))
+
+    def test_a_dangling_location_entry_fails(self, objects, config):
+        data, _ = objects
+        system = build_system("fusion", data, store_config=config)
+        obj = system.store.objects["tbl"]
+        key, loc = next(iter(obj.location_map.entries.items()))
+        other = next(n for n in system.cluster.alive_nodes() if n != loc.node_id)
+        obj.location_map.entries[key] = dataclasses.replace(loc, node_id=other)
+        assert not _placements_all_in(system.store, set(system.cluster.alive_nodes()))

@@ -3,7 +3,8 @@
 Every ``BENCH_*.json`` at the repository root is a ``bench-envelope/v1``
 report, and the loader refuses anything else.  Every test, benchmark or
 example path (or pytest node id) that ``.github/workflows/ci.yml`` names
-exists, so deleting or renaming a test cannot silently empty a CI step.
+exists, so deleting or renaming a test cannot silently empty a CI step,
+and CI runs every acceptance plane of ``python -m repro.bench bench``.
 """
 
 import ast
@@ -13,6 +14,7 @@ import re
 
 import pytest
 
+from repro.bench.acceptance import PLANES
 from repro.bench.envelope import SCHEMA, load_bench_report
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -71,3 +73,13 @@ def test_ci_names_only_existing_paths_and_node_ids():
         assert (ROOT / path).exists(), ref
         if nodes:
             assert _defines(ROOT / path, [n.split("[")[0] for n in nodes]), ref
+
+
+def test_ci_runs_every_acceptance_plane():
+    workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    commands = re.findall(r"python -m repro\.bench bench (\$\{\{ [\w.]+ \}\}|\S+)", workflow)
+    # The chaos matrix runs ``bench ${{ matrix.plane }}`` once per entry.
+    assert "${{ matrix.plane }}" in commands
+    named ={c for c in commands if not c.startswith("$")} - {"summary"}
+    named |= set(re.findall(r"^\s*- plane: (\w+)$", workflow, flags=re.M))
+    assert named == set(PLANES)
