@@ -165,6 +165,43 @@ class TestQuorumGuard:
         assert not rescrub.corrupt_stripes and not rescrub.incomplete_stripes
         assert store.get("tbl") == data
 
+    def test_deferred_repair_rewrites_nothing_and_republishes_after_heal(self, store_cls):
+        store, cluster, _table, data = _system(store_cls, metadata_replicas=3)
+        obj = store.objects["tbl"]
+        holders = _meta_holders(store, "tbl")
+        coordinator = cluster.coordinator_for("tbl").node_id
+        severed = [nid for nid in holders if nid != coordinator][:2]
+        victim = next(
+            nid for p in obj.stripes for nid in p.node_ids
+            if nid is not None and nid != coordinator and nid not in holders
+        )
+        cluster.fail_node(victim, wipe=True)
+        for nid in severed:
+            _sever(cluster, coordinator, nid)
+        placements = [list(p.node_ids) for p in obj.stripes]
+        epoch = obj.meta_epoch
+
+        manager = RepairManager(store)
+        deferred = manager.repair_node(victim)
+        assert deferred.stripes_quorum_deferred >= 1
+        assert deferred.blocks_repaired == 0
+        # Refused before the first rewrite: the stripes still point at
+        # the dead node, so the post-heal pass has something to repair.
+        assert [list(p.node_ids) for p in obj.stripes] == placements
+        assert obj.meta_epoch == epoch
+
+        _heal_all(cluster)
+        healed = manager.repair_node(victim)
+        assert healed.stripes_quorum_deferred == 0 and healed.blocks_repaired >= 1
+        assert obj.meta_epoch > epoch
+        live = [list(p.node_ids) for p in obj.stripes]
+        assert live != placements
+        for nid in holders:
+            replica = cluster.node(nid).get_meta("tbl")
+            assert replica.epoch == obj.meta_epoch
+            assert [list(p.node_ids) for p in replica.payload["object"].stripes] == live
+        assert store.get("tbl") == data
+
 
 @pytest.mark.parametrize("store_cls", [FusionStore, BaselineStore])
 class TestPartitionStraddlingCrash:
