@@ -92,7 +92,9 @@ class Cluster:
         #: had to reconstruct data, keyed ``(store_kind, object_name,
         #: stripe_id) -> store`` (dict doubles as an ordered set so a hot
         #: stripe enqueues once).  Drained by the RepairManager at
-        #: background priority.
+        #: background priority; a stripe repair pass of the owning store
+        #: takes its stripe's entry before it gathers and puts it back if
+        #: it raises (node rebuild leaves entries alone).
         self.read_repairs: dict[tuple, object] = {}
         # Health-tier flips (greylist/clear) become tracer instants so
         # gray-failure onset is visible on the timeline.

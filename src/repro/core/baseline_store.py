@@ -27,7 +27,13 @@ from repro.cluster.overload import Deadline, PartialResult, check_deadline
 from repro.cluster.simcore import all_of
 from repro.core import engine
 from repro.core.fixed import FixedLayout, build_fixed_layout
-from repro.core.kernel import ObjectNotFound, PutReport, StoreKernel, StripePlacement
+from repro.core.kernel import (
+    ObjectNotFound,
+    PutReport,
+    StoreKernel,
+    StripePlacement,
+    span_intact,
+)
 from repro.core.location_map import ChecksumError, chunk_checksum
 from repro.core.scatter_gather import SHED, RemoteOp, execute_remote_ops
 from repro.format.metadata import FileMetadata
@@ -262,16 +268,20 @@ class BaselineStore(StoreKernel):
         if size == 0:
             return b""
         coordinator = self.cluster.coordinator_for(name)
-        fragments = obj.layout.locate(offset, size)
+        reads = []
+        for f in obj.layout.locate(offset, size):
+            placement, j = obj.locate_block(f.block_index)
+            reads.append((
+                f.block_index, f.block_offset, f.block_offset + f.length,
+                (0, placement.data_sizes[j], placement.checksum(j)),
+                self._fetch_fragment_op(
+                    obj, coordinator, f.block_index, f.block_offset, f.length, query
+                ),
+            ))
         parts = yield from execute_remote_ops(
             self.cluster,
             coordinator,
-            [
-                self._fetch_fragment_op(
-                    obj, coordinator, f.block_index, f.block_offset, f.length, query
-                )
-                for f in fragments
-            ],
+            self._get_ops(obj, reads, coordinator, query),
             query,
             config=self.config,
         )
@@ -284,10 +294,9 @@ class BaselineStore(StoreKernel):
         block_id = placement.data_block_ids[j]
 
         def degraded():
-            want = placement.checksum(j)
             block = yield from self._degraded_block_read(
                 obj, placement, j, coordinator, query,
-                intact=lambda block: not want or chunk_checksum(block) == want,
+                span_intact(0, placement.data_sizes[j], placement.checksum(j)),
             )
             return block[offset : offset + length]
 

@@ -171,8 +171,12 @@ class RepairManager:
         Stripes land on ``cluster.read_repairs`` when a foreground read
         had to reconstruct data (degraded or checksum-failed); draining
         them repairs the damage from traffic instead of waiting for the
-        next scrub.  Traffic is accounted as ``read_repair_bytes``,
-        separate from both query and scrub-repair traffic.
+        next scrub.  Any repair pass over a queued stripe (``repair_node``,
+        ``repair_from_scrub``, ``repair_object``) answers its hint, so the
+        drain covers only the stripes no pass has reached since their
+        reads; a pass that defers puts its hint back.  Traffic is
+        accounted as ``read_repair_bytes``, separate from both query and
+        scrub-repair traffic.
         """
         return self.store._run(self.repair_read_reported_process())
 

@@ -32,7 +32,7 @@ from repro.core.cache import LruDict
 from repro.core.config import OP_REQUEST_BYTES, SCALAR_RESULT_BYTES, StoreConfig
 from repro.core.cost_model import PushdownCostEstimator
 from repro.core.fac import construct_stripes
-from repro.core.kernel import DECODE_CACHE_ENTRIES, PutReport, StripePlacement
+from repro.core.kernel import DECODE_CACHE_ENTRIES, PutReport, StripePlacement, span_intact
 from repro.core.scatter_gather import SHED, RemoteOp, execute_remote_ops
 from repro.core.layout import ChunkItem, StripeLayout
 from repro.core.location_map import ChecksumError, ChunkLocation, LocationMap, chunk_checksum
@@ -398,7 +398,7 @@ class FusionStore(BaselineStore):
         # that overlap the requested range.  Local segments (header and
         # footer live with the replicated metadata) cost nothing.
         parts: list[tuple[int, bytes | None]] = []  # (segment_start, local bytes)
-        fetch_ops = []
+        reads = []
         fetch_starts = []
         header_end = len(obj.header_bytes)
         if offset < header_end:
@@ -410,18 +410,23 @@ class FusionStore(BaselineStore):
                 continue
             loc = obj.location_map.lookup(meta.key)
             fetch_starts.append(lo)
-            fetch_ops.append(
+            # Bin coordinates of the read and of the chunk its CRC covers.
+            base = loc.offset_in_block - meta.offset
+            reads.append((
+                loc.block_id, base + lo, base + hi,
+                (loc.offset_in_block, loc.offset_in_block + loc.size, loc.checksum),
                 self._fetch_chunk_range_op(
                     obj, coordinator, loc, lo - meta.offset, hi - lo, metrics
-                )
-            )
+                ),
+            ))
         trailer_start = total - len(obj.trailer_bytes)
         if end > trailer_start:
             lo = max(offset, trailer_start)
             parts.append((lo, obj.trailer_bytes[lo - trailer_start : end - trailer_start]))
 
         payloads = yield from execute_remote_ops(
-            self.cluster, coordinator, fetch_ops, metrics, config=self.config
+            self.cluster, coordinator, self._get_ops(obj, reads, coordinator, metrics),
+            metrics, config=self.config,
         )
         for start, payload in zip(fetch_starts, payloads):
             parts.append((start, payload))
@@ -482,15 +487,11 @@ class FusionStore(BaselineStore):
         the kernel's degraded read of the chunk's bin, checked against
         the chunk's own CRC, with the chunk sliced out."""
         placement, bin_idx = obj.locate_block(loc.block_id)
-        span = slice(loc.offset_in_block, loc.offset_in_block + loc.size)
-
-        def intact(bin_bytes) -> bool:
-            return not loc.checksum or chunk_checksum(bin_bytes[span]) == loc.checksum
-
+        lo, hi = loc.offset_in_block, loc.offset_in_block + loc.size
         bin_bytes = yield from self._degraded_block_read(
-            obj, placement, bin_idx, coordinator, metrics, intact
+            obj, placement, bin_idx, coordinator, metrics, span_intact(lo, hi, loc.checksum)
         )
-        return bin_bytes[span]
+        return bin_bytes[lo:hi]
 
     def _degraded_chunk_values(
         self, obj, meta: ColumnChunkMeta, loc, coordinator, metrics

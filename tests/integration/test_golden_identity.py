@@ -80,39 +80,46 @@ WATCH_OBJECTIVES = [
 #: bin, so the stream, the query metrics, the spans and five of the six
 #: artifacts moved; the critical-path attribution (index 8) did not.  No
 #: baseline digest moved: the victim holds one block per stripe and the
-#: baseline reads each lost block once per request.
+#: baseline reads each lost block once per request.  All four entries were
+#: re-pinned by the declared model change in which a degraded Get reads
+#: the survivors of a stripe it reconstructs only through that stripe's
+#: gather, and ``repair_node`` answers the read-repair hints the Get
+#: queued (the drain after it moves no bytes): the stream and the query
+#: metrics moved for both stores, and with telemetry every artifact but
+#: Fusion's critical-path attribution (index 8).  The span digest without
+#: telemetry (index 2, the empty list) did not move.
 GOLDEN = {
     ("fusion", False): (
-        "839f81f77c4f2f062426a4e6f168e64f5fafdcb4ed11fbbd9aa555dbfc03ddd0",
-        "958a2008b67191c930200cdb8bc91878c0c0ec6b5920727c372b41cd716454cd",
+        "24698eed49902e2fe151fb9ba9423d2786dac4750cea28fd20709414a48b76f4",
+        "65a666f8186a1d46472ae9707424515b8bf9df8ee3bebd15721f5941560453e6",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     ),
     ("fusion", True): (
-        "839f81f77c4f2f062426a4e6f168e64f5fafdcb4ed11fbbd9aa555dbfc03ddd0",
-        "958a2008b67191c930200cdb8bc91878c0c0ec6b5920727c372b41cd716454cd",
-        "085593dddc4fec012315f6b2882a4ca8f934cfc8ae74b0dd491875fe8369030a",
-        "d5d40f33e4d8dc4464162119664061d6d3f16e05f3e09c214ed1ad380807a228",
-        "cc90d41c717e0558563c19fea8402d88e0749cf859ebaaea47bfe5d4500df1c7",
-        "25c980d591ba123f6717db9cf5aafad7d8de7feb1db15da6b1e96a26f3ca35a7",
-        "4213ff357d1b97c90e460ea1715295323c288eae0eac6fb02475ad8a9ecb62a5",
-        "645bba012d047deb53311a01ba6911532bf06574b27fbd9d676b647130dc97d4",
+        "24698eed49902e2fe151fb9ba9423d2786dac4750cea28fd20709414a48b76f4",
+        "65a666f8186a1d46472ae9707424515b8bf9df8ee3bebd15721f5941560453e6",
+        "994212aba6c8d5e51a6dfdbda63b0a455e4f277ba670e57710090a728c0e50d7",
+        "d4d6312e1b530f093a877b12c805e50a9aedec91116a86766110b4a73c87b859",
+        "03a9dbea1baf05b69600a17a5e216cb71091b2f393a6664459f31ea102b541b6",
+        "6598dd212abd804dd9f788e3fa484df85a8f6ef3b8acf7ebb35e50cc1efd0f8f",
+        "d93be27cbb6d16151977eed64d590583aed5c1c2e2687fc928ead22028308e5a",
+        "2998817c6fdbad6e1f3227abea81612661e1d1562969a3c81edbc00fa16b7898",
         "1f03dd7b712f61edfb70b244952b895e344d06b777a63196c3c2f90c7beaccfd",
     ),
     ("baseline", False): (
-        "43ab50155fe5a5b7da8b7a5105b6c076bae5ebe860c131de4a5f8781d33692e4",
-        "96c6be6b0f21e75297984bab613a29131cb47e7be166b2a4d17574444aa85fa7",
+        "361158d552a26eac9d0ab3e70527d9b9c03e484d26dc0027ecffa9909bc35709",
+        "88563d297faa8a7622743e4d1ae86c2b4e834e572895503e9e195b7d227d6218",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     ),
     ("baseline", True): (
-        "43ab50155fe5a5b7da8b7a5105b6c076bae5ebe860c131de4a5f8781d33692e4",
-        "96c6be6b0f21e75297984bab613a29131cb47e7be166b2a4d17574444aa85fa7",
-        "6c6a473d4ac23f5deab81000b9d5a8c8b5b9c5d15502839b28c44c391324e49e",
-        "448d6d2573725adad2bf51eba13f36fa751e64e87ef7260c2c5edb56515dbc85",
-        "3d752af4a6695bf2f437b7969ab2c111194c0b9bf63c86d0deb3e3b2f25e1f11",
-        "22d4020845b460163ed64a1244cb80307e4b6224228ee136b048be0d1e209d85",
-        "1cd1938bdd7edf8b40fe67dbe904829865b0a48995ba7fca899d0c26bd4db793",
-        "17fffc6b7804620ee3f83ac628db575e576c6685891d011cb1473d6a6b1cc03e",
-        "f9e3b9cd4b22f0a4840c6f36ed51dc6b371dd2914585e1f5fe19164e54c0ce13",
+        "361158d552a26eac9d0ab3e70527d9b9c03e484d26dc0027ecffa9909bc35709",
+        "88563d297faa8a7622743e4d1ae86c2b4e834e572895503e9e195b7d227d6218",
+        "3e6f0a4bf2e47abeed68baaca55fa2d9c09cd06428ee2d2430f8115db8e20009",
+        "ca599b2ec20f207e5f52b15e42f96eb0a94e55704fbcf0464be6b386a4b46615",
+        "e07444a3b8fa24d8039f253e6a640b5bcbdb937217bdfdeeb2d652f12cd002de",
+        "8ab79385577d8bbe2e1011fc98b10a7ca841e6c71cb98044b710a57815e530ac",
+        "a771235740119e55b37876f983215c1fd41281c87ea5df57d0ee0d599ceab36c",
+        "d61749c4cefc2cde14abe4f1153d5d421733b233acfc348fc8a2cd5872d91e52",
+        "af35851fa1d7b0de4b6e0325f1f8c4b5fcb733d952d9371a040ab592dea28b8a",
     ),
 }
 
