@@ -8,16 +8,18 @@ with a typed :class:`QuorumLost` and re-attempts after heal.  Degraded
 foreground reads queue their stripe for background read-repair, and
 recovery converges stale minority replicas onto the majority epoch."""
 
+import contextlib
+
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig, QueryMetrics, Simulator
-from repro.core import BaselineStore, FusionStore, RepairManager, StoreConfig
+from repro.core import BaselineStore, FusionStore, RemoteOpError, RepairManager, StoreConfig
 from repro.core.wal import QuorumLost
 from repro.format import write_table
 from tests.conftest import make_small_table
 
 
-def _system(store_cls, num_nodes=12, **config_kw):
+def _system(store_cls, num_nodes=12, put=True, **config_kw):
     table = make_small_table(num_rows=2500, seed=77)
     data = write_table(table, row_group_rows=500)
     sim = Simulator()
@@ -31,7 +33,8 @@ def _system(store_cls, num_nodes=12, **config_kw):
             **config_kw,
         ),
     )
-    store.put("tbl", data)
+    if put:
+        store.put("tbl", data)
     return store, cluster, table, data
 
 
@@ -201,6 +204,36 @@ class TestQuorumGuard:
             assert replica.epoch == obj.meta_epoch
             assert [list(p.node_ids) for p in replica.payload["object"].stripes] == live
         assert store.get("tbl") == data
+
+
+@pytest.mark.parametrize("store_cls", [FusionStore, BaselineStore])
+class TestPutAcrossSeveredLink:
+    """A known bug, recorded before it is fixed: ``Network.transfer``
+    ignores the link matrix and neither Put path asks
+    ``cluster.reachable``, so a node severed from the coordinator still
+    receives the Put's metadata replica and its blocks.  Whatever the fix
+    does - refuse with a typed error or write elsewhere - nothing may land
+    across the cut."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="Put writes across a severed link")
+    def test_severed_node_receives_nothing(self, store_cls):
+        # Same seeds, same placement: a twin's Put shows where this one
+        # writes.  Cut the replica holder that would receive most blocks.
+        twin, twin_cluster, _table, _data = _system(store_cls)
+        coordinator = twin_cluster.coordinator_for("tbl").node_id
+        victim = max(
+            (nid for nid in _meta_holders(twin, "tbl") if nid != coordinator),
+            key=lambda nid: len(twin_cluster.node(nid).block_ids()),
+        )
+        assert twin_cluster.node(victim).block_ids()
+
+        store, cluster, _table, data = _system(store_cls, put=False)
+        _sever(cluster, coordinator, victim)
+        with contextlib.suppress(QuorumLost, RemoteOpError):
+            store.put("tbl", data)
+        node = cluster.node(victim)
+        assert node.get_meta("tbl") is None
+        assert not node.block_ids()
 
 
 @pytest.mark.parametrize("store_cls", [FusionStore, BaselineStore])
