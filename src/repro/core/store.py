@@ -293,11 +293,10 @@ class FusionStore(BaselineStore):
         )
         if deadline is not None:
             deadline.check("put transfer")
-        # Footer parse cost at the coordinator.
+        # Footer parse cost at the coordinator, at the footer's real size:
+        # metadata does not grow with the data (StoreConfig.scaled).
         footer_size = len(data) - (chunks[-1].end_offset if chunks else 0)
-        yield from coordinator.compute(
-            footer_size * config.size_scale / coordinator.cpu_config.decode_bps
-        )
+        yield from coordinator.compute(footer_size / coordinator.cpu_config.decode_bps)
 
         writes = []
         for placement, payloads in zip(obj.stripes, stripe_payloads):
@@ -309,7 +308,8 @@ class FusionStore(BaselineStore):
 
         # Materialize the metadata replicas: the location map (plus
         # footer) travels to each replica node and is stored there as a
-        # snapshot, charged at the paper's 8 bytes per entry.
+        # snapshot, charged at the paper's 8 bytes per entry and at real
+        # size, like the footer parse.
         map_bytes = obj.location_map.wire_size + len(obj.trailer_bytes)
         replica = self._meta_snapshot(obj)
         replications = []
@@ -349,10 +349,8 @@ class FusionStore(BaselineStore):
     def _replicate_meta(self, coordinator, node, map_bytes: int, name: str, replica) -> object:
         """Process: ship the serialized map to one replica node, then
         install the snapshot there (a node that died mid-transfer missed
-        the write)."""
-        yield from self.cluster.network.transfer(
-            coordinator.endpoint, node.endpoint, self.config.scaled(map_bytes)
-        )
+        the write).  ``map_bytes`` is real bytes and is sent unscaled."""
+        yield from self.cluster.network.transfer(coordinator.endpoint, node.endpoint, map_bytes)
         if node.alive:
             node.put_meta(name, replica)
 

@@ -86,6 +86,64 @@ class TestPut:
         assert stored <= optimal * 1.03
 
 
+def _metered_put(small_file, scale, monkeypatch):
+    """Put ``small_file`` at ``size_scale=scale``.  Returns the store, the
+    network bytes moved before the metadata round and during it (read at
+    the WAL's ``put:after-data`` / ``put:after-meta`` points), and every
+    CPU charge the coordinator took, in order."""
+    sim = Simulator()
+    cl = Cluster(sim, ClusterConfig(num_nodes=9))
+    store = FusionStore(cl, StoreConfig(size_scale=scale, storage_overhead_threshold=0.1))
+    coordinator = cl.coordinator_for("tbl")
+    marks, charges = {}, []
+    crash_point, compute = store.wal.crash_point, coordinator.compute
+
+    def mark(node, point):
+        marks[point] = cl.network.total_bytes
+        crash_point(node, point)
+
+    def charge(seconds, query=None):
+        charges.append(seconds)
+        yield from compute(seconds, query)
+
+    monkeypatch.setattr(store.wal, "crash_point", mark)
+    monkeypatch.setattr(coordinator, "compute", charge)
+    store.put("tbl", small_file)
+    before_meta = marks["put:after-data"]
+    return store, before_meta, marks["put:after-meta"] - before_meta, charges
+
+
+class TestPutScaling:
+    """``size_scale`` multiplies the bytes that grow with the data.  The
+    location map and the footer grow with the schema and the row-group
+    count, so the metadata round and the footer parse are charged at real
+    size."""
+
+    def test_metadata_is_charged_at_real_size(self, small_file, monkeypatch):
+        runs = [_metered_put(small_file, scale, monkeypatch) for scale in (1.0, 7000.0)]
+        for store, before_meta, meta_round, charges in runs:
+            obj, config = store.objects["tbl"], store.config
+            coordinator = store.cluster.coordinator_for("tbl")
+            remote = [nid for nid in obj.location_map.replica_nodes if nid != coordinator.node_id]
+            assert remote
+            assert meta_round == (obj.location_map.wire_size + len(obj.trailer_bytes)) * len(remote)
+            # The client transfer and the block writes still scale.
+            block_bytes = sum(
+                config.scaled(size)
+                for p in obj.stripes
+                for nid, _bid, size, _crc in p.stored_blocks()
+                if nid != coordinator.node_id
+            )
+            assert before_meta == config.scaled(len(small_file)) + block_bytes
+            # The footer parse, then one encode charge per stripe.
+            assert len(charges) == 1 + len(obj.stripes)
+            assert charges[0] == len(obj.trailer_bytes) / coordinator.cpu_config.decode_bps
+        (_s, small_data, _m, small), (_s, big_data, _m, big) = runs
+        assert big[0] == small[0]
+        assert big[1:] == pytest.approx([7000.0 * c for c in small[1:]])
+        assert big_data == 7000 * small_data
+
+
 class TestGet:
     def test_roundtrip(self, loaded_fusion, small_file):
         assert loaded_fusion.get("tbl") == small_file

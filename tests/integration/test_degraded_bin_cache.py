@@ -45,9 +45,12 @@ from tests.conftest import make_small_table
 #: for both stores by the declared model change that charges a degraded
 #: gather once per (request, stripe) instead of once per read, and again
 #: by the one that reads the survivors of such a stripe only through its
-#: gather instead of fetching them a second time.
+#: gather instead of fetching them a second time.  Fusion's was re-pinned
+#: by the declared model change that charges its Put's metadata round and
+#: footer parse at real size: the Put before the Get ends sooner, so every
+#: event time moved; the baseline's Put ships no metadata and held.
 GOLDEN_STREAM = {
-    "fusion": "2d67dae75f0b598ba3ff83af83ff5f5076eb7c4736e54c5068479c87876ce173",
+    "fusion": "d6188ed32ebfa288067044b3154a65c5d0f8e8b819486af3d43d3e510339d07e",
     "baseline": "3ab3dd6bc2e0747d8034249e37beb34f454f38f8a6e520a51ac677a49b5fd210",
 }
 

@@ -76,13 +76,17 @@ SQL = "SELECT id, price FROM {} WHERE qty < 5"
 #: repair pass answers the stripe's read-repair hint: the Gets finish
 #: sooner, and the read-repair drains examine only the stripes no repair
 #: pass answered (the last one, none).  WAL records and placement state
-#: did not move.
+#: did not move.  Fusion's stream and reports were re-pinned by the
+#: declared model change that charges its Put's metadata round and footer
+#: parse at real size, not times ``size_scale``: every Put ends sooner, so
+#: every later step starts earlier; WAL records and placement state did
+#: not move, and no baseline digest did (its Put ships no metadata).
 GOLDEN = {
     "fusion": (
-        "20e40bf63010bcae45374e50fd029d01e6b615cde88db6bae70521488a76c651",
+        "91e92ac8a519a5c59c0ca2d56bc5647ddc697861e1aba4124b95ceca95932427",
         "ddb9c54427c1211b7c643c5e7de63f30777ead712671bec629fbb45a805f8127",
         "d27f4039ac5c644de62d5512633fc5822b566c5ed1a7b8cbd32a5e79debfdbe0",
-        "64acbe64b9bf3b29811830c5ac45c26bc7648ad3546c0ee10f51de5b3846dfbf",
+        "fef5089226f951e848a80c1d6423011729e7018673f88843f26d7cbe8ba5f752",
     ),
     "baseline": (
         "3ebad7a0307b1b97193e3a2fc9a3fc532c99074f5c42cbc5e00ecc893400d4cf",

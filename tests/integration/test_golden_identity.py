@@ -87,22 +87,28 @@ WATCH_OBJECTIVES = [
 #: queued (the drain after it moves no bytes): the stream and the query
 #: metrics moved for both stores, and with telemetry every artifact but
 #: Fusion's critical-path attribution (index 8).  The span digest without
-#: telemetry (index 2, the empty list) did not move.
+#: telemetry (index 2, the empty list) did not move.  Both Fusion entries
+#: were re-pinned by the declared model change that charges Fusion's Put
+#: metadata round and footer parse at real size, not times ``size_scale``:
+#: the Put ends sooner and every later event with it, so the stream, the
+#: query metrics (their start and end times) and, with telemetry, every
+#: artifact but the critical-path attribution (index 8) moved.  No
+#: baseline digest moved: its Put ships no metadata.
 GOLDEN = {
     ("fusion", False): (
-        "24698eed49902e2fe151fb9ba9423d2786dac4750cea28fd20709414a48b76f4",
-        "65a666f8186a1d46472ae9707424515b8bf9df8ee3bebd15721f5941560453e6",
+        "130785af2a75324fb4b710696ed47d3f1ae8e22102ae4c357958817a2a4f6bd1",
+        "899f6d6e599f13333ea6dcc3dbf30caeede1e9d171a839dae1cdda85c9fe4656",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     ),
     ("fusion", True): (
-        "24698eed49902e2fe151fb9ba9423d2786dac4750cea28fd20709414a48b76f4",
-        "65a666f8186a1d46472ae9707424515b8bf9df8ee3bebd15721f5941560453e6",
-        "994212aba6c8d5e51a6dfdbda63b0a455e4f277ba670e57710090a728c0e50d7",
-        "d4d6312e1b530f093a877b12c805e50a9aedec91116a86766110b4a73c87b859",
-        "03a9dbea1baf05b69600a17a5e216cb71091b2f393a6664459f31ea102b541b6",
-        "6598dd212abd804dd9f788e3fa484df85a8f6ef3b8acf7ebb35e50cc1efd0f8f",
-        "d93be27cbb6d16151977eed64d590583aed5c1c2e2687fc928ead22028308e5a",
-        "2998817c6fdbad6e1f3227abea81612661e1d1562969a3c81edbc00fa16b7898",
+        "130785af2a75324fb4b710696ed47d3f1ae8e22102ae4c357958817a2a4f6bd1",
+        "899f6d6e599f13333ea6dcc3dbf30caeede1e9d171a839dae1cdda85c9fe4656",
+        "8caf131ac16b81e280c2a2cac8f4e954dab512712ba7d378d1b216057b84d758",
+        "7fa40e6f868d9a3a8542823d98f0afd728bde49d9f1e4a5a086a4158475a124a",
+        "b0afd5d6207fb4f86e4255fcc969e584e95e8006a69cbc928031f24210e4968d",
+        "21b0d05af2b2a1a884aa4f2ab2014abd3a1603b1cd162c4316b4d0c1012c6d3e",
+        "6931abfad67d7959265fc5c9673f0a9b2acc381af209bc8d9f38ffc8b0ef0144",
+        "45e5bdff3ada6aab3832ca8ba211c9651ac7543304c12abe54b1f40e8c342501",
         "1f03dd7b712f61edfb70b244952b895e344d06b777a63196c3c2f90c7beaccfd",
     ),
     ("baseline", False): (
