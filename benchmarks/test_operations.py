@@ -12,9 +12,10 @@ from repro.bench.experiments import (
 def test_put_latency(run_experiment):
     result = run_experiment(put_latency)
     for name, (f_report, b_report) in result.raw.items():
-        # FAC adds little Put cost over fixed-block striping (<50% here;
-        # the paper's claim is that the layout algorithm itself is free).
-        assert f_report.simulated_put_seconds < 1.5 * b_report.simulated_put_seconds, name
+        # FAC adds negligible Put cost over fixed-block striping (the
+        # paper's claim): within 10% here, the metadata round charged at
+        # its real size.
+        assert f_report.simulated_put_seconds < 1.10 * b_report.simulated_put_seconds, name
         assert f_report.layout_build_seconds < 0.05, name
         assert not f_report.fallback, name
 
