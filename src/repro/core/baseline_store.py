@@ -278,13 +278,7 @@ class BaselineStore(StoreKernel):
                     obj, coordinator, f.block_index, f.block_offset, f.length, query
                 ),
             ))
-        parts = yield from execute_remote_ops(
-            self.cluster,
-            coordinator,
-            self._get_ops(obj, reads, coordinator, query),
-            query,
-            config=self.config,
-        )
+        parts = yield from self._get_round(obj, reads, coordinator, query)
         return b"".join(parts)
 
     def _fetch_fragment_op(self, obj, coordinator, block_index, offset, length, query) -> RemoteOp:

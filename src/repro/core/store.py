@@ -422,10 +422,7 @@ class FusionStore(BaselineStore):
             lo = max(offset, trailer_start)
             parts.append((lo, obj.trailer_bytes[lo - trailer_start : end - trailer_start]))
 
-        payloads = yield from execute_remote_ops(
-            self.cluster, coordinator, self._get_ops(obj, reads, coordinator, metrics),
-            metrics, config=self.config,
-        )
+        payloads = yield from self._get_round(obj, reads, coordinator, metrics)
         for start, payload in zip(fetch_starts, payloads):
             parts.append((start, payload))
         parts.sort(key=lambda item: item[0])

@@ -48,10 +48,14 @@ from tests.conftest import make_small_table
 #: gather instead of fetching them a second time.  Fusion's was re-pinned
 #: by the declared model change that charges its Put's metadata round and
 #: footer parse at real size: the Put before the Get ends sooner, so every
-#: event time moved; the baseline's Put ships no metadata and held.
+#: event time moved; the baseline's Put ships no metadata and held.  Both
+#: were re-pinned by the declared model change that gathers every lost
+#: stripe of a Get in the Get's one scatter-gather round: the same shards
+#: cross the network in one exchange per node instead of one per (stripe,
+#: node).
 GOLDEN_STREAM = {
-    "fusion": "d6188ed32ebfa288067044b3154a65c5d0f8e8b819486af3d43d3e510339d07e",
-    "baseline": "3ab3dd6bc2e0747d8034249e37beb34f454f38f8a6e520a51ac677a49b5fd210",
+    "fusion": "a422305679d1d8f9887a19838767b1e4626179bce39c6f2852126d0c05314897",
+    "baseline": "697b7ae27b8da0aeb85f15153fd8fcf86c947f423693ee34c5d1af55ce0444c5",
 }
 
 

@@ -93,37 +93,46 @@ WATCH_OBJECTIVES = [
 #: the Put ends sooner and every later event with it, so the stream, the
 #: query metrics (their start and end times) and, with telemetry, every
 #: artifact but the critical-path attribution (index 8) moved.  No
-#: baseline digest moved: its Put ships no metadata.
+#: baseline digest moved: its Put ships no metadata.  All four entries
+#: were re-pinned by the declared model change that gathers every lost
+#: stripe of a degraded Get in the Get's one scatter-gather round (one
+#: exchange per node, not one per (stripe, node)).  Fusion's Get ends
+#: sooner, so its stream, query metrics and every telemetry artifact but
+#: the critical-path attribution (index 8) moved.  The baseline's Get
+#: reconstructs one stripe and already read it in one exchange per node:
+#: it ends at the same time, and only the stream, the spans, the Chrome
+#: trace and the text summary (indices 0, 2, 5, 6) moved, because the
+#: gather no longer runs as a nested round under a standalone op.
 GOLDEN = {
     ("fusion", False): (
-        "130785af2a75324fb4b710696ed47d3f1ae8e22102ae4c357958817a2a4f6bd1",
-        "899f6d6e599f13333ea6dcc3dbf30caeede1e9d171a839dae1cdda85c9fe4656",
+        "4d3f88866f2ba0677677ab7a359d19bfacfa6a0a00a757116246149a58324e13",
+        "1ef273592243515c995adcd85e6cbd39f09803e0228c365009f457a1114afc2e",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     ),
     ("fusion", True): (
-        "130785af2a75324fb4b710696ed47d3f1ae8e22102ae4c357958817a2a4f6bd1",
-        "899f6d6e599f13333ea6dcc3dbf30caeede1e9d171a839dae1cdda85c9fe4656",
-        "8caf131ac16b81e280c2a2cac8f4e954dab512712ba7d378d1b216057b84d758",
-        "7fa40e6f868d9a3a8542823d98f0afd728bde49d9f1e4a5a086a4158475a124a",
-        "b0afd5d6207fb4f86e4255fcc969e584e95e8006a69cbc928031f24210e4968d",
-        "21b0d05af2b2a1a884aa4f2ab2014abd3a1603b1cd162c4316b4d0c1012c6d3e",
-        "6931abfad67d7959265fc5c9673f0a9b2acc381af209bc8d9f38ffc8b0ef0144",
-        "45e5bdff3ada6aab3832ca8ba211c9651ac7543304c12abe54b1f40e8c342501",
+        "4d3f88866f2ba0677677ab7a359d19bfacfa6a0a00a757116246149a58324e13",
+        "1ef273592243515c995adcd85e6cbd39f09803e0228c365009f457a1114afc2e",
+        "8e3cbfc1801a4bc0906a8aaf6be88068dc9bf226064061144faafab905fced47",
+        "4878ad30cba7b19c7e110e875819c528106e47861489477f0602f90df08b26dc",
+        "d2d22e2510b449cf2a97d0b46340c5eee5fe4e7967506c535fc2ac56635f3e41",
+        "7c11852d114747ec0fa40f7a13928eec7aeb7eb5fedd0e8c9556293988e5eec1",
+        "9c88ff12560d02c051b8af297242cf0ee72f3be0f6e1768a48e8818af72467af",
+        "5324f84182be2a9a997b6c9e8a03946e0769baf5c4651914964a7f57d49c782c",
         "1f03dd7b712f61edfb70b244952b895e344d06b777a63196c3c2f90c7beaccfd",
     ),
     ("baseline", False): (
-        "361158d552a26eac9d0ab3e70527d9b9c03e484d26dc0027ecffa9909bc35709",
+        "c53bb96885da4911d5b1cd540eedec1978a77facfe68e2cd556e6e3d4e9b5b60",
         "88563d297faa8a7622743e4d1ae86c2b4e834e572895503e9e195b7d227d6218",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     ),
     ("baseline", True): (
-        "361158d552a26eac9d0ab3e70527d9b9c03e484d26dc0027ecffa9909bc35709",
+        "c53bb96885da4911d5b1cd540eedec1978a77facfe68e2cd556e6e3d4e9b5b60",
         "88563d297faa8a7622743e4d1ae86c2b4e834e572895503e9e195b7d227d6218",
-        "3e6f0a4bf2e47abeed68baaca55fa2d9c09cd06428ee2d2430f8115db8e20009",
+        "174cce1d5a7396a2e6f800358ecd5e1883589593bb62065bb051b047633f95ce",
         "ca599b2ec20f207e5f52b15e42f96eb0a94e55704fbcf0464be6b386a4b46615",
         "e07444a3b8fa24d8039f253e6a640b5bcbdb937217bdfdeeb2d652f12cd002de",
-        "8ab79385577d8bbe2e1011fc98b10a7ca841e6c71cb98044b710a57815e530ac",
-        "a771235740119e55b37876f983215c1fd41281c87ea5df57d0ee0d599ceab36c",
+        "45916e1e7a2daa2dca5cc453dafc5e52d122845a723dadddaf4e4c155f42d575",
+        "e952d8f61229230530a423a4242c14fc7ac24f52aea14c58b6b845b1cc210649",
         "d61749c4cefc2cde14abe4f1153d5d421733b233acfc348fc8a2cd5872d91e52",
         "af35851fa1d7b0de4b6e0325f1f8c4b5fcb733d952d9371a040ab592dea28b8a",
     ),
