@@ -1105,7 +1105,6 @@ def _workload_summary(stats) -> dict:
         "num_queries": len(stats.metrics),
         "retries": sum(qm.retries for qm in stats.metrics),
         "timeouts": sum(qm.timeouts for qm in stats.metrics),
-        "hedges": sum(qm.hedges for qm in stats.metrics),
         "degraded_reads": sum(qm.degraded_reads for qm in stats.metrics),
     }
 
@@ -1635,7 +1634,6 @@ def overload_protection(
         protected = _realworld_system(
             kind,
             admission_queue_depth=16,
-            admission_policy="reject",
             breaker_failure_threshold=50,
             breaker_window_s=deadline,
             breaker_reset_s=deadline / 2.0,
@@ -1839,7 +1837,6 @@ def tenant_qos(
                 qos_enabled=True,
                 tenant_weights={"A": 1.0, "B": 1.0},
                 admission_queue_depth=16,
-                admission_policy="reject",
                 tenant_queue_depth=16,
                 rpc_retry_jitter=0.5,
             )

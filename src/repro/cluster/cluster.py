@@ -67,10 +67,10 @@ class Cluster:
         #: coordinator routing and stripe placement go through its
         #: consistent-hash ring instead of the seed paths below.
         self.membership = None
-        #: Admission knobs applied to node service queues, remembered so
-        #: nodes joining at runtime get the same bounds (set by
-        #: repro.cluster.overload.install_admission_control).
-        self.admission: tuple[int, bool] | None = None
+        #: Admission queue depth applied to node service queues,
+        #: remembered so nodes joining at runtime get the same bound (set
+        #: by repro.cluster.overload.install_admission_control).
+        self.admission: int | None = None
         #: Optional TenantQos board (installed by the stores when
         #: StoreConfig.qos_enabled is set; see repro.cluster.qos): DRR
         #: fair queues on node service loops plus tenant quota buckets.
@@ -212,15 +212,13 @@ class Cluster:
         if self.breakers is not None:
             self.breakers.ensure_size(len(self.nodes))
         if self.admission is not None:
-            depth, shed = self.admission
             for resource in (
                 node.cpu,
                 node.disk.device,
                 node.endpoint.egress,
                 node.endpoint.ingress,
             ):
-                resource.max_queue = depth
-                resource.shed_low_priority = shed
+                resource.max_queue = self.admission
         if self.qos is not None:
             self.qos.attach(node)
         if self.membership is not None:

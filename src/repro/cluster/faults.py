@@ -464,7 +464,7 @@ class FaultInjector:
         """One injected background request: disk read + scan compute.
 
         Runs in the background priority lane so admission control can
-        reject or shed it; refusals are swallowed (the injected tenant
+        reject it; refusals are swallowed (the injected tenant
         has no retry logic — that is the point of the protection).
         """
         from repro.cluster.metrics import QueryMetrics
@@ -503,7 +503,7 @@ class FaultInjector:
         metrics = QueryMetrics(priority=FOREGROUND_PRIORITY, tenant=tenant)
         try:
             if self.cluster.qos is not None:
-                self.cluster.qos.admit(tenant, metrics, nbytes=nbytes)
+                self.cluster.qos.admit(tenant, metrics)
             yield from node.disk.read(nbytes, metrics)
             yield from node.compute(nbytes / node.cpu_config.scan_bps, metrics)
         except (QueueFull, QuotaExceeded):

@@ -18,8 +18,8 @@ yielding a three-tier verdict per node:
 
 * **usable** — send it foreground ops;
 * **greylisted** — latency EWMA exceeds ``greylist_factor`` times the
-  cluster median: deprioritized for foreground reads and hedge targets,
-  but still eligible for background repair/rebalance traffic (and still
+  cluster median: deprioritized for foreground reads, but still
+  eligible for background repair/rebalance traffic (and still
   counted alive), so a fail-slow node degrades gracefully instead of
   flapping between fully-trusted and fully-shunned;
 * **suspect/down** — consecutive failures or liveness say it is gone.

@@ -40,10 +40,6 @@ class QueryMetrics:
     retries: int = 0
     #: Op timeouts observed (dropped request/reply, node dead mid-op).
     timeouts: int = 0
-    #: Speculative duplicate reads: after ``StoreConfig.hedge_after_s``
-    #: without a reply the executor launches the degraded-read fallback in
-    #: parallel and takes whichever finishes first.
-    hedges: int = 0
     #: Chunk/block reads answered by erasure-code reconstruction instead
     #: of the node that holds the data (dead or suspect node).
     degraded_reads: int = 0
@@ -51,9 +47,6 @@ class QueryMetrics:
     #: reads and reconstructed bytes alike); each one was answered by
     #: reconstruction instead of surfacing bad bytes.
     checksum_failures: int = 0
-    #: Requests evicted from an admission queue to make room for
-    #: higher-priority work (shed-lowest-priority policy).
-    requests_shed: int = 0
     #: Requests refused at the door of a full admission queue.
     requests_rejected: int = 0
     #: Operations abandoned because their deadline expired (counted once
@@ -67,17 +60,14 @@ class QueryMetrics:
     #: In-flight child processes cancelled when this query's deadline or
     #: parent op died (none left orphaned).
     cancellations: int = 0
-    #: Individual refused remote-op attempts (sheds + rejects, counted
-    #: once per attempt).  ``requests_shed``/``requests_rejected`` above
-    #: count once per logical request — a refused op that is retried and
-    #: refused again bumps only this counter the second time.
+    #: Individual refused remote-op attempts (counted once per attempt).
+    #: ``requests_rejected`` above counts once per logical request — a
+    #: refused op that is retried and refused again bumps only this
+    #: counter the second time.
     refusal_attempts: int = 0
     #: Requests refused at the frontend because the tenant's token-bucket
-    #: quota ran dry (typed QuotaExceeded under quota_policy="reject").
+    #: quota ran dry (typed QuotaExceeded).
     quota_exceeded: int = 0
-    #: Requests demoted to background priority instead of refused
-    #: (quota_policy="demote").
-    quota_demotions: int = 0
     #: QoS tenant id this request was admitted under; ``None`` means the
     #: request is untenanted and takes every legacy code path.
     tenant: str | None = None
@@ -126,14 +116,12 @@ class ClusterMetrics:
     rpcs_saved: int = 0
     retries: int = 0
     timeouts: int = 0
-    hedges: int = 0
     degraded_reads: int = 0
     #: Checksum mismatches detected across queries plus any caught by
     #: repair/scrub verification (silent-corruption detection coverage).
     checksum_failures: int = 0
     #: Overload-protection totals, summed from recorded queries (the
     #: CircuitBreakerBoard's ``opens`` list is the per-node view).
-    requests_shed: int = 0
     requests_rejected: int = 0
     deadline_exceeded: int = 0
     breaker_open_total: int = 0
@@ -141,9 +129,8 @@ class ClusterMetrics:
     cancellations: int = 0
     refusal_attempts: int = 0
     quota_exceeded: int = 0
-    quota_demotions: int = 0
-    #: Per-tenant roll-up: tenant id -> counter dict (queries, sheds,
-    #: rejects, deadline misses, quota refusals/demotions, goodput).
+    #: Per-tenant roll-up: tenant id -> counter dict (queries, rejects,
+    #: deadline misses, quota refusals, goodput).
     #: Only tenanted queries land here; untenanted runs leave it empty.
     tenants: dict = field(default_factory=dict)
     #: Repair traffic is accounted separately from query traffic: these
@@ -186,10 +173,8 @@ class ClusterMetrics:
         self.rpcs_saved += qm.rpcs_saved
         self.retries += qm.retries
         self.timeouts += qm.timeouts
-        self.hedges += qm.hedges
         self.degraded_reads += qm.degraded_reads
         self.checksum_failures += qm.checksum_failures
-        self.requests_shed += qm.requests_shed
         self.requests_rejected += qm.requests_rejected
         self.deadline_exceeded += qm.deadline_exceeded
         self.breaker_open_total += qm.breaker_open_total
@@ -197,32 +182,22 @@ class ClusterMetrics:
         self.cancellations += qm.cancellations
         self.refusal_attempts += qm.refusal_attempts
         self.quota_exceeded += qm.quota_exceeded
-        self.quota_demotions += qm.quota_demotions
         if qm.tenant is not None:
             t = self.tenants.get(qm.tenant)
             if t is None:
                 t = self.tenants[qm.tenant] = {
                     "queries": 0,
-                    "requests_shed": 0,
                     "requests_rejected": 0,
                     "deadline_exceeded": 0,
                     "quota_exceeded": 0,
-                    "quota_demotions": 0,
                     "goodput": 0,
                     "latencies": [],
                 }
             t["queries"] += 1
-            t["requests_shed"] += qm.requests_shed
             t["requests_rejected"] += qm.requests_rejected
             t["deadline_exceeded"] += qm.deadline_exceeded
             t["quota_exceeded"] += qm.quota_exceeded
-            t["quota_demotions"] += qm.quota_demotions
-            refused = (
-                qm.requests_shed
-                + qm.requests_rejected
-                + qm.deadline_exceeded
-                + qm.quota_exceeded
-            )
+            refused = qm.requests_rejected + qm.deadline_exceeded + qm.quota_exceeded
             if refused == 0:
                 t["goodput"] += 1
                 t["latencies"].append(qm.latency)

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from repro.cluster import metrics as m
 from repro.cluster.simcore import QueueFull, Resource, Simulator
 
-#: Detached network-processing charges ride the background lane so they
-#: can be shed before foreground query work (import kept local to avoid
-#: a cycle with repro.cluster.overload).
+#: Detached network-processing charges ride the background lane, so a
+#: full admission queue refuses them like other background work (the
+#: value is repeated here to avoid an import cycle with
+#: repro.cluster.overload).
 BACKGROUND_PRIORITY = 0
 
 

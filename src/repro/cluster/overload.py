@@ -2,7 +2,7 @@
 
 The Cost Equation (paper §4) decides *where* work runs under load, but a
 store also needs defenses for when offered load exceeds capacity — else
-retries and hedges amplify traffic exactly when nodes saturate (the
+retries amplify traffic exactly when nodes saturate (the
 metastable-failure shape).  This module holds the mechanism layer:
 
 * :class:`Deadline` / :class:`DeadlineExceeded` — a per-operation budget
@@ -22,7 +22,7 @@ metastable-failure shape).  This module holds the mechanism layer:
   ``allow_partial_results`` let the coordinator shed chunks instead of
   failing the whole query.
 
-Admission control itself (bounded queues, reject/shed policies) lives on
+Admission control itself (bounded queues that reject when full) lives on
 :class:`repro.cluster.simcore.Resource`; :func:`install_admission_control`
 applies a :class:`~repro.core.config.StoreConfig`'s knobs to every
 storage-node service loop (CPU, disk, NIC ingress/egress).
@@ -37,7 +37,6 @@ from typing import Generator
 from repro.cluster.simcore import Process, QueueFull, Simulator
 
 __all__ = [
-    "ADMISSION_POLICIES",
     "BACKGROUND_PRIORITY",
     "FOREGROUND_PRIORITY",
     "CancelScope",
@@ -55,12 +54,9 @@ __all__ = [
 
 #: Priority lanes for admission-controlled service queues.  Foreground
 #: query traffic outranks background work (repair, scrubbing, injected
-#: background bursts), so under the ``shed-lowest-priority`` policy the
-#: background lane is evicted first.
+#: background bursts): a fair queue serves the higher lane first.
 FOREGROUND_PRIORITY = 1
 BACKGROUND_PRIORITY = 0
-
-ADMISSION_POLICIES = ("reject", "shed-lowest-priority", "block")
 
 
 class DeadlineExceeded(RuntimeError):
@@ -128,14 +124,13 @@ def fail_query(
     metrics,
     *,
     deadline: bool = False,
-    shed: bool = False,
     quota: bool = False,
 ) -> None:
     """Account a query killed by a typed overload failure.
 
     Stamps the end time and records the metrics object so the failure's
-    counters (deadline_exceeded / requests_shed / requests_rejected /
-    quota_exceeded) reach the cluster aggregate even though the query
+    counters (deadline_exceeded / requests_rejected / quota_exceeded)
+    reach the cluster aggregate even though the query
     produced no result.  ``quota`` refusals were already counted by
     ``TenantQos.admit`` on the metrics object, so only the recording
     happens here.
@@ -146,8 +141,6 @@ def fail_query(
         pass
     elif deadline:
         metrics.deadline_exceeded += 1
-    elif shed:
-        metrics.requests_shed += 1
     else:
         metrics.requests_rejected += 1
     metrics.end_time = cluster.sim.now
@@ -379,21 +372,15 @@ def install_admission_control(cluster, config) -> None:
 
     Bounds the CPU pool, the disk device queue, and the NIC ingress and
     egress pipes of each storage node.  With ``admission_queue_depth``
-    at 0 or the ``block`` policy this is a no-op and queues stay
-    unbounded (the pre-overload-protection behaviour).  Idempotent, so
-    every store built on one cluster can install it.
+    at 0 this is a no-op and queues stay unbounded (the
+    pre-overload-protection behaviour).  Idempotent, so every store
+    built on one cluster can install it.
     """
-    if config.admission_policy not in ADMISSION_POLICIES:
-        raise ValueError(
-            f"unknown admission_policy {config.admission_policy!r}; "
-            f"expected one of {ADMISSION_POLICIES}"
-        )
     depth = config.admission_queue_depth
-    if depth <= 0 or config.admission_policy == "block":
+    if depth <= 0:
         return
-    shed = config.admission_policy == "shed-lowest-priority"
-    # Remembered so nodes added at runtime get the same bounds.
-    cluster.admission = (depth, shed)
+    # Remembered so nodes added at runtime get the same bound.
+    cluster.admission = depth
     for node in cluster.nodes:
         for resource in (
             node.cpu,
@@ -402,7 +389,6 @@ def install_admission_control(cluster, config) -> None:
             node.endpoint.ingress,
         ):
             resource.max_queue = depth
-            resource.shed_low_priority = shed
 
 
 def install_circuit_breakers(cluster, config) -> None:

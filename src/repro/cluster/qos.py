@@ -15,15 +15,13 @@ This module adds the missing half:
   drain first; *within* a lane, tenants are served in proportion to
   their configured weight, measured in the resource's own cost units
   (seconds of CPU, bytes of disk or NIC).
-* Bounded per-tenant queue depth — one tenant's backlog can never evict
-  or crowd out another tenant's admissions; shedding stays *within* the
-  offending tenant's own sub-queues.
-* :class:`TokenBucket` quotas — per-tenant requests/s and bytes/s,
-  refilled lazily on the simulated clock (pure clock reads: quota
-  checks schedule no events and cannot perturb the timeline).
-* :class:`QuotaExceeded` — the typed refusal an over-quota request gets
-  (or, under ``quota_policy="demote"``, the request is demoted to the
-  background priority lane instead).
+* Bounded per-tenant queue depth — a tenant whose sub-queues are full
+  is refused at the door, so one tenant's backlog never crowds out
+  another tenant's admissions.
+* :class:`TokenBucket` quotas — per-tenant requests/s, refilled lazily
+  on the simulated clock (pure clock reads: quota checks schedule no
+  events and cannot perturb the timeline).
+* :class:`QuotaExceeded` — the typed refusal an over-quota request gets.
 
 Everything here is off unless ``StoreConfig.qos_enabled`` is set, and a
 :class:`~repro.cluster.simcore.Resource` without an attached FairQueue
@@ -35,18 +33,17 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.cluster.overload import BACKGROUND_PRIORITY
-
-#: Quota refusal policies.
-QUOTA_POLICIES = ("reject", "demote")
+#: Token-bucket burst capacity, in seconds of refill
+#: (capacity = rate * QUOTA_BURST_S).
+QUOTA_BURST_S = 1.0
 
 
 class QuotaExceeded(Exception):
     """A tenant exceeded its token-bucket rate quota.
 
     Typed, like every other protection refusal: callers that opted into
-    QoS see *which* tenant was refused and which bucket (``"requests"``
-    or ``"bytes"``) ran dry — never a silent drop.
+    QoS see *which* tenant was refused and which bucket ran dry — never
+    a silent drop.
     """
 
     def __init__(self, tenant: str, resource: str, message: str) -> None:
@@ -64,7 +61,7 @@ class TokenBucket:
 
     __slots__ = ("sim", "rate", "capacity", "tokens", "_last")
 
-    def __init__(self, sim, rate: float, burst_s: float = 1.0) -> None:
+    def __init__(self, sim, rate: float, burst_s: float = QUOTA_BURST_S) -> None:
         if rate <= 0:
             raise ValueError("token bucket rate must be > 0")
         self.sim = sim
@@ -87,12 +84,11 @@ class TokenBucket:
 class _FairEntry:
     """One queued acquisition inside a FairQueue."""
 
-    __slots__ = ("gate", "tenant", "priority", "cost", "tier_key")
+    __slots__ = ("gate", "tenant", "cost", "tier_key")
 
-    def __init__(self, gate, tenant: str, priority, cost: float, tier_key: int) -> None:
+    def __init__(self, gate, tenant: str, cost: float, tier_key: int) -> None:
         self.gate = gate
         self.tenant = tenant
-        self.priority = priority
         self.cost = cost
         self.tier_key = tier_key
 
@@ -153,7 +149,7 @@ class FairQueue:
         tier = self._tiers.get(key)
         if tier is None:
             tier = self._tiers[key] = _Tier()
-        entry = _FairEntry(gate, tenant, priority, max(cost, 0.0), key)
+        entry = _FairEntry(gate, tenant, max(cost, 0.0), key)
         q = tier.queues.get(tenant)
         if q is None:
             q = tier.queues[tenant] = deque()
@@ -213,30 +209,6 @@ class FairQueue:
         self.total -= 1
         return True
 
-    def shed_lowest(self, tenant: str, priority: int) -> _FairEntry | None:
-        """Pick the victim for an over-depth arrival: the newest of the
-        *same tenant's* strictly-lower-priority queued entries (lowest
-        lane first).  Never touches another tenant's queue — that is the
-        isolation guarantee per-tenant depth exists to provide.
-        """
-        arriving = _tier_key(priority)
-        for key in sorted(self._tiers):
-            if key >= arriving:
-                break
-            tier = self._tiers[key]
-            q = tier.queues.get(tenant)
-            if q:
-                entry = q.pop()
-                if not q:
-                    try:
-                        tier.active.remove(tenant)
-                    except ValueError:
-                        pass
-                    tier.deficit[tenant] = 0.0
-                self.total -= 1
-                return entry
-        return None
-
 
 class TenantQos:
     """Cluster-wide QoS board: weights, quotas, per-tenant refusal stats.
@@ -253,25 +225,16 @@ class TenantQos:
         *,
         weights: dict | None = None,
         requests_per_s: dict | None = None,
-        bytes_per_s: dict | None = None,
-        burst_s: float = 1.0,
-        policy: str = "reject",
         depth_limit: int | None = None,
     ) -> None:
-        if policy not in QUOTA_POLICIES:
-            raise ValueError(f"quota_policy must be one of {QUOTA_POLICIES}, got {policy!r}")
         self.sim = sim
         self.weights = dict(weights or {})
-        self.policy = policy
         self.depth_limit = depth_limit if depth_limit and depth_limit > 0 else None
-        self._burst_s = burst_s
         self._req_rates = dict(requests_per_s or {})
-        self._byte_rates = dict(bytes_per_s or {})
         self._req_buckets: dict[str, TokenBucket] = {}
-        self._byte_buckets: dict[str, TokenBucket] = {}
-        #: Per-tenant frontend accounting: admitted / quota_rejected /
-        #: demoted request counts (refusals deeper in the stack — sheds,
-        #: rejects, deadline misses — flow through ClusterMetrics).
+        #: Per-tenant frontend accounting: admitted / quota_rejected
+        #: request counts (refusals deeper in the stack — queue rejects,
+        #: deadline misses — flow through ClusterMetrics).
         self.stats: dict[str, dict[str, int]] = {}
 
     def weight(self, tenant: str) -> float:
@@ -282,51 +245,33 @@ class TenantQos:
     def _stats(self, tenant: str) -> dict[str, int]:
         s = self.stats.get(tenant)
         if s is None:
-            s = self.stats[tenant] = {"admitted": 0, "quota_rejected": 0, "demoted": 0}
+            s = self.stats[tenant] = {"admitted": 0, "quota_rejected": 0}
         return s
 
-    def _bucket(self, cache, rates, tenant) -> TokenBucket | None:
-        bucket = cache.get(tenant)
-        if bucket is None and tenant in rates:
-            bucket = cache[tenant] = TokenBucket(self.sim, rates[tenant], self._burst_s)
-        return bucket
+    def admit(self, tenant: str, metrics=None) -> None:
+        """Charge one request against the tenant's quota.
 
-    def admit(self, tenant: str, metrics=None, nbytes: int = 0) -> None:
-        """Charge one request (plus ``nbytes``) against the tenant's quota.
-
-        Raises :class:`QuotaExceeded` under the ``reject`` policy; under
-        ``demote`` the request proceeds at background priority instead
-        (``metrics.priority`` is rewritten in place).  Tenants with no
-        configured quota are only ever fair-scheduled, never refused here.
+        Raises :class:`QuotaExceeded` when the tenant's bucket is dry.
+        Tenants with no configured quota are only ever fair-scheduled,
+        never refused here.
         """
-        over = None
-        req = self._bucket(self._req_buckets, self._req_rates, tenant)
-        if req is not None and not req.try_consume(1.0):
-            over = "requests"
-        if over is None and nbytes > 0:
-            byt = self._bucket(self._byte_buckets, self._byte_rates, tenant)
-            if byt is not None and not byt.try_consume(float(nbytes)):
-                over = "bytes"
+        bucket = self._req_buckets.get(tenant)
+        if bucket is None and tenant in self._req_rates:
+            bucket = self._req_buckets[tenant] = TokenBucket(
+                self.sim, self._req_rates[tenant], QUOTA_BURST_S
+            )
         stats = self._stats(tenant)
-        if over is None:
+        if bucket is None or bucket.try_consume(1.0):
             stats["admitted"] += 1
-            return
-        tracer = self.sim.tracer
-        if self.policy == "demote":
-            stats["demoted"] += 1
-            if tracer is not None:
-                tracer.instant("quota.demote", cat="qos", tenant=tenant, bucket=over)
-            if metrics is not None:
-                metrics.priority = BACKGROUND_PRIORITY
-                metrics.quota_demotions += 1
             return
         stats["quota_rejected"] += 1
         if metrics is not None:
             metrics.quota_exceeded += 1
+        tracer = self.sim.tracer
         if tracer is not None:
-            tracer.instant("quota.exceeded", cat="qos", tenant=tenant, bucket=over)
+            tracer.instant("quota.exceeded", cat="qos", tenant=tenant, bucket="requests")
         raise QuotaExceeded(
-            tenant, over, f"tenant {tenant!r} over its {over} quota"
+            tenant, "requests", f"tenant {tenant!r} over its requests quota"
         )
 
     def attach(self, node) -> None:
@@ -358,9 +303,6 @@ def install_qos(cluster, config) -> None:
         cluster.sim,
         weights=config.tenant_weights,
         requests_per_s=config.tenant_requests_per_s,
-        bytes_per_s=config.tenant_bytes_per_s,
-        burst_s=config.quota_burst_s,
-        policy=config.quota_policy,
         depth_limit=depth,
     )
     cluster.qos = qos

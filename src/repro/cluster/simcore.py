@@ -44,21 +44,8 @@ class SimulationError(Exception):
 
 
 class QueueFull(Exception):
-    """An admission-controlled :class:`Resource` refused a request.
-
-    ``shed`` distinguishes the two refusal shapes: ``False`` means the
-    arriving request was rejected at the door (queue at ``max_queue``),
-    ``True`` means the request had been queued but was evicted to make
-    room for higher-priority work (``shed_low_priority`` policy).
-    """
-
-    def __init__(self, message: str, shed: bool = False) -> None:
-        super().__init__(message)
-        self.shed = shed
-
-
-#: Sent through a waiter's gate to evict it from a Resource queue.
-_SHED = object()
+    """An admission-controlled :class:`Resource` refused a request: it
+    arrived while the queue was at ``max_queue``."""
 
 
 class Event:
@@ -296,12 +283,9 @@ class Resource:
     Admission control: when ``max_queue`` is set (``None`` = unbounded),
     an admission-controlled acquisition (``priority`` given as an int)
     arriving while ``queue_length >= max_queue`` raises
-    :class:`QueueFull` instead of waiting — unless ``shed_low_priority``
-    is on and a strictly lower-priority request is waiting, in which
-    case the newest such waiter is evicted (it raises ``QueueFull`` with
-    ``shed=True``) and the arrival takes its place.  Acquisitions with
+    :class:`QueueFull` instead of waiting.  Acquisitions with
     ``priority=None`` (internal/control traffic) always queue and are
-    never rejected or shed.
+    never rejected.
     """
 
     def __init__(
@@ -312,9 +296,8 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.max_queue = max_queue
-        self.shed_low_priority = False
         self._in_use = 0
-        self._waiters: deque[tuple[Event, int | None]] = deque()
+        self._waiters: deque[Event] = deque()
         #: Optional per-tenant DRR dispatcher (repro.cluster.qos.FairQueue),
         #: attached by install_qos.  None keeps the legacy FIFO lanes the
         #: only queue, so untenanted runs never touch the fair path.
@@ -328,7 +311,6 @@ class Resource:
         self.busy_time = 0.0
         self._last_change = 0.0
         self.rejected_total = 0
-        self.shed_total = 0
 
     @property
     def in_use(self) -> int:
@@ -346,56 +328,26 @@ class Resource:
         self.busy_time += self._in_use * (now - self._last_change)
         self._last_change = now
 
-    def _admit(self, priority: int) -> None:
-        """Make room for an arriving waiter or raise :class:`QueueFull`."""
-        if self.shed_low_priority:
-            victim = None
-            for i in range(len(self._waiters) - 1, -1, -1):
-                _gate, prio = self._waiters[i]
-                if prio is not None and prio < priority:
-                    if victim is None or prio < self._waiters[victim][1]:
-                        victim = i
-            if victim is not None:
-                gate, _prio = self._waiters[victim]
-                del self._waiters[victim]
-                self.shed_total += 1
-                tracer = self.sim.tracer
-                if tracer is not None:
-                    tracer.instant("shed", cat="overload")
-                gate.succeed(_SHED)
-                return
-        self.rejected_total += 1
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.instant("admission.reject", cat="overload")
-        raise QueueFull(
-            f"admission queue full ({len(self._waiters)}/{self.max_queue})"
-        )
+    def _reject(self, tenant: str | None = None) -> None:
+        """Refuse an arrival at a full queue with :class:`QueueFull`.
 
-    def _admit_tenant(self, tenant: str, priority: int) -> None:
-        """Per-tenant depth enforcement: shed within the tenant or refuse.
-
-        Mirrors :meth:`_admit` but the victim search is confined to the
-        arriving tenant's own sub-queues — one tenant's backlog can never
-        evict another tenant's queued work.
+        With a ``tenant`` the full queue is that tenant's own sub-queues:
+        one tenant's backlog never refuses another tenant's admissions.
         """
-        if self.shed_low_priority:
-            victim = self.fair.shed_lowest(tenant, priority)
-            if victim is not None:
-                self.shed_total += 1
-                tracer = self.sim.tracer
-                if tracer is not None:
-                    tracer.instant("shed", cat="overload", tenant=tenant)
-                victim.gate.succeed(_SHED)
-                return
         self.rejected_total += 1
+        if tenant is None:
+            args = {}
+            message = f"admission queue full ({len(self._waiters)}/{self.max_queue})"
+        else:
+            args = {"tenant": tenant}
+            message = (
+                f"tenant {tenant!r} admission queue full "
+                f"({self.fair.depth(tenant)}/{self.fair.depth_limit})"
+            )
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.instant("admission.reject", cat="overload", tenant=tenant)
-        raise QueueFull(
-            f"tenant {tenant!r} admission queue full "
-            f"({self.fair.depth(tenant)}/{self.fair.depth_limit})"
-        )
+            tracer.instant("admission.reject", cat="overload", **args)
+        raise QueueFull(message)
 
     def acquire(
         self,
@@ -414,58 +366,50 @@ class Resource:
                 and limit is not None
                 and self.fair.depth(tenant) >= limit
             ):
-                self._admit_tenant(tenant, priority)
+                self._reject(tenant)
             gate = Event(self.sim)
             fair_entry = self.fair.push(tenant, priority, gate, cost)
             wspan = self._begin_wait()
             try:
-                got = yield gate
+                yield gate
             except GeneratorExit:
                 self._finish_wait(wspan, cancelled=True)
-                if not self.fair.remove(fair_entry):
-                    if gate.fired and gate.value is not _SHED:
-                        self._release()
+                if not self.fair.remove(fair_entry) and gate.fired:
+                    self._release()
                 raise
-            if got is _SHED:
-                self._finish_wait(wspan, shed=True)
-                raise QueueFull("request shed for higher-priority work", shed=True)
             self._finish_wait(wspan)
         else:
-            entry, wspan = self._enqueue(priority)
-            gate = entry[0]
+            gate, wspan = self._enqueue(priority)
             try:
-                got = yield gate
+                yield gate
             except GeneratorExit:
                 self._finish_wait(wspan, cancelled=True)
                 # The owning process was cancelled while queued: withdraw
                 # the request so _release never hands a slot to a corpse.
                 try:
-                    self._waiters.remove(entry)
+                    self._waiters.remove(gate)
                 except ValueError:
-                    if gate.fired and gate.value is not _SHED:
+                    if gate.fired:
                         # The slot was transferred just before the close
                         # landed; pass it on so it is not leaked.
                         self._release()
                 raise
-            if got is _SHED:
-                self._finish_wait(wspan, shed=True)
-                raise QueueFull("request shed for higher-priority work", shed=True)
             self._finish_wait(wspan)
             # Slot was transferred to us by _release; nothing to increment.
         return _ReleaseContext(self)
 
     def _enqueue(self, priority: int | None):
         """Join the legacy FIFO lane (admission-checked when ``priority`` is
-        given); returns the waiter entry and its ``queue.wait`` span."""
+        given); returns the waiter's gate and its ``queue.wait`` span."""
         if (
             priority is not None
             and self.max_queue is not None
             and len(self._waiters) >= self.max_queue
         ):
-            self._admit(priority)
-        entry = (Event(self.sim), priority)
-        self._waiters.append(entry)
-        return entry, self._begin_wait()
+            self._reject()
+        gate = Event(self.sim)
+        self._waiters.append(gate)
+        return gate, self._begin_wait()
 
     def _begin_wait(self):
         """Open a ``queue.wait`` span around a queued acquisition.
@@ -490,7 +434,7 @@ class Resource:
 
         Event for event what a spawned process running ``with (yield from
         self.acquire(priority)): yield sim.timeout(seconds)`` and swallowing
-        :class:`QueueFull` does (a refused or shed hold drops its charge),
+        :class:`QueueFull` does (a refused hold drops its charge),
         as two heap callbacks: it starts at ``now`` behind everything
         already scheduled, queues FIFO with the other waiters, and its
         ``queue.wait`` span opens under the caller's trace context.
@@ -511,7 +455,7 @@ class Resource:
         if tracer is not None:
             prev, tracer._current = tracer._current, ctx
         try:
-            (gate, _priority), wspan = self._enqueue(priority)
+            gate, wspan = self._enqueue(priority)
         except QueueFull:
             return
         finally:
@@ -519,11 +463,8 @@ class Resource:
                 tracer._current = prev
 
         def granted(gate: Event) -> None:
-            if gate.value is _SHED:
-                self._finish_wait(wspan, shed=True)
-            else:
-                self._finish_wait(wspan)
-                sim._schedule(sim.now + seconds, self._release, None)
+            self._finish_wait(wspan)
+            sim._schedule(sim.now + seconds, self._release, None)
 
         gate.add_callback(granted)
 
@@ -535,8 +476,7 @@ class Resource:
         if self._waiters:
             # Legacy FIFO (untenanted/internal traffic) drains first so
             # control-plane work never starves behind tenant backlogs.
-            gate, _prio = self._waiters.popleft()
-            gate.succeed()
+            self._waiters.popleft().succeed()
         elif self.fair is not None and self.fair.total:
             self.fair.pop().gate.succeed()
         else:

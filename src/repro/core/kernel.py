@@ -341,15 +341,12 @@ class StoreKernel:
     def put_process(self, name: str, data: bytes, tenant: str | None = None):
         """Simulated Put (the store's ``_put_body`` under a span).
 
-        ``tenant`` charges the Put (one request plus ``len(data)`` bytes)
-        against that tenant's quota buckets; under the ``reject`` policy
-        an over-quota Put raises a typed
-        :class:`~repro.cluster.qos.QuotaExceeded` before any device work
-        (under ``demote`` it is recorded and proceeds — Put traffic
-        already runs as exempt internal work with no lane to drop into).
+        ``tenant`` charges the Put as one request against that tenant's
+        quota; an over-quota Put raises a typed
+        :class:`~repro.cluster.qos.QuotaExceeded` before any device work.
         """
         if tenant is not None and self.cluster.qos is not None:
-            self.cluster.qos.admit(tenant, nbytes=len(data))
+            self.cluster.qos.admit(tenant)
         report = yield from traced(
             self.sim, self._put_body(name, data), "put", "store",
             obj=name, store=self.span_label,
@@ -460,9 +457,7 @@ class StoreKernel:
         if tenant is not None:
             metrics.tenant = tenant
             if self.cluster.qos is not None:
-                self.cluster.qos.admit(
-                    tenant, metrics, nbytes=0 if size is None else size
-                )
+                self.cluster.qos.admit(tenant, metrics)
         try:
             data = yield from traced(
                 self.sim,
@@ -487,9 +482,8 @@ class StoreKernel:
         """Simulated query (the store's ``_query_body`` under a span).
 
         ``tenant`` stamps the metrics and charges the query against that
-        tenant's quota buckets before any device work; an over-quota
-        request is refused with a typed QuotaExceeded (``reject``) or
-        demoted to the background lane (``demote``).
+        tenant's quota before any device work; an over-quota request is
+        refused with a typed QuotaExceeded.
         """
         query = parse(sql) if isinstance(sql, str) else sql
         if tenant is not None:
@@ -512,10 +506,10 @@ class StoreKernel:
             # failure here never double-counts the query.
             fail_query(self.cluster, metrics, deadline=True)
             raise
-        except QueueFull as exc:
+        except QueueFull:
             # Coordinator-side admission refusal (compute/egress outside
             # any scatter-gather stage) killed the whole query.
-            fail_query(self.cluster, metrics, shed=exc.shed)
+            fail_query(self.cluster, metrics)
             raise
         return result
 

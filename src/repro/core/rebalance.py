@@ -205,7 +205,6 @@ class Rebalancer:
                     # Too busy to admit background migration traffic:
                     # leave the stripe for a later run.
                     report.stripes_deferred += 1
-                    metrics.requests_shed += 1
                     continue
                 except QuorumLost:
                     # Partition strands this coordinator with a minority

@@ -202,9 +202,9 @@ class RepairManager:
         ``accounting="read_repair"`` runs, ``record_read_repair`` —
         instead.
 
-        Repair runs in the background priority lane: under the
-        ``shed-lowest-priority`` admission policy its requests are the
-        first evicted when foreground queries contend for a full queue.
+        Repair runs in the background priority lane; a repair request
+        refused by a full admission queue defers its stripe to a later
+        run.
         """
         metrics = QueryMetrics(priority=BACKGROUND_PRIORITY)
         report = RepairReport(started=self.sim.now)
@@ -229,7 +229,6 @@ class RepairManager:
                 # traffic right now: back off and leave the stripe for a
                 # later run instead of amplifying the overload.
                 report.stripes_deferred += 1
-                metrics.requests_shed += 1
                 yield from self._throttle(metrics, report.started)
                 continue
             except QuorumLost:

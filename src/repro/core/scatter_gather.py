@@ -56,8 +56,8 @@ checks it: before each round, before each retry/backoff, and inside each
 op attempt.  The first attempt to observe expiry signals the stage's
 :class:`~repro.cluster.overload.CancelScope`; the executor then cancels
 every other in-flight child (nothing is orphaned) and raises the typed
-:class:`~repro.cluster.overload.DeadlineExceeded`.  Retry backoff and
-hedge launches are budgeted against the remaining deadline.  Admission
+:class:`~repro.cluster.overload.DeadlineExceeded`.  Retry backoff is
+budgeted against the remaining deadline.  Admission
 rejections (:class:`~repro.cluster.simcore.QueueFull` from a bounded
 node queue) are counted, fed to the node's circuit breaker, and either
 retried/fallen back like failures or — in ``allow_shed`` mode for scan
@@ -158,16 +158,16 @@ def _record_success(cluster, node_id, elapsed=None) -> None:
         cluster.breakers.record_success(node_id)
 
 
-def _record_rejection(cluster, node_id, metrics, exc: QueueFull, ops=()) -> None:
+def _record_rejection(cluster, node_id, metrics, ops=()) -> None:
     """Account an admission refusal and feed the circuit breaker.
 
     Rejections signal saturation, not death, so they count toward the
     breaker's failure window but not the health tracker's suspicion
     score.
 
-    ``requests_shed``/``requests_rejected`` count once per *logical
-    request*: the first refusal of each :class:`RemoteOp` in ``ops``
-    increments them, and a retried op refused again bumps only
+    ``requests_rejected`` counts once per *logical request*: the first
+    refusal of each :class:`RemoteOp` in ``ops`` increments it, and a
+    retried op refused again bumps only
     ``refusal_attempts`` (every refusal, attempt by attempt, still feeds
     the breaker window — repeat refusals are exactly the saturation
     signal it exists to catch).  An empty ``ops`` means the refusal has
@@ -185,10 +185,7 @@ def _record_rejection(cluster, node_id, metrics, exc: QueueFull, ops=()) -> None
                     fresh += 1
         else:
             metrics.refusal_attempts += 1
-        if exc.shed:
-            metrics.requests_shed += fresh
-        else:
-            metrics.requests_rejected += fresh
+        metrics.requests_rejected += fresh
     board = cluster.breakers
     if board is not None and node_id is not None:
         if board.record_failure(node_id) and metrics is not None:
@@ -230,10 +227,8 @@ def _shielded(cluster, gen, node_id, metrics, scope, op=None):
         if scope is not None:
             scope.note_deadline()
         return _DEADLINE
-    except QueueFull as exc:
-        _record_rejection(
-            cluster, node_id, metrics, exc, (op,) if op is not None else ()
-        )
+    except QueueFull:
+        _record_rejection(cluster, node_id, metrics, (op,) if op is not None else ())
         return _REJECTED
     return value
 
@@ -277,7 +272,7 @@ def execute_remote_ops(
     the reply transfers.
 
     Failed ops are retried then routed to their ``fallback`` (see module
-    docstring) under ``config``'s timeout and hedge settings.
+    docstring) under ``config``'s timeout settings.
 
     With ``allow_shed`` set (scan stages under
     ``StoreConfig.allow_partial_results``), ops refused by admission
@@ -517,11 +512,11 @@ def _node_group(cluster, coordinator, group: list[RemoteOp], metrics, config, sc
             yield from net.batch_transfer(
                 coordinator.endpoint, node.endpoint, request_sizes, metrics
             )
-        except QueueFull as exc:
+        except QueueFull:
             # The coalesced request could not be admitted: the whole
             # group is refused in one decision; each op in it is one
             # refused logical request.
-            _record_rejection(cluster, node.node_id, metrics, exc, group)
+            _record_rejection(cluster, node.node_id, metrics, group)
             if batch_span is not None:
                 tracer.finish(batch_span, outcome="rejected")
             return [_REJECTED] * len(group)
@@ -590,18 +585,8 @@ def _node_group(cluster, coordinator, group: list[RemoteOp], metrics, config, sc
             value = yield from op.finalize(value)
         return value
 
-    hedge = config.hedge_after_s > 0
     procs = [
-        _spawn(
-            sim, scope,
-            _hedged(
-                cluster, op,
-                _shielded(cluster, run_op(op), node.node_id, metrics, scope, op),
-                metrics, config, scope, deadline,
-            )
-            if hedge and op.fallback is not None
-            else _shielded(cluster, run_op(op), node.node_id, metrics, scope, op)
-        )
+        _spawn(sim, scope, _shielded(cluster, run_op(op), node.node_id, metrics, scope, op))
         for op in group
     ]
     barrier = all_of(sim, procs)
@@ -614,58 +599,3 @@ def _node_group(cluster, coordinator, group: list[RemoteOp], metrics, config, sc
         tracer.finish(batch_span)
     return barrier.value
 
-
-def _hedged(cluster, op: RemoteOp, attempt, metrics, config, scope=None, deadline=None):
-    """Race ``attempt`` against a delayed launch of ``op.fallback``.
-
-    If the primary attempt has not resolved ``config.hedge_after_s``
-    seconds from now, the degraded-read fallback is launched in parallel
-    (one hedge counted) and whichever path finishes first supplies the
-    op's value.  A primary that fails *after* the hedge launched defers
-    to the in-flight fallback instead of signalling retry — the
-    reconstruction is already paid for.  A primary that fails before the
-    hedge fires returns its failure sentinel so the normal retry/backoff
-    machinery runs, and the pending hedge timer lapses without effect.
-    The losing path runs to completion in the background, so its device
-    and metric costs are charged exactly as a real speculative duplicate
-    would cost.
-    """
-    sim = cluster.sim
-    decided = sim.event()
-    state = {"launched": False}
-
-    def run_primary():
-        value = yield from attempt
-        failure = (
-            value is _FAILED or value is _CORRUPT
-            or value is _REJECTED or value is _DEADLINE
-        )
-        if failure and state["launched"]:
-            # An in-flight hedge fallback will supply the value.
-            return
-        if not decided.fired:
-            decided.succeed(value)
-
-    def run_hedge():
-        yield sim.timeout(config.hedge_after_s)
-        if decided.fired:
-            return
-        if deadline is not None and deadline.remaining <= 0:
-            # No budget left to pay for a speculative duplicate; the
-            # primary's own deadline check will surface the expiry.
-            return
-        state["launched"] = True
-        if metrics is not None:
-            metrics.hedges += 1
-        if sim.tracer is not None:
-            sim.tracer.instant("rpc.hedge", cat="rpc", node=op.node.node_id)
-        value = yield from _shielded(
-            cluster, op.fallback(), op.node.node_id, metrics, scope, op
-        )
-        if not decided.fired:
-            decided.succeed(value)
-
-    _spawn(sim, scope, run_primary())
-    _spawn(sim, scope, run_hedge())
-    value = yield decided
-    return value

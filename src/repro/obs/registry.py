@@ -301,18 +301,12 @@ class MetricsRegistry:
         self.counter("repro_rpcs_total", "Wire messages", kind="saved").inc(qm.rpcs_saved)
         self.counter("repro_op_retries_total", "Remote ops re-attempted").inc(qm.retries)
         self.counter("repro_op_timeouts_total", "Remote op timeouts").inc(qm.timeouts)
-        self.counter("repro_hedged_reads_total", "Speculative hedge reads issued").inc(
-            qm.hedges
-        )
         self.counter(
             "repro_degraded_reads_total", "Reads answered by EC reconstruction"
         ).inc(qm.degraded_reads)
         self.counter(
             "repro_checksum_failures_total", "End-to-end checksum mismatches"
         ).inc(qm.checksum_failures)
-        self.counter(
-            "repro_requests_shed_total", "Queued requests evicted by admission control"
-        ).inc(qm.requests_shed)
         self.counter(
             "repro_requests_rejected_total", "Requests refused at a full admission queue"
         ).inc(qm.requests_rejected)
@@ -335,10 +329,6 @@ class MetricsRegistry:
         self.counter(
             "repro_quota_exceeded_total", "Requests refused over tenant quota"
         ).inc(qm.quota_exceeded)
-        self.counter(
-            "repro_quota_demotions_total",
-            "Requests demoted to background priority over tenant quota",
-        ).inc(qm.quota_demotions)
         if qm.tenant is not None:
             tenant = qm.tenant
             self.counter(
@@ -350,11 +340,6 @@ class MetricsRegistry:
                 "End-to-end query latency per tenant",
                 tenant=tenant,
             ).observe(qm.latency, trace_id=exemplar)
-            self.counter(
-                "repro_tenant_requests_shed_total",
-                "Queued requests evicted by admission control, per tenant",
-                tenant=tenant,
-            ).inc(qm.requests_shed)
             self.counter(
                 "repro_tenant_requests_rejected_total",
                 "Requests refused at a full admission queue, per tenant",
@@ -370,11 +355,6 @@ class MetricsRegistry:
                 "Requests refused over quota, per tenant",
                 tenant=tenant,
             ).inc(qm.quota_exceeded)
-            self.counter(
-                "repro_tenant_quota_demotions_total",
-                "Requests demoted over quota, per tenant",
-                tenant=tenant,
-            ).inc(qm.quota_demotions)
 
     def record_repair(self, nbytes: int, blocks: int, seconds: float) -> None:
         """Fold one repair run's totals into the registry."""

@@ -10,8 +10,8 @@ keeps one bad sample from paging.
 
 Three objective kinds:
 
-* ``availability`` — bad-request fraction (sheds + rejects + deadline
-  misses + quota refusals over completed requests) against an error
+* ``availability`` — bad-request fraction (rejects + deadline misses +
+  quota refusals over completed requests) against an error
   budget of ``1 - target``.
 * ``latency_p99`` — fraction of windowed latency observations above a
   threshold (the deadline, typically) against a ``1 - target`` budget,
@@ -160,8 +160,8 @@ class SLOEngine:
     def subscribe(self, callback) -> None:
         """Register ``callback(alert)`` for every alert firing.
 
-        The hook future admission/breaker layers can attach to; this PR
-        ships it observable-only."""
+        The hook admission/breaker layers can attach to; nothing in the
+        package subscribes, so alerts stay observable-only."""
         self._subscribers.append(callback)
 
     @property

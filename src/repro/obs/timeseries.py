@@ -197,7 +197,7 @@ class Scraper:
         cm = cluster.metrics
         row += (
             len(cm.queries),
-            cm.requests_shed + cm.requests_rejected + cm.deadline_exceeded + cm.quota_exceeded,
+            cm.requests_rejected + cm.deadline_exceeded + cm.quota_exceeded,
             cm.network_bytes,
             cm.repair_bytes,
             cm.rebalance_bytes,

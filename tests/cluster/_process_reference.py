@@ -11,9 +11,9 @@ from repro.cluster.simcore import QueueFull, Resource, Simulator
 def occupy_process(sim: Simulator, resource: Resource, seconds: float, priority):
     """Occupy one slot of ``resource`` for ``seconds``.
 
-    Accounting-only: if the queue is admission-bounded and full, or the
-    queued request is shed, the charge is dropped rather than failing
-    whoever spawned this detached process.
+    Accounting-only: if the queue is admission-bounded and full, the
+    charge is dropped rather than failing whoever spawned this detached
+    process.
     """
     try:
         with (yield from resource.acquire(priority)):

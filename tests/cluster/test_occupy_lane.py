@@ -20,8 +20,7 @@ from tests.cluster._process_reference import occupy_process
 TIMES = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.5])
 DURATIONS = st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0])
 PRIORITIES = st.sampled_from([None, 0, 0, 1, 2])
-#: (max_queue, shed_low_priority): shedding only matters on a bounded queue.
-ADMISSION = st.sampled_from([(None, False), (0, False), (0, True), (1, False), (1, True), (2, True), (3, True)])
+MAX_QUEUE = st.sampled_from([None, 0, 1, 2, 3])
 
 ACTIONS = st.lists(
     st.one_of(
@@ -35,7 +34,7 @@ ACTIONS = st.lists(
 )
 
 
-def run_schedule(actions, capacity, max_queue, shed, traced, lane: bool):
+def run_schedule(actions, capacity, max_queue, traced, lane: bool):
     """Everything observable about one run of ``actions``."""
     sim = Simulator()
     stream = record_schedule(sim)
@@ -43,7 +42,6 @@ def run_schedule(actions, capacity, max_queue, shed, traced, lane: bool):
     if traced:
         tracer = sim.tracer = Tracer(sim)
     resource = Resource(sim, capacity=capacity, max_queue=max_queue)
-    resource.shed_low_priority = shed
     resource.trace_name, resource.trace_node = "cpu", 3
     log: list[tuple] = []
     holders = []
@@ -53,8 +51,8 @@ def run_schedule(actions, capacity, max_queue, shed, traced, lane: bool):
             with (yield from resource.acquire(priority)):
                 log.append(("granted", index, sim.now, resource.in_use, resource.queue_length))
                 yield sim.timeout(seconds)
-        except QueueFull as refused:
-            log.append(("refused", index, sim.now, refused.shed))
+        except QueueFull:
+            log.append(("refused", index, sim.now))
 
     def driver(index, action):
         """Arrives at its time; a detached hold inherits *its* trace context."""
@@ -89,7 +87,6 @@ def run_schedule(actions, capacity, max_queue, shed, traced, lane: bool):
         "now": sim.now,
         "busy_time": resource.busy_time,
         "rejected_total": resource.rejected_total,
-        "shed_total": resource.shed_total,
         "in_use": resource.in_use,
         "queue_length": resource.queue_length,
         "log": log,
@@ -102,20 +99,20 @@ def run_schedule(actions, capacity, max_queue, shed, traced, lane: bool):
 @given(
     actions=ACTIONS,
     capacity=st.sampled_from([1, 1, 2, 3, 4]),
-    admission=ADMISSION,
+    max_queue=MAX_QUEUE,
     traced=st.booleans(),
 )
-def test_lane_is_event_for_event_the_process(actions, capacity, admission, traced):
-    oracle = run_schedule(actions, capacity, *admission, traced, lane=False)
-    lane = run_schedule(actions, capacity, *admission, traced, lane=True)
+def test_lane_is_event_for_event_the_process(actions, capacity, max_queue, traced):
+    oracle = run_schedule(actions, capacity, max_queue, traced, lane=False)
+    lane = run_schedule(actions, capacity, max_queue, traced, lane=True)
     for key, expected in oracle.items():
         assert lane[key] == expected, key
     assert oracle["in_use"] == 0 and oracle["queue_length"] == 0  # every slot came back
 
 
-def _contended(max_queue, shed, traced=True):
+def _contended(max_queue, traced=True):
     """Capacity 1, one long holder, then detached holds and a late foreground
-    arrival: exercises queueing, rejection and shedding of lane holds."""
+    arrival: exercises queueing and rejection of lane holds."""
     actions = [
         ("acquire", 0.0, 2.5, None),
         ("hold", 0.0, 1.0, 0, True),
@@ -123,14 +120,14 @@ def _contended(max_queue, shed, traced=True):
         ("hold", 0.5, 0.5, 0, True),
         ("acquire", 1.0, 0.5, 2),
     ]
-    oracle = run_schedule(actions, 1, max_queue, shed, traced, lane=False)
-    lane = run_schedule(actions, 1, max_queue, shed, traced, lane=True)
+    oracle = run_schedule(actions, 1, max_queue, traced, lane=False)
+    lane = run_schedule(actions, 1, max_queue, traced, lane=True)
     assert lane == oracle
     return lane
 
 
 def test_queued_holds_wait_fifo_and_trace_their_wait():
-    run = _contended(max_queue=None, shed=False)
+    run = _contended(max_queue=None)
     waits = [s for s in run["spans"] if s[2] == "queue.wait"]
     assert len(waits) == 4  # three holds and the late holder queued
     # Each hold's wait span hangs under the driver that issued it.
@@ -140,17 +137,9 @@ def test_queued_holds_wait_fifo_and_trace_their_wait():
 
 
 def test_full_queue_drops_the_charge_and_counts_the_rejection():
-    run = _contended(max_queue=1, shed=False)
+    run = _contended(max_queue=1)
     # One hold queues; the next two and the late holder are refused at the door.
     assert run["rejected_total"] == 3
     assert [name for _t, name, *_ in run["instants"]] == ["admission.reject"] * 3
     assert run["busy_time"] == 2.5 + 1.0
 
-
-def test_queued_hold_is_shed_for_foreground_work():
-    run = _contended(max_queue=1, shed=True)
-    assert run["shed_total"] == 1 and run["rejected_total"] == 2
-    shed_waits = [s for s in run["spans"] if s[2] == "queue.wait" and ("shed", True) in s[5]]
-    assert len(shed_waits) == 1
-    assert run["busy_time"] == 2.5 + 0.5  # the shed hold's second was never charged
-    assert ("granted", 4, 2.5, 1, 0) in run["log"]

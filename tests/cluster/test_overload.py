@@ -9,7 +9,6 @@ from repro.cluster import (
     Simulator,
 )
 from repro.cluster.overload import (
-    ADMISSION_POLICIES,
     BACKGROUND_PRIORITY,
     CLOSED,
     FOREGROUND_PRIORITY,
@@ -53,60 +52,37 @@ class TestResourceAdmission:
         resource = self._saturated(sim, max_queue=1)
         outcomes = []
 
-        def worker(tag):
-            try:
-                with (yield from resource.acquire(FOREGROUND_PRIORITY)):
-                    pass
-            except QueueFull as exc:
-                outcomes.append((tag, exc.shed))
-
-        sim.process(worker("first"))  # queues (depth 1)
-        sim.process(worker("second"))  # queue full -> rejected at the door
-        sim.run(until=1.0)
-        assert outcomes == [("second", False)]
-        assert resource.rejected_total == 1
-        assert resource.queue_length == 1
-
-    def test_shed_lowest_priority_evicts_newest_background_waiter(self):
-        sim = Simulator()
-        resource = self._saturated(sim, max_queue=2)
-        resource.shed_low_priority = True
-        outcomes = []
-
         def worker(tag, priority):
             try:
                 with (yield from resource.acquire(priority)):
                     pass
-            except QueueFull as exc:
-                outcomes.append((tag, exc.shed))
+            except QueueFull:
+                outcomes.append(tag)
 
-        sim.process(worker("bg-old", BACKGROUND_PRIORITY))
-        sim.process(worker("bg-new", BACKGROUND_PRIORITY))
-        sim.process(worker("fg", FOREGROUND_PRIORITY))  # evicts bg-new
+        sim.process(worker("first", BACKGROUND_PRIORITY))  # queues (depth 1)
+        # Queue full -> rejected at the door; priority evicts nobody.
+        sim.process(worker("second", FOREGROUND_PRIORITY))
         sim.run(until=1.0)
-        assert outcomes == [("bg-new", True)]
-        assert resource.shed_total == 1
-        assert resource.rejected_total == 0
-        # The foreground request took the evicted slot in the queue.
-        assert resource.queue_length == 2
+        assert outcomes == ["second"]
+        assert resource.rejected_total == 1
+        assert resource.queue_length == 1
 
     def test_foreground_rejected_when_no_lower_priority_waiter(self):
         sim = Simulator()
         resource = self._saturated(sim, max_queue=1)
-        resource.shed_low_priority = True
         outcomes = []
 
         def worker(tag, priority):
             try:
                 with (yield from resource.acquire(priority)):
                     pass
-            except QueueFull as exc:
-                outcomes.append((tag, exc.shed))
+            except QueueFull:
+                outcomes.append(tag)
 
         sim.process(worker("fg-old", FOREGROUND_PRIORITY))
         sim.process(worker("fg-new", FOREGROUND_PRIORITY))
         sim.run(until=1.0)
-        assert outcomes == [("fg-new", False)]
+        assert outcomes == ["fg-new"]
         assert resource.rejected_total == 1
 
     def test_priority_none_is_exempt(self):
@@ -120,9 +96,8 @@ class TestResourceAdmission:
         sim.process(internal())
         sim.process(internal())
         sim.run(until=1.0)
-        # Both queued despite max_queue=1; nothing rejected or shed.
+        # Both queued despite max_queue=1; nothing rejected.
         assert resource.rejected_total == 0
-        assert resource.shed_total == 0
         assert resource.queue_length == 2
 
     def test_cancelled_waiter_withdraws_its_queue_slot(self):
@@ -306,37 +281,19 @@ class TestCircuitBreaker:
 
 
 class TestInstallers:
-    def test_unknown_policy_rejected(self):
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_noop_configurations_leave_queues_unbounded(self, depth):
         sim = Simulator()
         cluster = Cluster(sim, ClusterConfig(num_nodes=3))
-        with pytest.raises(ValueError, match="unknown admission_policy"):
-            install_admission_control(
-                cluster, StoreConfig(admission_queue_depth=4, admission_policy="drop-all")
-            )
-        assert "drop-all" not in ADMISSION_POLICIES
-
-    @pytest.mark.parametrize(
-        "depth,policy", [(0, "reject"), (-1, "reject"), (8, "block")]
-    )
-    def test_noop_configurations_leave_queues_unbounded(self, depth, policy):
-        sim = Simulator()
-        cluster = Cluster(sim, ClusterConfig(num_nodes=3))
-        install_admission_control(
-            cluster, StoreConfig(admission_queue_depth=depth, admission_policy=policy)
-        )
+        install_admission_control(cluster, StoreConfig(admission_queue_depth=depth))
         for node in cluster.nodes:
             assert node.cpu.max_queue is None
             assert node.disk.device.max_queue is None
 
-    @pytest.mark.parametrize(
-        "policy,shed", [("reject", False), ("shed-lowest-priority", True)]
-    )
-    def test_bounds_every_service_loop(self, policy, shed):
+    def test_bounds_every_service_loop(self):
         sim = Simulator()
         cluster = Cluster(sim, ClusterConfig(num_nodes=3))
-        install_admission_control(
-            cluster, StoreConfig(admission_queue_depth=6, admission_policy=policy)
-        )
+        install_admission_control(cluster, StoreConfig(admission_queue_depth=6))
         for node in cluster.nodes:
             for resource in (
                 node.cpu,
@@ -345,7 +302,6 @@ class TestInstallers:
                 node.endpoint.ingress,
             ):
                 assert resource.max_queue == 6
-                assert resource.shed_low_priority is shed
 
     def test_breaker_install_is_idempotent_and_off_by_default(self):
         sim = Simulator()
@@ -393,74 +349,9 @@ class TestJitterRng:
 
 
 # ---------------------------------------------------------------------------
-# PR 8 satellites: eviction order, restore-during-half-open race, and
-# once-per-logical-request refusal accounting.
+# Restore-during-half-open race and once-per-logical-request refusal
+# accounting.
 # ---------------------------------------------------------------------------
-
-
-class TestShedEvictionOrder:
-    def test_never_evicts_equal_priority_ahead_of_lower(self):
-        """shed-lowest-priority must pick a *strictly* lower-priority
-        victim even when an equal-priority waiter is newer (pins the
-        eviction order the QoS layer's per-tenant shedding builds on)."""
-        sim = Simulator()
-        resource = Resource(sim, capacity=1, max_queue=2)
-        resource.shed_low_priority = True
-
-        def hold():
-            with (yield from resource.acquire()):
-                yield sim.event()  # never fires
-
-        resource.holder = sim.process(hold())
-        sim.run(until=0.0)
-        outcomes = []
-
-        def worker(tag, priority):
-            try:
-                with (yield from resource.acquire(priority)):
-                    pass
-            except QueueFull as exc:
-                outcomes.append((tag, exc.shed))
-
-        # Queue order: background first, then a *newer* foreground waiter.
-        sim.process(worker("bg-old", BACKGROUND_PRIORITY))
-        sim.process(worker("fg-new", FOREGROUND_PRIORITY))
-        # The arriving foreground request must evict bg-old, never fg-new
-        # (fg-new is newest, but equal priority is not a valid victim).
-        sim.process(worker("fg-arriving", FOREGROUND_PRIORITY))
-        sim.run(until=1.0)
-        assert outcomes == [("bg-old", True)]
-        assert resource.shed_total == 1
-        assert resource.rejected_total == 0
-
-    def test_lowest_priority_victim_chosen_across_mixed_queue(self):
-        """With several lower-priority waiters, the lowest lane loses
-        (and within it the newest), not merely the newest lower one."""
-        sim = Simulator()
-        resource = Resource(sim, capacity=1, max_queue=3)
-        resource.shed_low_priority = True
-
-        def hold():
-            with (yield from resource.acquire()):
-                yield sim.event()
-
-        resource.holder = sim.process(hold())
-        sim.run(until=0.0)
-        outcomes = []
-
-        def worker(tag, priority):
-            try:
-                with (yield from resource.acquire(priority)):
-                    pass
-            except QueueFull as exc:
-                outcomes.append((tag, exc.shed))
-
-        sim.process(worker("mid", 1))
-        sim.process(worker("low-old", 0))
-        sim.process(worker("low-new", 0))
-        sim.process(worker("arriving", 2))  # evicts low-new (lowest, newest)
-        sim.run(until=1.0)
-        assert outcomes == [("low-new", True)]
 
 
 class TestRestoreDuringHalfOpenProbe:
@@ -532,13 +423,12 @@ class TestRefusalAccounting:
     def test_retried_refusal_counts_one_logical_request(self):
         cluster, metrics, RemoteOp, record = self._env()
         op = RemoteOp(node=cluster.node(0), execute=lambda: iter(()))
-        record(cluster, 0, metrics, QueueFull("full"), (op,))
+        record(cluster, 0, metrics, (op,))
         # The executor retries rejected ops; a second refusal of the
         # same op is a new attempt, not a new refused request.
-        record(cluster, 0, metrics, QueueFull("full"), (op,))
+        record(cluster, 0, metrics, (op,))
         assert metrics.requests_rejected == 1
         assert metrics.refusal_attempts == 2
-        assert metrics.requests_shed == 0
 
     def test_group_refusal_counts_each_op_once(self):
         cluster, metrics, RemoteOp, record = self._env()
@@ -546,25 +436,16 @@ class TestRefusalAccounting:
             RemoteOp(node=cluster.node(0), execute=lambda: iter(()))
             for _ in range(3)
         ]
-        record(cluster, 0, metrics, QueueFull("full"), group)
-        record(cluster, 0, metrics, QueueFull("full"), group)
+        record(cluster, 0, metrics, group)
+        record(cluster, 0, metrics, group)
         assert metrics.requests_rejected == 3
         assert metrics.refusal_attempts == 6
-
-    def test_shed_and_reject_split_by_refusal_shape(self):
-        cluster, metrics, RemoteOp, record = self._env()
-        shed_op = RemoteOp(node=cluster.node(1), execute=lambda: iter(()))
-        record(cluster, 1, metrics, QueueFull("evicted", shed=True), (shed_op,))
-        record(cluster, 1, metrics, QueueFull("evicted", shed=True), (shed_op,))
-        assert metrics.requests_shed == 1
-        assert metrics.requests_rejected == 0
-        assert metrics.refusal_attempts == 2
 
     def test_opless_refusal_counts_once_per_call(self):
         # Coordinator-side refusals outside any scatter-gather stage have
         # no op identity; each call is its own logical request.
         cluster, metrics, _RemoteOp, record = self._env()
-        record(cluster, None, metrics, QueueFull("full"))
-        record(cluster, None, metrics, QueueFull("full"))
+        record(cluster, None, metrics)
+        record(cluster, None, metrics)
         assert metrics.requests_rejected == 2
         assert metrics.refusal_attempts == 2

@@ -6,6 +6,7 @@ import pytest
 from repro.cluster import Cluster, ClusterConfig, Simulator
 from repro.cluster.faults import FaultEvent, FaultInjector, random_schedule
 from repro.cluster.metrics import QueryMetrics
+from repro.cluster import qos as qos_module
 from repro.cluster.overload import BACKGROUND_PRIORITY, FOREGROUND_PRIORITY
 from repro.cluster.qos import (
     FairQueue,
@@ -48,7 +49,7 @@ class TestTokenBucket:
 
 
 # ---------------------------------------------------------------------------
-# FairQueue on a Resource: DRR dispatch, per-tenant depth, tenant-local shed
+# FairQueue on a Resource: DRR dispatch, per-tenant depth
 # ---------------------------------------------------------------------------
 
 
@@ -220,10 +221,9 @@ class TestFairQueueDispatch:
 
 
 class TestPerTenantDepth:
-    def _resource(self, sim, depth, shed=False, weights=None):
+    def _resource(self, sim, depth, weights=None):
         qos = TenantQos(sim, weights=weights, depth_limit=depth)
         resource = _fair_resource(sim, qos)
-        resource.shed_low_priority = shed
         _saturate(sim, resource)
         return resource
 
@@ -240,51 +240,22 @@ class TestPerTenantDepth:
                     )
                 ):
                     pass
-            except QueueFull as exc:
-                outcomes.append((tag, exc.shed))
+            except QueueFull:
+                outcomes.append(tag)
 
         for i in range(3):
             sim.process(worker(f"a{i}", "a"))  # a2 refused at depth 2
         for i in range(2):
             sim.process(worker(f"b{i}", "b"))  # b admits despite a's backlog
         sim.run(until=0.1)
-        assert outcomes == [("a2", False)]
+        assert outcomes == ["a2"]
         assert resource.fair.depth("a") == 2
         assert resource.fair.depth("b") == 2
         assert resource.rejected_total == 1
 
-    def test_shed_stays_within_the_offending_tenant(self):
-        sim = Simulator()
-        resource = self._resource(sim, depth=2, shed=True)
-        outcomes = []
-
-        def worker(tag, tenant, priority):
-            try:
-                with (
-                    yield from resource.acquire(
-                        priority, tenant=tenant, cost=1.0
-                    )
-                ):
-                    pass
-            except QueueFull as exc:
-                outcomes.append((tag, exc.shed))
-
-        # Tenant b has a background waiter that a *naive* global shed
-        # would evict when tenant a hits its depth.
-        sim.process(worker("b-bg", "b", BACKGROUND_PRIORITY))
-        sim.process(worker("a-bg", "a", BACKGROUND_PRIORITY))
-        sim.process(worker("a-fg0", "a", FOREGROUND_PRIORITY))
-        # a is at depth 2; its arriving foreground request sheds a's own
-        # background waiter, never b's.
-        sim.process(worker("a-fg1", "a", FOREGROUND_PRIORITY))
-        sim.run(until=0.1)
-        assert outcomes == [("a-bg", True)]
-        assert resource.fair.depth("b") == 1
-        assert resource.shed_total == 1
-
     def test_rejects_when_no_lower_priority_within_tenant(self):
         sim = Simulator()
-        resource = self._resource(sim, depth=1, shed=True)
+        resource = self._resource(sim, depth=1)
         outcomes = []
 
         def worker(tag, tenant, priority):
@@ -295,18 +266,18 @@ class TestPerTenantDepth:
                     )
                 ):
                     pass
-            except QueueFull as exc:
-                outcomes.append((tag, exc.shed))
+            except QueueFull:
+                outcomes.append(tag)
 
         sim.process(worker("b-bg", "b", BACKGROUND_PRIORITY))
         sim.process(worker("a-fg0", "a", FOREGROUND_PRIORITY))
         sim.process(worker("a-fg1", "a", FOREGROUND_PRIORITY))
         sim.run(until=0.1)
-        # a-fg1 found no lower-priority waiter *of tenant a* to evict —
-        # b's background waiter is not a candidate — so it was rejected.
-        assert outcomes == [("a-fg1", False)]
+        # a-fg1 is refused at a's depth; b's lower-priority waiter is
+        # left queued, not evicted to make room.
+        assert outcomes == ["a-fg1"]
         assert resource.rejected_total == 1
-        assert resource.shed_total == 0
+        assert resource.fair.depth("b") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +288,7 @@ class TestPerTenantDepth:
 class TestQuotas:
     def test_request_quota_raises_typed_refusal(self):
         sim = Simulator()
-        qos = TenantQos(sim, requests_per_s={"a": 2.0}, burst_s=1.0)
+        qos = TenantQos(sim, requests_per_s={"a": 2.0})
         metrics = QueryMetrics(tenant="a")
         qos.admit("a", metrics)
         qos.admit("a", metrics)
@@ -329,44 +300,21 @@ class TestQuotas:
         assert qos.stats["a"]["quota_rejected"] == 1
         assert qos.stats["a"]["admitted"] == 2
 
-    def test_bytes_quota_charged_separately(self):
-        sim = Simulator()
-        qos = TenantQos(sim, bytes_per_s={"a": 100.0}, burst_s=1.0)
-        qos.admit("a", nbytes=100)
-        with pytest.raises(QuotaExceeded) as exc:
-            qos.admit("a", nbytes=1)
-        assert exc.value.resource == "bytes"
-
     def test_unmetered_tenant_never_refused(self):
         sim = Simulator()
         qos = TenantQos(sim, requests_per_s={"a": 1.0})
         for _ in range(100):
             qos.admit("b")  # no quota configured for b
 
-    def test_quota_refills_on_simulated_clock(self):
+    def test_quota_refills_on_simulated_clock(self, monkeypatch):
+        monkeypatch.setattr(qos_module, "QUOTA_BURST_S", 0.1)
         sim = Simulator()
-        qos = TenantQos(sim, requests_per_s={"a": 10.0}, burst_s=0.1)
+        qos = TenantQos(sim, requests_per_s={"a": 10.0})
         qos.admit("a")
         with pytest.raises(QuotaExceeded):
             qos.admit("a")
         sim.run(until=0.2)
         qos.admit("a")
-
-    def test_demote_policy_rewrites_priority(self):
-        sim = Simulator()
-        qos = TenantQos(sim, requests_per_s={"a": 1.0}, policy="demote")
-        first = QueryMetrics(tenant="a", priority=FOREGROUND_PRIORITY)
-        qos.admit("a", first)
-        assert first.priority == FOREGROUND_PRIORITY
-        demoted = QueryMetrics(tenant="a", priority=FOREGROUND_PRIORITY)
-        qos.admit("a", demoted)  # over quota: demoted, not refused
-        assert demoted.priority == BACKGROUND_PRIORITY
-        assert demoted.quota_demotions == 1
-        assert qos.stats["a"]["demoted"] == 1
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            TenantQos(Simulator(), policy="tarpit")
 
 
 # ---------------------------------------------------------------------------

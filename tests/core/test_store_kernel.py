@@ -11,6 +11,7 @@ on a store class, or a second store grows back, and when a
 ``StoreConfig`` field appears that only the tests set.
 """
 
+import ast
 import dataclasses
 import pathlib
 import re
@@ -105,12 +106,11 @@ KNOBS = (
     "pushdown_mode", "enable_aggregate_pushdown", "baseline_whole_block_reads",
     "enable_page_skipping", "op_timeout_s", "greylist_latency_factor",
     "repair_throttle_bps", "metadata_replicas", "tracing_enabled",
-    "metrics_registry_enabled", "hedge_after_s", "pushdown_audit_enabled", "default_deadline_s",
-    "admission_queue_depth", "admission_policy", "breaker_failure_threshold",
+    "metrics_registry_enabled", "pushdown_audit_enabled", "default_deadline_s",
+    "admission_queue_depth", "breaker_failure_threshold",
     "breaker_window_s", "breaker_reset_s", "allow_partial_results",
     "membership_enabled", "rpc_retry_jitter", "qos_enabled", "tenant_weights",
-    "tenant_requests_per_s", "tenant_bytes_per_s", "quota_burst_s",
-    "quota_policy", "tenant_queue_depth", "scrape_interval_s", "slo_enabled",
+    "tenant_requests_per_s", "tenant_queue_depth", "scrape_interval_s", "slo_enabled",
     "exemplars_enabled",
 )
 #: Knobs no bench, benchmark or example sets, each kept for a reason.
@@ -119,32 +119,62 @@ UNBENCHED_KNOBS = {
     "baseline_whole_block_reads",
     # ROADMAP 3(c) paces bounded-concurrency rebuild with it.
     "repair_throttle_bps",
-    # Only tests set these.
-    "hedge_after_s", "tenant_bytes_per_s", "quota_burst_s",
-    # Its "demote" path feeds the exported repro_*quota_demotions_total
-    # families; deleting it would move the telemetry digests.
-    "quota_policy",
+    # Set only to its default (on) here; tests switch it off.  ROADMAP
+    # 7(a) moves it out of StoreConfig with the other telemetry switches.
+    "pushdown_audit_enabled",
 }
 #: Where a knob counts as used: the experiment harness, the benchmarks
 #: and the examples (tests do not count).
 KNOB_USERS = (SRC / "bench", SRC.parents[1] / "benchmarks", SRC.parents[1] / "examples")
 
 
+def _knobs_set(tree: ast.AST, defaults: dict) -> set[str]:
+    """Knobs ``tree`` sets: a ``name=`` keyword, a ``"name":`` dict key or
+    a ``<x>.config.name =`` assignment.  A literal equal to the knob's
+    default sets nothing; any other expression counts."""
+    found: set[str] = set()
+
+    def note(name, value) -> None:
+        if name not in defaults:
+            return
+        try:
+            if ast.literal_eval(value) == defaults[name]:
+                return
+        except ValueError:
+            pass  # not a literal: an expression always counts
+        found.add(name)
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg is not None:
+            note(node.arg, node.value)
+        elif isinstance(node, ast.Dict):
+            for key, value in zip(node.keys, node.values):
+                if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                    note(key.value, value)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                owner = getattr(target, "value", None)
+                if isinstance(target, ast.Attribute) and (
+                    isinstance(owner, ast.Attribute) and owner.attr == "config"
+                    or isinstance(owner, ast.Name) and owner.id == "config"
+                ):
+                    note(target.attr, node.value)
+    return found
+
+
 def test_no_new_knob():
-    assert {f.name for f in dataclasses.fields(StoreConfig)} == set(KNOBS)
-    sources = "\n".join(
-        path.read_text() for root in KNOB_USERS for path in sorted(root.rglob("*.py"))
-    )
-    # Set as a ``name=`` keyword, a ``"name":`` dict key, or a
-    # ``config.name =`` assignment on a built store.
-    unset = {
-        name
-        for name in KNOBS
-        if not re.search(
-            rf"(?<![.\w]){name}=(?!=)|[\"']{name}[\"']\s*:|\bconfig\.{name}\s*=(?!=)", sources
-        )
+    fields = dataclasses.fields(StoreConfig)
+    assert {f.name for f in fields} == set(KNOBS)
+    defaults = {
+        f.name: f.default if f.default is not dataclasses.MISSING else f.default_factory()
+        for f in fields
     }
-    assert unset == UNBENCHED_KNOBS
+    used = set().union(*(
+        _knobs_set(ast.parse(path.read_text()), defaults)
+        for root in KNOB_USERS
+        for path in sorted(root.rglob("*.py"))
+    ))
+    assert set(KNOBS) - used == UNBENCHED_KNOBS
 
 
 def test_import_paths_the_harness_and_benches_use():

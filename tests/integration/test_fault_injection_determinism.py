@@ -77,7 +77,6 @@ def _fingerprint(metrics: list[QueryMetrics], cluster) -> list:
             qm.network_bytes,
             qm.retries,
             qm.timeouts,
-            qm.hedges,
             qm.degraded_reads,
             qm.rpcs_issued,
         )

@@ -102,7 +102,13 @@ WATCH_OBJECTIVES = [
 #: reconstructs one stripe and already read it in one exchange per node:
 #: it ends at the same time, and only the stream, the spans, the Chrome
 #: trace and the text summary (indices 0, 2, 5, 6) moved, because the
-#: gather no longer runs as a nested round under a standalone op.
+#: gather no longer runs as a nested round under a standalone op.  Both
+#: telemetry entries had TIMESERIES.json and the OpenMetrics text
+#: (indices 3, 4) re-pinned when hedged reads, quota demotion and
+#: shed-lowest-priority eviction were deleted: those exports lost the
+#: always-zero ``repro_hedged_reads_total``, ``repro_quota_demotions_total``
+#: and ``repro_requests_shed_total`` series and nothing else.  Every other
+#: digest held.
 GOLDEN = {
     ("fusion", False): (
         "4d3f88866f2ba0677677ab7a359d19bfacfa6a0a00a757116246149a58324e13",
@@ -113,8 +119,8 @@ GOLDEN = {
         "4d3f88866f2ba0677677ab7a359d19bfacfa6a0a00a757116246149a58324e13",
         "1ef273592243515c995adcd85e6cbd39f09803e0228c365009f457a1114afc2e",
         "8e3cbfc1801a4bc0906a8aaf6be88068dc9bf226064061144faafab905fced47",
-        "4878ad30cba7b19c7e110e875819c528106e47861489477f0602f90df08b26dc",
-        "d2d22e2510b449cf2a97d0b46340c5eee5fe4e7967506c535fc2ac56635f3e41",
+        "e903b28d8aeed24c95074c7f522014dad6a83ffcf94ea2f2c9825b9d87b9fb5e",
+        "8ac2037aeeb65d65e3ed4cfe21a270811f6b76c18ad3038bbc16e35c39800e11",
         "7c11852d114747ec0fa40f7a13928eec7aeb7eb5fedd0e8c9556293988e5eec1",
         "9c88ff12560d02c051b8af297242cf0ee72f3be0f6e1768a48e8818af72467af",
         "5324f84182be2a9a997b6c9e8a03946e0769baf5c4651914964a7f57d49c782c",
@@ -129,8 +135,8 @@ GOLDEN = {
         "c53bb96885da4911d5b1cd540eedec1978a77facfe68e2cd556e6e3d4e9b5b60",
         "88563d297faa8a7622743e4d1ae86c2b4e834e572895503e9e195b7d227d6218",
         "174cce1d5a7396a2e6f800358ecd5e1883589593bb62065bb051b047633f95ce",
-        "ca599b2ec20f207e5f52b15e42f96eb0a94e55704fbcf0464be6b386a4b46615",
-        "e07444a3b8fa24d8039f253e6a640b5bcbdb937217bdfdeeb2d652f12cd002de",
+        "b818b1522df25df1887ddb3c807a1f843d66887d2dea1a767f11b8b8c8d58283",
+        "680dc7621a5195e3697b4c31d129e31c5490615cf8866339e940debfab005a21",
         "45916e1e7a2daa2dca5cc453dafc5e52d122845a723dadddaf4e4c155f42d575",
         "e952d8f61229230530a423a4242c14fc7ac24f52aea14c58b6b845b1cc210649",
         "d61749c4cefc2cde14abe4f1153d5d421733b233acfc348fc8a2cd5872d91e52",

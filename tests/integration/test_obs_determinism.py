@@ -65,7 +65,7 @@ def _run(store_cls, obs_on: bool, telemetry_on: bool = False):
     sim.run()
 
     fingerprint = [
-        (qm.start_time, qm.end_time, qm.network_bytes, qm.rpcs_issued, qm.hedges)
+        (qm.start_time, qm.end_time, qm.network_bytes, qm.rpcs_issued)
         for qm in metrics_out
     ]
     return stream, fingerprint, results_out, store, sim
@@ -132,7 +132,6 @@ def test_default_config_keeps_observers_off():
     config = StoreConfig()
     assert config.tracing_enabled is False
     assert config.metrics_registry_enabled is False
-    assert config.hedge_after_s == 0.0
     assert config.pushdown_audit_enabled is True  # metadata-plane, zero events
     assert config.scrape_interval_s == 0.0
     assert config.slo_enabled is False

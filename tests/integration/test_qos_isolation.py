@@ -7,6 +7,7 @@ the deadline, while every one of A's refusals is a *typed* failure."""
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig, QueryMetrics, Simulator
+from repro.cluster import qos
 from repro.cluster.overload import DeadlineExceeded
 from repro.cluster.qos import QuotaExceeded
 from repro.cluster.simcore import QueueFull
@@ -78,7 +79,7 @@ def _drive(sim, store, duration_s, open_loop=None, closed_loop=None):
 
 
 @pytest.mark.parametrize("store_cls", [FusionStore, BaselineStore])
-def test_storming_tenant_cannot_crowd_out_a_paced_one(store_cls):
+def test_storming_tenant_cannot_crowd_out_a_paced_one(store_cls, monkeypatch):
     # Calibrate: closed-loop capacity and uncontended latency, QoS off.
     sim, _cluster, store = _build(store_cls)
     oks, _ = _drive(sim, store, 2.0, closed_loop={"cal": 6})
@@ -88,16 +89,15 @@ def test_storming_tenant_cannot_crowd_out_a_paced_one(store_cls):
 
     storm_rate = 2.5 * capacity_qps
     duration = 60 / storm_rate
+    # At test scale the whole run lasts a fraction of a second, so the
+    # burst window must shrink with it or A's storm is admitted
+    # wholesale out of the initial bucket.
+    monkeypatch.setattr(qos, "QUOTA_BURST_S", duration / 10.0)
     policy = dict(
         qos_enabled=True,
         tenant_weights={"A": 1.0, "B": 4.0},
         tenant_requests_per_s={"A": 0.2 * capacity_qps},
-        # At test scale the whole run lasts a fraction of a second, so
-        # the burst window must shrink with it or A's storm is admitted
-        # wholesale out of the initial bucket.
-        quota_burst_s=duration / 10.0,
         admission_queue_depth=16,
-        admission_policy="reject",
         tenant_queue_depth=16,
     )
 

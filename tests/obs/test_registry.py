@@ -73,7 +73,7 @@ def _qm(latency=0.2, network=1000):
     qm.fallback_chunks = 1
     qm.rpcs_issued = 7
     qm.retries = 1
-    qm.hedges = 2
+    qm.timeouts = 2
     qm.add("network", 0.1)
     return qm
 
@@ -92,7 +92,7 @@ def test_record_query_feeds_named_metrics():
         for s in d["repro_pushdown_chunks_total"]["samples"]
     }
     assert decisions == {"pushdown": 6, "fallback": 2}
-    assert d["repro_hedged_reads_total"]["samples"][0]["value"] == 4
+    assert d["repro_op_timeouts_total"]["samples"][0]["value"] == 4
 
 
 def test_cluster_metrics_duck_types_into_registry():

@@ -39,7 +39,7 @@ def _run_plan(sim, cluster, plan):
         for good, bad in plan:
             for _ in range(good):
                 cluster.metrics.queries.append(object())
-            cluster.metrics.requests_shed += bad
+            cluster.metrics.requests_rejected += bad
             yield sim.timeout(1.0)
 
     sim.process(work())
