@@ -362,21 +362,32 @@ class StoreKernel:
         node.put_block(block_id, payload)
 
     def _write_stripe(self, coordinator, placement: StripePlacement, payloads):
-        """Process: charge the coordinator's encode of one stripe,
-        RS-encode it, record every block's CRC on the placement, and
-        spawn one write per stored block (data in order, then parity;
-        empty data blocks are never written).  Returns the write
-        processes for the caller to await together."""
+        """Process: write one stripe, data first, parity after its encode.
+
+        The code is systematic, so the data blocks are the payloads the
+        coordinator already holds: only the parity waits for the encode.
+        The stripe is RS-encoded and every block's CRC recorded on the
+        placement before any block lands; then one write per non-empty
+        data block is spawned (empty data blocks are never written), the
+        coordinator's encode is charged while those writes queue on its
+        egress, and one write per parity block follows.  Returns the
+        write processes for the caller to await together."""
+        shards = encode_stripe(self.config.code, payloads).shards()
+        placement.checksums = [chunk_checksum(s) for s in shards]
+        blocks = list(zip(placement.node_ids, placement.block_ids, shards))
+        k = self.config.code.k
+        writes = [
+            self.sim.process(self._write_block(coordinator, nid, bid, payload))
+            for nid, bid, payload in blocks[:k]
+            if payload.size
+        ]
         encode_bytes = sum(p.size for p in payloads)
         yield from coordinator.compute(
             encode_bytes * self.config.size_scale / coordinator.cpu_config.decode_bps
         )
-        shards = encode_stripe(self.config.code, payloads).shards()
-        placement.checksums = [chunk_checksum(s) for s in shards]
-        return [
+        return writes + [
             self.sim.process(self._write_block(coordinator, nid, bid, payload))
-            for nid, bid, payload in zip(placement.node_ids, placement.block_ids, shards)
-            if payload.size
+            for nid, bid, payload in blocks[k:]
         ]
 
     # -- WAL records --------------------------------------------------------------

@@ -52,10 +52,13 @@ from tests.conftest import make_small_table
 #: were re-pinned by the declared model change that gathers every lost
 #: stripe of a Get in the Get's one scatter-gather round: the same shards
 #: cross the network in one exchange per node instead of one per (stripe,
-#: node).
+#: node).  Both were re-pinned by the declared model change of the
+#: data-first write: the Put before the Get spawns each stripe's data-block
+#: writes before its encode charge and the parity writes after it, so the
+#: Put ends sooner and every later event time moved.
 GOLDEN_STREAM = {
-    "fusion": "a422305679d1d8f9887a19838767b1e4626179bce39c6f2852126d0c05314897",
-    "baseline": "697b7ae27b8da0aeb85f15153fd8fcf86c947f423693ee34c5d1af55ce0444c5",
+    "fusion": "36ca42f4bc9db0038ef2d2faf1d18e65229d328ddaa59a20cc3a3790cc92c58a",
+    "baseline": "931d2995fa78bd255fffdbc66372e2e78878e3858623446ea163cd5e8e484658",
 }
 
 

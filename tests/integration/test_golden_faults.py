@@ -86,18 +86,23 @@ SQL = "SELECT id, price FROM {} WHERE qty < 5"
 #: one scatter-gather round: the degraded Gets open fewer exchanges and
 #: end at other times, so every later step starts at another time; WAL
 #: records and placement state did not move.
+#: Both stores' streams and reports were re-pinned by the declared model
+#: change of the data-first write: a Put spawns each stripe's data-block
+#: writes before the coordinator's encode charge and the parity writes
+#: after it, so every Put ends sooner and every later step starts
+#: earlier; WAL records and placement state did not move.
 GOLDEN = {
     "fusion": (
-        "dba350bb028251ddc6f97e480b5b6a8f9150baa36a1a7242fd5ec2c8ff387d60",
+        "5e6e82a0ec7e135a2e5b05288f10980dfd65e1388fb87240355341ee77eb1ce6",
         "ddb9c54427c1211b7c643c5e7de63f30777ead712671bec629fbb45a805f8127",
         "d27f4039ac5c644de62d5512633fc5822b566c5ed1a7b8cbd32a5e79debfdbe0",
-        "9b9a0f56a9eae5fc5bbb84da133bf0f6edfb87212a8899d2660eb1b7787b417d",
+        "85ee9ae8c014c87e7c898ce893190ae7ca0490536c0cfbb5a18b0a3faffc2086",
     ),
     "baseline": (
-        "c7a384666d9e0389b37e802a062e81d545919b2ad4e0116512b8063c7ee9f707",
+        "1b0aa082d5ff41d1f8fd196052f05e9bdfd81986645f088964b083133e58ef35",
         "d14fa0088f41003b45d457fd9e53321a80e1b84e4ba391d219356251b2a10d07",
         "00396c37abf581dd1c984400d4d824fd7fa6d0c8a239519f8333aba6da564f3b",
-        "03440f23301d58a8a9b39b6d91a966c40acd43d10bc18f683fcec788ece94eb9",
+        "4f318db5ad7687c88937b8539f0d3d9c2642fb9408ef242576ca6dbee93d72e9",
     ),
 }
 
