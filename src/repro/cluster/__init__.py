@@ -42,6 +42,7 @@ from repro.cluster.overload import (
 )
 from repro.cluster.simcore import (
     Event,
+    LinkDown,
     Process,
     QueueFull,
     Resource,
@@ -73,6 +74,7 @@ __all__ = [
     "FaultEvent",
     "FaultInjector",
     "HashRing",
+    "LinkDown",
     "MEMBERSHIP_META",
     "MembershipManager",
     "MembershipRecord",

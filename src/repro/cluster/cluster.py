@@ -109,17 +109,11 @@ class Cluster:
                 node=node_id,
             )
 
-    def reachable(self, src_id: int, dst_id: int) -> bool:
-        """Can ``src_id`` exchange RPCs with ``dst_id`` right now?
-
-        False only when a severed link (partition) separates them —
-        drop-rates and latency degrade but do not disconnect.  Cheap in
-        fault-free runs (the link matrix is empty)."""
-        if src_id == dst_id or not self.network.links:
-            return True
-        return not self.network.link_severed(
-            self.nodes[src_id].endpoint.name, self.nodes[dst_id].endpoint.name
-        )
+    def delivers(self, src_id: int, dst_id: int) -> bool:
+        """The delivery rule (:meth:`Network.delivers
+        <repro.cluster.network.Network.delivers>`) between two nodes: both
+        up, no severed link between them.  ``delivers(i, i)``: is ``i`` up?"""
+        return self.network.delivers(self.nodes[src_id].endpoint, self.nodes[dst_id].endpoint)
 
     def enqueue_read_repair(self, store, store_kind: str, object_name: str, stripe_id: int) -> None:
         """Queue a stripe for anti-entropy repair after a degraded or
@@ -178,14 +172,14 @@ class Cluster:
         if wipe:
             node.wipe_blocks()
         if node.alive:
-            node.alive = False
+            node.endpoint.alive = False
             self._notify_liveness(node_id, False)
 
     def restore_node(self, node_id: int) -> None:
         """Bring a failed node back (blocks intact unless it was wiped)."""
         node = self.nodes[node_id]
         if not node.alive:
-            node.alive = True
+            node.endpoint.alive = True
             self._notify_liveness(node_id, True)
 
     def alive_nodes(self) -> list[int]:

@@ -20,8 +20,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.cluster.network import LinkState
-
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -70,9 +68,10 @@ class FaultEvent:
     * ``"partition"`` — sever every link between the node set ``nodes``
       (side A) and the rest of the cluster (side B) in both directions;
       heals automatically after ``duration`` (0 = stays cut until a
-      later event heals it by hand).  RPCs across the cut are lost,
-      direct repair/recovery reads treat the far side as unreachable,
-      and the quorum guard refuses minority-side metadata republishes;
+      later event heals it by hand).  The network refuses every
+      transfer across the cut (its delivery rule), so RPCs are lost,
+      writes do not land, and the quorum guard refuses minority-side
+      metadata republishes;
     * ``"asym_link"`` — degrade the *directed* link ``node_id -> peer``
       only: RPCs crossing it are dropped with probability ``rate`` and
       each transfer pays ``latency_s`` extra, for ``duration`` seconds.
@@ -190,10 +189,10 @@ class FaultInjector:
         """Decide whether an RPC exchanged with ``node_id`` is dropped now.
 
         ``src_id`` (the coordinator's node id, when the op is remote)
-        additionally consults the per-link fault plane: a severed link in
-        either direction loses the RPC deterministically, and directed
-        drop rates are drawn from the injector's *link* RNG stream so
-        link faults never perturb the main stream's replay.
+        additionally consults the directed drop rates of the per-link
+        fault plane, drawn from the injector's *link* RNG stream so link
+        faults never perturb the main stream's replay.  A severed link
+        is not a drop: the network refuses the transfer itself.
         """
         window = self._drop_windows.get(node_id)
         if window is not None:
@@ -205,17 +204,13 @@ class FaultInjector:
         if src_id is None or src_id == node_id:
             return False
         network = self.cluster.network
-        if not network.links:
-            return False
         src_name = self.cluster.node(src_id).endpoint.name
         dst_name = self.cluster.node(node_id).endpoint.name
-        if network.link_severed(src_name, dst_name):
-            return True
         # An RPC needs both directions (request out, reply back): it
         # survives only if neither directed leg drops it.
         p_keep = 1.0
         for key in ((src_name, dst_name), (dst_name, src_name)):
-            state = network.links.get(key)
+            state = network.link(*key)
             if state is not None and state.drop_rate > 0.0:
                 p_keep *= 1.0 - state.drop_rate
         if p_keep >= 1.0:
@@ -365,25 +360,6 @@ class FaultInjector:
 
     # -- per-link fault plane -------------------------------------------------
 
-    def _link_state(self, src_name: str, dst_name: str) -> LinkState:
-        """Get-or-create the directed link's state (so a partition and a
-        concurrent asym_link on the same pair compose instead of
-        clobbering each other)."""
-        links = self.cluster.network.links
-        state = links.get((src_name, dst_name))
-        if state is None:
-            state = LinkState()
-            links[(src_name, dst_name)] = state
-        return state
-
-    def _prune_link(self, src_name: str, dst_name: str) -> None:
-        """Drop the link entry once every fault axis on it has cleared
-        (keeps the matrix empty — and the hot path free — when healthy)."""
-        links = self.cluster.network.links
-        state = links.get((src_name, dst_name))
-        if state is not None and state.clear:
-            del links[(src_name, dst_name)]
-
     def _apply_partition(self, event: FaultEvent) -> str:
         """Sever every link between side A (``event.nodes``) and the rest
         of the cluster, both directions; heal after ``duration``."""
@@ -392,13 +368,14 @@ class FaultInjector:
         side_b = [n for n in range(num_nodes) if n not in set(side_a)]
         if not side_a or not side_b:
             return "partition is trivial (one side empty); ignored"
+        network = self.cluster.network
         pairs: list[tuple[str, str]] = []
         for a in side_a:
             for b in side_b:
                 a_name = self.cluster.node(a).endpoint.name
                 b_name = self.cluster.node(b).endpoint.name
                 for key in ((a_name, b_name), (b_name, a_name)):
-                    self._link_state(*key).severed = True
+                    network.update_link(*key, severed=True)
                     pairs.append(key)
 
         if event.duration > 0:
@@ -406,11 +383,8 @@ class FaultInjector:
             def heal():
                 # Clear only the severed axis: a concurrent asym_link's
                 # drop/latency state on the same pair must survive.
-                for src_name, dst_name in pairs:
-                    state = self.cluster.network.links.get((src_name, dst_name))
-                    if state is not None:
-                        state.severed = False
-                        self._prune_link(src_name, dst_name)
+                for key in pairs:
+                    network.update_link(*key, severed=False)
 
             self._later(event.duration, heal)
         heal_note = f"heals at +{event.duration:.3f}s" if event.duration > 0 else "no auto-heal"
@@ -421,20 +395,18 @@ class FaultInjector:
         num_nodes = len(self.cluster.nodes)
         if not (0 <= event.node_id < num_nodes and 0 <= event.peer < num_nodes):
             return "asym_link endpoints out of range; ignored"
+        network = self.cluster.network
         src_name = self.cluster.node(event.node_id).endpoint.name
         dst_name = self.cluster.node(event.peer).endpoint.name
-        state = self._link_state(src_name, dst_name)
-        state.drop_rate = event.rate
-        state.extra_latency_s = event.latency_s
-
-        def reset():
-            link = self.cluster.network.links.get((src_name, dst_name))
-            if link is not None:
-                link.drop_rate = 0.0
-                link.extra_latency_s = 0.0
-                self._prune_link(src_name, dst_name)
-
-        self._later(event.duration, reset)
+        network.update_link(
+            src_name, dst_name, drop_rate=event.rate, extra_latency_s=event.latency_s
+        )
+        # Clear only this fault's axes: a concurrent partition's cut on the
+        # same pair must survive.
+        self._later(
+            event.duration,
+            lambda: network.update_link(src_name, dst_name, drop_rate=0.0, extra_latency_s=0.0),
+        )
         return (
             f"{src_name}->{dst_name} degraded (drop {event.rate:.2f}, "
             f"+{event.latency_s * 1e3:.1f}ms) for {event.duration:.3f}s"

@@ -4,13 +4,19 @@ Each node owns an egress pipe and an ingress pipe, each a FIFO resource
 serialising transfers at the configured bandwidth (store-and-forward).
 A transfer of ``nbytes`` from A to B:
 
+0. is refused with :class:`~repro.cluster.simcore.LinkDown` unless the
+   network delivers from A to B (:meth:`Network.delivers`: both endpoints
+   up, neither directed leg severed).  Refused at dispatch, it moves
+   nothing and counts no RPC; asked again at delivery (an endpoint died
+   or the link was cut in flight), its bytes, RPC and CPU stay charged;
 1. waits for A's egress pipe, then B's ingress pipe (FIFO queueing is what
    produces tail latency under concurrent clients);
 2. occupies both for ``nbytes / bandwidth`` seconds;
 3. pays half an RTT of propagation delay plus a fixed per-RPC overhead.
 
-Transfers between a node and itself are free (local loopback), matching
-how the paper's coordinator processes locally-resident chunks.
+Transfers between a node and itself are free (local loopback) and never
+refused, matching how the paper's coordinator processes locally-resident
+chunks.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster import metrics as m
-from repro.cluster.simcore import QueueFull, Resource, Simulator
+from repro.cluster.simcore import LinkDown, QueueFull, Resource, Simulator
 
 #: Detached network-processing charges ride the background lane, so a
 #: full admission queue refuses them like other background work (the
@@ -55,6 +61,9 @@ class NetworkEndpoint:
 
     def __init__(self, sim: Simulator, name: str, cpu: Resource | None = None) -> None:
         self.name = name
+        #: The one liveness bit (``StorageNode.alive`` reads it); client
+        #: endpoints are always up.
+        self.alive = True
         self.egress = Resource(sim, capacity=1)
         self.ingress = Resource(sim, capacity=1)
         self.cpu = cpu
@@ -121,10 +130,19 @@ class Network:
         severed: bool = False,
     ) -> None:
         """Install (or clear) fault state on the directed src->dst link."""
-        key = (src_name, dst_name)
-        state = LinkState(
-            drop_rate=drop_rate, extra_latency_s=extra_latency_s, severed=severed
+        self.update_link(
+            src_name, dst_name, drop_rate=drop_rate, extra_latency_s=extra_latency_s,
+            severed=severed,
         )
+
+    def update_link(self, src_name: str, dst_name: str, **axes) -> None:
+        """Set some fault axes of the directed src->dst link, keeping the
+        others (a partition and an asym_link on one pair compose); a link
+        whose axes all clear leaves the matrix."""
+        key = (src_name, dst_name)
+        state = self.links.get(key) or LinkState()
+        for axis, value in axes.items():
+            setattr(state, axis, value)
         if state.clear:
             self.links.pop(key, None)
         else:
@@ -138,6 +156,13 @@ class Network:
         if not self.links:
             return None
         return self.links.get((src_name, dst_name))
+
+    def delivers(self, src: NetworkEndpoint, dst: NetworkEndpoint) -> bool:
+        """The delivery rule: both endpoints are up and neither directed
+        leg between them is severed.  Every transfer obeys it."""
+        if not (src.alive and dst.alive):
+            return False
+        return not self.links or not self.link_severed(src.name, dst.name)
 
     def link_severed(self, a_name: str, b_name: str) -> bool:
         """True when an RPC between the two endpoints cannot complete:
@@ -169,11 +194,8 @@ class Network:
             raise ValueError("cannot transfer a negative number of bytes")
         if src is dst:
             return  # loopback, as in batch_transfer
-        self.rpcs_issued += 1
-        if query is not None:
-            query.rpcs_issued += 1
         latency_s = self.config.rtt_s / 2 + self.config.rpc_overhead_s
-        yield from self._move(src, dst, nbytes, latency_s, query, self.sim.now)
+        yield from self._move(src, dst, nbytes, latency_s, query, self.sim.now, issued=1)
 
     def batch_transfer(
         self,
@@ -202,11 +224,6 @@ class Network:
         if src is dst:
             # Loopback: no pipes, no RTT, no traffic accounting.
             return
-        self.rpcs_issued += 1
-        self.rpcs_saved += len(sizes) - 1
-        if query is not None:
-            query.rpcs_issued += 1
-            query.rpcs_saved += len(sizes) - 1
         yield from self._move(
             src,
             dst,
@@ -214,6 +231,8 @@ class Network:
             self.config.rtt_s / 2 + self.config.rpc_overhead_s,
             query,
             start,
+            issued=1,
+            saved=len(sizes) - 1,
         )
 
     def stream_transfer(
@@ -237,20 +256,27 @@ class Network:
         start = self.sim.now
         if src is dst:
             return
-        self.rpcs_saved += 1
-        if query is not None:
-            query.rpcs_saved += 1
         yield from self._move(
-            src, dst, nbytes, self.config.rtt_s / 2 if half_rtt else 0.0, query, start
+            src, dst, nbytes, self.config.rtt_s / 2 if half_rtt else 0.0, query, start,
+            saved=1,
         )
 
-    def _move(self, src, dst, nbytes, latency_s, query, start):
-        """Occupy the pipes for ``nbytes`` plus ``latency_s`` of fixed cost.
+    def _move(self, src, dst, nbytes, latency_s, query, start, issued=0, saved=0):
+        """Occupy the pipes for ``nbytes`` plus ``latency_s`` of fixed cost,
+        counting ``issued`` / ``saved`` RPCs once dispatched.
 
-        Raises :class:`~repro.cluster.simcore.QueueFull` when either pipe
-        is admission-bounded and refuses the request; internal traffic
+        Raises LinkDown when the delivery rule refuses the transfer, and
+        :class:`~repro.cluster.simcore.QueueFull` when either pipe is
+        admission-bounded and refuses the request; internal traffic
         (``query=None``) is exempt.
         """
+        if not self.delivers(src, dst):
+            raise LinkDown(f"{src.name} -> {dst.name} refused at dispatch")
+        self.rpcs_issued += issued
+        self.rpcs_saved += saved
+        if query is not None:
+            query.rpcs_issued += issued
+            query.rpcs_saved += saved
         tracer = self.sim.tracer
         span = (
             tracer.begin("net.transfer", cat="device", src=src.name, dst=dst.name,
@@ -296,4 +322,6 @@ class Network:
         if query is not None:
             query.network_bytes += nbytes
             query.add(m.NETWORK, self.sim.now - start)
+        if not self.delivers(src, dst):
+            raise LinkDown(f"{src.name} -> {dst.name} lost in flight")
 

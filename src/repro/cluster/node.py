@@ -72,9 +72,6 @@ class StorageNode:
         ):
             resource.trace_name = label
             resource.trace_node = node_id
-        #: Cleared by Cluster.fail_node; stores route around dead nodes
-        #: with degraded reads.
-        self.alive = True
         self._blocks: dict[str, np.ndarray] = {}
         #: Write-ahead intent log for Put/Delete coordinated by this node
         #: (mirrored to the object's metadata replica nodes so recovery
@@ -86,6 +83,12 @@ class StorageNode:
         #: location/placement map whose wire cost the stores charge when
         #: replicating it.
         self._meta_replicas: dict[str, object] = {}
+
+    @property
+    def alive(self) -> bool:
+        """The endpoint's liveness bit (set by Cluster.fail_node /
+        restore_node): stores and the network's delivery rule read it."""
+        return self.endpoint.alive
 
     # -- block storage -----------------------------------------------------
 

@@ -48,6 +48,11 @@ class QueueFull(Exception):
     arrived while the queue was at ``max_queue``."""
 
 
+class LinkDown(Exception):
+    """The network's delivery rule refused a transfer, at dispatch or at
+    delivery (see :mod:`repro.cluster.network`)."""
+
+
 class Event:
     """A one-shot occurrence on the simulation timeline.
 

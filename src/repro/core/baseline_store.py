@@ -201,13 +201,10 @@ class BaselineStore(StoreKernel):
             deadline.check("put transfer")
 
         # Encode and distribute stripe by stripe.
-        writes = []
-        for placement in obj.stripes:
-            payloads = [raw[b.start : b.end] for b in layout.stripe_blocks(placement.stripe_id)]
-            writes += yield from self._write_stripe(coordinator, placement, payloads)
-        yield all_of(self.sim, writes)
-        if deadline is not None:
-            deadline.check("put writes")
+        yield from self._write_stripes(coordinator, obj, (
+            [raw[b.start : b.end] for b in layout.stripe_blocks(placement.stripe_id)]
+            for placement in obj.stripes
+        ), deadline)
         self.wal.crash_point(coordinator, "put:after-data")
 
         # Materialize metadata replicas.  The fixed-block store's
@@ -217,9 +214,8 @@ class BaselineStore(StoreKernel):
         # bytes — fault-free runs stay event-identical to the seed).
         replica = self._meta_snapshot(obj)
         for nid in obj.replica_nodes:
-            node = self.cluster.node(nid)
-            if node.alive:
-                node.put_meta(name, replica)
+            if self.cluster.delivers(coordinator.node_id, nid):
+                self.cluster.node(nid).put_meta(name, replica)
         self.wal.crash_point(coordinator, "put:after-meta")
 
         self._log_outcome(coordinator, intent)

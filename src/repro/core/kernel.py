@@ -80,7 +80,7 @@ from repro.cluster.overload import (
     install_circuit_breakers,
 )
 from repro.cluster.qos import QuotaExceeded, install_qos
-from repro.cluster.simcore import QueueFull
+from repro.cluster.simcore import LinkDown, QueueFull, all_of
 from repro.core import engine
 from repro.core.cache import LruDict
 from repro.core.config import StoreConfig
@@ -354,41 +354,58 @@ class StoreKernel:
         return report
 
     def _write_block(self, coordinator, node_id: int, block_id: str, payload: np.ndarray):
+        """Process: ship one block to its node and write it there; False
+        if the network refused it."""
         node = self.cluster.node(node_id)
-        yield from self.cluster.network.transfer(
-            coordinator.endpoint, node.endpoint, self.config.scaled(payload.size)
-        )
+        try:
+            yield from self.cluster.network.transfer(
+                coordinator.endpoint, node.endpoint, self.config.scaled(payload.size)
+            )
+        except LinkDown:
+            return False
         yield from node.disk.write(self.config.scaled(payload.size))
         node.put_block(block_id, payload)
+        return True
 
-    def _write_stripe(self, coordinator, placement: StripePlacement, payloads):
-        """Process: write one stripe, data first, parity after its encode.
-
-        The code is systematic, so the data blocks are the payloads the
-        coordinator already holds: only the parity waits for the encode.
-        The stripe is RS-encoded and every block's CRC recorded on the
-        placement before any block lands; then one write per non-empty
-        data block is spawned (empty data blocks are never written), the
-        coordinator's encode is charged while those writes queue on its
-        egress, and one write per parity block follows.  Returns the
-        write processes for the caller to await together."""
-        shards = encode_stripe(self.config.code, payloads).shards()
-        placement.checksums = [chunk_checksum(s) for s in shards]
-        blocks = list(zip(placement.node_ids, placement.block_ids, shards))
+    def _write_stripes(self, coordinator, obj, stripe_payloads, deadline):
+        """Process: a Put's writes, one payload list per stripe, then its
+        deadline check.  The code is systematic, so per stripe the data
+        goes first: the stripe is RS-encoded and its CRCs recorded, one
+        write per non-empty data block is spawned, the encode is charged
+        while those queue on the coordinator's egress, then the parity
+        writes follow.  A refused write leaves its block unwritten; a
+        stripe must land all but ``n - k`` blocks (a degraded read's
+        ``k``) and one with a hole is queued for read-repair.  Past that
+        the Put raises LinkDown before commit and recovery rolls it back."""
         k = self.config.code.k
-        writes = [
-            self.sim.process(self._write_block(coordinator, nid, bid, payload))
-            for nid, bid, payload in blocks[:k]
-            if payload.size
-        ]
-        encode_bytes = sum(p.size for p in payloads)
-        yield from coordinator.compute(
-            encode_bytes * self.config.size_scale / coordinator.cpu_config.decode_bps
-        )
-        return writes + [
-            self.sim.process(self._write_block(coordinator, nid, bid, payload))
-            for nid, bid, payload in blocks[k:]
-        ]
+
+        def write(blocks):
+            return [
+                self.sim.process(self._write_block(coordinator, nid, bid, payload))
+                for nid, bid, payload in blocks
+                if payload.size
+            ]
+
+        writes = []
+        for placement, payloads in zip(obj.stripes, stripe_payloads):
+            shards = encode_stripe(self.config.code, payloads).shards()
+            placement.checksums = [chunk_checksum(s) for s in shards]
+            blocks = list(zip(placement.node_ids, placement.block_ids, shards))
+            data = write(blocks[:k])
+            yield from coordinator.compute(
+                sum(p.size for p in payloads) * self.config.size_scale
+                / coordinator.cpu_config.decode_bps
+            )
+            writes.append(data + write(blocks[k:]))
+        yield all_of(self.sim, [w for stripe in writes for w in stripe])
+        refused = [sum(not w.value for w in stripe) for stripe in writes]
+        if max(refused) > self.config.code.parity:
+            raise LinkDown(f"Put of {obj.name!r}: a stripe lost more blocks than n - k")
+        for placement, holes in zip(obj.stripes, refused):
+            if holes:
+                self.cluster.enqueue_read_repair(self, obj.kind, obj.name, placement.stripe_id)
+        if deadline is not None:
+            deadline.check("put writes")
 
     # -- WAL records --------------------------------------------------------------
 
@@ -517,9 +534,10 @@ class StoreKernel:
             # failure here never double-counts the query.
             fail_query(self.cluster, metrics, deadline=True)
             raise
-        except QueueFull:
+        except (QueueFull, LinkDown):
             # Coordinator-side admission refusal (compute/egress outside
-            # any scatter-gather stage) killed the whole query.
+            # any scatter-gather stage), or a result the network could
+            # not deliver, killed the whole query.
             fail_query(self.cluster, metrics)
             raise
         return result
@@ -587,12 +605,7 @@ class StoreKernel:
         """
         holders = obj.replica_nodes
         coordinator = self.cluster.coordinator_for(obj.name)
-        reachable = [
-            nid
-            for nid in holders
-            if self.cluster.node(nid).alive
-            and self.cluster.reachable(coordinator.node_id, nid)
-        ]
+        reachable = [nid for nid in holders if self.cluster.delivers(coordinator.node_id, nid)]
         if len(holders) >= 3 and len(reachable) < len(holders) // 2 + 1:
             self.cluster.metrics.quorum_lost_total += 1
             tracer = self.sim.tracer
@@ -643,12 +656,12 @@ class StoreKernel:
     # -- Degraded reads ----------------------------------------------------------
 
     def _gather_shards(self, placement: StripePlacement, dest, metrics, skip=()):
-        """Process: read every shard of the stripe that ``dest`` can
-        reach onto it, in stripe order.  Returns the n shards: ``None``
-        for the positions in ``skip`` and for unreadable ones (dead or
-        partitioned-away holder — ``Network.transfer`` does not consult
-        the link matrix, so the check is made here — or block missing),
-        an empty array for never-written data positions."""
+        """Process: read every shard of the stripe that can reach ``dest``
+        onto it, in stripe order.  Returns the n shards: ``None`` for the
+        positions in ``skip`` and for unreadable ones (a holder the
+        network does not deliver from, asked before its disk read and
+        again by the transfer, or a block missing), an empty array for
+        never-written data positions."""
         k = self.config.code.k
         shards: list[np.ndarray | None] = []
         for i, bid in enumerate(placement.block_ids):
@@ -659,17 +672,16 @@ class StoreKernel:
                 shards.append(_EMPTY)
                 continue
             node = self.cluster.node(placement.node_ids[i])
-            if (
-                not node.alive
-                or not self.cluster.reachable(dest.node_id, node.node_id)
-                or not node.has_block(bid)
-            ):
+            if not self.cluster.delivers(node.node_id, dest.node_id) or not node.has_block(bid):
                 shards.append(None)
                 continue
             data = yield from node.read_block(bid, self.config.size_scale, metrics)
-            yield from self.cluster.network.transfer(
-                node.endpoint, dest.endpoint, self.config.scaled(data.size), metrics
-            )
+            try:
+                yield from self.cluster.network.transfer(
+                    node.endpoint, dest.endpoint, self.config.scaled(data.size), metrics
+                )
+            except LinkDown:
+                data = None
             shards.append(data)
         return shards
 
@@ -964,13 +976,12 @@ class StoreKernel:
             if shards[j] is not None:
                 continue
             node = self.cluster.node(placement.node_ids[j])
-            if not node.alive or not node.has_block(block_ids[j]):
-                continue
-            if not self.cluster.reachable(coordinator.node_id, node.node_id):
-                # Partitioned away: the fetch RPC is deterministically
-                # lost, so don't waste the timeout discovering it.
-                continue
-            candidates.append((j, node, block_ids[j]))
+            # Skip a fetch the network would refuse rather than wait out
+            # its timeout.
+            if self.cluster.delivers(node.node_id, coordinator.node_id) and node.has_block(
+                block_ids[j]
+            ):
+                candidates.append((j, node, block_ids[j]))
         health = self.cluster.health
         healthy = [
             c for c in candidates
@@ -1073,32 +1084,21 @@ class StoreKernel:
         return report
 
     def _verify_object_body(self, name: str):
+        """Process: gather each stripe onto the coordinator and check its
+        CRCs and parity; a refused holder's block is missing."""
         obj = self._lookup(name)
         coordinator = self.cluster.coordinator_for(name)
         report = ScrubReport(object_name=name)
         k = self.config.code.k
         for placement in obj.stripes:
-            data_blocks: list = []
-            parity_blocks: list = []
-            for i, bid in enumerate(placement.block_ids):
-                if i < k and placement.data_sizes[i] == 0:
-                    data_blocks.append(_EMPTY)
-                    continue
-                node = self.cluster.node(placement.node_ids[i])
-                if not node.alive or not node.has_block(bid):
-                    (data_blocks if i < k else parity_blocks).append(None)
-                    continue
-                payload = yield from node.read_block(bid, self.config.size_scale)
-                yield from self.cluster.network.transfer(
-                    node.endpoint, coordinator.endpoint, self.config.scaled(payload.size)
-                )
+            shards = yield from self._gather_shards(placement, coordinator, None)
+            for i, (bid, payload) in enumerate(zip(placement.block_ids, shards)):
                 want = placement.checksum(i)
-                if want and chunk_checksum(payload) != want:
+                if payload is not None and want and chunk_checksum(payload) != want:
                     report.checksum_mismatch_blocks.append(bid)
-                (data_blocks if i < k else parity_blocks).append(payload)
-            yield from self._charge_decode(coordinator, data_blocks, None)
+            yield from self._charge_decode(coordinator, shards[:k], None)
             verdict = check_stripe(
-                self.config.code, data_blocks, parity_blocks, placement.data_sizes
+                self.config.code, shards[:k], shards[k:], placement.data_sizes
             )
             report.stripes_checked += 1
             if verdict == "corrupt":
@@ -1138,15 +1138,12 @@ class StoreKernel:
         With every node alive this matches the seed's choice (smallest
         non-holder id, else the lost node's successor); a dead candidate
         is never picked — repaired data must land on reachable nodes.
-        ``reachable_from`` additionally excludes nodes partitioned away
-        from the repairing coordinator (writes across a severed link
-        would silently vanish).
+        ``reachable_from`` additionally excludes nodes the network would
+        not deliver to from the repairing coordinator.
         """
 
         def eligible(nid: int) -> bool:
-            if not self.cluster.node(nid).alive:
-                return False
-            return reachable_from is None or self.cluster.reachable(reachable_from, nid)
+            return self.cluster.delivers(nid if reachable_from is None else reachable_from, nid)
 
         for nid in range(self.cluster.num_nodes):
             if nid not in holder_ids and eligible(nid):
@@ -1267,9 +1264,7 @@ class StoreKernel:
             if self._rewrite_mismatch(placement, i, payload):
                 continue
             holder = self.cluster.node(placement.node_ids[i])
-            if not holder.alive or not self.cluster.reachable(
-                coordinator.node_id, holder.node_id
-            ):
+            if not self.cluster.delivers(coordinator.node_id, holder.node_id):
                 holder = self._pick_rescue_node(
                     set(placement.node_ids), placement.node_ids[i],
                     reachable_from=coordinator.node_id,
@@ -1374,28 +1369,28 @@ class StoreKernel:
     ):
         """Process: land a copy of stripe position ``i`` on node ``dst``.
 
-        Reads from the source when reachable, else reconstructs the
-        block at the coordinator from the surviving shards (the same
-        erasure path as a degraded read).  Returns False when no copy
-        could be made (destination died mid-transfer, too few shards):
-        the caller drops the intent and a later run retries.
+        Reads from the source when it is up, else reconstructs the block
+        at the coordinator from the surviving shards (the same erasure
+        path as a degraded read).  Returns False when no copy could be
+        made (the network refused the copy, too few shards): the caller
+        drops the intent and a later run retries.
         """
         src_node = self.cluster.node(src)
         dst_node = self.cluster.node(dst)
         if src_node.alive and src_node.has_block(bid):
+            sender = src_node
             payload = yield from src_node.read_block(bid, self.config.size_scale, metrics)
-            yield from self.cluster.network.transfer(
-                src_node.endpoint, dst_node.endpoint, self.config.scaled(payload.size), metrics
-            )
         else:
+            sender = coordinator
             payload = yield from self._reconstruct_shard(placement, i, coordinator, metrics)
             if payload is None:
                 return False
+        try:
             yield from self.cluster.network.transfer(
-                coordinator.endpoint, dst_node.endpoint, self.config.scaled(payload.size), metrics
+                sender.endpoint, dst_node.endpoint, self.config.scaled(payload.size), metrics
             )
-        if not dst_node.alive:
-            return False  # died mid-transfer: the copy never landed
+        except LinkDown:
+            return False
         yield from dst_node.disk.write(self.config.scaled(payload.size), metrics)
         dst_node.put_block(bid, payload)
         return True

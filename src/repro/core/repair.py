@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.cluster.metrics import QueryMetrics
 from repro.cluster.overload import BACKGROUND_PRIORITY
-from repro.cluster.simcore import QueueFull
+from repro.cluster.simcore import LinkDown, QueueFull
 from repro.core.wal import QuorumLost
 from repro.ec.reed_solomon import CodeParams
 from repro.ec.stripe import stripe_codeword
@@ -224,10 +224,10 @@ class RepairManager:
                 continue
             try:
                 written = yield from store.repair_stripe_process(name, sid, metrics)
-            except QueueFull:
+            except (QueueFull, LinkDown):
                 # The cluster is too busy to admit background repair
-                # traffic right now: back off and leave the stripe for a
-                # later run instead of amplifying the overload.
+                # traffic, or a rewrite was lost in flight: back off and
+                # leave the stripe for a later run.
                 report.stripes_deferred += 1
                 yield from self._throttle(metrics, report.started)
                 continue

@@ -32,8 +32,9 @@ The executor survives nodes that die, drop RPCs, or lose blocks
 *mid-stage*:
 
 1. every attempt is bounded by ``op_timeout_s`` — a dropped request or
-   reply, or a node that dies before replying, costs the coordinator
-   the remaining timeout instead of hanging forever;
+   reply, one the network refuses (a severed link, or a node that dies
+   before replying: :class:`~repro.cluster.simcore.LinkDown`), costs the
+   coordinator the remaining timeout instead of hanging forever;
 2. failed ops are retried (:data:`MAX_RETRIES` times, exponential
    backoff from :data:`RETRY_BACKOFF_S`), regrouped per node;
 3. ops that exhaust their retries — or whose node the shared
@@ -75,7 +76,7 @@ from typing import Callable, Generator
 
 from repro.cluster import metrics as m
 from repro.cluster.overload import CancelScope, DeadlineExceeded
-from repro.cluster.simcore import QueueFull, all_of, any_of
+from repro.cluster.simcore import LinkDown, QueueFull, all_of, any_of
 
 from repro.core.location_map import ChecksumError
 
@@ -459,8 +460,10 @@ def _boxed(gen):
     return [value]
 
 
-def _op_timeout(sim, op_start, metrics, config):
-    """Wait out the rest of the op timeout and account it."""
+def _lost(cluster, node_id, op_start, metrics, config):
+    """A lost RPC: wait out the rest of the op timeout, account it, and
+    hold the failure against the node."""
+    sim = cluster.sim
     remaining = max(0.0, op_start + config.op_timeout_s - sim.now)
     if remaining > 0:
         tracer = sim.tracer
@@ -475,6 +478,7 @@ def _op_timeout(sim, op_start, metrics, config):
     if metrics is not None:
         metrics.timeouts += 1
         metrics.add(m.OTHER, remaining)
+    _record_failure(cluster, node_id, metrics)
 
 
 def _node_group(cluster, coordinator, group: list[RemoteOp], metrics, config, scope=None, deadline=None):
@@ -484,8 +488,9 @@ def _node_group(cluster, coordinator, group: list[RemoteOp], metrics, config, sc
     RTT); each op then runs and streams its reply back as soon as it is
     ready, the first reply carrying the other half-RTT.  Stages whose
     ops send no request (Get fetches) open the exchange with the first
-    reply instead.  A dropped batched request fails the whole group (one
-    timeout wait); node death and per-reply drops fail ops individually.
+    reply instead.  A batched request that is dropped or refused by the
+    network fails the whole group (one timeout wait); refused or dropped
+    replies fail ops individually.
     """
     sim = cluster.sim
     net = cluster.network
@@ -502,16 +507,12 @@ def _node_group(cluster, coordinator, group: list[RemoteOp], metrics, config, sc
     request_sizes = [op.request_bytes for op in group if op.request_bytes is not None]
     state = {"replies_sent": 0}
     if request_sizes:
-        if faults is not None and faults.drop_rpc(node.node_id, coordinator.node_id):
-            yield from _op_timeout(sim, start, metrics, config)
-            _record_failure(cluster, node.node_id, metrics)
-            if batch_span is not None:
-                tracer.finish(batch_span, outcome="request_dropped")
-            return [_FAILED] * len(group)
+        lost = faults is not None and faults.drop_rpc(node.node_id, coordinator.node_id)
         try:
-            yield from net.batch_transfer(
-                coordinator.endpoint, node.endpoint, request_sizes, metrics
-            )
+            if not lost:
+                yield from net.batch_transfer(
+                    coordinator.endpoint, node.endpoint, request_sizes, metrics
+                )
         except QueueFull:
             # The coalesced request could not be admitted: the whole
             # group is refused in one decision; each op in it is one
@@ -520,11 +521,15 @@ def _node_group(cluster, coordinator, group: list[RemoteOp], metrics, config, sc
             if batch_span is not None:
                 tracer.finish(batch_span, outcome="rejected")
             return [_REJECTED] * len(group)
-    if not node.alive:
-        yield from _op_timeout(sim, start, metrics, config)
-        _record_failure(cluster, node.node_id, metrics)
+        except LinkDown:
+            lost = True
+    else:
+        # No request leg asked the network: never run ops on a dead node.
+        lost = not node.alive
+    if lost:
+        yield from _lost(cluster, node.node_id, start, metrics, config)
         if batch_span is not None:
-            tracer.finish(batch_span, outcome="node_dead")
+            tracer.finish(batch_span, outcome="request_dropped" if request_sizes else "node_dead")
         return [_FAILED] * len(group)
 
     def run_op(op: RemoteOp):
@@ -558,28 +563,28 @@ def _node_group(cluster, coordinator, group: list[RemoteOp], metrics, config, sc
             # a wipe): a fast failure, no timeout wait.
             _record_failure(cluster, node.node_id, metrics)
             return _FAILED
-        if not node.alive:
-            # Died mid-execute: the reply never leaves the node.
-            yield from _op_timeout(sim, start, metrics, config)
-            _record_failure(cluster, node.node_id, metrics)
-            return _FAILED
         if faults is not None and faults.drop_rpc(node.node_id, coordinator.node_id):
-            yield from _op_timeout(sim, start, metrics, config)
-            _record_failure(cluster, node.node_id, metrics)
+            yield from _lost(cluster, node.node_id, start, metrics, config)
             return _FAILED
         first = state["replies_sent"] == 0
         state["replies_sent"] += 1
-        if first and not request_sizes:
-            # No request leg: the first reply is the RPC that opens the
-            # exchange; later replies ride it.
-            yield from net.transfer(
-                node.endpoint, coordinator.endpoint, reply_bytes, metrics
-            )
-        else:
-            yield from net.stream_transfer(
-                node.endpoint, coordinator.endpoint, reply_bytes, metrics,
-                half_rtt=first,
-            )
+        try:
+            if first and not request_sizes:
+                # No request leg: the first reply is the RPC that opens
+                # the exchange; later replies ride it.
+                yield from net.transfer(
+                    node.endpoint, coordinator.endpoint, reply_bytes, metrics
+                )
+            else:
+                yield from net.stream_transfer(
+                    node.endpoint, coordinator.endpoint, reply_bytes, metrics,
+                    half_rtt=first,
+                )
+        except LinkDown:
+            # Severed, or the node died mid-execute or mid-reply: the
+            # reply never arrives.
+            yield from _lost(cluster, node.node_id, start, metrics, config)
+            return _FAILED
         _record_success(cluster, node.node_id, sim.now - start)
         if op.finalize is not None:
             value = yield from op.finalize(value)

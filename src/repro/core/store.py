@@ -25,7 +25,7 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.cluster.metrics import QueryMetrics
 from repro.cluster.overload import Deadline, PartialResult, check_deadline
-from repro.cluster.simcore import all_of
+from repro.cluster.simcore import LinkDown, all_of
 from repro.core import engine
 from repro.core.baseline_store import BaselineStore
 from repro.core.cache import LruDict
@@ -298,12 +298,7 @@ class FusionStore(BaselineStore):
         footer_size = len(data) - (chunks[-1].end_offset if chunks else 0)
         yield from coordinator.compute(footer_size / coordinator.cpu_config.decode_bps)
 
-        writes = []
-        for placement, payloads in zip(obj.stripes, stripe_payloads):
-            writes += yield from self._write_stripe(coordinator, placement, payloads)
-        yield all_of(self.sim, writes)
-        if deadline is not None:
-            deadline.check("put writes")
+        yield from self._write_stripes(coordinator, obj, stripe_payloads, deadline)
         self.wal.crash_point(coordinator, "put:after-data")
 
         # Materialize the metadata replicas: the location map (plus
@@ -348,11 +343,15 @@ class FusionStore(BaselineStore):
 
     def _replicate_meta(self, coordinator, node, map_bytes: int, name: str, replica) -> object:
         """Process: ship the serialized map to one replica node, then
-        install the snapshot there (a node that died mid-transfer missed
+        install the snapshot there (a replica the network refuses misses
         the write).  ``map_bytes`` is real bytes and is sent unscaled."""
-        yield from self.cluster.network.transfer(coordinator.endpoint, node.endpoint, map_bytes)
-        if node.alive:
-            node.put_meta(name, replica)
+        try:
+            yield from self.cluster.network.transfer(
+                coordinator.endpoint, node.endpoint, map_bytes
+            )
+        except LinkDown:
+            return
+        node.put_meta(name, replica)
 
     # -- Integrity --------------------------------------------------------------
 

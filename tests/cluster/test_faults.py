@@ -9,6 +9,7 @@ from repro.cluster import (
     ClusterConfig,
     FaultEvent,
     FaultInjector,
+    LinkDown,
     NodeHealthTracker,
     Simulator,
     random_schedule,
@@ -289,13 +290,13 @@ class TestLinkFaultKinds:
         def probe():
             yield sim.timeout(1.5)
             seen["cut"] = (
-                cluster.reachable(0, 2),
-                cluster.reachable(0, 1),
+                cluster.delivers(0, 2),
+                cluster.delivers(0, 1),
                 cluster.network.severed_link_count(),
             )
             yield sim.timeout(2.0)  # t = 3.5, past the heal
             seen["healed"] = (
-                cluster.reachable(0, 2),
+                cluster.delivers(0, 2),
                 cluster.network.severed_link_count(),
                 len(cluster.network.links),
             )
@@ -315,11 +316,19 @@ class TestLinkFaultKinds:
         injector = FaultInjector(cluster, schedule, seed=1).install()
 
         def probe():
+            # The network refuses every RPC across the cut, either leg;
+            # the drop hook does not decide it a second time.
             yield sim.timeout(1.0)
-            seen = [injector.drop_rpc(1, src_id=0) for _ in range(5)]
-            seen += [injector.drop_rpc(0, src_id=1) for _ in range(5)]  # reverse leg
-            seen += [injector.drop_rpc(2, src_id=1)]  # same side: fine
+            ends = [node.endpoint for node in cluster.nodes]
+            seen = []
+            for src, dst in [(0, 1)] * 5 + [(1, 0)] * 5 + [(1, 2)]:  # reverse leg, same side
+                try:
+                    yield from cluster.network.transfer(ends[src], ends[dst], 100)
+                    seen.append(False)
+                except LinkDown:
+                    seen.append(True)
             assert seen == [True] * 10 + [False]
+            assert not injector.drop_rpc(1, src_id=0)
 
         sim.process(probe())
         sim.run()

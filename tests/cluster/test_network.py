@@ -1,10 +1,12 @@
-"""Network model: transfer timing, contention, loopback, CPU charging."""
+"""Network model: transfer timing, contention, loopback, CPU charging,
+link faults and the delivery rule."""
 
 import pytest
 
+from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.metrics import NETWORK, QueryMetrics
 from repro.cluster.network import Network, NetworkConfig, NetworkEndpoint
-from repro.cluster.simcore import Resource, Simulator
+from repro.cluster.simcore import LinkDown, Resource, Simulator
 
 
 def _net(sim, bw=1e9, rtt=0.0, rpc=0.0, cpu_bps=0.0):
@@ -303,3 +305,113 @@ class TestLinkFaultPlane:
         sim2.process(net2.transfer(a2, b2, 10_000_000))
         sim2.run()
         assert sim2.now == sim1.now  # bit-identical, not approx
+
+
+#: The three transfer kinds, each moving ``nbytes`` from ``src`` to ``dst``.
+SENDS = {
+    "transfer": lambda net, src, dst, nbytes, query=None: net.transfer(src, dst, nbytes, query),
+    "batch": lambda net, src, dst, nbytes, query=None: net.batch_transfer(
+        src, dst, [nbytes], query
+    ),
+    "stream": lambda net, src, dst, nbytes, query=None: net.stream_transfer(
+        src, dst, nbytes, query
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", SENDS)
+class TestDeliveryRule:
+    """The network delivers only between two live endpoints that no
+    severed leg separates: refused at dispatch before any pipe is taken,
+    and failed at delivery when an endpoint dies or the link is cut in
+    flight (the bytes already crossed the wire and stay counted)."""
+
+    def _endpoints(self, sim):
+        return [NetworkEndpoint(sim, name) for name in ("a", "b", "c")]
+
+    def _send(self, sim, net, kind, src, dst, nbytes, seen, key, query=None):
+        """Process: one transfer; ``seen[key]`` is (outcome, time)."""
+
+        def proc():
+            try:
+                yield from SENDS[kind](net, src, dst, nbytes, query)
+                seen[key] = ("delivered", sim.now)
+            except LinkDown:
+                seen[key] = ("refused", sim.now)
+
+        return sim.process(proc())
+
+    def _refused_at_dispatch(self, kind, cut, behind_src=False):
+        """``a -> b`` under ``cut(net, a, b)``, with ``a -> c`` queued
+        behind it on a's egress pipe (``c -> b`` on b's ingress pipe when
+        ``behind_src``: a is the endpoint that is down)."""
+        sim = Simulator()
+        net = _net(sim, bw=1e9)
+        a, b, c = self._endpoints(sim)
+        cut(net, a, b)
+        seen = {}
+        self._send(sim, net, kind, a, b, 500_000_000, seen, "cut")
+        behind = (c, b) if behind_src else (a, c)
+        self._send(sim, net, kind, *behind, 500_000_000, seen, "behind")
+        sim.run()
+        assert seen["cut"] == ("refused", 0.0)
+        assert seen["behind"] == ("delivered", pytest.approx(0.5))  # no delay
+        assert net.total_bytes == 500_000_000  # the refused bytes never moved
+        assert net.rpcs_issued + net.rpcs_saved == 1
+
+    @pytest.mark.parametrize("leg", ["forward", "reverse"])
+    def test_severed_leg_refuses_at_dispatch(self, kind, leg):
+        def cut(net, a, b):
+            ends = (a.name, b.name) if leg == "forward" else (b.name, a.name)
+            net.set_link(*ends, severed=True)
+
+        self._refused_at_dispatch(kind, cut)
+
+    @pytest.mark.parametrize("end", ["src", "dst"])
+    def test_dead_endpoint_refuses_at_dispatch(self, kind, end):
+        def cut(_net, a, b):
+            (a if end == "src" else b).alive = False
+
+        self._refused_at_dispatch(kind, cut, behind_src=end == "src")
+
+    @pytest.mark.parametrize("fault", ["src_dies", "dst_dies", "link_cut"])
+    def test_fault_in_flight_fails_at_delivery_with_bytes_counted(self, kind, fault):
+        sim = Simulator()
+        net = _net(sim, bw=1e9)
+        a, b, _c = self._endpoints(sim)
+        query = QueryMetrics()
+        seen = {}
+        self._send(sim, net, kind, a, b, 1_000_000_000, seen, "flight", query)
+
+        def strike():
+            yield sim.timeout(0.5)
+            if fault == "link_cut":
+                net.set_link(a.name, b.name, severed=True)
+            else:
+                (a if fault == "src_dies" else b).alive = False
+
+        sim.process(strike())
+        sim.run()
+        assert seen["flight"] == ("refused", pytest.approx(1.0))
+        assert net.total_bytes == 1_000_000_000
+        assert query.network_bytes == 1_000_000_000
+
+    def test_loopback_and_the_client_are_unaffected(self, kind):
+        sim = Simulator()
+        cluster = Cluster(sim, ClusterConfig(num_nodes=3))
+        cluster.fail_node(0)
+        dead, live = cluster.node(0), cluster.node(1)
+        assert not dead.endpoint.alive  # one liveness bit
+        assert cluster.client.alive
+        assert not cluster.delivers(0, 1) and not cluster.delivers(0, 0)
+        seen = {}
+        self._send(sim, cluster.network, kind, dead.endpoint, dead.endpoint, 1000, seen, "loop")
+        self._send(sim, cluster.network, kind, cluster.client, live.endpoint, 1000, seen, "in")
+        self._send(sim, cluster.network, kind, live.endpoint, cluster.client, 1000, seen, "out")
+        self._send(sim, cluster.network, kind, cluster.client, dead.endpoint, 1000, seen, "dead")
+        sim.run()
+        assert {key: outcome for key, (outcome, _t) in seen.items()} == {
+            "loop": "delivered", "in": "delivered", "out": "delivered", "dead": "refused",
+        }
+        cluster.restore_node(0)
+        assert dead.endpoint.alive and cluster.delivers(0, 1)

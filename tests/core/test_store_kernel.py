@@ -7,8 +7,9 @@ the kernel (``repro.core.kernel.StoreKernel``) holds everything both
 layouts share, ``FusionStore`` is a ``BaselineStore`` whose Put tries
 FAC first, and what depends on the layout is asked of the stored object.
 These checks fail when a second copy of a kernel method, a layout hook
-on a store class, or a second store grows back, and when a
-``StoreConfig`` field appears that only the tests set.
+on a store class, or a second store grows back, when a store or the
+fault injector reads the link matrix behind the delivery rule's back,
+and when a ``StoreConfig`` field appears that only the tests set.
 """
 
 import ast
@@ -83,6 +84,16 @@ def test_consumers_walk_the_stripe_records():
         assert "def _stores" not in source, name
     pattern = re.compile(r"fallback_store|def _delegate\b|def stores\b")
     for path in SRC.rglob("*.py"):
+        assert not pattern.search(path.read_text()), path
+
+
+def test_the_delivery_rule_is_the_only_way_into_the_link_matrix():
+    """Whether two nodes can talk is decided once, by the network's
+    delivery rule (``Cluster.delivers``): no store module and not the
+    fault injector reads the link matrix or asks for a severed link."""
+    pattern = re.compile(r"network\.links\b|link_severed")
+    paths = sorted(CORE.rglob("*.py")) + [SRC / "cluster" / "faults.py"]
+    for path in paths:
         assert not pattern.search(path.read_text()), path
 
 

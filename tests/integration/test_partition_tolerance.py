@@ -6,14 +6,14 @@ A network partition must never let a minority-side coordinator install a
 bumped-epoch metadata snapshot (split-brain); repair defers such stripes
 with a typed :class:`QuorumLost` and re-attempts after heal.  Degraded
 foreground reads queue their stripe for background read-repair, and
-recovery converges stale minority replicas onto the majority epoch."""
-
-import contextlib
+recovery converges stale minority replicas onto the majority epoch.  The
+network refuses every transfer across a cut, so no Put, scrub or
+migration moves bytes over it."""
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig, QueryMetrics, Simulator
-from repro.core import BaselineStore, FusionStore, RemoteOpError, RepairManager, StoreConfig
+from repro.cluster import Cluster, ClusterConfig, LinkDown, QueryMetrics, Simulator
+from repro.core import BaselineStore, FusionStore, RepairManager, StoreConfig
 from repro.core.wal import QuorumLost
 from repro.format import write_table
 from tests.conftest import make_small_table
@@ -208,14 +208,13 @@ class TestQuorumGuard:
 
 @pytest.mark.parametrize("store_cls", [FusionStore, BaselineStore])
 class TestPutAcrossSeveredLink:
-    """A known bug, recorded before it is fixed: ``Network.transfer``
-    ignores the link matrix and neither Put path asks
-    ``cluster.reachable``, so a node severed from the coordinator still
-    receives the Put's metadata replica and its blocks.  Whatever the fix
-    does - refuse with a typed error or write elsewhere - nothing may land
-    across the cut."""
+    """The network refuses a Put's writes across a severed link, so the
+    far node receives neither blocks nor a metadata replica.  The Put
+    commits while every stripe lands the k blocks a degraded read needs,
+    and queues each stripe with a hole for read-repair; more refusals in
+    one stripe than the code tolerates fail it with a typed
+    :class:`LinkDown`, and recovery rolls it back."""
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="Put writes across a severed link")
     def test_severed_node_receives_nothing(self, store_cls):
         # Same seeds, same placement: a twin's Put shows where this one
         # writes.  Cut the replica holder that would receive most blocks.
@@ -229,11 +228,65 @@ class TestPutAcrossSeveredLink:
 
         store, cluster, _table, data = _system(store_cls, put=False)
         _sever(cluster, coordinator, victim)
-        with contextlib.suppress(QuorumLost, RemoteOpError):
-            store.put("tbl", data)
+        store.put("tbl", data)  # at most one hole per stripe: commits
         node = cluster.node(victim)
         assert node.get_meta("tbl") is None
         assert not node.block_ids()
+        holed = {
+            p.stripe_id for p in store.objects["tbl"].stripes
+            if any(nid == victim for nid, _bid, _size, _crc in p.stored_blocks())
+        }
+        assert {key[2] for key in cluster.read_repairs if key[1] == "tbl"} == holed
+
+        _heal_all(cluster)
+        report = RepairManager(store).repair_read_reported()
+        assert report.blocks_repaired == len(holed)
+        assert store.fsck().clean
+        assert store.get("tbl") == data
+
+    def test_more_refusals_than_parity_fail_the_put(self, store_cls):
+        # Cut the coordinator from n - k + 1 holders of stripe 0.
+        twin, twin_cluster, _table, _data = _system(store_cls)
+        coordinator = twin_cluster.coordinator_for("tbl").node_id
+        holders = [
+            nid for nid, _bid, _size, _crc in twin.objects["tbl"].stripes[0].stored_blocks()
+            if nid != coordinator
+        ]
+        cut = holders[: twin.config.code.parity + 1]
+
+        store, cluster, _table, data = _system(store_cls, put=False)
+        for nid in cut:
+            _sever(cluster, coordinator, nid)
+        with pytest.raises(LinkDown):
+            store.put("tbl", data)
+        assert "tbl" not in store.objects
+        assert "tbl" in store.recover().rolled_back
+        assert store.fsck().clean
+
+        _heal_all(cluster)
+        store.put("tbl", data)  # the name is free
+        assert store.get("tbl") == data
+
+
+@pytest.mark.parametrize("store_cls", [FusionStore, BaselineStore])
+def test_scrub_across_a_severed_link_reads_incomplete(store_cls):
+    store, cluster, _table, _data = _system(store_cls, tracing_enabled=True)
+    placement = store.objects["tbl"].stripes[0]
+    coordinator = cluster.coordinator_for("tbl").node_id
+    holder = next(
+        nid for nid, _bid, _size, _crc in placement.stored_blocks() if nid != coordinator
+    )
+    _sever(cluster, coordinator, holder)
+    report = store.verify_object("tbl")
+    crossed = [
+        s for s in cluster.sim.tracer.spans
+        if s.name == "net.transfer"
+        and s.args["src"] == cluster.node(holder).endpoint.name
+        and s.args["dst"] == cluster.node(coordinator).endpoint.name
+    ]
+    assert not crossed
+    assert placement.stripe_id in report.incomplete_stripes
+    assert not report.corrupt_stripes
 
 
 @pytest.mark.parametrize("store_cls", [FusionStore, BaselineStore])
@@ -375,9 +428,8 @@ class TestMinHealthyFloor:
 @pytest.mark.parametrize("store_cls", [FusionStore, BaselineStore])
 class TestMigrationAcrossSeveredLink:
     """A migration that has to reconstruct its source block gathers
-    shards only from holders the coordinator can reach:
-    ``Network.transfer`` does not consult the link matrix, so a read over
-    a severed link would "succeed" in the model."""
+    shards only from holders the network delivers from, and a copy the
+    network refuses lands nothing."""
 
     def _retarget_lost_position(self, store_cls, severed_count: int):
         """Wipe stripe 0's first holder, sever the coordinator from
@@ -437,3 +489,20 @@ class TestMigrationAcrossSeveredLink:
         assert placement.node_ids[0] != dst
         assert not cluster.node(dst).has_block(placement.block_ids[0])
         assert not cluster.migrations
+
+    def test_copy_across_a_severed_link_lands_nothing(self, store_cls):
+        store, cluster, _table, data = _system(store_cls, tracing_enabled=True)
+        placement = store.objects["tbl"].stripes[0]
+        src = placement.node_ids[0]
+        holders = {nid for nid in placement.node_ids if nid is not None}
+        dst = next(n for n in range(cluster.num_nodes) if n not in holders)
+        _sever(cluster, src, dst)
+        targets = [dst] + list(placement.node_ids[1:])
+        proc = store.sim.process(store.migrate_stripe_process("tbl", 0, targets))
+        store.sim.run()
+        assert proc.value == 0
+        assert not self._transfers(cluster, src, dst)
+        assert placement.node_ids[0] == src
+        assert not cluster.node(dst).has_block(placement.block_ids[0])
+        assert not cluster.migrations
+        assert store.get("tbl") == data

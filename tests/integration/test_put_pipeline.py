@@ -1,19 +1,20 @@
 """A Put writes each stripe's data blocks while its parity is encoded.
 
 The code is systematic: a stripe's data blocks are bytes the coordinator
-already holds, so ``StoreKernel._write_stripe`` issues their writes
+already holds, so ``StoreKernel._write_stripes`` issues their writes
 before it charges the encode, and only the parity writes wait for it.
 Both layouts go through that one write path: Fusion's FAC stripes and
 the baseline's fixed blocks.  These checks hold the order, bound a
 fault-free Put by the client transfer plus the coordinator's egress, and
-crash a parity holder inside the encode window.
+crash a parity holder inside the encode window: the network refuses the
+writes to the dead node.
 """
 
 import contextlib
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig, FaultEvent, FaultInjector, Simulator
+from repro.cluster import Cluster, ClusterConfig, FaultEvent, FaultInjector, LinkDown, Simulator
 from repro.core import (
     BaselineStore,
     CoordinatorCrash,
@@ -36,7 +37,7 @@ DATA = write_table(make_small_table(num_rows=2500, seed=77), row_group_rows=500)
 CONFIG = {"size_scale": 10_000.0, "storage_overhead_threshold": 0.1, "block_size": 30_000_000}
 
 #: The typed refusals a Put may raise instead of committing.
-TYPED_ERRORS = (CoordinatorCrash, DeadlineExceeded, QuorumLost, RemoteOpError)
+TYPED_ERRORS = (CoordinatorCrash, DeadlineExceeded, LinkDown, QuorumLost, RemoteOpError)
 
 LAYOUTS = pytest.mark.parametrize(
     "store_cls", [FusionStore, BaselineStore], ids=["fusion", "baseline"]
@@ -73,7 +74,7 @@ def _recorded_put(store_cls, monkeypatch):
 
     def timed_write(coord, node_id, block_id, payload):
         issued[block_id] = sim.now
-        yield from write_block(coord, node_id, block_id, payload)
+        return (yield from write_block(coord, node_id, block_id, payload))
 
     transfer = cluster.network.transfer
 
@@ -164,6 +165,8 @@ def test_parity_holder_crash_during_the_encode(store_cls, monkeypatch):
         store.put("tbl", DATA)
         committed = True
     assert not cluster.node(victim).alive
+    # Every block of the Put meant for the victim was sent after it died.
+    assert not cluster.node(victim).block_ids()
 
     store.recover()
     if committed:
