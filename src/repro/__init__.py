@@ -12,6 +12,7 @@ Subpackages:
   pushdown cost model, and the Fusion / baseline object stores.
 * :mod:`repro.workloads` — dataset generators and paper queries.
 * :mod:`repro.bench` — per-figure/table experiment harness.
+* :mod:`repro.check` — one fingerprint of a simulated run.
 """
 
 __version__ = "1.0.0"

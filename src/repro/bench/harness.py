@@ -190,12 +190,15 @@ def build_system(
     objects: dict[str, bytes],
     cluster_config: ClusterConfig | None = None,
     store_config: StoreConfig | None = None,
+    sim: Simulator | None = None,
 ) -> SystemUnderTest:
-    """Create a fresh simulator+cluster+store and Put ``objects`` into it.
+    """Create a cluster+store on ``sim`` and Put ``objects`` into it.
 
-    ``kind`` is ``"fusion"`` or ``"baseline"``.
+    ``kind`` is ``"fusion"`` or ``"baseline"``.  ``sim`` defaults to a
+    fresh simulator; pass one to observe it from before the Put (e.g.
+    with :func:`repro.cluster.record_schedule`).
     """
-    sim = Simulator()
+    sim = Simulator() if sim is None else sim
     cluster = Cluster(sim, cluster_config or ClusterConfig())
     if _OBS_CAPTURE is not None:
         # The ``sut`` ordinal keeps series distinct when one experiment

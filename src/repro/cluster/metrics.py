@@ -30,6 +30,9 @@ class QueryMetrics:
     end_time: float = 0.0
     seconds: dict[str, float] = field(default_factory=lambda: {c: 0.0 for c in CATEGORIES})
     network_bytes: int = 0
+    #: Chunks of a pushdown stage (fused, projection, partial aggregate)
+    #: answered in-situ / at the coordinator: once per chunk, by the path
+    #: whose answer the query used, however many attempts it took.
     pushed_down_chunks: int = 0
     fallback_chunks: int = 0
     #: Wire messages sent on behalf of this query (loopback excluded).

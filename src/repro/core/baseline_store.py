@@ -290,9 +290,7 @@ class BaselineStore(StoreKernel):
             )
             return block[offset : offset + length]
 
-        if not self._usable(node) and not (
-            node.alive and self._floor_attempt(obj, block_index)
-        ):
+        if not self._routes_direct(obj, node, block_index):
             return RemoteOp(standalone=degraded)
 
         def execute():

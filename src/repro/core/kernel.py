@@ -289,7 +289,7 @@ class StoreKernel:
         to its degraded path just like a suspect node would.  Greylisted
         (fail-slow) nodes are deprioritized here too: reconstructing
         from k healthy peers beats a many-times-slower direct read; the
-        min-healthy floor (:meth:`_floor_attempt`) reinstates them when
+        min-healthy floor of :meth:`_routes_direct` reinstates them when
         reconstruction would be starved of sources anyway.
         """
         return (
@@ -298,17 +298,23 @@ class StoreKernel:
             and not self.cluster.health.is_greylisted(node.node_id)
         )
 
-    def _floor_attempt(self, obj, handle) -> bool:
-        """Min-healthy-floor guard for scatter-gather source selection.
+    def _routes_direct(self, obj, node, handle) -> bool:
+        """Build an op on block ``handle``'s holder ``node``, or build it
+        as a standalone degraded read?
 
-        True when an op should still *attempt* its non-usable (suspect /
-        greylisted / breaker-open) holder: once the holder's stripe has
-        fewer than k usable sources, degraded reconstruction is itself
-        guaranteed to lean on non-usable nodes, so a direct attempt —
-        with the degraded path kept as fallback — is strictly better
-        than the reconstruction cliff.  Only evaluated after
-        :meth:`_usable` fails, so fault-free runs never pay the scan.
+        Direct when the node is :meth:`_usable`.  A live but non-usable
+        (suspect / greylisted / breaker-open) holder still gets the op
+        under the min-healthy floor: once the holder's stripe has fewer
+        than k usable sources, degraded reconstruction is itself
+        guaranteed to lean on non-usable nodes, so a direct attempt -
+        with the degraded path kept as fallback - is strictly better
+        than the reconstruction cliff.  Fault-free runs never pay the
+        floor's scan.
         """
+        if self._usable(node):
+            return True
+        if not node.alive:
+            return False
         try:
             placement, _ = obj.locate_block(handle)
         except KeyError:

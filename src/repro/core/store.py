@@ -445,9 +445,7 @@ class FusionStore(BaselineStore):
             chunk = yield from self._degraded_chunk_read(obj, loc, coordinator, metrics)
             return chunk[within : within + length]
 
-        if not self._usable(node) and not (
-            node.alive and self._floor_attempt(obj, loc.block_id)
-        ):
+        if not self._routes_direct(obj, node, loc.block_id):
             return RemoteOp(standalone=degraded)
 
         def execute():
@@ -737,12 +735,15 @@ class FusionStore(BaselineStore):
             bits = eval_leaf(op.leaf, op.type, values)
             return bits, values[np.flatnonzero(bits)]
 
-        if not self._usable(node) and not (
-            node.alive and self._floor_attempt(obj, loc.block_id)
-        ):
+        if not self._routes_direct(obj, node, loc.block_id):
             return RemoteOp(standalone=degraded)
 
+        # One audit record per op, written by its first attempt; a retry
+        # re-evaluates the same Cost Equation on the same chunk.
+        rec = None
+
         def execute():
+            nonlocal rec
             check_deadline(metrics, "fused chunk")
             data = yield from node.read_block_range(
                 loc.block_id, loc.offset_in_block, loc.size, self.config.size_scale, metrics
@@ -762,38 +763,40 @@ class FusionStore(BaselineStore):
             indices = np.flatnonzero(bits)
             selectivity = len(indices) / len(bits) if len(bits) else 0.0
             decision = self.estimator.decide(selectivity, meta.size, meta.plain_size)
-            rec = self.audit.record(
-                obj.name, meta.key, "fused", self.config.pushdown_mode.value, decision
-            )
+            if rec is None:
+                rec = self.audit.record(
+                    obj.name, meta.key, "fused", self.config.pushdown_mode.value, decision
+                )
             bitmap_wire = Bitmap(bits).wire_size()
-
+            selected = values[indices]
             if decision.push_down:
-                metrics.pushed_down_chunks += 1
-                selected = values[indices]
                 selected_bytes = plain_size(type_, selected)
-                if rec is not None:
-                    rec.actual_chosen_bytes = selected_bytes
-                    rec.actual_alternative_bytes = loc.size
                 reply = bitmap_wire + selected_bytes
-                return self.config.scaled(reply), ("pushed", bits, selected)
+                return self.config.scaled(reply), (bits, selected, selected_bytes)
             # Unfavourable cost product: reply with the bitmap plus the
             # whole compressed chunk; the coordinator decodes locally.
+            reply = bitmap_wire + loc.size
+            return self.config.scaled(reply), (bits, selected, None)
+
+        def finalize(reply):
+            # The reply arrived: this attempt's path is the chunk's outcome.
+            bits, selected, pushed_bytes = reply
+            if pushed_bytes is not None:
+                metrics.pushed_down_chunks += 1
+                if rec is not None:
+                    rec.actual_chosen_bytes = pushed_bytes
+                    rec.actual_alternative_bytes = loc.size
+                return bits, selected
             metrics.fallback_chunks += 1
             if rec is not None:
                 rec.actual_chosen_bytes = loc.size
-                rec.actual_alternative_bytes = plain_size(type_, values[indices])
-            reply = bitmap_wire + loc.size
-            return self.config.scaled(reply), ("fallback", bits, values[indices])
-
-        def finalize(reply):
-            kind, bits, values = reply
-            if kind == "fallback":
-                yield from coordinator.compute(
-                    coordinator.decode_seconds(meta.size, meta.plain_size, self.config.size_scale)
-                    + coordinator.scan_seconds(meta.plain_size, self.config.size_scale),
-                    metrics,
-                )
-            return bits, values
+                rec.actual_alternative_bytes = plain_size(type_, selected)
+            yield from coordinator.compute(
+                coordinator.decode_seconds(meta.size, meta.plain_size, self.config.size_scale)
+                + coordinator.scan_seconds(meta.plain_size, self.config.size_scale),
+                metrics,
+            )
+            return bits, selected
 
         return RemoteOp(
             node=node,
@@ -817,9 +820,7 @@ class FusionStore(BaselineStore):
             )
             return Bitmap(eval_leaf(op.leaf, op.type, values))
 
-        if not self._usable(node) and not (
-            node.alive and self._floor_attempt(obj, loc.block_id)
-        ):
+        if not self._routes_direct(obj, node, loc.block_id):
             return RemoteOp(standalone=degraded)
 
         def execute():
@@ -872,9 +873,7 @@ class FusionStore(BaselineStore):
             )
             return values[indices]
 
-        if not self._usable(node) and not (
-            node.alive and self._floor_attempt(obj, loc.block_id)
-        ):
+        if not self._routes_direct(obj, node, loc.block_id):
             return RemoteOp(standalone=degraded)
 
         selectivity = len(indices) / len(bitmap) if len(bitmap) else 0.0
@@ -896,7 +895,6 @@ class FusionStore(BaselineStore):
                 )
 
         if decision.push_down and not pressured:
-            metrics.pushed_down_chunks += 1
             # Ship the bitmap with the op; receive selected raw values.
             bitmap_wire = bitmap.wire_size()
 
@@ -913,21 +911,28 @@ class FusionStore(BaselineStore):
                 )
                 values = self._decode_cached(obj.name, meta, data)[indices]
                 reply = plain_size(type_, values)
+                return self.config.scaled(reply), (values, reply)
+
+            def finalize_pushed(reply):
+                # The reply arrived: the chunk was pushed down.  Nothing to
+                # charge here; ``yield from ()`` makes this a generator.
+                yield from ()
+                values, reply_bytes = reply
+                metrics.pushed_down_chunks += 1
                 if rec is not None:
-                    rec.actual_chosen_bytes = reply
+                    rec.actual_chosen_bytes = reply_bytes
                     rec.actual_alternative_bytes = loc.size
-                return self.config.scaled(reply), values
+                return values
 
             return RemoteOp(
                 node=node,
                 request_bytes=self.config.scaled(OP_REQUEST_BYTES + bitmap_wire),
                 execute=execute_pushed,
+                finalize=finalize_pushed,
                 fallback=degraded,
             )
 
         # Fallback: fetch the compressed chunk, process at the coordinator.
-        metrics.fallback_chunks += 1
-
         def execute_fetch():
             check_deadline(metrics, "projection chunk")
             data = yield from node.read_block_range(
@@ -937,6 +942,7 @@ class FusionStore(BaselineStore):
             return self.config.scaled(loc.size), data
 
         def finalize(data):
+            metrics.fallback_chunks += 1
             yield from coordinator.compute(
                 coordinator.decode_seconds(meta.size, meta.plain_size, self.config.size_scale)
                 + coordinator.scan_seconds(meta.plain_size, self.config.size_scale),
@@ -1017,6 +1023,7 @@ class FusionStore(BaselineStore):
         node = self.cluster.node(loc.node_id)
 
         def degraded():
+            metrics.fallback_chunks += 1
             values = yield from self._degraded_chunk_values(
                 obj, meta, loc, coordinator, metrics
             )
@@ -1025,9 +1032,7 @@ class FusionStore(BaselineStore):
             )
             return partial_aggregate(agg, values[bitmap.indices()], bitmap.count())
 
-        if not self._usable(node) and not (
-            node.alive and self._floor_attempt(obj, loc.block_id)
-        ):
+        if not self._routes_direct(obj, node, loc.block_id):
             return RemoteOp(standalone=degraded)
 
         bitmap_wire = bitmap.wire_size()
@@ -1045,13 +1050,20 @@ class FusionStore(BaselineStore):
             )
             values = self._decode_cached(obj.name, meta, data)[bitmap.indices()]
             partial = partial_aggregate(agg, values, bitmap.count())
-            metrics.pushed_down_chunks += 1
             return self.config.scaled(SCALAR_RESULT_BYTES), partial
+
+        def finalize(partial):
+            # The reply arrived: the chunk was aggregated in-situ.  Nothing
+            # to charge here; ``yield from ()`` makes this a generator.
+            yield from ()
+            metrics.pushed_down_chunks += 1
+            return partial
 
         return RemoteOp(
             node=node,
             request_bytes=self.config.scaled(OP_REQUEST_BYTES + bitmap_wire),
             execute=execute,
+            finalize=finalize,
             fallback=degraded,
         )
 

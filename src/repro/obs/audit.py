@@ -1,12 +1,14 @@
-"""Pushdown decision audit: one record per Cost-Equation evaluation.
+"""Pushdown decision audit: one record per chunk's Cost-Equation decision.
 
 The paper's adaptive pushdown decides *per projection chunk* whether to
 ship ``selectivity × uncompressed`` bytes of selected values (pushdown)
 or the whole compressed chunk (fallback), by the Cost Equation
-``selectivity × compressibility < 1``.  The audit log captures every
-evaluation at decision time — the estimate inputs, the threshold, the
-decision — and is later filled in with the *actual* wire bytes of the
-chosen path and of the alternative, so experiments can report ex-post
+``selectivity × compressibility < 1``.  The audit log captures each
+op's decision when it is first evaluated — the estimate inputs, the
+threshold, the decision; a retried op evaluates the same decision again
+and records nothing more — and the record is later filled in with the
+*actual* wire bytes of the chosen path and of the alternative, once the
+reply the query uses arrives, so experiments can report ex-post
 decision accuracy (what fraction of decisions moved fewer bytes than
 the road not taken).
 
@@ -40,8 +42,8 @@ class PushdownAuditRecord:
     est_pushdown_bytes: int
     est_fetch_bytes: int
     #: Actual wire bytes of the branch taken / the branch not taken,
-    #: filled in when the op executes (None until then; the alternative
-    #: stays None when the op degraded to reconstruction instead).
+    #: filled in when the op's reply arrives (None until then; both stay
+    #: None when the op degraded to reconstruction instead).
     actual_chosen_bytes: int | None = None
     actual_alternative_bytes: int | None = None
 

@@ -126,12 +126,15 @@ KNOBS = (
 )
 #: Knobs no bench, benchmark or example sets, each kept for a reason.
 UNBENCHED_KNOBS = {
-    # ROADMAP item 4 picks the baseline's one read mode and deletes this.
+    # ROADMAP "One baseline read mode, chosen by the scorecard" picks the
+    # baseline's one read mode and deletes this.
     "baseline_whole_block_reads",
-    # ROADMAP 3(c) paces bounded-concurrency rebuild with it.
+    # ROADMAP "One gather primitive for Get, query, repair and scrub"
+    # paces bounded-concurrency rebuild with it.
     "repair_throttle_bps",
     # Set only to its default (on) here; tests switch it off.  ROADMAP
-    # 7(a) moves it out of StoreConfig with the other telemetry switches.
+    # "StoreConfig describes the store" moves it out of StoreConfig with
+    # the other telemetry switches.
     "pushdown_audit_enabled",
 }
 #: Where a knob counts as used: the experiment harness, the benchmarks

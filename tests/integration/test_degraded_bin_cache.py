@@ -14,31 +14,15 @@ target bin must never be served.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pytest
 
-from repro.cluster import (
-    Cluster,
-    ClusterConfig,
-    Deadline,
-    QueryMetrics,
-    Simulator,
-    record_schedule,
-)
-from repro.core import (
-    BaselineStore,
-    DeadlineExceeded,
-    FusionStore,
-    RemoteOpError,
-    StoreConfig,
-    kernel,
-)
+from repro.check import digest
+from repro.cluster import Deadline, QueryMetrics
+from repro.core import DeadlineExceeded, RemoteOpError, kernel
 from repro.core.location_map import chunk_checksum
-from repro.format import write_table
 from repro.sql.local import execute_local
-from tests.conftest import make_small_table
+from tests.closed_loop import TABLE, build, encoded, recorded
 
 #: sha256 of the Get's ``record_schedule`` stream.  First pinned with
 #: the cache that kept only the requested bin of each decode; re-pinned
@@ -62,23 +46,16 @@ GOLDEN_STREAM = {
 }
 
 
-def _two_lost_bins(store_cls):
+def _two_lost_bins(kind: str):
     """A loaded store whose stripe 0 has lost two written data bins."""
-    data = write_table(make_small_table(num_rows=2500, seed=77), row_group_rows=500)
-    sim = Simulator()
-    stream = record_schedule(sim)
-    cluster = Cluster(sim, ClusterConfig(num_nodes=12))
-    store = store_cls(
-        cluster,
-        StoreConfig(size_scale=50.0, storage_overhead_threshold=0.1, block_size=500_000),
-    )
-    store.put("tbl", data)
+    system, stream = recorded(kind)
+    store, cluster = system.store, system.cluster
     placement = store.objects["tbl"].stripes[0]
     lost = [i for i, size in enumerate(placement.data_sizes) if size > 0][:2]
     assert len(lost) == 2
     for i in lost:
         cluster.fail_node(placement.node_ids[i])
-    return store, cluster, stream, data, placement, lost
+    return store, cluster, stream, encoded(), placement, lost
 
 
 def _count_decodes(monkeypatch) -> list[int]:
@@ -103,9 +80,9 @@ def _lost_bins(store) -> list[tuple[int, int]]:
     ]
 
 
-@pytest.mark.parametrize("store_cls", [FusionStore, BaselineStore], ids=["fusion", "baseline"])
-def test_get_decodes_each_degraded_stripe_once(store_cls, monkeypatch):
-    store, _cluster, stream, data, _placement, _lost = _two_lost_bins(store_cls)
+@pytest.mark.parametrize("kind", ["fusion", "baseline"])
+def test_get_decodes_each_degraded_stripe_once(kind, monkeypatch):
+    store, _cluster, stream, data, _placement, _lost = _two_lost_bins(kind)
     decodes = _count_decodes(monkeypatch)
     lost = _lost_bins(store)
     metrics = QueryMetrics()
@@ -114,12 +91,11 @@ def test_get_decodes_each_degraded_stripe_once(store_cls, monkeypatch):
     assert len(lost) > len(stripes)  # some stripe lost two bins
     assert len(decodes) == len(stripes)
     assert metrics.degraded_reads == len(stripes)
-    digest = hashlib.sha256(repr(stream).encode()).hexdigest()
-    assert digest == GOLDEN_STREAM[store_cls.__name__.removesuffix("Store").lower()]
+    assert digest(stream) == GOLDEN_STREAM[kind]
 
 
 def test_siblings_of_a_wrong_reconstruction_are_never_served(monkeypatch):
-    store, cluster, _stream, _data, placement, (a, b) = _two_lost_bins(FusionStore)
+    store, cluster, _stream, _data, placement, (a, b) = _two_lost_bins("fusion")
     # Damage every byte of a survivor the degraded read gathers, so the
     # one decode gets bin ``a`` (and its sibling ``b``) wrong.
     c = next(j for j, size in enumerate(placement.data_sizes) if size > 0 and j not in (a, b))
@@ -161,14 +137,8 @@ def _lost_tag_bin():
     """A loaded Fusion store whose node holding the most ``tag`` chunks
     in one bin is down, so one query reads two or more chunks of one
     lost stripe.  Returns the store, the table and that stripe's id."""
-    table = make_small_table(num_rows=2500, seed=77)
-    sim = Simulator()
-    cluster = Cluster(sim, ClusterConfig(num_nodes=12))
-    store = FusionStore(
-        cluster,
-        StoreConfig(size_scale=50.0, storage_overhead_threshold=0.1, block_size=500_000),
-    )
-    store.put("tbl", write_table(table, row_group_rows=500))
+    system = build("fusion")
+    store, cluster = system.store, system.cluster
     obj = store.objects["tbl"]
     tag = obj.metadata.schema.names().index("tag")
     bins: dict[str, int] = {}
@@ -180,7 +150,7 @@ def _lost_tag_bin():
     assert bins[block_id] >= 2
     placement, i = obj.locate_block(block_id)
     cluster.fail_node(placement.node_ids[i])
-    return store, table, placement.stripe_id
+    return store, TABLE, placement.stripe_id
 
 
 def _watch_gathers(store) -> list[tuple[float, float]]:

@@ -1,103 +1,38 @@
 """Reproducible chaos: the same fault-schedule seed and workload must
-replay bit-identically, and a mid-workload crash must not fail or
-corrupt a single query."""
+replay bit-identically, a mid-workload crash must not fail or corrupt a
+single query, and a chunk's pushdown outcome is counted once however
+many attempts its op took."""
 
-import pytest
-
-from repro.cluster import (
-    Cluster,
-    ClusterConfig,
-    FaultEvent,
-    FaultInjector,
-    QueryMetrics,
-    Simulator,
-    random_schedule,
-)
-from repro.core import BaselineStore, FusionStore, StoreConfig
-from repro.format import write_table
+from repro.check import fingerprint
+from repro.cluster import FaultEvent, FaultInjector, random_schedule
 from repro.sql import execute_local
-from tests.conftest import make_small_table
-
-QUERIES = [
-    "SELECT id, price FROM tbl WHERE qty < 5",
-    "SELECT price FROM tbl WHERE price < 5.0",
-    "SELECT count(*), avg(price) FROM tbl WHERE flag = true",
-    "SELECT tag, sum(qty) FROM tbl WHERE id < 800 GROUP BY tag",
-]
-NUM_CLIENTS = 4
-NUM_QUERIES = 12
-
-
-def _build(store_cls, schedule=None, fault_seed=0):
-    table = make_small_table(num_rows=2500, seed=77)
-    data = write_table(table, row_group_rows=500)
-    sim = Simulator()
-    cluster = Cluster(sim, ClusterConfig(num_nodes=12))
-    store = store_cls(
-        cluster,
-        StoreConfig(size_scale=50.0, storage_overhead_threshold=0.1, block_size=500_000),
-    )
-    store.put("tbl", data)
-    injector = None
-    if schedule is not None:
-        injector = FaultInjector(cluster, schedule, seed=fault_seed).install()
-    return store, cluster, table, data, injector
+from tests.closed_loop import (
+    NUM_QUERIES,
+    SQLS,
+    TABLE,
+    build,
+    each_store,
+    recorded,
+    run,
+    same_answers,
+)
 
 
-def _run_workload(store, num_clients=NUM_CLIENTS, num_queries=NUM_QUERIES):
-    """Closed-loop concurrent workload (issue order is deterministic)."""
-    sim = store.sim
-    start = sim.now
-    metrics_out: list[QueryMetrics] = []
-    results_out = []
-    per_client = [num_queries // num_clients] * num_clients
-    for i in range(num_queries % num_clients):
-        per_client[i] += 1
-
-    def client(cid: int, count: int):
-        for qi in range(count):
-            sql = QUERIES[(cid + qi * num_clients) % len(QUERIES)]
-            qm = QueryMetrics()
-            result = yield from store.query_process(sql, qm)
-            metrics_out.append(qm)
-            results_out.append(result)
-
-    for cid, count in enumerate(per_client):
-        if count:
-            sim.process(client(cid, count))
-    sim.run()
-    return results_out, metrics_out, sim.now - start
-
-
-def _fingerprint(metrics: list[QueryMetrics], cluster) -> list:
-    per_query = [
-        (
-            qm.start_time,
-            qm.end_time,
-            qm.network_bytes,
-            qm.retries,
-            qm.timeouts,
-            qm.degraded_reads,
-            qm.rpcs_issued,
-        )
-        for qm in metrics
-    ]
+def _replay_fields(stats, cluster) -> list:
+    """What a faulted run adds to its fingerprint: per-query and total
+    retries, timeouts and degraded reads."""
     totals = cluster.metrics
     return [
-        per_query,
-        totals.network_bytes,
-        totals.retries,
-        totals.timeouts,
-        totals.degraded_reads,
-        totals.rpcs_issued,
+        [(qm.retries, qm.timeouts, qm.degraded_reads) for qm in stats.metrics],
+        (totals.network_bytes, totals.retries, totals.timeouts),
+        (totals.degraded_reads, totals.rpcs_issued),
     ]
 
 
-@pytest.mark.parametrize("store_cls", [FusionStore, BaselineStore])
-def test_same_fault_seed_replays_bit_identically(store_cls):
+@each_store
+def test_same_fault_seed_replays_bit_identically(kind):
     # Calibrate the horizon so the schedule lands inside the workload.
-    store, _cl, _t, _d, _ = _build(store_cls)
-    _r, _m, horizon = _run_workload(store)
+    horizon = run(build(kind)).wall_seconds
     assert horizon > 0
 
     def one_run():
@@ -112,45 +47,54 @@ def test_same_fault_seed_replays_bit_identically(store_cls):
             corruptions=0,
             max_concurrent_down=2,
         )
-        store, cluster, _table, _data, injector = _build(
-            store_cls, schedule, fault_seed=33
-        )
-        results, metrics, _ = _run_workload(store)
+        system, stream = recorded(kind)
+        injector = FaultInjector(system.cluster, schedule, seed=33).install()
+        stats = run(system)
         log = [(a.at, a.event.kind, a.event.node_id) for a in injector.log]
-        return results, _fingerprint(metrics, cluster), log
+        replay = fingerprint(stream, system.store, stats.metrics)
+        return stats, replay, _replay_fields(stats, system.cluster), log
 
-    results_a, fp_a, log_a = one_run()
-    results_b, fp_b, log_b = one_run()
-    assert len(results_a) == NUM_QUERIES
-    assert all(a.equals(b) for a, b in zip(results_a, results_b))
-    assert fp_a == fp_b
+    stats_a, fp_a, fields_a, log_a = one_run()
+    stats_b, fp_b, fields_b, log_b = one_run()
+    assert len(stats_a.results) == NUM_QUERIES
+    assert same_answers(stats_a, stats_b)
+    assert fp_a == fp_b and fields_a == fields_b
     assert log_a == log_b and log_a  # faults actually fired
 
 
-@pytest.mark.parametrize("store_cls", [FusionStore, BaselineStore])
-def test_mid_workload_crash_zero_failed_queries(store_cls):
-    # Ground truth and wall-clock from a fault-free run.
-    store, _cl, table, _d, _ = _build(store_cls)
-    clean_results, _m, horizon = _run_workload(store)
+@each_store
+def test_mid_workload_crash_zero_failed_queries(kind):
+    # The crash lands halfway through a fault-free run's span.
+    horizon = run(build(kind)).wall_seconds
 
-    store, cluster, _table, _data, _ = _build(store_cls)
+    system = build(kind)
+    cluster = system.cluster
     victim = next(n.node_id for n in cluster.nodes if n.stored_bytes)
-    schedule = [
-        FaultEvent(at=store.sim.now + 0.5 * horizon, kind="crash", node_id=victim)
-    ]
+    schedule = [FaultEvent(at=system.sim.now + 0.5 * horizon, kind="crash", node_id=victim)]
     injector = FaultInjector(cluster, schedule, seed=1).install()
-    results, metrics, _ = _run_workload(store)
+    results = run(system).results
 
     assert len(results) == NUM_QUERIES  # zero failed queries
     assert injector.log and not cluster.node(victim).alive  # crash fired
-    expected = {sql: execute_local(sql, table) for sql in QUERIES}
+    expected = [execute_local(sql, TABLE) for sql in SQLS]
     # Completion order may differ from the clean run, but every result
     # must match the ground truth for one of the workload's queries.
     for result in results:
-        assert any(result.equals(exp) for exp in expected.values())
-    for sql, exp in expected.items():
+        assert any(result.equals(exp) for exp in expected)
+    for sql, exp in zip(SQLS, expected):
         assert any(r.equals(exp) for r in results), sql
-    assert len(clean_results) == len(results)
+
+
+def _drop_window(node_id: int, rate: float, seed: int):
+    """The Fusion scenario with RPCs to ``node_id`` dropped at ``rate``
+    from t=0; returns the system and its injector."""
+    system = build("fusion")
+    injector = FaultInjector(
+        system.cluster,
+        [FaultEvent(at=0.0, kind="drop", node_id=node_id, duration=1e9, rate=rate)],
+        seed=seed,
+    ).install()
+    return system, injector
 
 
 def test_different_fault_seed_changes_drop_outcomes():
@@ -158,12 +102,24 @@ def test_different_fault_seed_changes_drop_outcomes():
     drop decisions (sanity check that randomness is not ignored)."""
     outcomes = {}
     for seed in (1, 2):
-        store, cluster, _t, _d, injector = _build(
-            FusionStore,
-            [FaultEvent(at=0.0, kind="drop", node_id=0, duration=1e9, rate=0.5)],
-            fault_seed=seed,
-        )
-        store.sim.run()  # let the driver open the drop window
-        decisions = tuple(injector.drop_rpc(0) for _ in range(64))
-        outcomes[seed] = decisions
+        system, injector = _drop_window(0, 0.5, seed)
+        system.sim.run()  # let the driver open the drop window
+        outcomes[seed] = tuple(injector.drop_rpc(0) for _ in range(64))
     assert outcomes[1] != outcomes[2]
+
+
+def test_retried_ops_count_each_chunk_once():
+    """Under a drop window an op is attempted up to three times and may
+    end on its degraded path; its chunk still counts once, as pushed or
+    as fallback, and the audit log holds one record per chunk.  Seed 15
+    retries fused ops on node 0; seed 1 retries projection ops on node
+    1 until three fall back."""
+    for sql, node_id, seed in ((SQLS[1], 0, 15), (SQLS[0], 1, 1)):
+        _result, clean = build("fusion").store.query(sql)
+        system, _injector = _drop_window(node_id, 0.6, seed)
+        _result, faulted = system.store.query(sql)
+        assert faulted.retries > 0
+        assert (faulted.pushed_down_chunks + faulted.fallback_chunks
+                == clean.pushed_down_chunks + clean.fallback_chunks), sql
+        keys = [rec.chunk_key for rec in system.store.audit.records]
+        assert len(keys) == len(set(keys)), sql

@@ -12,8 +12,10 @@ namespace through every step.  The walks visit objects in name order;
 the scenario's names (``big`` < ``late`` < ``small``) also sort FAC
 before fixed, the order in which the digests were pinned.
 
-Four digests per store: the scheduled-event stream, the WAL records, the
-per-object placement state and every report the steps returned.  They
+Four digests per store (``repro.check.digest`` of ``repro.check``'s rows
+where it has them): the scheduled-event stream, the WAL records, the
+per-object placement state after every step and every report the steps
+returned.  They
 were computed on ed77cf4, the parent of the store-kernel refactor, and
 are its definition of "same behaviour": a change that moves one is a
 model change, re-pins it and says so in CHANGES.md.  The scenario crosses
@@ -23,10 +25,10 @@ instead of by these digests.
 """
 
 import dataclasses
-import hashlib
 
 import pytest
 
+from repro.check import digest, object_state, wal_row
 from repro.cluster import (
     Cluster,
     ClusterConfig,
@@ -107,28 +109,11 @@ GOLDEN = {
 }
 
 
-def _digest(rows) -> str:
-    return hashlib.sha256(repr(rows).encode()).hexdigest()
-
-
 def _holders(obj, stripe_id: int) -> list:
     """Stripe-aligned ``(block_id, node_id)`` pairs, ``None`` at the
     never-written trailing positions of a partial fixed stripe."""
     p = obj.stripes[stripe_id]
     return [None if nid is None else (bid, nid) for bid, nid in zip(p.block_ids, p.node_ids)]
-
-
-def _placements(obj) -> list:
-    """``(stripe_id, node_ids, data_sizes)`` per stripe (size 0 = never
-    written)."""
-    return [(p.stripe_id, tuple(p.node_ids), tuple(p.data_sizes)) for p in obj.stripes]
-
-
-def _object_state(store) -> list:
-    return [
-        (name, obj.meta_epoch, tuple(obj.replica_nodes), _placements(obj))
-        for name, obj in sorted(store.objects.items())
-    ]
 
 
 def _fields(report) -> dict:
@@ -138,14 +123,6 @@ def _fields(report) -> dict:
     for host_clock in ("wall_seconds", "layout_build_seconds"):
         out.pop(host_clock, None)
     return {k: sorted(v) if isinstance(v, list) else v for k, v in out.items()}
-
-
-def _wal_row(record) -> tuple:
-    """One WAL record; the blocks an intent names are a set (roll-back
-    and redo GC every one of them), so their order is canonicalised."""
-    fields = dataclasses.asdict(record)
-    blocks = sorted(zip(fields.pop("blocks"), fields.pop("block_sizes")))
-    return tuple(fields.values()) + (tuple(blocks),)
 
 
 def _restore_dead(cluster) -> None:
@@ -182,7 +159,7 @@ def trace(store_cls) -> dict[str, list]:
 
     def step(label: str, report) -> None:
         fields = _fields(report) if dataclasses.is_dataclass(report) else report
-        steps.append((label, fields, _object_state(store)))
+        steps.append((label, fields, object_state(store)))
 
     # Two objects; on Fusion the second blows a tiny FAC budget and is
     # stored in the fixed-block layout.
@@ -301,7 +278,7 @@ def trace(store_cls) -> dict[str, list]:
     assert store.get("big") == big
     return {
         "stream": stream,
-        "wal": [_wal_row(r) for r in cluster.wal_records()],
+        "wal": [wal_row(r) for r in cluster.wal_records()],
         "objects": [s[2] for s in steps],
         "reports": [s[:2] for s in steps],
     }
@@ -309,7 +286,7 @@ def trace(store_cls) -> dict[str, list]:
 
 def scenario(store_cls) -> tuple[str, ...]:
     rows = trace(store_cls)
-    return tuple(_digest(rows[key]) for key in ("stream", "wal", "objects", "reports"))
+    return tuple(digest(rows[key]) for key in ("stream", "wal", "objects", "reports"))
 
 
 @pytest.mark.parametrize("kind", ["fusion", "baseline"])

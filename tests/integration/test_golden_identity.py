@@ -2,8 +2,8 @@
 
 One small scenario per store (Put, 20 queries from 4 closed-loop clients,
 one wiped node read degraded, repaired, restored and queried again) is
-reduced to three sha256 digests: the scheduled-event stream ``(at, seq)``,
-the per-query ``QueryMetrics`` and the tracer's span list.  The digests
+reduced to three sha256 digests: the ``stream`` and ``queries`` digests of
+``repro.check.fingerprint`` and the tracer's span list.  The digests
 were computed on the commit *before* the kernel fast lanes (PR 17's
 parent, 8443fb6) and must never move under a wall-only change; a model
 change re-pins them and says so in CHANGES.md.  With telemetry on, every
@@ -17,20 +17,11 @@ import json
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig, QueryMetrics, Simulator, record_schedule
-from repro.core import BaselineStore, FusionStore, RepairManager, StoreConfig
-from repro.format import write_table
+from repro.check import digest, fingerprint
+from repro.core import RepairManager
 from repro.obs import CriticalPathAnalyzer, SLObjective, SLOEngine, slowest_roots
-from tests.conftest import make_small_table
+from tests.closed_loop import NUM_CLIENTS, encoded, recorded, run
 
-QUERIES = [
-    "SELECT id, price FROM tbl WHERE qty < 5",
-    "SELECT price FROM tbl WHERE price < 5.0",
-    "SELECT count(*), avg(price) FROM tbl WHERE flag = true",
-    "SELECT tag, sum(qty) FROM tbl WHERE id < 800 GROUP BY tag",
-    "SELECT id FROM tbl WHERE note LIKE '%77%'",
-]
-NUM_CLIENTS = 4
 NUM_QUERIES = 20
 VICTIM = 2
 
@@ -151,63 +142,35 @@ GOLDEN = {
 }
 
 
-def _digest(rows) -> str:
-    return hashlib.sha256(repr(list(rows)).encode()).hexdigest()
-
-
-def scenario(store_cls, telemetry: bool) -> tuple[str, ...]:
+def scenario(kind: str, telemetry: bool) -> tuple[str, ...]:
     """Run the scenario; returns the three digests, plus the artifact
     digests with telemetry on."""
-    data = write_table(make_small_table(num_rows=2500, seed=77), row_group_rows=500)
-    sim = Simulator()
-    stream = record_schedule(sim)
-    cluster = Cluster(sim, ClusterConfig(num_nodes=9))
-    store = store_cls(
-        cluster,
-        StoreConfig(
-            size_scale=50.0,
-            storage_overhead_threshold=0.1,
-            block_size=500_000,
-            **(TELEMETRY if telemetry else {}),
-        ),
-    )
+    system, stream = recorded(kind, num_nodes=9, **(TELEMETRY if telemetry else {}))
+    sim, cluster, store = system.sim, system.cluster, system.store
     # The stock objectives never burn on a healthy 0.1 s run; these two do
     # (and resolve, and fire again), so the SLO digest covers window reads
     # and the alert counters become registry series born mid-run.
     watch = SLOEngine(
         cluster.scraper, WATCH_OBJECTIVES, registry=cluster.metrics.registry, tracer=sim.tracer
     ) if telemetry else None
-    store.put("tbl", data)
-    metrics: list[QueryMetrics] = []
-
-    def client(cid: int, count: int):
-        for qi in range(count):
-            qm = QueryMetrics()
-            yield from store.query_process(QUERIES[(cid + qi * NUM_CLIENTS) % len(QUERIES)], qm)
-            metrics.append(qm)
-
-    def closed_loop(total: int) -> None:
-        for cid in range(NUM_CLIENTS):
-            sim.process(client(cid, total // NUM_CLIENTS))
-        sim.run()
-
-    closed_loop(NUM_QUERIES)
+    metrics = run(system, NUM_QUERIES).metrics
     cluster.fail_node(VICTIM, wipe=True)
-    assert store.get("tbl") == data  # degraded read
-    closed_loop(NUM_CLIENTS)
+    assert store.get("tbl") == encoded()  # degraded read
+    metrics += run(system, NUM_CLIENTS).metrics
     manager = RepairManager(store)
     assert manager.repair_node(VICTIM).blocks_repaired > 0
     cluster.restore_node(VICTIM)
     manager.repair_read_reported()
-    closed_loop(NUM_CLIENTS)
+    metrics += run(system, NUM_CLIENTS).metrics
     assert store.verify_object("tbl").clean
 
     spans = sim.tracer.spans if sim.tracer is not None else []
     assert bool(spans) == telemetry
+    pinned = fingerprint(stream, store, metrics)
     core = (
-        _digest(stream),
-        _digest((q.start_time, q.end_time, q.network_bytes, q.rpcs_issued) for q in metrics),
-        _digest((s.span_id, s.parent_id, s.name, s.start, s.end) for s in spans),
+        pinned["stream"],
+        pinned["queries"],
+        digest((s.span_id, s.parent_id, s.name, s.start, s.end) for s in spans),
     )
     return core + (_export_digests(sim, cluster, watch) if telemetry else ())
 
@@ -231,8 +194,7 @@ def _export_digests(sim, cluster, watch) -> tuple[str, ...]:
 @pytest.mark.parametrize("telemetry", [False, True], ids=["default", "telemetry"])
 @pytest.mark.parametrize("kind", ["fusion", "baseline"])
 def test_scenario_hashes_to_the_values_pinned_on_the_parent(kind, telemetry):
-    store_cls = FusionStore if kind == "fusion" else BaselineStore
-    assert scenario(store_cls, telemetry) == GOLDEN[kind, telemetry]
+    assert scenario(kind, telemetry) == GOLDEN[kind, telemetry]
 
 
 def test_telemetry_leaves_stream_and_query_metrics_alone():

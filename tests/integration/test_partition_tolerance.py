@@ -390,7 +390,7 @@ class TestMinHealthyFloor:
         distinct = list(dict.fromkeys(holder_ids))
         victims = distinct[: len(distinct) - k + 1]
         self._greylist(cluster, victims)
-        assert store._floor_attempt(obj, block)
+        assert store._routes_direct(obj, cluster.node(victims[0]), block)
         # The Get still routes direct attempts at greylisted (but
         # alive) holders of below-floor stripes instead of a
         # guaranteed-degraded reconstruction.
@@ -407,7 +407,7 @@ class TestMinHealthyFloor:
             saved = [
                 loc
                 for loc in grey_chunks
-                if store._floor_attempt(obj, loc.block_id)
+                if store._routes_direct(obj, cluster.node(loc.node_id), loc.block_id)
             ]
             assert saved
             assert metrics.degraded_reads <= len(grey_chunks) - len(saved)
@@ -422,7 +422,7 @@ class TestMinHealthyFloor:
         k = store.config.code.k
         distinct = list(dict.fromkeys(holder_ids))
         self._greylist(cluster, distinct[: len(distinct) - k])  # k still usable
-        assert not store._floor_attempt(obj, block)
+        assert not store._routes_direct(obj, cluster.node(distinct[0]), block)
 
 
 @pytest.mark.parametrize("store_cls", [FusionStore, BaselineStore])

@@ -11,14 +11,13 @@ import sys
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig, QueryMetrics, Simulator
+from repro.cluster import Cluster, ClusterConfig, Simulator
 from repro.cluster.overload import CircuitBreakerBoard
 from repro.cluster.qos import TenantQos
-from repro.core import BaselineStore, FusionStore, StoreConfig
-from repro.format import write_table
+from repro.core import StoreConfig
 from repro.obs import MetricsRegistry, Scraper, SLOEngine, Span, default_objectives
-from tests.conftest import make_small_table
-from tests.integration.test_golden_identity import QUERIES, TELEMETRY
+from tests.closed_loop import SQLS, build, run
+from tests.integration.test_golden_identity import TELEMETRY
 
 
 def _lines_executed(call) -> int:
@@ -65,32 +64,17 @@ def test_a_scrape_and_its_slo_evaluation_cost_the_same_at_any_history():
     assert lines[20] == lines[2000] > 0
 
 
-@pytest.mark.parametrize("store_cls", [FusionStore, BaselineStore], ids=["fusion", "baseline"])
-def test_recorded_spans_leave_nothing_for_the_collector(store_cls):
-    data = write_table(make_small_table(num_rows=2500, seed=77), row_group_rows=500)
-    sim = Simulator()
-    cluster = Cluster(sim, ClusterConfig(num_nodes=9))
+@pytest.mark.parametrize("kind", ["fusion", "baseline"])
+def test_recorded_spans_leave_nothing_for_the_collector(kind):
     # Full telemetry minus the pushdown audit log: its per-chunk records are
     # (tracked) objects of their own and not the tracer's storage.
-    config = StoreConfig(
-        size_scale=50.0, storage_overhead_threshold=0.1, block_size=500_000,
-        **{**TELEMETRY, "pushdown_audit_enabled": False},
-    )
-    store = store_cls(cluster, config)
-    store.put("tbl", data)
-
-    def run(count: int) -> None:
-        def client():
-            for qi in range(count):
-                yield from store.query_process(QUERIES[qi % len(QUERIES)], QueryMetrics())
-
-        sim.process(client())
-        sim.run()
-
-    run(len(QUERIES))  # caches, registry families and series exist from here on
+    system = build(kind, num_nodes=9, **{**TELEMETRY, "pushdown_audit_enabled": False})
+    sim, cluster = system.sim, system.cluster
+    # Caches, registry families and series exist from here on.
+    run(system, len(SQLS), num_clients=1)
     gc.collect()
     tracked_before, spans_before = len(gc.get_objects()), len(sim.tracer.spans)
-    run(50)
+    run(system, 50, num_clients=1)
     gc.collect()
     tracked = gc.get_objects()
     spans = len(sim.tracer.spans) - spans_before
