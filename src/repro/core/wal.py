@@ -137,7 +137,8 @@ class WalWriter:
 
     def append(self, coordinator, record: WalRecord) -> None:
         """Log ``record`` at the coordinator and mirror it to the
-        object's replica nodes (idempotent per record)."""
+        object's replica nodes the network delivers to (idempotent per
+        record)."""
         tracer = self.cluster.sim.tracer
         if tracer is not None:
             tracer.instant(
@@ -148,7 +149,7 @@ class WalWriter:
         coordinator.wal_append(record)
         for nid in record.replica_nodes:
             node = self.cluster.node(nid)
-            if node is not coordinator and node.alive:
+            if node is not coordinator and self.cluster.delivers(coordinator.node_id, nid):
                 node.wal_append(record)
 
     def crash_point(self, coordinator, point: str) -> None:

@@ -244,6 +244,20 @@ class TestPutAcrossSeveredLink:
         assert store.fsck().clean
         assert store.get("tbl") == data
 
+    def test_severed_replica_gets_no_wal_record(self, store_cls):
+        twin, twin_cluster, _table, _data = _system(store_cls)
+        coordinator = twin_cluster.coordinator_for("tbl").node_id
+        holders = [nid for nid in _meta_holders(twin, "tbl") if nid != coordinator]
+        victim, *others = holders
+        assert others
+
+        store, cluster, _table, data = _system(store_cls, put=False)
+        _sever(cluster, coordinator, victim)
+        store.put("tbl", data)
+        assert not cluster.node(victim).wal
+        for nid in others:
+            assert [r.phase for r in cluster.node(nid).wal] == ["intent", "commit"]
+
     def test_more_refusals_than_parity_fail_the_put(self, store_cls):
         # Cut the coordinator from n - k + 1 holders of stripe 0.
         twin, twin_cluster, _table, _data = _system(store_cls)
