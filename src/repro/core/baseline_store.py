@@ -193,18 +193,11 @@ class BaselineStore(StoreKernel):
         intent = self._log_intent(coordinator, "put", obj)
         self.wal.crash_point(coordinator, "put:after-intent")
 
-        # Ship the object from the client to the coordinator.
-        yield from self.cluster.network.transfer(
-            self.cluster.client, coordinator.endpoint, config.scaled(len(data))
-        )
-        if deadline is not None:
-            deadline.check("put transfer")
-
-        # Encode and distribute stripe by stripe.
-        yield from self._write_stripes(coordinator, obj, (
+        # Stream the object from the client and write it stripe by stripe.
+        yield from self._write_stripes(coordinator, obj, len(data), [
             [raw[b.start : b.end] for b in layout.stripe_blocks(placement.stripe_id)]
             for placement in obj.stripes
-        ), deadline)
+        ], deadline)
         self.wal.crash_point(coordinator, "put:after-data")
 
         # Materialize metadata replicas.  The fixed-block store's

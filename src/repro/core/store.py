@@ -288,17 +288,13 @@ class FusionStore(BaselineStore):
         intent = self._log_intent(coordinator, "put", obj)
         self.wal.crash_point(coordinator, "put:after-intent")
 
-        yield from self.cluster.network.transfer(
-            self.cluster.client, coordinator.endpoint, config.scaled(len(data))
-        )
-        if deadline is not None:
-            deadline.check("put transfer")
-        # Footer parse cost at the coordinator, at the footer's real size:
+        # Stream the object from the client and write it stripe by
+        # stripe.  The footer parse is charged at the footer's real size:
         # metadata does not grow with the data (StoreConfig.scaled).
-        footer_size = len(data) - (chunks[-1].end_offset if chunks else 0)
-        yield from coordinator.compute(footer_size / coordinator.cpu_config.decode_bps)
-
-        yield from self._write_stripes(coordinator, obj, stripe_payloads, deadline)
+        yield from self._write_stripes(
+            coordinator, obj, len(data), stripe_payloads, deadline,
+            parse_s=len(obj.trailer_bytes) / coordinator.cpu_config.decode_bps,
+        )
         self.wal.crash_point(coordinator, "put:after-data")
 
         # Materialize the metadata replicas: the location map (plus
