@@ -135,8 +135,9 @@ class TestPutScaling:
                 if nid != coordinator.node_id
             )
             assert before_meta == config.scaled(len(small_file)) + block_bytes
-            # The footer parse, then one encode charge per stripe.
-            assert len(charges) == 1 + len(obj.stripes)
+            # The footer parse, then one encode share per written data block.
+            blocks = [size for p in obj.stripes for size in p.data_sizes if size]
+            assert len(charges) == 1 + len(blocks)
             assert charges[0] == len(obj.trailer_bytes) / coordinator.cpu_config.decode_bps
         (_s, small_data, _m, small), (_s, big_data, _m, big) = runs
         assert big[0] == small[0]
@@ -242,16 +243,19 @@ class TestBitmapTokenisation:
     #: 1_838_300 / 1_624_100 / 654_100 / 568_000 bytes: the frame is
     #: smaller on sparse and clustered replies, larger on the periodic
     #: ``tag`` column an LZ window folds).  Pages use the pure-Python
-    #: snappy codec, so no number depends on the host's zlib.
+    #: snappy codec, so no number depends on the host's zlib.  The second
+    #: and third latencies were re-pinned by the declared model change of
+    #: the streamed Put: the Put ends sooner, so the query starts earlier
+    #: and ``end - start`` rounds differently in the last bits.
     CASES = [
         # 2 leaf replies + 1 combined bitmap per group.
         ("SELECT id, price, note FROM tbl WHERE qty < 10 AND day > 16500",
          1_832_600, 0.007167885000000002),
         # A lone leaf's reply *is* the row-group bitmap.
         ("SELECT id, price, note FROM tbl WHERE qty < 6",
-         1_623_800, 0.006295659000000009),
+         1_623_800, 0.0062956590000000055),
         ("SELECT tag, count(*), sum(price) FROM tbl WHERE tag LIKE '%-3' GROUP BY tag",
-         692_500, 0.004156409999999999),
+         692_500, 0.004156410000000003),
         # Pushed-down partial aggregates ship the bitmap too.
         ("SELECT sum(price), max(qty) FROM tbl WHERE note < 'note 5' AND tag IN ('tag-1', 'tag-2')",
          582_400, 0.006229938000000008),

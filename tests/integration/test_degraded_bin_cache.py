@@ -39,10 +39,13 @@ from tests.closed_loop import TABLE, build, encoded, recorded
 #: node).  Both were re-pinned by the declared model change of the
 #: data-first write: the Put before the Get spawns each stripe's data-block
 #: writes before its encode charge and the parity writes after it, so the
-#: Put ends sooner and every later event time moved.
+#: Put ends sooner and every later event time moved.  Both were re-pinned
+#: by the declared model change of the streamed Put: the Put before the
+#: Get writes each data block as its bytes arrive from the client, so it
+#: ends sooner and every later event time moved.
 GOLDEN_STREAM = {
-    "fusion": "36ca42f4bc9db0038ef2d2faf1d18e65229d328ddaa59a20cc3a3790cc92c58a",
-    "baseline": "931d2995fa78bd255fffdbc66372e2e78878e3858623446ea163cd5e8e484658",
+    "fusion": "bceb77e6d95aeb8c54a9c62f936ed6e233951619def2bc0d10d2fedda713926d",
+    "baseline": "8a08df75248661406f6fc8202fc2d4f72321b403c947476ab9603aa0402968a6",
 }
 
 

@@ -93,18 +93,23 @@ SQL = "SELECT id, price FROM {} WHERE qty < 5"
 #: writes before the coordinator's encode charge and the parity writes
 #: after it, so every Put ends sooner and every later step starts
 #: earlier; WAL records and placement state did not move.
+#: Both stores' streams and reports were re-pinned by the declared model
+#: change of the streamed Put: the client uploads in pieces and each
+#: data block is written as its bytes arrive, so every Put ends sooner
+#: and every later step starts earlier; WAL records and placement state
+#: did not move.
 GOLDEN = {
     "fusion": (
-        "5e6e82a0ec7e135a2e5b05288f10980dfd65e1388fb87240355341ee77eb1ce6",
+        "7b6f5db557106d1158c6e1b59a98575d95972a192da834e317929640d1eed759",
         "ddb9c54427c1211b7c643c5e7de63f30777ead712671bec629fbb45a805f8127",
         "d27f4039ac5c644de62d5512633fc5822b566c5ed1a7b8cbd32a5e79debfdbe0",
-        "85ee9ae8c014c87e7c898ce893190ae7ca0490536c0cfbb5a18b0a3faffc2086",
+        "5fac55dd68f58b492515e08de5728c644b133b5a6648fbfe1ebba0aa570ad5e6",
     ),
     "baseline": (
-        "1b0aa082d5ff41d1f8fd196052f05e9bdfd81986645f088964b083133e58ef35",
+        "4fe49d41eb5b9ad9a5af02f2541eb71f063a12eafd4195ecc2247baf9a4efb93",
         "d14fa0088f41003b45d457fd9e53321a80e1b84e4ba391d219356251b2a10d07",
         "00396c37abf581dd1c984400d4d824fd7fa6d0c8a239519f8333aba6da564f3b",
-        "4f318db5ad7687c88937b8539f0d3d9c2642fb9408ef242576ca6dbee93d72e9",
+        "f90d145b448ec336534be1e8856f356fc009860bfb7461eed562782769b1a35a",
     ),
 }
 
