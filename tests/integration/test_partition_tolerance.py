@@ -14,6 +14,7 @@ import pytest
 
 from repro.cluster import Cluster, ClusterConfig, LinkDown, QueryMetrics, Simulator
 from repro.core import BaselineStore, FusionStore, RepairManager, StoreConfig
+from repro.core.location_map import chunk_checksum
 from repro.core.wal import QuorumLost
 from repro.format import write_table
 from tests.conftest import make_small_table
@@ -445,17 +446,21 @@ class TestMigrationAcrossSeveredLink:
     shards only from holders the network delivers from, and a copy the
     network refuses lands nothing."""
 
-    def _retarget_lost_position(self, store_cls, severed_count: int):
+    def _retarget_lost_position(self, store_cls, severed_count: int, rotten: bool = False):
         """Wipe stripe 0's first holder, sever the coordinator from
         ``severed_count`` surviving holders, then migrate position 0 to a
-        node outside the stripe.  Returns (cluster, coordinator, severed
-        holders, destination, blocks moved)."""
+        node outside the stripe.  ``rotten`` also silently corrupts the
+        stripe's next written data block first.  Returns (cluster,
+        coordinator, severed holders, destination, blocks moved)."""
         store, cluster, _table, _data = _system(store_cls, tracing_enabled=True)
         placement = store.objects["tbl"].stripes[0]
         coordinator = cluster.coordinator_for("tbl").node_id
         lost = placement.node_ids[0]
         assert lost != coordinator
         cluster.fail_node(lost, wipe=True)
+        if rotten:
+            j = next(j for j, size in enumerate(placement.data_sizes) if j and size > 0)
+            cluster.node(placement.node_ids[j]).corrupt_block(placement.block_ids[j], offset=11)
         survivors = [
             nid for nid, _bid, _size, _crc in placement.stored_blocks()
             if nid not in (lost, coordinator)
@@ -503,6 +508,18 @@ class TestMigrationAcrossSeveredLink:
         assert placement.node_ids[0] != dst
         assert not cluster.node(dst).has_block(placement.block_ids[0])
         assert not cluster.migrations
+
+    def test_reconstructed_copy_past_a_corrupt_survivor_matches_its_crc(self, store_cls):
+        # The reconstruction localises the rotten survivor instead of
+        # decoding through it, so the copy it lands is the Put's block.
+        store, cluster, _coordinator, _severed, dst, moved = self._retarget_lost_position(
+            store_cls, severed_count=0, rotten=True
+        )
+        assert moved == 1
+        placement = store.objects["tbl"].stripes[0]
+        assert placement.node_ids[0] == dst
+        copy = cluster.node(dst).peek_block(placement.block_ids[0])
+        assert chunk_checksum(copy) == placement.checksum(0)
 
     def test_copy_across_a_severed_link_lands_nothing(self, store_cls):
         store, cluster, _table, data = _system(store_cls, tracing_enabled=True)
