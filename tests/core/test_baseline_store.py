@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig, Simulator
-from repro.core import BaselineStore, ObjectNotFound, StoreConfig
+from repro.core import BaselineStore, ObjectNotFound, RepairManager, StoreConfig
 from repro.format import write_table
 from repro.sql import execute_local
 from tests.conftest import make_small_table
@@ -127,8 +127,7 @@ class TestRecovery:
         victim = next(iter(store.objects["tbl"].data_block_nodes.values()))
         for bid in list(cl.node(victim)._blocks):
             cl.node(victim).drop_block(bid)
-        rebuilt = store.recover_node(victim)
-        assert rebuilt > 0
+        assert RepairManager(store).repair_node(victim).blocks_repaired > 0
         assert store.get("tbl") == small_file
 
     def test_recovery_moves_blocks_off_victim(self, small_file):
@@ -138,9 +137,9 @@ class TestRecovery:
         store.put("tbl", small_file)
         obj = store.objects["tbl"]
         victim = next(iter(obj.data_block_nodes.values()))
-        for bid in list(cl.node(victim)._blocks):
-            cl.node(victim).drop_block(bid)
-        store.recover_node(victim)
+        # Down as well as empty: the lost blocks must leave the node.
+        cl.fail_node(victim, wipe=True)
+        RepairManager(store).repair_node(victim)
         assert victim not in set(obj.data_block_nodes.values())
 
     def test_query_correct_after_recovery(self, small_file, small_table):
@@ -151,7 +150,7 @@ class TestRecovery:
         victim = next(iter(store.objects["tbl"].data_block_nodes.values()))
         for bid in list(cl.node(victim)._blocks):
             cl.node(victim).drop_block(bid)
-        store.recover_node(victim)
+        RepairManager(store).repair_node(victim)
         sql = QUERIES[0]
         result, _ = store.query(sql)
         assert result.equals(execute_local(sql, small_table))

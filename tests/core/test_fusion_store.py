@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig, Simulator
-from repro.core import FusionStore, ObjectNotFound, PushdownMode, StoreConfig
+from repro.core import FusionStore, ObjectNotFound, PushdownMode, RepairManager, StoreConfig
 from repro.core.baseline_store import StoredFixedObject
 from repro.format import ColumnType, PaxFile, Table, get_codec, write_table
 from repro.sql import Bitmap, execute_local
@@ -355,19 +355,20 @@ class TestRecovery:
 
     def test_recovery_restores_data(self, small_file):
         store, victim = self._store_with_loss(small_file)
-        rebuilt = store.recover_node(victim)
-        assert rebuilt > 0
+        assert RepairManager(store).repair_node(victim).blocks_repaired > 0
         assert store.get("tbl") == small_file
 
     def test_location_map_updated(self, small_file):
         store, victim = self._store_with_loss(small_file)
-        store.recover_node(victim)
+        # Down as well as empty: the lost blocks must leave the node.
+        store.cluster.fail_node(victim, wipe=True)
+        RepairManager(store).repair_node(victim)
         obj = store.objects["tbl"]
         assert victim not in {loc.node_id for loc in obj.location_map.entries.values()}
 
     def test_query_correct_after_recovery(self, small_file, small_table):
         store, victim = self._store_with_loss(small_file)
-        store.recover_node(victim)
+        RepairManager(store).repair_node(victim)
         sql = "SELECT id, price FROM tbl WHERE qty < 5"
         result, _ = store.query(sql)
         assert result.equals(execute_local(sql, small_table))
@@ -383,7 +384,7 @@ class TestRecovery:
             for bid in list(cl.node(v)._blocks):
                 cl.node(v).drop_block(bid)
         for v in victims:
-            store.recover_node(v)
+            RepairManager(store).repair_node(v)
         assert store.get("tbl") == small_file
 
 

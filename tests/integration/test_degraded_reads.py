@@ -4,7 +4,7 @@ via on-the-fly erasure-code reconstruction (no prior recovery)."""
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig, Simulator
-from repro.core import BaselineStore, FusionStore, StoreConfig
+from repro.core import BaselineStore, FusionStore, RepairManager, StoreConfig
 from repro.ec import DecodeError
 from repro.format import write_table
 from repro.sql import execute_local
@@ -103,7 +103,7 @@ class TestDegradedCosts:
         cluster.fail_node(victim)
         # Rebuild the dead node's blocks onto live nodes, then drop it for
         # good: reads must no longer touch the victim.
-        store.recover_node(victim)
+        RepairManager(store).repair_node(victim)
         sql = "SELECT id FROM tbl WHERE qty < 5"
         result, _ = store.query(sql)
         assert result.equals(execute_local(sql, table))

@@ -4,7 +4,7 @@ verify both byte-level integrity and query correctness."""
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig, Simulator
-from repro.core import FusionStore, StoreConfig
+from repro.core import FusionStore, RepairError, RepairManager, StoreConfig
 from repro.ec import RS_9_6, CodeParams
 from repro.format import write_table
 from repro.sql import execute_local
@@ -36,7 +36,7 @@ class TestProgressiveFailures:
         victims = obj.stripes[0].node_ids[: RS_9_6.parity]
         for v in victims:
             _kill(cluster, v)
-            store.recover_node(v)
+            RepairManager(store).repair_node(v)
         assert store.get("tbl") == data
         sql = "SELECT id FROM tbl WHERE qty < 5"
         result, _ = store.query(sql)
@@ -50,7 +50,7 @@ class TestProgressiveFailures:
         for round_ in range(4):
             victim = obj.stripes[0].node_ids[0]
             _kill(cluster, victim)
-            store.recover_node(victim)
+            RepairManager(store).repair_node(victim)
         assert store.get("tbl") == data
 
     def test_simultaneous_loss_beyond_tolerance_fails(self, system):
@@ -59,18 +59,15 @@ class TestProgressiveFailures:
         victims = obj.stripes[0].node_ids[: RS_9_6.parity + 1]
         for v in victims:
             _kill(cluster, v)
-        from repro.ec import DecodeError
-
-        with pytest.raises(DecodeError):
-            store.recover_node(victims[0])
+        with pytest.raises(RepairError):
+            RepairManager(store).repair_node(victims[0])
 
     def test_parity_only_loss(self, system):
         store, cluster, _table, data = system
         obj = store.objects["tbl"]
         parity_node = obj.stripes[0].node_ids[RS_9_6.k]
         _kill(cluster, parity_node)
-        rebuilt = store.recover_node(parity_node)
-        assert rebuilt > 0
+        assert RepairManager(store).repair_node(parity_node).blocks_repaired > 0
         assert store.get("tbl") == data
 
     def test_recovery_restores_redundancy_level(self, system):
@@ -79,11 +76,11 @@ class TestProgressiveFailures:
         obj = store.objects["tbl"]
         first = obj.stripes[0].node_ids[0]
         _kill(cluster, first)
-        store.recover_node(first)
+        RepairManager(store).repair_node(first)
         fresh_victims = obj.stripes[0].node_ids[:2]
         for v in fresh_victims:
             _kill(cluster, v)
-            store.recover_node(v)
+            RepairManager(store).repair_node(v)
         assert store.get("tbl") == data
 
 
@@ -105,5 +102,5 @@ class TestWideCode:
         for v in victims:
             _kill(cluster, v)
         for v in victims:
-            store.recover_node(v)
+            RepairManager(store).repair_node(v)
         assert store.get("tbl") == data

@@ -3,8 +3,8 @@
 ``test_golden_identity.py`` pins Put, queries, a degraded Get, repair and
 scrub.  This file pins what it does not reach: one seeded scenario per
 store with the WAL, membership and read-repair on, walking migration
-(plain copy and reconstruct), node rebuild, a minority partition during
-repair (typed ``QuorumLost`` deferral, then heal), a ``CoordinatorCrash``
+(plain copy and reconstruct), a node rebuild by the repair pass, a
+minority partition during repair (typed ``QuorumLost`` deferral, then heal), a ``CoordinatorCrash``
 at two Put, a migrate and a Delete crash point each followed by
 ``recover()``, and - on the Fusion instance - an object forced through
 the fixed-block fallback, so a FAC and a fixed-layout object share one
@@ -19,8 +19,8 @@ returned.  They
 were computed on ed77cf4, the parent of the store-kernel refactor, and
 are its definition of "same behaviour": a change that moves one is a
 model change, re-pins it and says so in CHANGES.md.  The scenario crosses
-no severed link while it reconstructs, so the reachability rule of
-``_reconstruct_shard`` is covered by ``test_partition_tolerance.py``
+no severed link while it reconstructs, so the reachability rule of a
+migration's reconstruction is covered by ``test_partition_tolerance.py``
 instead of by these digests.
 """
 
@@ -98,18 +98,24 @@ SQL = "SELECT id, price FROM {} WHERE qty < 5"
 #: data block is written as its bytes arrive, so every Put ends sooner
 #: and every later step starts earlier; WAL records and placement state
 #: did not move.
+#: Both stores' streams, placement state and reports were re-pinned when
+#: the node-rebuild step moved from the store's own rebuild path to
+#: ``RepairManager.repair_node``, the repair pass every other step uses:
+#: it gathers at the coordinator, charges the decode, rewrites through
+#: the coordinator and reports a ``RepairReport``, so the rescue nodes,
+#: the step's duration and every later event moved.  WAL records did not.
 GOLDEN = {
     "fusion": (
-        "7b6f5db557106d1158c6e1b59a98575d95972a192da834e317929640d1eed759",
+        "9bd08ba0bc1a2f25aff5f3164d72112ddb36be506fe687c86b55317516a06e7a",
         "ddb9c54427c1211b7c643c5e7de63f30777ead712671bec629fbb45a805f8127",
-        "d27f4039ac5c644de62d5512633fc5822b566c5ed1a7b8cbd32a5e79debfdbe0",
-        "5fac55dd68f58b492515e08de5728c644b133b5a6648fbfe1ebba0aa570ad5e6",
+        "de0a55926b6d5932e9a85159ef848b94008594f5d4485db069f1f0bb111eff27",
+        "879ed2c4a0d923f8ca6142acbfc94304ac020fe1f7506acf6c754ed5aef8c95e",
     ),
     "baseline": (
-        "4fe49d41eb5b9ad9a5af02f2541eb71f063a12eafd4195ecc2247baf9a4efb93",
+        "293ac74052a7d3e70df5fbc9c849b7a6b2811cf855a2085866c6bf1911deeaeb",
         "d14fa0088f41003b45d457fd9e53321a80e1b84e4ba391d219356251b2a10d07",
-        "00396c37abf581dd1c984400d4d824fd7fa6d0c8a239519f8333aba6da564f3b",
-        "f90d145b448ec336534be1e8856f356fc009860bfb7461eed562782769b1a35a",
+        "4cf548d8058ba51dc0baaf5f8ad65f54de56f77eef99bcfe48770c91a3658666",
+        "9fc9c6877251832f81ea73b71417e94c760a2ddf810e178fe7372f5977cbe5d7",
     ),
 }
 
@@ -213,13 +219,13 @@ def trace(store_cls) -> dict[str, list]:
     step("read repair after corruption", manager.repair_read_reported())
     assert store.verify_object("big").clean
 
-    # Node rebuild (the recover_node path), then the repair-manager path
-    # under a minority partition: the coordinator of ``big`` is cut off
-    # from two of its three metadata holders, so repairing its stripes
-    # defers with QuorumLost until the partition heals.
+    # Node rebuild, then the same repair pass under a minority
+    # partition: the coordinator of ``big`` is cut off from two of its
+    # three metadata holders, so repairing its stripes defers with
+    # QuorumLost until the partition heals.
     rebuilt = _holders(store.objects["big"], 0)[0][1]
     cluster.fail_node(rebuilt, wipe=True)
-    step("recover_node", store.recover_node(rebuilt))
+    step("repair node", manager.repair_node(rebuilt))
     cluster.restore_node(rebuilt)
 
     coordinator = cluster.coordinator_for("big").node_id

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster, ClusterConfig, Simulator
-from repro.core import FusionStore, StoreConfig
+from repro.core import FusionStore, RepairManager, StoreConfig
 from repro.format import write_table
 from repro.sql import execute_local
 from tests.conftest import make_small_table
@@ -61,7 +61,7 @@ def test_data_survives_any_tolerable_failure_sequence(plan):
             cluster.node(node_id).drop_block(bid)
         cluster.fail_node(node_id)
         if recover:
-            store.recover_node(node_id)
+            RepairManager(store).repair_node(node_id)
             cluster.restore_node(node_id)
         else:
             dead.add(node_id)
@@ -72,7 +72,7 @@ def test_data_survives_any_tolerable_failure_sequence(plan):
 
     # Recover the remaining dead nodes and verify byte-level integrity.
     for node_id in dead:
-        store.recover_node(node_id)
+        RepairManager(store).repair_node(node_id)
         cluster.restore_node(node_id)
     assert store.get("tbl") == data
     report = store.verify_object("tbl")
