@@ -94,7 +94,7 @@ class Cluster:
         #: stripe enqueues once).  Drained by the RepairManager at
         #: background priority; a stripe repair pass of the owning store
         #: takes its stripe's entry before it gathers and puts it back if
-        #: it raises (node rebuild leaves entries alone).
+        #: it raises.
         self.read_repairs: dict[tuple, object] = {}
         # Health-tier flips (greylist/clear) become tracer instants so
         # gray-failure onset is visible on the timeline.

@@ -36,7 +36,7 @@ from repro.core.rebalance import (
     Rebalancer,
     resolve_pending_migrations,
 )
-from repro.core.repair import RepairError, RepairManager, RepairReport, find_bad_shards
+from repro.core.repair import RepairError, RepairManager, RepairReport
 from repro.cluster.overload import DeadlineExceeded, PartialResult
 from repro.cluster.simcore import QueueFull
 from repro.core.scatter_gather import SHED, RemoteOp, RemoteOpError
@@ -101,7 +101,6 @@ __all__ = [
     "brute_force_optimal",
     "check_stripe",
     "chunk_checksum",
-    "find_bad_shards",
     "fsck",
     "recover",
     "resolve_pending_migrations",

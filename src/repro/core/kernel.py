@@ -8,8 +8,9 @@ case.  So both layouts keep **one stripe record**,
 lives here once: plane installs, the run-the-sim and admission /
 deadline / tenant wrappers, block writes, the WAL protocol of Delete,
 metadata-replica publish (quorum-guarded) and anti-entropy, scrub, the
-degraded read's gather-rank-fetch-decode, checksum-guided recovery, node
-rebuild, stripe repair, stripe migration, fsck and WAL recovery.
+degraded read's gather-rank-fetch-decode, checksum-guided recovery,
+stripe repair (which is also node rebuild), stripe migration, fsck and
+WAL recovery.
 
 The layout is a property of the stored object, not of the store: one
 store holds one namespace, and a Fusion store's over-budget objects sit
@@ -47,7 +48,7 @@ fetch / pushdown ops - plus the hooks that touch its caches:
 Two orderings the former twin implementations disagreed on, one rule
 each:
 
-* **Rebuild** (:meth:`StoreKernel._rebuild_stripe_body`): the bytes land
+* **Rebuild** (:meth:`StoreKernel._repair_stripe_pass`): the bytes land
   on the rescue node first, *then* the placement points at them - a
   reader that interleaves with the rescue node's disk write still routes
   to the old holder (and reconstructs), never to a node that does not
@@ -87,11 +88,11 @@ from repro.core.config import StoreConfig
 from repro.core.fsck import FsckReport, RecoveryReport, fsck as run_fsck, recover as run_recover
 from repro.core.location_map import chunk_checksum
 from repro.core.rebalance import MigrationEntry
-from repro.core.repair import RepairError, find_bad_shards, localise_stripe
+from repro.core.repair import RepairError, localise_stripe
 from repro.core.scatter_gather import RemoteOp, execute_remote_ops
 from repro.core.scrub import ScrubReport, check_stripe
 from repro.core.wal import MetaReplica, QuorumLost, WalRecord, WalWriter
-from repro.ec.stripe import DecodeError, decode_stripe, encode_stripe
+from repro.ec.stripe import decode_stripe, encode_stripe
 from repro.obs.audit import PushdownAuditLog
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeseries import install_telemetry
@@ -743,30 +744,28 @@ class StoreKernel:
 
     # -- Degraded reads ----------------------------------------------------------
 
-    def _gather_shards(self, placement: StripePlacement, dest, metrics, skip=()):
-        """Process: read every shard of the stripe that can reach ``dest``
-        onto it, in stripe order.  Returns the n shards: ``None`` for the
-        positions in ``skip`` and for unreadable ones (a holder the
-        network does not deliver from, asked before its disk read and
-        again by the transfer, or a block missing), an empty array for
-        never-written data positions."""
+    def _gather_shards(self, placement: StripePlacement, coordinator, metrics):
+        """Process: read every shard of the stripe that can reach the
+        coordinator onto it, in stripe order.  Returns the n shards:
+        ``None`` for unreadable ones (a holder the network does not
+        deliver from, asked before its disk read and again by the
+        transfer, or a block missing), an empty array for never-written
+        data positions."""
         k = self.config.code.k
         shards: list[np.ndarray | None] = []
         for i, bid in enumerate(placement.block_ids):
-            if i in skip:
-                shards.append(None)
-                continue
             if i < k and placement.data_sizes[i] == 0:
                 shards.append(_EMPTY)
                 continue
             node = self.cluster.node(placement.node_ids[i])
-            if not self.cluster.delivers(node.node_id, dest.node_id) or not node.has_block(bid):
+            reachable = self.cluster.delivers(node.node_id, coordinator.node_id)
+            if not reachable or not node.has_block(bid):
                 shards.append(None)
                 continue
             data = yield from node.read_block(bid, self.config.size_scale, metrics)
             try:
                 yield from self.cluster.network.transfer(
-                    node.endpoint, dest.endpoint, self.config.scaled(data.size), metrics
+                    node.endpoint, coordinator.endpoint, self.config.scaled(data.size), metrics
                 )
             except LinkDown:
                 data = None
@@ -779,6 +778,31 @@ class StoreKernel:
         yield from coordinator.compute(
             gathered * self.config.size_scale / coordinator.cpu_config.decode_bps, metrics
         )
+
+    def _localised_codeword(self, placement: StripePlacement, coordinator, metrics):
+        """Process: gather every reachable shard of the stripe onto the
+        coordinator, charge their decode, and localise what is missing
+        or silently corrupt (:func:`repro.core.repair.localise_stripe`).
+        Returns the bad positions and the stripe's n true shards; raises
+        :class:`RepairError` when the damage is beyond the code.  Every
+        rebuild of a shard - repair, checksum-guided recovery and a
+        migration's reconstruction - reads from here."""
+        shards = yield from self._gather_shards(placement, coordinator, metrics)
+        yield from self._charge_decode(coordinator, shards, metrics)
+        return localise_stripe(self.config.code, shards, placement.data_sizes)
+
+    def _recover_shard(self, placement: StripePlacement, i: int, coordinator, metrics):
+        """Process: stripe position ``i`` rebuilt at the coordinator from
+        the stripe's localised codeword (:meth:`_localised_codeword`), so
+        a silently corrupt survivor is excluded rather than decoded
+        through.  Returns the block's bytes as a new array (the codeword
+        may hold a node's stored array), or None when the stripe is
+        damaged beyond what the code can localise."""
+        try:
+            _bad, codeword = yield from self._localised_codeword(placement, coordinator, metrics)
+        except RepairError:
+            return None
+        return codeword[i].copy()
 
     def _request_scoped(self, body, metrics: QueryMetrics):
         """Process: run a Get or query ``body`` with a degraded-gather
@@ -842,9 +866,7 @@ class StoreKernel:
                 cache.pop(bid)
             if metrics is not None:
                 metrics.checksum_failures += 1
-            rebuilt = yield from self._verified_block_recovery(
-                placement, i, coordinator, metrics
-            )
+            rebuilt = yield from self._recover_shard(placement, i, coordinator, metrics)
             if rebuilt is not None:
                 cached = rebuilt
                 cache[block_ids[i]] = cached
@@ -1102,25 +1124,6 @@ class StoreKernel:
             shards[j] = data
         return shards
 
-    def _verified_block_recovery(self, placement: StripePlacement, i: int, coordinator, metrics):
-        """Checksum-guided reconstruction of one data block.
-
-        Gathers *every* reachable shard of the stripe (not just the
-        first k), localises silently-corrupt shards with decode trials
-        (:func:`repro.core.repair.find_bad_shards`), and decodes with
-        them excluded.  Returns the recovered block's bytes, or None when
-        the stripe is damaged beyond what the code can localise.
-        """
-        shards = yield from self._gather_shards(placement, coordinator, metrics)
-        yield from self._charge_decode(coordinator, shards, metrics)
-        try:
-            bad = find_bad_shards(self.config.code, shards, placement.data_sizes)
-            good = [s if j not in bad else None for j, s in enumerate(shards)]
-            recovered = decode_stripe(self.config.code, good, placement.data_sizes)
-        except (RepairError, DecodeError):
-            return None
-        return recovered[i]
-
     # -- Delete ----------------------------------------------------------------
 
     def delete(self, name: str) -> int:
@@ -1197,85 +1200,22 @@ class StoreKernel:
 
     # -- Fault tolerance ---------------------------------------------------------
 
-    def recover_node(self, node_id: int) -> int:
-        """Reconstruct every block the given node held, placing the
-        replacements on other nodes.  Returns the number of blocks
-        rebuilt.  (Runs the simulation.)"""
-        return self._run(self.recover_node_process(node_id))
+    def _pick_rescue_node(self, holder_ids: set[int], lost_node_id: int, reachable_from: int):
+        """A node the coordinator ``reachable_from`` delivers to, to host
+        rebuilt blocks, preferring non-holders.
 
-    def recover_node_process(self, node_id: int, metrics: QueryMetrics | None = None):
-        rebuilt = 0
-        for obj in self.objects.values():
-            touched = False
-            for placement in obj.stripes:
-                lost = [i for i, nid in enumerate(placement.node_ids) if nid == node_id]
-                if not lost:
-                    continue
-                rebuilt += len(lost)
-                touched = True
-                yield from self._rebuild_stripe(obj, placement, lost, metrics)
-            if touched:
-                self._republish_meta(obj)
-        return rebuilt
-
-    def _pick_rescue_node(
-        self, holder_ids: set[int], lost_node_id: int, reachable_from: int | None = None
-    ):
-        """An *alive* node to host rebuilt blocks, preferring non-holders.
-
-        With every node alive this matches the seed's choice (smallest
-        non-holder id, else the lost node's successor); a dead candidate
-        is never picked — repaired data must land on reachable nodes.
-        ``reachable_from`` additionally excludes nodes the network would
-        not deliver to from the repairing coordinator.
+        With every node reachable this is the smallest non-holder id,
+        else the lost node's successor; repaired data never lands on a
+        dead or cut-off node.
         """
-
-        def eligible(nid: int) -> bool:
-            return self.cluster.delivers(nid if reachable_from is None else reachable_from, nid)
-
         for nid in range(self.cluster.num_nodes):
-            if nid not in holder_ids and eligible(nid):
+            if nid not in holder_ids and self.cluster.delivers(reachable_from, nid):
                 return self.cluster.node(nid)
         for step in range(1, self.cluster.num_nodes + 1):
             nid = (lost_node_id + step) % self.cluster.num_nodes
-            if eligible(nid):
+            if self.cluster.delivers(reachable_from, nid):
                 return self.cluster.node(nid)
         raise RuntimeError("no alive node available to host rebuilt blocks")
-
-    def _rebuild_stripe(
-        self, obj, placement: StripePlacement, lost, metrics: QueryMetrics | None = None
-    ):
-        """Gather surviving shards, RS-decode, re-encode, re-place lost ones."""
-        return traced(
-            self.sim,
-            self._rebuild_stripe_body(obj, placement, lost, metrics),
-            "repair_stripe", "store", obj=obj.name, stripe=placement.stripe_id,
-        )
-
-    def _rebuild_stripe_body(
-        self, obj, placement: StripePlacement, lost, metrics: QueryMetrics | None = None
-    ):
-        k = self.config.code.k
-        block_ids = placement.block_ids
-        rescue = self._pick_rescue_node(
-            set(placement.node_ids), placement.node_ids[lost[0]]
-        )
-        shards = yield from self._gather_shards(placement, rescue, metrics, skip=lost)
-        recovered = decode_stripe(self.config.code, shards, placement.data_sizes)
-        all_blocks = encode_stripe(self.config.code, recovered).shards()
-        for i in lost:
-            payload = all_blocks[i]
-            if i < k and payload.size == 0:
-                # An empty bin holds no bytes: it just follows the rescue.
-                placement.node_ids[i] = rescue.node_id
-                continue
-            if self._rewrite_mismatch(placement, i, payload):
-                continue
-            # Bytes land, then the map points at them (module docstring).
-            yield from rescue.disk.write(self.config.scaled(payload.size), metrics)
-            rescue.put_block(block_ids[i], payload)
-            self._relocate_block(obj, placement, i, rescue.node_id)
-            self._invalidate_block(obj, placement, i)
 
     def _rewrite_mismatch(self, placement: StripePlacement, i: int, payload) -> bool:
         """Reconstructed block payload fails its Put-time CRC: refuse to
@@ -1336,9 +1276,7 @@ class StoreKernel:
         block_ids = placement.block_ids
         coordinator = self.cluster.coordinator_for(obj.name)
 
-        shards = yield from self._gather_shards(placement, coordinator, metrics)
-        yield from self._charge_decode(coordinator, shards, metrics)
-        bad, all_blocks = localise_stripe(self.config.code, shards, placement.data_sizes)
+        bad, all_blocks = yield from self._localised_codeword(placement, coordinator, metrics)
         if bad:
             # The rewrite ends in a republish: refuse before touching a
             # block, so a deferred pass leaves the stripe as it found it
@@ -1457,9 +1395,9 @@ class StoreKernel:
     ):
         """Process: land a copy of stripe position ``i`` on node ``dst``.
 
-        Reads from the source when it is up, else reconstructs the block
-        at the coordinator from the surviving shards (the same erasure
-        path as a degraded read).  Returns False when no copy could be
+        Reads from the source when it is up, else rebuilds the block at
+        the coordinator (:meth:`_recover_shard`, the checksum-guided
+        recovery of a degraded read).  Returns False when no copy could be
         made (the network refused the copy, too few shards): the caller
         drops the intent and a later run retries.
         """
@@ -1470,7 +1408,7 @@ class StoreKernel:
             payload = yield from src_node.read_block(bid, self.config.size_scale, metrics)
         else:
             sender = coordinator
-            payload = yield from self._reconstruct_shard(placement, i, coordinator, metrics)
+            payload = yield from self._recover_shard(placement, i, coordinator, metrics)
             if payload is None:
                 return False
         try:
@@ -1482,17 +1420,6 @@ class StoreKernel:
         yield from dst_node.disk.write(self.config.scaled(payload.size), metrics)
         dst_node.put_block(bid, payload)
         return True
-
-    def _reconstruct_shard(self, placement, i, coordinator, metrics):
-        """Process: rebuild stripe position ``i`` at the coordinator from
-        the surviving shards it can reach; None when fewer than k are."""
-        shards = yield from self._gather_shards(placement, coordinator, metrics, skip=(i,))
-        yield from self._charge_decode(coordinator, shards, metrics)
-        try:
-            recovered = decode_stripe(self.config.code, shards, placement.data_sizes)
-        except DecodeError:
-            return None
-        return encode_stripe(self.config.code, recovered).shards()[i]
 
     def stripes_of(self, name: str) -> list[int]:
         """Stripe ids of one object (repair-manager iteration helper)."""

@@ -87,15 +87,6 @@ def localise_stripe(
     )
 
 
-def find_bad_shards(
-    params: CodeParams,
-    shards: list[np.ndarray | None],
-    data_sizes: list[int],
-) -> set[int]:
-    """The positions :func:`localise_stripe` finds, without the codeword."""
-    return localise_stripe(params, shards, data_sizes)[0]
-
-
 @dataclass
 class RepairReport:
     """What one repair run did, and what it cost."""

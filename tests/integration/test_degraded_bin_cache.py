@@ -61,15 +61,16 @@ def _two_lost_bins(kind: str):
     return store, cluster, stream, encoded(), placement, lost
 
 
-def _count_decodes(monkeypatch) -> list[int]:
+def _count_calls(monkeypatch, name: str) -> list[int]:
+    """Count the kernel's calls of its module-level function ``name``."""
     calls: list[int] = []
-    decode = kernel.decode_stripe
+    function = getattr(kernel, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return decode(*args, **kwargs)
+        return function(*args, **kwargs)
 
-    monkeypatch.setattr(kernel, "decode_stripe", counted)
+    monkeypatch.setattr(kernel, name, counted)
     return calls
 
 
@@ -86,7 +87,7 @@ def _lost_bins(store) -> list[tuple[int, int]]:
 @pytest.mark.parametrize("kind", ["fusion", "baseline"])
 def test_get_decodes_each_degraded_stripe_once(kind, monkeypatch):
     store, _cluster, stream, data, _placement, _lost = _two_lost_bins(kind)
-    decodes = _count_decodes(monkeypatch)
+    decodes = _count_calls(monkeypatch, "decode_stripe")
     lost = _lost_bins(store)
     metrics = QueryMetrics()
     assert store._run(store.get_process("tbl", metrics)) == data
@@ -105,7 +106,8 @@ def test_siblings_of_a_wrong_reconstruction_are_never_served(monkeypatch):
     cluster.node(placement.node_ids[c]).corrupt_block(
         placement.block_ids[c], offset=0, length=placement.data_sizes[c]
     )
-    decodes = _count_decodes(monkeypatch)
+    decodes = _count_calls(monkeypatch, "decode_stripe")
+    localisations = _count_calls(monkeypatch, "localise_stripe")
     coordinator = cluster.coordinator_for("tbl")
     obj = store.objects["tbl"]
 
@@ -122,13 +124,15 @@ def test_siblings_of_a_wrong_reconstruction_are_never_served(monkeypatch):
     assert metrics.checksum_failures == 1  # the decode was caught wrong
     assert chunk_checksum(got_a) == placement.checksum(a)  # and recovered
     assert placement.block_ids[b] not in store._degraded_bin_cache
+    assert len(localisations) == 1
     before = len(decodes)
     metrics = QueryMetrics()
     got_b = read(b, metrics)
     # Decoded afresh (wrong again, still gathering ``c``) and then
-    # recovered with ``c`` localised: two decodes.  A cached sibling
-    # would have skipped the first.
-    assert len(decodes) == before + 2
+    # recovered from the codeword with ``c`` localised.  A cached
+    # sibling would have skipped the decode.
+    assert len(decodes) == before + 1
+    assert len(localisations) == 2
     assert metrics.checksum_failures == 1
     assert chunk_checksum(got_b) == placement.checksum(b)
 

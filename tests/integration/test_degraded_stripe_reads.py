@@ -164,17 +164,6 @@ def test_degraded_reads_during_and_after_the_pass_queue_the_hint_again(store_cls
     assert hint in cluster.read_repairs
 
 
-@STORES
-def test_recover_node_consumes_no_hint(store_cls):
-    store, cluster, data = _loaded(store_cls)
-    victim = _victim(store)
-    cluster.fail_node(victim, wipe=True)
-    assert store.get("tbl") == data
-    hints = _hints(cluster)
-    assert store.recover_node(victim) > 0
-    assert sorted(_hints(cluster)) == sorted(hints)
-
-
 # -- the Get reads a reconstructed stripe through its gather --------------
 
 
