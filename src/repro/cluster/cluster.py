@@ -8,6 +8,7 @@ selected by the hash of the object name (Section 5 of the paper).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass, field
@@ -29,6 +30,13 @@ class ClusterConfig:
     disk: DiskConfig = field(default_factory=DiskConfig)
     cpu: CpuConfig = field(default_factory=CpuConfig)
     placement_seed: int = 17
+
+
+@functools.lru_cache(maxsize=4096)
+def _name_hash(object_name: str) -> int:
+    """The 64-bit hash a request for ``object_name`` routes by.  Memoised:
+    every request, and every stripe a repair rewrites, asks for it."""
+    return int.from_bytes(hashlib.sha256(object_name.encode("utf-8")).digest()[:8], "big")
 
 
 class Cluster:
@@ -267,8 +275,7 @@ class Cluster:
         """
         if self.membership is not None:
             return self.membership.coordinator_for(object_name)
-        digest = hashlib.sha256(object_name.encode("utf-8")).digest()
-        slot = int.from_bytes(digest[:8], "big") % len(self.nodes)
+        slot = _name_hash(object_name) % len(self.nodes)
         for step in range(len(self.nodes)):
             node = self.nodes[(slot + step) % len(self.nodes)]
             if node.alive:

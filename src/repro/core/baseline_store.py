@@ -29,6 +29,7 @@ from repro.core import engine
 from repro.core.fixed import FixedLayout, build_fixed_layout
 from repro.core.kernel import (
     ObjectNotFound,
+    PublishedStripes,
     PutReport,
     StoreKernel,
     StripePlacement,
@@ -48,7 +49,7 @@ __all__ = ["BaselineStore", "ObjectNotFound", "PutReport", "StoredFixedObject"]
 
 
 @dataclass
-class StoredFixedObject:
+class StoredFixedObject(PublishedStripes):
     """Placement record for one object striped into fixed blocks."""
 
     #: Layout stamp on WAL records, metadata replicas, migration intents
@@ -80,10 +81,14 @@ class StoredFixedObject:
     def parity_block_id(self, stripe: int, j: int) -> str:
         return f"{self.name}/s{stripe}/p{j}"
 
-    def snapshot(self) -> "StoredFixedObject":
+    def snapshot(self, stripes: list[StripePlacement] | None = None) -> "StoredFixedObject":
         """Copy for a metadata replica: shares the immutable footer and
-        layout, never the stripe records repair mutates."""
-        return dataclasses.replace(self, stripes=[p.copy() for p in self.stripes])
+        layout, never the stripe records repair mutates.  ``stripes`` are
+        the stripe-record copies it holds (default: a fresh copy of
+        each)."""
+        return dataclasses.replace(
+            self, stripes=[p.copy() for p in self.stripes] if stripes is None else stripes
+        )
 
     # Layout hooks of the kernel (see its module docstring).
 
@@ -305,9 +310,9 @@ class BaselineStore(StoreKernel):
         if i < self.config.code.k:
             self._degraded_bin_cache.pop(placement.data_block_ids[i])
             # Chunks straddle blocks, so decoded values keyed by
-            # (rg, col) cannot be mapped back to one block cheaply:
-            # evict the whole object (repair is rare).
-            self._decode_cache.evict_where(lambda key: key[0] == obj.name)
+            # (rg, col) are not mapped back to one block: evict the
+            # object's group, which costs its own entries alone.
+            self._decode_cache.evict_group(obj.name)
 
     # -- Query -----------------------------------------------------------------
 

@@ -27,8 +27,9 @@ layout is therefore asked of the object:
 * ``block_moved(block_id, node_id)`` - FAC rewrites its ``LocationMap``
   entries, the fixed layout has nothing to follow;
 * ``dangling_locations()`` - fsck's location-map leg (empty for fixed);
-* ``snapshot()`` and ``replica_nodes`` - the deep copy a metadata
-  replica holds, and where the replicas live.
+* ``snapshot(stripes)`` and ``replica_nodes`` - the copy a metadata
+  replica holds (with the stripe-record copies the kernel hands it,
+  :meth:`StoreKernel._meta_snapshot`), and where the replicas live.
 
 A store built on the kernel supplies its own policy - ``_put_body`` (FAC
 bins vs. fixed cuts), ``_get_body`` and ``_query_body`` with their
@@ -64,6 +65,7 @@ each:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -177,6 +179,19 @@ class StripePlacement:
         )
 
 
+@dataclass
+class PublishedStripes:
+    """Base of the stored-object classes: the copy-on-write state of
+    their metadata snapshots (:meth:`StoreKernel._meta_snapshot`).  The
+    stripe-record copies the last snapshot holds, and the ids of the
+    stripes relocated since (:meth:`StoreKernel._relocate_block`)."""
+
+    published_stripes: list[StripePlacement] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    moved_stripes: set[int] = field(default_factory=set, init=False, repr=False, compare=False)
+
+
 _EMPTY = np.zeros(0, dtype=np.uint8)
 
 #: LRU bounds (entries) of the real-bytes memo caches: decoded column
@@ -186,6 +201,14 @@ _EMPTY = np.zeros(0, dtype=np.uint8)
 #: stripe, whatever the cache holds), so a small cache suffices.
 DECODE_CACHE_ENTRIES = 512
 DEGRADED_CACHE_ENTRIES = 64
+
+
+def block_owner(block_id: str) -> str:
+    """The object a block id belongs to.  Ids are ``<name>/b<i>`` (a
+    fixed data block) or ``<name>/s<i>/<d|p><j>``, and a name may hold
+    ``/`` itself, so the owner is cut off from the right."""
+    head, _, last = block_id.rpartition("/")
+    return head if last.startswith("b") else head.rpartition("/")[0]
 
 
 def span_intact(lo: int, hi: int, crc: int):
@@ -237,11 +260,15 @@ class StoreKernel:
         # the same chunk for every simulated query would only burn real
         # wall-clock in benchmarks.  Every cache holds real bytes only
         # (simulated costs are charged whatever it holds), is bounded by
-        # a small LRU, is keyed by object name first, and is invalidated
-        # on put/delete so a reused name never serves stale values.
-        self._decode_cache: LruDict[tuple, np.ndarray] = LruDict(DECODE_CACHE_ENTRIES)
+        # a small LRU, is grouped by object name, and is invalidated on
+        # put/delete so a reused name never serves stale values.
+        self._decode_cache: LruDict[tuple, np.ndarray] = LruDict(
+            DECODE_CACHE_ENTRIES, group=itemgetter(0)
+        )
         # Degraded-read reconstruction cache: block id -> recovered block.
-        self._degraded_bin_cache: LruDict[str, np.ndarray] = LruDict(DEGRADED_CACHE_ENTRIES)
+        self._degraded_bin_cache: LruDict[str, np.ndarray] = LruDict(
+            DEGRADED_CACHE_ENTRIES, group=block_owner
+        )
         # Degraded gathers of the requests in flight: id of the request's
         # metrics -> (object name, stripe id) -> _SharedGather.  Each
         # table lives exactly as long as its Get or query.
@@ -328,10 +355,10 @@ class StoreKernel:
         return usable < self.config.code.k
 
     def _invalidate_object_caches(self, name: str) -> None:
-        """Drop every cached artefact derived from object ``name``."""
-        self._decode_cache.evict_where(lambda key: key[0] == name)
-        # Block ids are "<name>/b<i>" or "<name>/s<i>/<d|p><j>".
-        self._degraded_bin_cache.evict_where(lambda bid: bid.startswith(name + "/"))
+        """Drop every cached artefact derived from object ``name``, at
+        the cost of that object's entries alone (cache groups)."""
+        self._decode_cache.evict_group(name)
+        self._degraded_bin_cache.evict_group(name)
 
     # -- Put / Get / Query: run-the-sim and admission wrappers -------------------
 
@@ -651,14 +678,28 @@ class StoreKernel:
     # -- Metadata replicas ------------------------------------------------------
 
     def _meta_snapshot(self, obj) -> MetaReplica:
-        """Deep snapshot of the object's durable metadata for a replica
-        node — never aliases live placement state, so repair mutations
-        do not bleed into already-published replicas."""
+        """Snapshot of the object's durable metadata for a replica node.
+        It never aliases live placement state, so repair mutations do not
+        bleed into already-published replicas.
+
+        Copy-on-write: a replica is never mutated, so a stripe record
+        unchanged since the object's previous snapshot shares that
+        snapshot's copy, and a republish after one stripe's repair copies
+        that stripe alone."""
+        published = obj.published_stripes
+        if published is None:
+            stripes = [p.copy() for p in obj.stripes]
+        else:
+            stripes = list(published)
+            for sid in obj.moved_stripes:
+                stripes[sid] = obj.stripes[sid].copy()
+        obj.moved_stripes.clear()
+        obj.published_stripes = stripes
         return MetaReplica(
             object_name=obj.name,
             epoch=obj.meta_epoch,
             store_kind=obj.kind,
-            payload={"object": obj.snapshot()},
+            payload={"object": obj.snapshot(stripes)},
         )
 
     def _republish_meta(self, obj) -> None:
@@ -1228,9 +1269,11 @@ class StoreKernel:
 
     def _relocate_block(self, obj, placement: StripePlacement, i: int, node_id: int) -> None:
         """Point the placement (and whatever finer map the layout keeps)
-        at the node now holding stripe position ``i``."""
+        at the node now holding stripe position ``i``; the object's next
+        metadata snapshot copies this stripe afresh."""
         placement.node_ids[i] = node_id
         obj.block_moved(placement.block_ids[i], node_id)
+        obj.moved_stripes.add(placement.stripe_id)
 
     def repair_stripe_process(
         self, name: str, stripe_id: int, metrics: QueryMetrics | None = None
@@ -1340,7 +1383,7 @@ class StoreKernel:
                 continue  # no home to move, or already in place
             if i < k and placement.data_sizes[i] == 0:
                 # Empty data bins were never written: pure metadata move.
-                placement.node_ids[i] = dst
+                self._relocate_block(obj, placement, i, dst)
                 relocated = True
                 continue
             if not self.cluster.node(dst).alive:

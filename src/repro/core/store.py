@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import ClassVar
 
 import numpy as np
@@ -32,7 +33,13 @@ from repro.core.cache import LruDict
 from repro.core.config import OP_REQUEST_BYTES, SCALAR_RESULT_BYTES, StoreConfig
 from repro.core.cost_model import PushdownCostEstimator
 from repro.core.fac import construct_stripes
-from repro.core.kernel import DECODE_CACHE_ENTRIES, PutReport, StripePlacement, span_intact
+from repro.core.kernel import (
+    DECODE_CACHE_ENTRIES,
+    PublishedStripes,
+    PutReport,
+    StripePlacement,
+    span_intact,
+)
 from repro.core.scatter_gather import SHED, RemoteOp, execute_remote_ops
 from repro.core.layout import ChunkItem, StripeLayout
 from repro.core.location_map import ChecksumError, ChunkLocation, LocationMap, chunk_checksum
@@ -53,7 +60,7 @@ __all__ = ["FusionStore", "StoredFusionObject", "StripePlacement"]
 
 
 @dataclass
-class StoredFusionObject:
+class StoredFusionObject(PublishedStripes):
     """Everything Fusion remembers about one object."""
 
     #: Layout stamp on WAL records, metadata replicas, migration intents
@@ -73,6 +80,11 @@ class StoredFusionObject:
     #: republish (repair relocations), so recovery's quorum read can
     #: prefer the newest surviving snapshot.
     meta_epoch: int = 0
+    #: Data block id -> (stripe record, bin index, keys of the chunks in
+    #: the bin), built on first use (:meth:`_bin`).
+    _bins: dict[str, tuple[StripePlacement, int, list[tuple[int, int]]]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def replica_nodes(self) -> tuple[int, ...]:
@@ -84,9 +96,11 @@ class StoredFusionObject:
     def replica_nodes(self, nodes: tuple[int, ...]) -> None:
         self.location_map.replica_nodes = nodes
 
-    def snapshot(self) -> "StoredFusionObject":
+    def snapshot(self, stripes: list[StripePlacement] | None = None) -> "StoredFusionObject":
         """Copy for a metadata replica: shares the immutable footer and
-        layout, never the stripe records or the map repair mutates."""
+        layout, never the stripe records or the map repair mutates.
+        ``stripes`` are the stripe-record copies it holds (default: a
+        fresh copy of each)."""
         return dataclasses.replace(
             self,
             location_map=LocationMap(
@@ -94,25 +108,46 @@ class StoredFusionObject:
                 entries=self.location_map.snapshot(),
                 replica_nodes=tuple(self.location_map.replica_nodes),
             ),
-            stripes=[p.copy() for p in self.stripes],
+            stripes=[p.copy() for p in self.stripes] if stripes is None else stripes,
         )
+
+    def _bin(self, block_id: str):
+        """The bin index entry of data block ``block_id``, or None (a
+        parity id, or no block of this object).  The stripe records and
+        the map's keys never change after Put (a move rewrites entries
+        in place), so the index is built once."""
+        if self._bins is None:
+            bins = self._bins = {
+                bid: (placement, j, [])
+                for placement in self.stripes
+                for j, bid in enumerate(placement.data_block_ids)
+            }
+            for key, loc in self.location_map.entries.items():
+                if loc.block_id in bins:  # fsck reports the others
+                    bins[loc.block_id][2].append(key)
+        return self._bins.get(block_id)
+
+    def chunk_keys(self, block_id: str) -> list[tuple[int, int]]:
+        """Location-map keys of the chunks stored in block ``block_id``
+        (none for a parity block)."""
+        found = self._bin(block_id)
+        return found[2] if found is not None else []
 
     # Layout hooks of the kernel (see its module docstring).
 
     def locate_block(self, block_id: str) -> tuple[StripePlacement, int]:
         """The stripe record and bin index holding ``block_id``."""
-        for placement in self.stripes:
-            if block_id in placement.data_block_ids:
-                return placement, placement.data_block_ids.index(block_id)
-        raise KeyError(f"object {self.name!r} has no data block {block_id!r}")
+        found = self._bin(block_id)
+        if found is None:
+            raise KeyError(f"object {self.name!r} has no data block {block_id!r}")
+        return found[0], found[1]
 
     def block_moved(self, block_id: str, node_id: int) -> None:
         """Point the location-map entries of a moved data bin at the node
         now holding it (parity ids match no entry)."""
         entries = self.location_map.entries
-        for key, loc in list(entries.items()):
-            if loc.block_id == block_id:
-                entries[key] = dataclasses.replace(loc, node_id=node_id)
+        for key in self.chunk_keys(block_id):
+            entries[key] = dataclasses.replace(entries[key], node_id=node_id)
 
     def dangling_locations(self) -> list[str]:
         """fsck's location-map leg: entries inconsistent with the stripe
@@ -150,7 +185,7 @@ class FusionStore(BaselineStore):
         # Page-index cache for node-local page skipping (invalidated with
         # the kernel's decode and degraded-read caches).
         self._page_index_cache: LruDict[tuple[str, tuple[int, int]], list] = LruDict(
-            DECODE_CACHE_ENTRIES
+            DECODE_CACHE_ENTRIES, group=itemgetter(0)
         )
 
     def _node_pressured(self, node) -> bool:
@@ -167,7 +202,7 @@ class FusionStore(BaselineStore):
 
     def _invalidate_object_caches(self, name: str) -> None:
         super()._invalidate_object_caches(name)
-        self._page_index_cache.evict_where(lambda key: key[0] == name)
+        self._page_index_cache.evict_group(name)
 
     def _page_fraction(self, obj_name: str, meta: ColumnChunkMeta, op, data) -> float:
         """Fraction of the chunk's rows in pages the filter can match."""
@@ -1073,10 +1108,9 @@ class FusionStore(BaselineStore):
             return
         block_id = placement.block_ids[i]
         self._degraded_bin_cache.pop(block_id)
-        for key, loc in obj.location_map.entries.items():
-            if loc.block_id == block_id:
-                self._decode_cache.pop((obj.name, key))
-                self._page_index_cache.pop((obj.name, key))
+        for key in obj.chunk_keys(block_id):
+            self._decode_cache.pop((obj.name, key))
+            self._page_index_cache.pop((obj.name, key))
 
     def chunk_nodes(self, name: str) -> dict[tuple[int, int], int]:
         """Which node holds each chunk (for placement assertions in tests)."""
