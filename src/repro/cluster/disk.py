@@ -42,8 +42,17 @@ class Disk:
         """The FIFO device queue (admission control bounds this)."""
         return self._device
 
-    def read(self, nbytes: int, query: m.QueryMetrics | None = None, _op: str = "disk.read"):
+    def read(
+        self,
+        nbytes: int,
+        query: m.QueryMetrics | None = None,
+        _op: str = "disk.read",
+        requests: int = 1,
+    ):
         """Process: read ``nbytes`` from the device (FIFO queued).
+
+        ``requests`` reads served in one hold (a batched exchange) each
+        pay the access latency; the bytes stream at the bandwidth.
 
         Raises :class:`~repro.cluster.simcore.QueueFull` when the device
         queue is admission-bounded and refuses the request; internal
@@ -62,7 +71,9 @@ class Disk:
                     priority, tenant=tenant, cost=float(max(nbytes, 1))
                 )
             ):
-                duration = self.config.access_latency_s + nbytes / self.config.bandwidth_bps
+                duration = (
+                    self.config.access_latency_s * requests + nbytes / self.config.bandwidth_bps
+                )
                 yield self.sim.timeout(duration * self.slow_factor * self.gray_factor)
         except QueueFull:
             if span is not None:
@@ -74,6 +85,6 @@ class Disk:
         if query is not None:
             query.add(m.DISK, self.sim.now - start)
 
-    def write(self, nbytes: int, query: m.QueryMetrics | None = None):
+    def write(self, nbytes: int, query: m.QueryMetrics | None = None, requests: int = 1):
         """Process: write ``nbytes`` (same device model as a read)."""
-        yield from self.read(nbytes, query, _op="disk.write")
+        yield from self.read(nbytes, query, _op="disk.write", requests=requests)

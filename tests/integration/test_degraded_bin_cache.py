@@ -107,7 +107,7 @@ def test_siblings_of_a_wrong_reconstruction_are_never_served(monkeypatch):
         placement.block_ids[c], offset=0, length=placement.data_sizes[c]
     )
     decodes = _count_calls(monkeypatch, "decode_stripe")
-    localisations = _count_calls(monkeypatch, "localise_stripe")
+    localisations = _count_calls(monkeypatch, "localise_stripes")
     coordinator = cluster.coordinator_for("tbl")
     obj = store.objects["tbl"]
 

@@ -4,7 +4,7 @@ A Get that reconstructs a stripe reads that stripe's survivors only
 through the (request, stripe) gather, and every lost stripe's gather
 rides the Get's one scatter-gather round (``StoreKernel._get_round``):
 one exchange per node, however many stripes it serves.  A repair pass over a stripe answers the read-repair hint a degraded read
-queued for it (``StoreKernel._repair_stripe_body``): the drain after
+queued for it (``StoreKernel.repair_stripes_process``): the drain after
 ``repair_node`` finds nothing left to re-read.
 """
 
@@ -122,7 +122,7 @@ def test_queue_full_deferred_pass_keeps_its_hint(store_cls, monkeypatch):
         raise QueueFull("background repair refused")
         yield  # a process
 
-    monkeypatch.setattr(store, "_gather_shards", refused)
+    monkeypatch.setattr(store, "_gather_exchange", refused)
     deferred = RepairManager(store).repair_node(victim)
     assert deferred.stripes_deferred >= len(hints) and deferred.blocks_repaired == 0
     assert sorted(_hints(cluster)) == sorted(hints)

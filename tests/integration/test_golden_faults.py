@@ -104,18 +104,27 @@ SQL = "SELECT id, price FROM {} WHERE qty < 5"
 #: it gathers at the coordinator, charges the decode, rewrites through
 #: the coordinator and reports a ``RepairReport``, so the rescue nodes,
 #: the step's duration and every later event moved.  WAL records did not.
+#: Both stores' streams, placement state and reports were re-pinned by the
+#: declared model change that repairs in rounds
+#: (``REPAIR_ROUND_STRIPES``): one gather exchange per (source node,
+#: coordinator), one write per (coordinator, holder) and one republish
+#: per object per round, and scrub gathers an object in one round.  Every
+#: repair and scrub step ends sooner, so every later step starts earlier;
+#: the placement state moved only in its metadata epochs (one republish
+#: per object per round, not per stripe) - every block sits on the node it
+#: sat on before.  WAL records did not move.
 GOLDEN = {
     "fusion": (
-        "9bd08ba0bc1a2f25aff5f3164d72112ddb36be506fe687c86b55317516a06e7a",
+        "aeddae9038e40365271d0af6154d377843ad7f18c40e1af7b09a32f53cc44625",
         "ddb9c54427c1211b7c643c5e7de63f30777ead712671bec629fbb45a805f8127",
-        "de0a55926b6d5932e9a85159ef848b94008594f5d4485db069f1f0bb111eff27",
-        "879ed2c4a0d923f8ca6142acbfc94304ac020fe1f7506acf6c754ed5aef8c95e",
+        "bfb60028ac80c3a3a871fffff484890fe8d3681d3d3246c5fc54d983d040dfcc",
+        "4a01542cbd73565d565c3a8c7eadd26846c081982282037ae5bd19ab42d0477c",
     ),
     "baseline": (
-        "293ac74052a7d3e70df5fbc9c849b7a6b2811cf855a2085866c6bf1911deeaeb",
+        "3195d06b869b90deb2adc4a121f1137d4df48fb39db275e389db6c10252d950e",
         "d14fa0088f41003b45d457fd9e53321a80e1b84e4ba391d219356251b2a10d07",
-        "4cf548d8058ba51dc0baaf5f8ad65f54de56f77eef99bcfe48770c91a3658666",
-        "9fc9c6877251832f81ea73b71417e94c760a2ddf810e178fe7372f5977cbe5d7",
+        "e430acee36b90e3e46ded771a306e57f4e1284caabd99665cb0208e8b01a6147",
+        "32213c63efacde000ad2ffad787d41601b33c723f016c739ea2ad44cb2164201",
     ),
 }
 
