@@ -5,22 +5,26 @@ replaced: a matmul that plans its rows on every call, and the decode ->
 re-encode -> compare stripe check.  The memoised matmul must equal the
 scalar ``gf_matmul``, and ``stripe_codeword`` - through ``localise_stripe``
 and ``check_stripe`` - must accept and reject exactly the stripes the
-reference does, and return the same codeword.
+reference does, and return the same codeword.  A repair round's batched
+solve (``stripe_codewords``, and ``localise_stripes`` over it) must give
+every stripe of a batch what the one-stripe functions give it alone.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.repair import RepairError, localise_stripe
+from repro.core.repair import RepairError, localise_stripe, localise_stripes
 from repro.core.scrub import check_stripe
 from repro.ec import RS_9_6, CodeParams, encode_stripe, gf256
-from repro.ec.stripe import stripe_codeword
+from repro.ec import stripe as stripe_module
+from repro.ec.stripe import stripe_codeword, stripe_codewords
 from tests.ec import _ec_reference as ref
 
 CODES = [RS_9_6, CodeParams(5, 3), CodeParams(6, 4)]
@@ -138,6 +142,85 @@ class TestStripeCodeword:
         for i in (0, 7):
             assert codeword[i].base is None
         assert np.array_equal(codeword[0], data[0])
+
+
+@st.composite
+def round_stripe(draw, params: CodeParams):
+    """One stripe of a repair round: zero-size and odd-width data
+    positions, 0 to n - k + 1 missing positions, maybe a one-byte
+    corruption of a readable shard and maybe a shard of the wrong
+    length."""
+    n, k = params.n, params.k
+    sizes = draw(
+        st.lists(st.integers(0, 24), min_size=k, max_size=k).filter(lambda s: max(s) > 0)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = [rng.integers(0, 256, size, dtype=np.uint8) for size in sizes]
+    shards: list = encode_stripe(params, data).shards()
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=params.parity + 1)):
+        shards[i] = None
+    readable = [i for i, s in enumerate(shards) if s is not None and s.size]
+    if readable and draw(st.booleans()):
+        i = draw(st.sampled_from(readable))
+        shard = shards[i] = shards[i].copy()
+        shard[draw(st.integers(0, shard.size - 1))] ^= draw(st.integers(1, 255))
+    present = [i for i, s in enumerate(shards) if s is not None]
+    if present and draw(st.integers(0, 5)) == 0:
+        i = draw(st.sampled_from(present))
+        shards[i] = np.append(shards[i], np.uint8(7))
+    return shards, sizes
+
+
+@st.composite
+def repair_rounds(draw):
+    """One code and 1 to 8 stripes of mixed widths, as one round; the
+    column bound of a batched solve is drawn too, so some rounds are
+    solved in several slices."""
+    params = draw(st.sampled_from(CODES))
+    stripes = draw(st.lists(round_stripe(params), min_size=1, max_size=8))
+    columns = draw(st.sampled_from([stripe_module._SOLVE_COLUMNS, 24, 50]))
+    return params, stripes, columns
+
+
+class TestRoundSolve:
+    @settings(max_examples=150, deadline=None)
+    @given(repair_rounds())
+    def test_batched_solve_matches_one_stripe_at_a_time(self, case):
+        params, stripes, columns = case
+        with mock.patch.object(stripe_module, "_SOLVE_COLUMNS", columns):
+            codewords = stripe_codewords(params, stripes)
+            localised = localise_stripes(params, stripes)
+        assert len(codewords) == len(localised) == len(stripes)
+        for (shards, sizes), got, outcome in zip(stripes, codewords, localised):
+            assert _same_codeword(got, stripe_codeword(params, shards, sizes))
+            want = _outcome(localise_stripe, params, shards, sizes)
+            if want is RepairError:
+                assert isinstance(outcome, RepairError)
+                continue
+            assert not isinstance(outcome, RepairError)
+            assert outcome[0] == want[0]
+            assert _same_codeword(outcome[1], want[1])
+
+    def test_a_stripe_beyond_the_code_fails_alone(self):
+        """More than n - k positions lost: that stripe has no codeword and
+        localises to a RepairError; its batch-mates are solved."""
+        params, sizes = RS_9_6, [40, 9, 0, 40, 3, 17]
+        rng = np.random.default_rng(5)
+        clean = encode_stripe(
+            params, [rng.integers(0, 256, size, dtype=np.uint8) for size in sizes]
+        ).shards()
+        lost = [None if i < params.parity + 1 else s for i, s in enumerate(clean)]
+        damaged = list(clean)
+        damaged[8] = None
+        stripes = [(lost, sizes), (damaged, sizes), (list(clean), sizes)]
+        codewords = stripe_codewords(params, stripes)
+        assert codewords[0] is None
+        assert all(_same_codeword(c, clean) for c in codewords[1:])
+        outcomes = localise_stripes(params, stripes)
+        assert isinstance(outcomes[0], RepairError)
+        with pytest.raises(RepairError):
+            localise_stripe(params, *stripes[0])
+        assert [outcome[0] for outcome in outcomes[1:]] == [{8}, set()]
 
 
 def _coefficient_matrix(draw, r: int, k: int) -> np.ndarray:
