@@ -209,12 +209,16 @@ class PartialResult:
     the query carries no aggregates or GROUP BY (dropping rows from
     those would be silently wrong rather than explicitly partial).
     ``result`` holds the rows that were assembled; ``shed_chunks``
-    counts the remote ops that were shed; ``reason`` says why.
+    counts the remote ops that were shed; ``reason`` says why.  A shed
+    chunk drops its whole row group: ``dropped_row_groups`` names them,
+    so ``result`` holds exactly the matching rows of the other row
+    groups.
     """
 
     result: object
     shed_chunks: int
     reason: str = "overload"
+    dropped_row_groups: tuple[int, ...] = ()
 
     @property
     def partial(self) -> bool:

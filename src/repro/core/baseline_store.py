@@ -386,7 +386,7 @@ class BaselineStore(StoreKernel):
             self.sim.tracer.finish(eval_span)
         if shed_ops:
             metrics.partial_results += 1
-            result = PartialResult(result, shed_ops)
+            result = PartialResult(result, shed_ops, dropped_row_groups=tuple(sorted(shed_rgs)))
         yield from self._return_result(coordinator, result, metrics)
         return result
 

@@ -688,7 +688,9 @@ class FusionStore(BaselineStore):
                 tracer.finish(projection_span, ops=len(ops))
             if shed_chunks:
                 metrics.partial_results += 1
-                result = PartialResult(result, shed_chunks)
+                result = PartialResult(
+                    result, shed_chunks, dropped_row_groups=tuple(sorted(shed_rgs))
+                )
 
         yield from self._return_result(coordinator, result, metrics)
         return result
@@ -745,7 +747,9 @@ class FusionStore(BaselineStore):
         )
         if shed_chunks:
             metrics.partial_results += 1
-            return PartialResult(result, shed_chunks)
+            return PartialResult(
+                result, shed_chunks, dropped_row_groups=tuple(sorted(shed_rgs))
+            )
         return result
 
     def _fused_op(self, obj, coordinator, op, meta: ColumnChunkMeta, type_, metrics) -> RemoteOp:

@@ -5,6 +5,7 @@ plus a crash converges back to full health (breakers closed, queries
 answering), and ``allow_partial_results`` trades shed chunks for a typed
 :class:`PartialResult` instead of a failure."""
 
+import numpy as np
 import pytest
 
 from repro.cluster import (
@@ -26,6 +27,7 @@ from repro.core import (
     StoreConfig,
 )
 from repro.format import write_table
+from repro.sql import execute_local
 from tests.conftest import make_small_table
 
 QUERIES = [
@@ -209,12 +211,30 @@ def test_partial_result_under_saturating_overload():
     """With tiny admission queues and a saturating storm on most of the
     data nodes, ``allow_partial_results`` turns shed scan chunks into a
     typed PartialResult (or a typed failure) — never an untyped error,
-    never a hang."""
+    never a hang.  A PartialResult holds exactly the answer over the row
+    groups it kept, and a full answer the answer over the table."""
+    _saturating_storm(FusionStore)
+
+
+def test_baseline_partial_result_under_saturating_overload():
+    """The fixed-block store's PartialResult names its dropped row groups
+    the same way."""
+    _saturating_storm(BaselineStore)
+
+
+def _saturating_storm(store_cls) -> None:
     table = make_small_table(num_rows=2500, seed=77)
-    data = write_table(table, row_group_rows=500)
+    group_rows = 500
+    data = write_table(table, row_group_rows=group_rows)
+
+    def kept_rows(dropped):
+        keep = [rg for rg in range(table.num_rows // group_rows) if rg not in dropped]
+        rows = [np.arange(rg * group_rows, (rg + 1) * group_rows) for rg in keep]
+        return table.take(np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64))
+
     sim = Simulator()
     cluster = Cluster(sim, ClusterConfig(num_nodes=12))
-    store = FusionStore(
+    store = store_cls(
         cluster,
         StoreConfig(
             size_scale=50.0,
@@ -235,14 +255,14 @@ def test_partial_result_under_saturating_overload():
 
     outcomes = {"ok": 0, "partial": 0, "controlled": 0}
     shed_chunks = 0
+    dropped: list[tuple[int, ...]] = []
 
     def client(cid):
         for qi in range(6):
             metrics = QueryMetrics()
+            sql = QUERIES[(cid + qi) % len(QUERIES)]
             try:
-                result = yield from store.query_process(
-                    QUERIES[(cid + qi) % len(QUERIES)], metrics
-                )
+                result = yield from store.query_process(sql, metrics)
             except (DeadlineExceeded, QueueFull, RemoteOpError):
                 outcomes["controlled"] += 1
             else:
@@ -252,8 +272,13 @@ def test_partial_result_under_saturating_overload():
                     shed_chunks += result.shed_chunks
                     assert result.partial
                     assert result.reason == "overload"
+                    assert result.dropped_row_groups
+                    dropped.append(result.dropped_row_groups)
+                    want = execute_local(sql, kept_rows(result.dropped_row_groups))
+                    assert result.result.equals(want), (sql, result.dropped_row_groups)
                 else:
                     outcomes["ok"] += 1
+                    assert result.equals(execute_local(sql, table)), sql
 
     def start_clients():
         # Let the storm bite first so foreground work meets full queues.
@@ -268,6 +293,7 @@ def test_partial_result_under_saturating_overload():
     # The storm really shed foreground work into partial answers.
     assert outcomes["partial"] > 0
     assert shed_chunks > 0
+    assert len(dropped) == outcomes["partial"]
     # Each shed *stage* counts, so the rollup is at least one per
     # client-visible PartialResult.
     assert cluster.metrics.partial_results >= outcomes["partial"]
