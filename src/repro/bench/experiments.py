@@ -1059,7 +1059,8 @@ def recovery_time() -> ExperimentResult:
         headers=["system", "blocks rebuilt", "recovery time (s)"],
         rows=rows,
         notes="Fusion uses conventional RS repair (paper Section 5): the "
-        "repair pass gathers each stripe's survivors and decodes once",
+        "repair pass rebuilds in rounds, one gather exchange per node and "
+        "one decode charge per coordinator",
         raw=raw,
     )
 

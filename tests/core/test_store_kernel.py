@@ -129,9 +129,9 @@ UNBENCHED_KNOBS = {
     # ROADMAP "One baseline read mode, chosen by the scorecard" picks the
     # baseline's one read mode and deletes this.
     "baseline_whole_block_reads",
-    # ROADMAP "One gather primitive for Get, query, repair and scrub"
-    # 5(c) paces RepairManager._repair_targets' bounded-concurrency
-    # rounds with it.
+    # Paces each round of RepairManager._repair_targets (ROADMAP "One
+    # gather primitive for Get, query, repair and scrub"); a throttled
+    # repair still has no bench, only test_throttled_repair_takes_longer.
     "repair_throttle_bps",
     # Set only to its default (on) here; tests switch it off.  ROADMAP
     # "StoreConfig describes the store" moves it out of StoreConfig with
