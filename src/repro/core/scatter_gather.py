@@ -60,10 +60,11 @@ every other in-flight child (nothing is orphaned) and raises the typed
 :class:`~repro.cluster.overload.DeadlineExceeded`.  Retry backoff is
 budgeted against the remaining deadline.  Admission
 rejections (:class:`~repro.cluster.simcore.QueueFull` from a bounded
-node queue) are counted, fed to the node's circuit breaker, and either
-retried/fallen back like failures or — in ``allow_shed`` mode for scan
-stages — resolved immediately to the :data:`SHED` sentinel so the store
-can return a typed partial result instead of failing.  Retry backoff
+node queue) are counted, fed to the node's circuit breaker, and never
+retried or reconstructed: in ``allow_shed`` mode (scan stages) the op
+resolves at once to the :data:`SHED` sentinel so the store can return a
+typed partial result, and in any other stage the stage raises a typed
+``QueueFull`` at once.  Retry backoff
 optionally carries seeded full-jitter (``rpc_retry_jitter``).  All of
 this is pure bookkeeping until it acts: runs where nothing trips are
 event-identical to runs without any of it.
@@ -277,9 +278,9 @@ def execute_remote_ops(
 
     With ``allow_shed`` set (scan stages under
     ``StoreConfig.allow_partial_results``), ops refused by admission
-    control resolve to :data:`SHED` instead of being retried or raising,
-    so the store can drop their chunks and answer partially rather than
-    amplify the overload.
+    control resolve to :data:`SHED`, so the store can drop their chunks
+    and answer partially rather than amplify the overload.  Without it,
+    a refused op raises :class:`QueueFull` once its round is in.
     """
     sim = cluster.sim
     results: list[object] = [None] * len(ops)
@@ -299,12 +300,16 @@ def execute_remote_ops(
         if deadlined or (deadline is not None and deadline.expired):
             _abort_deadline(cluster, metrics, scope, "round barrier")
         if rejected:
-            if allow_shed:
-                # Shedding beats amplifying: refused ops are dropped from
-                # the answer rather than retried into a saturated node.
-                shed.update(rejected)
-            else:
-                failed = sorted(failed + rejected)
+            # Shedding beats amplifying: a refused op is never retried
+            # into the node that refused it, nor rebuilt from k peers
+            # that are just as saturated.  It is dropped from the answer
+            # where the stage may shed, and surfaces typed otherwise.
+            if not allow_shed:
+                raise QueueFull(
+                    f"{len(rejected)} op(s) refused by admission control "
+                    f"{_where(ops, rejected)}"
+                )
+            shed.update(rejected)
         if not failed:
             break
         attempts += 1
@@ -355,12 +360,9 @@ def execute_remote_ops(
             exhausted = [i for i in exhausted if ops[i].fallback is not None]
             missing = []
         if missing:
-            nodes = sorted(
-                {ops[i].node.node_id for i in missing if ops[i].node is not None}
-            )
             raise RemoteOpError(
-                f"{len(missing)} remote op(s) failed permanently on node(s) "
-                f"{nodes} and had no degraded fallback"
+                f"{len(missing)} remote op(s) failed permanently "
+                f"{_where(ops, missing)} and had no degraded fallback"
             )
     if exhausted:
         if sim.tracer is not None:
@@ -399,6 +401,17 @@ def execute_remote_ops(
     for i in shed:
         results[i] = SHED
     return results
+
+
+def _where(ops, indices) -> str:
+    """Where the ops at ``indices`` ran: their nodes, and how many were
+    standalone degraded reads at the coordinator (they have no node)."""
+    nodes = sorted({ops[i].node.node_id for i in indices if ops[i].node is not None})
+    local = sum(1 for i in indices if ops[i].node is None)
+    where = [f"on node(s) {nodes}"] if nodes else []
+    if local:
+        where.append(f"in {local} degraded read(s) at the coordinator")
+    return " and ".join(where)
 
 
 def _run_round(cluster, coordinator, ops, indices, results, metrics, config, scope, deadline):
