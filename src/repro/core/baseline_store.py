@@ -28,6 +28,7 @@ from repro.cluster.simcore import all_of
 from repro.core import engine
 from repro.core.fixed import FixedLayout, build_fixed_layout
 from repro.core.kernel import (
+    DecodedChunk,
     ObjectNotFound,
     PublishedStripes,
     PutReport,
@@ -42,8 +43,8 @@ from repro.format.pages import decode_column_chunk
 from repro.format.reader import read_metadata
 from repro.obs.tracer import traced
 from repro.sql.ast_nodes import Query
+from repro.sql.bitmap import Bitmap
 from repro.sql.planner import plan as make_plan
-from repro.sql.predicate import eval_leaf
 
 __all__ = ["BaselineStore", "ObjectNotFound", "PutReport", "StoredFixedObject"]
 
@@ -352,24 +353,28 @@ class BaselineStore(StoreKernel):
             if self.sim.tracer is not None
             else None
         )
-        rg_selected: dict[int, np.ndarray] = {}
+        rg_selected: dict[int, Bitmap] = {}
         for rg in kept:
             num_rows = obj.metadata.row_groups[rg].num_rows
             leaf_bitmaps = []
             for op in physical.filter_ops:
                 check_deadline(metrics, "filter eval")
-                values = decoded[(rg, op.column)]
                 meta = obj.metadata.chunk(rg, op.column)
                 yield from coordinator.compute(
                     coordinator.scan_seconds(meta.plain_size, self.config.size_scale),
                     metrics,
                 )
-                leaf_bitmaps.append(eval_leaf(op.leaf, op.type, values))
-            rg_selected[rg] = physical.combine_bitmaps(leaf_bitmaps, num_rows)
+                leaf_bitmaps.append(decoded[(rg, op.column)].bitmap(op.leaf, op.type))
+            bits = physical.combine_bitmaps([b.bits for b in leaf_bitmaps], num_rows)
+            # A lone positive leaf is its own row-group bitmap, with its
+            # set positions remembered.
+            rg_selected[rg] = (
+                leaf_bitmaps[0] if leaf_bitmaps and bits is leaf_bitmaps[0].bits else Bitmap(bits)
+            )
 
         rg_projected: dict[tuple[int, str], np.ndarray] = {}
         for rg in kept:
-            indices = np.flatnonzero(rg_selected[rg])
+            indices = rg_selected[rg].indices()
             for col in physical.projection_columns:
                 check_deadline(metrics, "projection eval")
                 meta = obj.metadata.chunk(rg, col)
@@ -377,10 +382,10 @@ class BaselineStore(StoreKernel):
                     coordinator.scan_seconds(meta.plain_size, self.config.size_scale),
                     metrics,
                 )
-                rg_projected[(rg, col)] = decoded[(rg, col)][indices]
+                rg_projected[(rg, col)] = decoded[(rg, col)].values[indices]
 
         result = engine.assemble_result(
-            physical, obj.metadata, kept, rg_selected, rg_projected
+            physical, obj.metadata, kept, {rg: rg_selected[rg].bits for rg in kept}, rg_projected
         )
         if eval_span is not None:
             self.sim.tracer.finish(eval_span)
@@ -438,8 +443,8 @@ class BaselineStore(StoreKernel):
                     block_bytes[f.block_index][f.block_offset : f.block_offset + f.length]
                     for f in fragments
                 ]
-                cached = decode_column_chunk(
-                    parts[0] if len(parts) == 1 else b"".join(parts)
+                cached = DecodedChunk(
+                    decode_column_chunk(parts[0] if len(parts) == 1 else b"".join(parts))
                 )
                 self._decode_cache[cache_key] = cached
             yield from coordinator.compute(
@@ -497,8 +502,8 @@ class BaselineStore(StoreKernel):
             cache_key = (obj.name, rg, col)
             cached = self._decode_cache.get(cache_key)
             if cached is None:
-                cached = decode_column_chunk(
-                    parts[0] if len(parts) == 1 else b"".join(parts)
+                cached = DecodedChunk(
+                    decode_column_chunk(parts[0] if len(parts) == 1 else b"".join(parts))
                 )
                 self._decode_cache[cache_key] = cached
             return cached

@@ -1,7 +1,10 @@
 """A small LRU mapping for the stores' real-bytes memoisation caches.
 
-Both stores memoise decoded column-chunk values, page indexes and
-degraded-read reconstructions keyed by object name.  The cached values
+Both stores memoise decoded column-chunk values, page indexes (Fusion)
+and degraded-read reconstructions keyed by object name.  A decoded
+chunk's entry also remembers what each filter leaf selected in it (the
+selection memo, ``kernel.DecodedChunk``), so those selections share the
+entry's bound and every eviction.  The cached values
 carry *real* bytes only — every simulated cost is still charged per
 access — so the caches exist purely to save benchmark wall-clock.  They
 must therefore stay small (bounded LRU) and must be invalidated whenever

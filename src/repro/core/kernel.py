@@ -95,14 +95,17 @@ from repro.core.scatter_gather import RemoteOp, execute_remote_ops
 from repro.core.scrub import ScrubReport, check_stripe
 from repro.core.wal import MetaReplica, QuorumLost, WalRecord, WalWriter
 from repro.ec.stripe import decode_stripe, encode_stripe
+from repro.format.table import plain_size
 from repro.obs.audit import PushdownAuditLog
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeseries import install_telemetry
 from repro.obs.tracer import Tracer, traced
-from repro.sql.ast_nodes import Query
+from repro.sql.ast_nodes import Between, Comparison, InList, Query
+from repro.sql.bitmap import Bitmap
 from repro.sql.local import QueryResult
 from repro.sql.parser import parse
 from repro.sql.planner import PhysicalPlan, plan as make_plan
+from repro.sql.predicate import eval_leaf
 
 
 class ObjectNotFound(KeyError):
@@ -201,6 +204,66 @@ _EMPTY = np.zeros(0, dtype=np.uint8)
 #: stripe, whatever the cache holds), so a small cache suffices.
 DECODE_CACHE_ENTRIES = 512
 DEGRADED_CACHE_ENTRIES = 64
+#: Leaf selections one decoded chunk remembers; past it, the oldest goes.
+SELECTIONS_PER_CHUNK = 8
+
+
+def leaf_key(leaf) -> tuple:
+    """What a leaf's selection is remembered under: the leaf and the type
+    of each literal, since ``1``, ``1.0`` and ``True`` compare and hash
+    alike but need not select alike (or type-check at all)."""
+    if isinstance(leaf, Comparison):
+        literals = (leaf.value,)
+    elif isinstance(leaf, Between):
+        literals = (leaf.low, leaf.high)
+    elif isinstance(leaf, InList):
+        literals = leaf.values
+    else:
+        literals = ()
+    return (leaf, *map(type, literals))
+
+
+class DecodedChunk:
+    """A decode-cache entry: one chunk's decoded values, and what each
+    filter leaf evaluated over them selected.
+
+    The selections are real bytes derived from the values, so they live
+    and die with the entry: they share its LRU bound, its group and every
+    eviction.  A chunk is immutable once Put and every scan is charged
+    per op whatever is remembered, so a hit changes no simulated cost.
+    Remembered arrays are read-only: every later query shares them.
+    """
+
+    __slots__ = ("values", "_selections")
+
+    def __init__(self, values: np.ndarray) -> None:
+        self.values = values
+        # leaf_key -> [bitmap, (selected values, their plain size) | None]
+        self._selections: dict[tuple, list] = {}
+
+    def _selection(self, leaf, type_) -> list:
+        key = leaf_key(leaf)
+        selection = self._selections.get(key)
+        if selection is None:
+            bitmap = Bitmap(eval_leaf(leaf, type_, self.values))
+            bitmap.bits.flags.writeable = False
+            selection = self._selections[key] = [bitmap, None]
+            if len(self._selections) > SELECTIONS_PER_CHUNK:
+                del self._selections[next(iter(self._selections))]
+        return selection
+
+    def bitmap(self, leaf, type_) -> Bitmap:
+        """The rows of this chunk that ``leaf`` selects."""
+        return self._selection(leaf, type_)[0]
+
+    def selected(self, leaf, type_) -> tuple[np.ndarray, int]:
+        """The values ``leaf`` selects, and their plain size in bytes."""
+        selection = self._selection(leaf, type_)
+        if selection[1] is None:
+            values = self.values[selection[0].indices()]
+            values.flags.writeable = False
+            selection[1] = (values, plain_size(type_, values))
+        return selection[1]
 
 
 def block_owner(block_id: str) -> str:
@@ -262,7 +325,7 @@ class StoreKernel:
         # (simulated costs are charged whatever it holds), is bounded by
         # a small LRU, is grouped by object name, and is invalidated on
         # put/delete so a reused name never serves stale values.
-        self._decode_cache: LruDict[tuple, np.ndarray] = LruDict(
+        self._decode_cache: LruDict[tuple, DecodedChunk] = LruDict(
             DECODE_CACHE_ENTRIES, group=itemgetter(0)
         )
         # Degraded-read reconstruction cache: block id -> recovered block.

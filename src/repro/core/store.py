@@ -35,6 +35,7 @@ from repro.core.cost_model import PushdownCostEstimator
 from repro.core.fac import construct_stripes
 from repro.core.kernel import (
     DECODE_CACHE_ENTRIES,
+    DecodedChunk,
     PublishedStripes,
     PutReport,
     StripePlacement,
@@ -54,7 +55,7 @@ from repro.sql.ast_nodes import Aggregate, Query
 from repro.sql.bitmap import Bitmap
 from repro.sql.local import QueryResult
 from repro.sql.planner import PhysicalPlan, plan as make_plan
-from repro.sql.predicate import eval_leaf, leaf_may_match
+from repro.sql.predicate import leaf_may_match
 
 __all__ = ["FusionStore", "StoredFusionObject", "StripePlacement"]
 
@@ -222,13 +223,13 @@ class FusionStore(BaselineStore):
         )
         return candidate / meta.num_values
 
-    def _decode_cached(self, obj_name: str, meta: ColumnChunkMeta, data: np.ndarray) -> np.ndarray:
+    def _decoded_chunk(self, obj_name: str, meta: ColumnChunkMeta, data: np.ndarray) -> DecodedChunk:
         key = (obj_name, meta.key)
         cached = self._decode_cache.get(key)
         if cached is None:
             # The chunk view decodes in place; no bytes() copy on misses,
             # and hits never touch the payload at all.
-            cached = decode_column_chunk(data)
+            cached = DecodedChunk(decode_column_chunk(data))
             self._decode_cache[key] = cached
         return cached
 
@@ -516,16 +517,16 @@ class FusionStore(BaselineStore):
         )
         return bin_bytes[lo:hi]
 
-    def _degraded_chunk_values(
+    def _degraded_chunk(
         self, obj, meta: ColumnChunkMeta, loc, coordinator, metrics
     ):
-        """Degraded read plus decode-to-values at the coordinator."""
+        """Degraded read plus decode at the coordinator."""
         raw = yield from self._degraded_chunk_read(obj, loc, coordinator, metrics)
         yield from coordinator.compute(
             coordinator.decode_seconds(meta.size, meta.plain_size, self.config.size_scale),
             metrics,
         )
-        return self._decode_cached(obj.name, meta, raw)
+        return self._decoded_chunk(obj.name, meta, raw)
 
     # -- Query -----------------------------------------------------------------
 
@@ -760,15 +761,12 @@ class FusionStore(BaselineStore):
         # Degraded: reconstruct at the coordinator and process there.
         def degraded():
             metrics.fallback_chunks += 1
-            values = yield from self._degraded_chunk_values(
-                obj, meta, loc, coordinator, metrics
-            )
+            chunk = yield from self._degraded_chunk(obj, meta, loc, coordinator, metrics)
             yield from coordinator.compute(
                 2 * coordinator.scan_seconds(meta.plain_size, self.config.size_scale),
                 metrics,
             )
-            bits = eval_leaf(op.leaf, op.type, values)
-            return bits, values[np.flatnonzero(bits)]
+            return chunk.bitmap(op.leaf, op.type).bits, chunk.selected(op.leaf, type_)[0]
 
         if not self._routes_direct(obj, node, loc.block_id):
             return RemoteOp(standalone=degraded)
@@ -793,39 +791,35 @@ class FusionStore(BaselineStore):
                 ),
                 metrics,
             )
-            values = self._decode_cached(obj.name, meta, data)
-            bits = eval_leaf(op.leaf, op.type, values)
-            indices = np.flatnonzero(bits)
-            selectivity = len(indices) / len(bits) if len(bits) else 0.0
-            decision = self.estimator.decide(selectivity, meta.size, meta.plain_size)
+            chunk = self._decoded_chunk(obj.name, meta, data)
+            bitmap = chunk.bitmap(op.leaf, op.type)
+            decision = self.estimator.decide(bitmap.selectivity(), meta.size, meta.plain_size)
             if rec is None:
                 rec = self.audit.record(
                     obj.name, meta.key, "fused", self.config.pushdown_mode.value, decision
                 )
-            bitmap_wire = Bitmap(bits).wire_size()
-            selected = values[indices]
+            selected, selected_bytes = chunk.selected(op.leaf, type_)
             if decision.push_down:
-                selected_bytes = plain_size(type_, selected)
-                reply = bitmap_wire + selected_bytes
-                return self.config.scaled(reply), (bits, selected, selected_bytes)
+                reply = bitmap.wire_size() + selected_bytes
+                return self.config.scaled(reply), (bitmap.bits, selected, selected_bytes, True)
             # Unfavourable cost product: reply with the bitmap plus the
             # whole compressed chunk; the coordinator decodes locally.
-            reply = bitmap_wire + loc.size
-            return self.config.scaled(reply), (bits, selected, None)
+            reply = bitmap.wire_size() + loc.size
+            return self.config.scaled(reply), (bitmap.bits, selected, selected_bytes, False)
 
         def finalize(reply):
             # The reply arrived: this attempt's path is the chunk's outcome.
-            bits, selected, pushed_bytes = reply
-            if pushed_bytes is not None:
+            bits, selected, selected_bytes, pushed = reply
+            if pushed:
                 metrics.pushed_down_chunks += 1
                 if rec is not None:
-                    rec.actual_chosen_bytes = pushed_bytes
+                    rec.actual_chosen_bytes = selected_bytes
                     rec.actual_alternative_bytes = loc.size
                 return bits, selected
             metrics.fallback_chunks += 1
             if rec is not None:
                 rec.actual_chosen_bytes = loc.size
-                rec.actual_alternative_bytes = plain_size(type_, selected)
+                rec.actual_alternative_bytes = selected_bytes
             yield from coordinator.compute(
                 coordinator.decode_seconds(meta.size, meta.plain_size, self.config.size_scale)
                 + coordinator.scan_seconds(meta.plain_size, self.config.size_scale),
@@ -847,13 +841,11 @@ class FusionStore(BaselineStore):
         node = self.cluster.node(loc.node_id)
 
         def degraded():
-            values = yield from self._degraded_chunk_values(
-                obj, meta, loc, coordinator, metrics
-            )
+            chunk = yield from self._degraded_chunk(obj, meta, loc, coordinator, metrics)
             yield from coordinator.compute(
                 coordinator.scan_seconds(meta.plain_size, self.config.size_scale), metrics
             )
-            return Bitmap(eval_leaf(op.leaf, op.type, values))
+            return chunk.bitmap(op.leaf, op.type)
 
         if not self._routes_direct(obj, node, loc.block_id):
             return RemoteOp(standalone=degraded)
@@ -873,8 +865,7 @@ class FusionStore(BaselineStore):
                 ),
                 metrics,
             )
-            values = self._decode_cached(obj.name, meta, data)
-            reply = Bitmap(eval_leaf(op.leaf, op.type, values))
+            reply = self._decoded_chunk(obj.name, meta, data).bitmap(op.leaf, op.type)
             return self.config.scaled(reply.wire_size()), reply
 
         return RemoteOp(
@@ -900,13 +891,11 @@ class FusionStore(BaselineStore):
 
         def degraded():
             metrics.fallback_chunks += 1
-            values = yield from self._degraded_chunk_values(
-                obj, meta, loc, coordinator, metrics
-            )
+            chunk = yield from self._degraded_chunk(obj, meta, loc, coordinator, metrics)
             yield from coordinator.compute(
                 coordinator.scan_seconds(meta.plain_size, self.config.size_scale), metrics
             )
-            return values[indices]
+            return chunk.values[indices]
 
         if not self._routes_direct(obj, node, loc.block_id):
             return RemoteOp(standalone=degraded)
@@ -944,7 +933,7 @@ class FusionStore(BaselineStore):
                     + node.scan_seconds(meta.plain_size, self.config.size_scale),
                     metrics,
                 )
-                values = self._decode_cached(obj.name, meta, data)[indices]
+                values = self._decoded_chunk(obj.name, meta, data).values[indices]
                 reply = plain_size(type_, values)
                 return self.config.scaled(reply), (values, reply)
 
@@ -983,7 +972,7 @@ class FusionStore(BaselineStore):
                 + coordinator.scan_seconds(meta.plain_size, self.config.size_scale),
                 metrics,
             )
-            values = self._decode_cached(obj.name, meta, data)[indices]
+            values = self._decoded_chunk(obj.name, meta, data).values[indices]
             if rec is not None:
                 # What the pushdown branch would have shipped, measured on
                 # the decoded values rather than estimated from the footer.
@@ -1059,13 +1048,11 @@ class FusionStore(BaselineStore):
 
         def degraded():
             metrics.fallback_chunks += 1
-            values = yield from self._degraded_chunk_values(
-                obj, meta, loc, coordinator, metrics
-            )
+            chunk = yield from self._degraded_chunk(obj, meta, loc, coordinator, metrics)
             yield from coordinator.compute(
                 coordinator.scan_seconds(meta.plain_size, self.config.size_scale), metrics
             )
-            return partial_aggregate(agg, values[bitmap.indices()], bitmap.count())
+            return partial_aggregate(agg, chunk.values[bitmap.indices()], bitmap.count())
 
         if not self._routes_direct(obj, node, loc.block_id):
             return RemoteOp(standalone=degraded)
@@ -1083,7 +1070,7 @@ class FusionStore(BaselineStore):
                 + node.scan_seconds(meta.plain_size, self.config.size_scale),
                 metrics,
             )
-            values = self._decode_cached(obj.name, meta, data)[bitmap.indices()]
+            values = self._decoded_chunk(obj.name, meta, data).values[bitmap.indices()]
             partial = partial_aggregate(agg, values, bitmap.count())
             return self.config.scaled(SCALAR_RESULT_BYTES), partial
 

@@ -6,7 +6,10 @@ once per repaired stripe.  Each republish must evict every decoded
 chunk, page index and degraded reconstruction of the object (its cache
 groups), or a reader could keep serving values derived from the lost
 node's copies.  Every entry is poisoned before the rebuild, so one that
-survived would show in the next query's answer.
+survived would show in the next query's answer.  A decoded chunk also
+remembers what each filter leaf selected in it (the selection memo); its
+poisoned selections must leave with it, after a rebuild and after a
+Delete or a Put that reuses the name.
 """
 
 import numpy as np
@@ -15,6 +18,7 @@ import pytest
 from repro.cluster import Cluster, ClusterConfig, Simulator
 from repro.core import BaselineStore, FusionStore, RepairManager, StoreConfig
 from repro.format import write_table
+from repro.sql import Bitmap
 from repro.sql.local import execute_local
 from tests.conftest import make_small_table
 
@@ -42,6 +46,19 @@ def _caches(store) -> dict:
 
 def _keys_of_tbl(cache) -> list:
     return [k for k in cache if (k[0] if isinstance(k, tuple) else k.split("/")[0]) == "tbl"]
+
+
+def _poison_selections(store) -> int:
+    """Make every remembered selection select nothing, and every decoded
+    value garbage; returns how many selections were poisoned."""
+    poisoned = 0
+    for key in _keys_of_tbl(store._decode_cache):
+        chunk = store._decode_cache.get(key)
+        chunk.values = np.full(len(chunk.values), -1.0)
+        for selection in chunk._selections.values():
+            selection[:] = [Bitmap.zeros(len(selection[0])), None]
+            poisoned += 1
+    return poisoned
 
 
 @pytest.mark.parametrize("store_cls", [FusionStore, BaselineStore])
@@ -113,3 +130,37 @@ def test_replicas_follow_every_rebuild_without_aliasing_live_records(store_cls):
         assert manager.repair_node(victim).blocks_repaired > 0
         _assert_replicas_match_without_aliasing(store, obj)
     assert store.fsck().clean
+
+
+OTHER = make_small_table(num_rows=1500, seed=31)
+
+
+@pytest.mark.parametrize("event", ["repair", "reuse"])
+@pytest.mark.parametrize("store_cls", [FusionStore, BaselineStore])
+def test_poisoned_selection_memo_leaves_with_the_object(store_cls, event):
+    """Degraded and healthy queries fill the selection memo; it is
+    poisoned; a rebuild, or a Delete (checked at once) followed by a Put
+    of other rows under the same name, must leave none of it behind."""
+    store = _store(store_cls)
+    obj = store.objects["tbl"]
+    victim = (
+        obj.stripes[0].node_ids[0] if obj.splits_chunks
+        else obj.location_map.lookup((0, 1)).node_id
+    )
+    if event == "repair":
+        store.cluster.fail_node(victim, wipe=True)
+    for sql in (SQL, "SELECT qty FROM tbl WHERE qty < 5"):
+        assert store.query(sql)[0].equals(execute_local(sql, TABLE))
+    assert _poison_selections(store) > 0
+
+    table = TABLE
+    if event == "repair":
+        assert RepairManager(store).repair_node(victim).blocks_repaired > 0
+    else:
+        store.delete("tbl")
+        assert not _keys_of_tbl(store._decode_cache)
+        table = OTHER
+        store.put("tbl", write_table(table, row_group_rows=500))
+    assert not _keys_of_tbl(store._decode_cache)
+    for sql in (SQL, "SELECT qty FROM tbl WHERE qty < 5"):
+        assert store.query(sql)[0].equals(execute_local(sql, table))

@@ -186,6 +186,25 @@ class TestWire:
         assert a.count() == int(a.bits.sum())
         assert Bitmap.from_wire(a.to_wire()) == a  # and the operands keep their own
 
+    @pytest.mark.parametrize("density", DENSITIES)
+    def test_memoised_indices_and_wire_size_equal_fresh_ones(self, density):
+        bits = _bits(3000, density, 5)
+        bm = Bitmap(bits)
+        first = bm.indices(), bm.wire_size()
+        # A repeat call hands back the remembered answers...
+        assert bm.indices() is first[0]
+        assert bm.wire_size() == first[1]
+        # ...which equal what a fresh bitmap over the same bits works out.
+        fresh = Bitmap(bits.copy())
+        assert np.array_equal(first[0], np.flatnonzero(bits))
+        assert np.array_equal(first[0], fresh.indices())
+        assert first[1] == fresh.wire_size() == len(fresh.to_wire())
+        # The shared positions cannot be written through.
+        assert not first[0].flags.writeable
+        if len(first[0]):
+            with pytest.raises(ValueError):
+                first[0][0] = 0
+
     def test_wire_size_builds_no_frame(self, rng, monkeypatch):
         # The size is a closed form over two counts: neither the frame
         # nor any codec is reached for it (the perf tracer counts both).
