@@ -1,4 +1,4 @@
-"""The durability-and-repair kernel both object stores are built on.
+"""The one object store: durability, repair and the Put / Get / Query protocol.
 
 The paper's Figure 2 stripe - ``k`` data blocks of *different* sizes,
 implicitly zero-padded, parity at the largest size - contains the
@@ -6,45 +6,55 @@ fixed-block stripe of Section 4.2's fallback as its equal-size special
 case.  So both layouts keep **one stripe record**,
 :class:`StripePlacement`, and everything that needs only that record
 lives here once: plane installs, the run-the-sim and admission /
-deadline / tenant wrappers, block writes, the WAL protocol of Delete,
-metadata-replica publish (quorum-guarded) and anti-entropy, scrub, the
-degraded read's gather-rank-fetch-decode, checksum-guided recovery,
-stripe repair in rounds (which is also node rebuild), stripe migration,
-fsck and WAL recovery.
+deadline / tenant wrappers, the Put protocol (WAL intent, streamed
+writes, replica publish, commit), block writes, the WAL protocol of
+Delete, metadata-replica publish (quorum-guarded) and anti-entropy,
+scrub, the degraded read's gather-rank-fetch-decode, the range read of
+a Get with its end-to-end check, checksum-guided recovery, stripe repair
+in rounds (which is also node rebuild), stripe migration, fsck and WAL
+recovery.  So do the caches every layout fills (decoded chunks with
+their leaf selections, page indexes, degraded reconstructions) and the
+Cost Equation's estimator.
 
 The layout is a property of the stored object, not of the store: one
 store holds one namespace, and a Fusion store's over-budget objects sit
 in it as fixed-layout objects beside its FAC ones.  What depends on the
-layout is therefore asked of the object:
+layout is therefore asked of the object, and both stored-object classes
+(``StoredFusionObject``, ``StoredFixedObject``) define each of these
+layout operations:
 
 * ``kind`` - ``"fac"`` or ``"fixed"``, the stamp on WAL records,
   metadata replicas, migration intents and read-repair keys;
-* ``splits_chunks`` - may a column chunk cross a block boundary (fixed
-  cuts) or does each live whole in one bin (FAC)?  Split means
-  reassemble at the coordinator, whole means push down;
+* ``lay_out(store, name, data, metadata, coordinator, ...)`` - a Put's
+  layout step: the object with its placements drawn, its payloads, the
+  footer parse it charges and its report (:meth:`StoreKernel._put`);
+* ``publish(store, coordinator, deadline)`` - a Put's metadata-replica
+  publish (FAC ships its location map; fixed is metadata-plane);
+* ``get(store, coordinator, offset, size, metrics)`` - a ranged Get:
+  the range as ``(handle, lo, hi, check)`` reads of data blocks, each
+  with the ``(lo, hi, crc)`` span its end-to-end check covers (FAC: the
+  chunk's; fixed: the block's), read in one round
+  (:meth:`StoreKernel._get_round`);
+* ``query(store, physical, coordinator, row_groups, metrics)`` - a
+  query's stages: FAC pushes work to the node holding each chunk, the
+  fixed layout reassembles chunks at the coordinator;
+* ``invalidate(store, placement, i)`` - drop the decoded chunks derived
+  from a rewritten or moved block;
 * ``locate_block(handle)`` - the stripe record and position behind the
   layout's read handle (FAC: a block id; fixed: a block index);
 * ``block_moved(block_id, node_id)`` - FAC rewrites its ``LocationMap``
   entries, the fixed layout has nothing to follow;
 * ``dangling_locations()`` - fsck's location-map leg (empty for fixed);
-* ``snapshot(stripes)`` and ``replica_nodes`` - the copy a metadata
-  replica holds (with the stripe-record copies the kernel hands it,
-  :meth:`StoreKernel._meta_snapshot`), and where the replicas live.
+* ``snapshot(stripes)``, ``replica_nodes`` and ``total_bytes`` - the
+  copy a metadata replica holds (with the stripe-record copies the
+  kernel hands it, :meth:`StoreKernel._meta_snapshot`), where the
+  replicas live, and the object's size.
 
-A store built on the kernel supplies its own policy - ``_put_body`` (FAC
-bins vs. fixed cuts), ``_get_body`` and ``_query_body`` with their
-fetch / pushdown ops - plus the hooks that touch its caches:
-
-* :attr:`StoreKernel.span_label` - the ``store=`` label of tracer spans;
-* ``_invalidate_block(obj, placement, i)`` - drop what was decoded from
-  a rewritten or moved block;
-* ``_invalidate_object_caches(name)`` - Fusion extends it with its
-  page-index cache;
-* the ``(lo, hi, crc)`` span of a read's end-to-end check
-  (:func:`span_intact`; FAC: the chunk's CRC; fixed: the block's), which
-  :meth:`StoreKernel._degraded_block_read` applies to what it
-  reconstructs and :meth:`StoreKernel._get_round` to what it slices
-  from a stripe's gather.
+A store is the kernel plus its **Put policy**, ``_put_body``: which
+layout a Put picks (``FusionStore``: FAC, falling back to fixed blocks
+over the storage-overhead budget; ``BaselineStore``: fixed), and
+:attr:`StoreKernel.span_label`, the ``store=`` label of its tracer
+spans.
 
 Two orderings the former twin implementations disagreed on, one rule
 each:
@@ -87,14 +97,18 @@ from repro.cluster.simcore import LinkDown, QueueFull, all_of, any_of
 from repro.core import engine
 from repro.core.cache import LruDict
 from repro.core.config import StoreConfig
+from repro.core.cost_model import PushdownCostEstimator
 from repro.core.fsck import FsckReport, RecoveryReport, fsck as run_fsck, recover as run_recover
-from repro.core.location_map import chunk_checksum
+from repro.core.location_map import ChecksumError, chunk_checksum
 from repro.core.rebalance import MigrationEntry
 from repro.core.repair import RepairError, localise_stripes
 from repro.core.scatter_gather import RemoteOp, execute_remote_ops
 from repro.core.scrub import ScrubReport, check_stripe
 from repro.core.wal import MetaReplica, QuorumLost, WalRecord, WalWriter
 from repro.ec.stripe import decode_stripe, encode_stripe
+from repro.format.metadata import ColumnChunkMeta
+from repro.format.pages import chunk_page_index, decode_column_chunk
+from repro.format.reader import read_metadata
 from repro.format.table import plain_size
 from repro.obs.audit import PushdownAuditLog
 from repro.obs.registry import MetricsRegistry
@@ -105,7 +119,7 @@ from repro.sql.bitmap import Bitmap
 from repro.sql.local import QueryResult
 from repro.sql.parser import parse
 from repro.sql.planner import PhysicalPlan, plan as make_plan
-from repro.sql.predicate import eval_leaf
+from repro.sql.predicate import eval_leaf, leaf_may_match
 
 
 class ObjectNotFound(KeyError):
@@ -304,8 +318,19 @@ class _SharedGather:
         self.waiters = 0
 
 
+def partial_result(result, shed: int, dropped, metrics: QueryMetrics):
+    """A query's answer: ``result`` itself, or, when ``shed`` ops were
+    shed, the :class:`PartialResult` naming the row groups ``dropped``
+    (counted once per query)."""
+    if not shed:
+        return result
+    metrics.partial_results += 1
+    return PartialResult(result, shed, dropped_row_groups=tuple(sorted(dropped)))
+
+
 class StoreKernel:
-    """What :class:`FusionStore` and :class:`BaselineStore` share."""
+    """The object store; a subclass adds only its Put policy
+    (``_put_body``) and its :attr:`span_label`."""
 
     #: ``store=`` label on this store's tracer spans.
     span_label = ""
@@ -325,7 +350,12 @@ class StoreKernel:
         # (simulated costs are charged whatever it holds), is bounded by
         # a small LRU, is grouped by object name, and is invalidated on
         # put/delete so a reused name never serves stale values.
+        # Keyed ``(name, meta.key)`` whatever the layout.
         self._decode_cache: LruDict[tuple, DecodedChunk] = LruDict(
+            DECODE_CACHE_ENTRIES, group=itemgetter(0)
+        )
+        # Page indexes for node-local page skipping, keyed the same way.
+        self._page_index_cache: LruDict[tuple, list] = LruDict(
             DECODE_CACHE_ENTRIES, group=itemgetter(0)
         )
         # Degraded-read reconstruction cache: block id -> recovered block.
@@ -350,6 +380,7 @@ class StoreKernel:
         if self.config.metrics_registry_enabled and cluster.metrics.registry is None:
             cluster.metrics.registry = MetricsRegistry()
         self.audit = PushdownAuditLog(self.sim, self.config.pushdown_audit_enabled)
+        self.estimator = PushdownCostEstimator(self.config.pushdown_mode)
         # The planes below are all no-ops at their default knobs and
         # idempotent: the first store on a cluster installs them.
         # Overload protection: bound the node service queues and install
@@ -421,7 +452,77 @@ class StoreKernel:
         """Drop every cached artefact derived from object ``name``, at
         the cost of that object's entries alone (cache groups)."""
         self._decode_cache.evict_group(name)
+        self._page_index_cache.evict_group(name)
         self._degraded_bin_cache.evict_group(name)
+
+    def _invalidate_block(self, obj, placement: StripePlacement, i: int) -> None:
+        """Stripe position ``i`` was rewritten (repair) or moved: drop
+        its degraded reconstruction and what its layout decoded from it."""
+        self._degraded_bin_cache.pop(placement.block_ids[i])
+        obj.invalidate(self, placement, i)
+
+    def _decoded_chunk(self, name: str, meta: ColumnChunkMeta, parts) -> DecodedChunk:
+        """The decode-cache entry of chunk ``meta`` of object ``name``.
+        On a miss it decodes the chunk's bytes, the pieces ``parts``
+        yields (several when the chunk was reassembled).  A lone piece
+        decodes in place, with no copy; a hit never reads ``parts``."""
+        key = (name, meta.key)
+        cached = self._decode_cache.get(key)
+        if cached is None:
+            pieces = list(parts)
+            data = pieces[0] if len(pieces) == 1 else b"".join(pieces)
+            cached = DecodedChunk(decode_column_chunk(data))
+            self._decode_cache[key] = cached
+        return cached
+
+    def _page_fraction(self, name: str, meta: ColumnChunkMeta, op, data) -> float:
+        """Fraction of the chunk's rows in pages the filter can match."""
+        if not self.config.enable_page_skipping or meta.num_values == 0:
+            return 1.0
+        key = (name, meta.key)
+        pages = self._page_index_cache.get(key)
+        if pages is None:
+            pages = chunk_page_index(data)
+            self._page_index_cache[key] = pages
+        candidate = sum(
+            p.num_values
+            for p in pages
+            if leaf_may_match(op.leaf, op.type, p.min_value, p.max_value)
+        )
+        return candidate / meta.num_values
+
+    def _node_pressured(self, node) -> bool:
+        """Is the node's CPU admission queue at capacity right now?
+
+        Pure queue-length read; always ``False`` with admission control
+        off, so default-knob runs take the cost estimator's branch
+        untouched.  Used for graceful degradation: pushing compute to a
+        node whose service queue is already full would likely just burn
+        a round trip on a rejection.
+        """
+        depth = self.config.admission_queue_depth
+        return depth > 0 and node.cpu.queue_length >= depth
+
+    def _may_shed(self, query: Query) -> bool:
+        """May the query's stages shed refused ops?  Partial results: a
+        scan (no aggregate, no GROUP BY) may trade shed chunks for a typed
+        :class:`PartialResult` instead of failing outright when admission
+        control refuses ops."""
+        return (
+            self.config.allow_partial_results
+            and not query.has_aggregates()
+            and not query.group_by
+        )
+
+    def _verify(self, obj, block_id: str, crc: int, data) -> None:
+        """End-to-end check: bytes just read must match the CRC recorded
+        at Put (0 = none recorded).  Raises :class:`ChecksumError`; the
+        scatter-gather layer treats it as non-retryable and falls straight
+        back to degraded reconstruction (re-reading the same bad bytes
+        cannot help, and a media error says nothing about the node's
+        liveness)."""
+        if crc and chunk_checksum(data) != crc:
+            raise ChecksumError(f"bytes of {obj.name!r} in block {block_id} failed CRC")
 
     # -- Put / Get / Query: run-the-sim and admission wrappers -------------------
 
@@ -448,6 +549,47 @@ class StoreKernel:
             self.sim, self._put_body(name, data), "put", "store",
             obj=name, store=self.span_label,
         )
+        return report
+
+    def _put(self, name: str, data: bytes, lay_out):
+        """Process: a Put, with the store's Put policy ``lay_out``.
+
+        ``lay_out(metadata, coordinator)`` picks the object's layout and
+        runs its ``lay_out`` step, which draws every placement (and the
+        metadata replica set) up front, so the WAL intent can name every
+        resource the operation will touch.  It returns the object, one
+        payload list per stripe, the seconds the coordinator parses the
+        footer before it writes, and the :class:`PutReport`.  The rest
+        is one protocol: intent, the streamed writes
+        (:meth:`_write_stripes`), the layout's replica publish
+        (``obj.publish``), commit, and only then visibility.  The Put
+        budget is checked cooperatively between phases: a Put that blows
+        its deadline aborts before commit, leaving a WAL intent that
+        recovery rolls back like any other crashed Put."""
+        if name in self.objects:
+            raise ValueError(f"object {name!r} already exists (updates are fresh inserts)")
+        # A reused name (put after delete) must never serve bytes decoded
+        # from its previous incarnation.
+        self._invalidate_object_caches(name)
+        start = self.sim.now
+        deadline = Deadline.from_config(self.sim, self.config)
+        coordinator = self.cluster.coordinator_for(name)
+        obj, stripe_payloads, parse_s, report = lay_out(read_metadata(data), coordinator)
+
+        intent = self._log_intent(coordinator, "put", obj)
+        self.wal.crash_point(coordinator, "put:after-intent")
+        yield from self._write_stripes(
+            coordinator, obj, len(data), stripe_payloads, deadline, parse_s
+        )
+        self.wal.crash_point(coordinator, "put:after-data")
+        yield from obj.publish(self, coordinator, deadline)
+        self.wal.crash_point(coordinator, "put:after-meta")
+        self._log_outcome(coordinator, intent)
+        self.wal.crash_point(coordinator, "put:after-commit")
+
+        # Atomic visibility: the object appears only after commit.
+        self.objects[name] = obj
+        report.simulated_put_seconds = self.sim.now - start
         return report
 
     def _write_block(self, coordinator, node_id: int, block_id: str, payload: np.ndarray):
@@ -676,6 +818,20 @@ class StoreKernel:
             raise
         return data
 
+    def _get_body(self, name: str, metrics: QueryMetrics | None, offset: int, size: int | None):
+        """Process: bytes ``[offset, offset + size)`` of the object, read
+        by its layout (``obj.get``); ``size=None`` means to the end."""
+        obj = self._lookup(name)
+        total = obj.total_bytes
+        if size is None:
+            size = total - offset
+        if offset < 0 or size < 0 or offset + size > total:
+            raise ValueError(f"range [{offset}, {offset + size}) outside object of size {total}")
+        if size == 0:
+            return b""
+        coordinator = self.cluster.coordinator_for(name)
+        return (yield from obj.get(self, coordinator, offset, size, metrics))
+
     def query(
         self, sql: str | Query, tenant: str | None = None
     ) -> tuple[QueryResult, QueryMetrics]:
@@ -721,9 +877,16 @@ class StoreKernel:
             raise
         return result
 
-    def _return_result(self, coordinator, result, metrics: QueryMetrics):
-        """Process: the common tail of ``_query_body`` - ship the result
-        to the client, stamp the end time, record the query."""
+    def _query_body(self, query: Query, metrics: QueryMetrics):
+        """Process: plan the query, prune row groups by footer stats, run
+        the stages of the object's layout (``obj.query``), then ship the
+        result to the client, stamp the end time and record the query."""
+        obj = self._lookup(query.table)
+        physical = make_plan(query, obj.metadata.schema)
+        coordinator = self.cluster.coordinator_for(obj.name)
+        metrics.start_time = self.sim.now
+        row_groups = engine.prune_row_groups(physical, obj.metadata)
+        result = yield from obj.query(self, physical, coordinator, row_groups, metrics)
         inner = result.result if isinstance(result, PartialResult) else result
         yield from traced(
             self.sim,
@@ -737,6 +900,7 @@ class StoreKernel:
         )
         metrics.end_time = self.sim.now
         self.cluster.metrics.record_query(metrics)
+        return result
 
     # -- Metadata replicas ------------------------------------------------------
 
@@ -1128,16 +1292,52 @@ class StoreKernel:
         if shared.waiters:
             self.sim.timeout(0).add_callback(lambda _event: shared.done.succeed())
 
+    def _range_read_op(
+        self, obj, coordinator, handle, lo: int, hi: int, check, metrics
+    ) -> RemoteOp:
+        """Op reading bytes ``[lo, hi)`` of the data block behind the
+        layout's read ``handle``, on the node holding it.
+
+        ``check`` is the ``(lo, hi, crc)`` span the read's end-to-end CRC
+        covers (FAC: the chunk's span of its bin; fixed: the whole
+        block).  A read of exactly that span is verified
+        (:meth:`_verify`); a partial one is verified through
+        reconstruction only when a full read flags the bytes.  The
+        degraded path reconstructs the block and checks the span."""
+        placement, j = obj.locate_block(handle)
+        node = self.cluster.node(placement.node_ids[j])
+        block_id = placement.data_block_ids[j]
+
+        def degraded():
+            block = yield from self._degraded_block_read(
+                obj, placement, j, coordinator, metrics, span_intact(*check)
+            )
+            return block[lo:hi]
+
+        if not self._routes_direct(obj, node, handle):
+            return RemoteOp(standalone=degraded)
+
+        def execute():
+            check_deadline(metrics, "range read")
+            data = yield from node.read_block_range(
+                block_id, lo, hi - lo, self.config.size_scale, metrics
+            )
+            if (lo, hi) == check[:2]:
+                self._verify(obj, block_id, check[2], data)
+            return self.config.scaled(hi - lo), data
+
+        return RemoteOp(node=node, execute=execute, fallback=degraded)
+
     def _get_round(self, obj, reads, coordinator, metrics):
         """Process: a Get's reads as one scatter-gather round; returns
         their payloads in read order.
 
-        ``reads`` lists ``(handle, lo, hi, check, op)``: bytes ``[lo,
-        hi)`` of the data block behind the layout's read ``handle``,
-        ``check`` the ``(lo, hi, crc)`` span its end-to-end CRC covers,
-        and ``op`` the store's direct op for the read.  A stripe is
-        marked when one of its reads' direct ops is standalone, i.e.
-        goes straight to reconstruction.  The round carries the direct
+        ``reads`` lists ``(handle, lo, hi, check)``: bytes ``[lo, hi)``
+        of the data block behind the layout's read ``handle``, ``check``
+        the ``(lo, hi, crc)`` span its end-to-end CRC covers.  Each read
+        has a direct op (:meth:`_range_read_op`); a stripe is marked
+        when one of its reads' direct ops is standalone, i.e. goes
+        straight to reconstruction.  The round carries the direct
         ops of unmarked stripes and the shard fetches of every marked
         stripe's gather (:meth:`_shards_to_gather`), so each node
         answers in one exchange however many stripes it serves.  The
@@ -1154,16 +1354,16 @@ class StoreKernel:
         recovery when the decode is wrong.  A failed round drops its
         unfinished gathers as :meth:`_stripe_shards` does.
         """
+        direct_ops = [self._range_read_op(obj, coordinator, *read, metrics) for read in reads]
         located = [obj.locate_block(read[0]) for read in reads]
         marked = {
             placement.stripe_id
-            for (placement, _i), read in zip(located, reads)
-            if read[4].standalone is not None
+            for (placement, _i), op in zip(located, direct_ops)
+            if op.standalone is not None
         }
         if not marked:
             return (yield from execute_remote_ops(
-                self.cluster, coordinator, [read[4] for read in reads], metrics,
-                config=self.config,
+                self.cluster, coordinator, direct_ops, metrics, config=self.config,
             ))
         by_stripe: dict[int, list[int]] = {}
         for r, (placement, _i) in enumerate(located):
@@ -1181,7 +1381,7 @@ class StoreKernel:
             rs = by_stripe[sid]
             if sid not in marked:
                 direct += [(r, len(ops) + n) for n, r in enumerate(rs)]
-                ops += [reads[r][4] for r in rs]
+                ops += [direct_ops[r] for r in rs]
             elif table is None or (obj.name, sid) not in table:
                 shared = gathers[sid] = self._open_gather(table, (obj.name, sid), metrics)
                 ops += self._gather_ops(located[rs[0]][0], shared, coordinator, metrics)
@@ -1197,7 +1397,9 @@ class StoreKernel:
         out: list[object] = [None] * len(reads)
         for r, o in direct:
             out[r] = payloads[o]
-        for r, ((_handle, lo, hi, check, op), (placement, i)) in enumerate(zip(reads, located)):
+        for r, ((_handle, lo, hi, check), op, (placement, i)) in enumerate(
+            zip(reads, direct_ops, located)
+        ):
             if placement.stripe_id not in marked:
                 continue
             shared = gathers.get(placement.stripe_id)

@@ -39,7 +39,7 @@ def _system(store_cls, **config):
 
 def _first_data_block(store):
     obj = store.objects["tbl"]
-    if isinstance(store, FusionStore):
+    if obj.kind == "fac":
         placement = obj.stripes[0]
         i = next(j for j, s in enumerate(placement.data_sizes) if s > 0)
         return placement.node_ids[i], placement.data_block_ids[i]
@@ -86,7 +86,7 @@ class TestFsckOracle:
         obj = store.objects["tbl"]
         replicas = (
             obj.location_map.replica_nodes
-            if isinstance(store, FusionStore)
+            if obj.kind == "fac"
             else obj.replica_nodes
         )
         # Drop replicas down past the majority threshold.
@@ -156,8 +156,8 @@ class TestFsckLocationMap:
 def _corrupt_queried_chunk(store):
     """Corrupt a byte inside a chunk the test SQL actually reads (the
     row-group-0 "id" chunk for Fusion; block 0 for the baseline)."""
-    if isinstance(store, FusionStore):
-        obj = store.objects["tbl"]
+    obj = store.objects["tbl"]
+    if obj.kind == "fac":
         loc = obj.location_map.lookup((0, 0))  # (row group 0, column "id")
         store.cluster.node(loc.node_id).corrupt_block(
             loc.block_id, offset=loc.offset_in_block + 3

@@ -390,9 +390,8 @@ class TestRecovery:
 
 class TestIntrospection:
     def test_chunk_nodes_helper(self, loaded_fusion):
-        nodes = loaded_fusion.chunk_nodes("tbl")
         obj = loaded_fusion.objects["tbl"]
-        assert len(nodes) == len(obj.metadata.all_chunks())
+        assert len(obj.chunk_nodes) == len(obj.metadata.all_chunks())
 
     def test_object_plan(self, loaded_fusion):
         plan = loaded_fusion.object_plan("SELECT id FROM tbl WHERE qty < 3")

@@ -47,18 +47,13 @@ def _selections(store):
 
 
 def _entries_of(store, column: str) -> list[DecodedChunk]:
-    """The decode-cache entries of ``column`` of object ``tbl``: a FAC
-    chunk is keyed ``(name, (rg, column index))``, a reassembled one
-    ``(name, rg, column)``."""
+    """The decode-cache entries of ``column`` of object ``tbl``, keyed
+    ``(name, (rg, column index))`` whatever the layout."""
     index = store.objects["tbl"].metadata.schema.names().index(column)
-
-    def of_column(key) -> bool:
-        return key[2] == column if len(key) == 3 else key[1][1] == index
-
     return [
         store._decode_cache.get(key)
         for key in list(store._decode_cache)
-        if key[0] == "tbl" and of_column(key)
+        if key[0] == "tbl" and key[1][1] == index
     ]
 
 

@@ -1,15 +1,18 @@
-"""Structure guard: one durability-and-repair kernel, one store per namespace.
+"""Structure guard: one store, two layouts.
 
 ``FusionStore`` and ``BaselineStore`` used to be unrelated classes with
-43 same-named methods, every fix written twice, and a ``FusionStore``
-kept a whole second ``BaselineStore`` for its fixed-block fallback.  Now
-the kernel (``repro.core.kernel.StoreKernel``) holds everything both
-layouts share, ``FusionStore`` is a ``BaselineStore`` whose Put tries
-FAC first, and what depends on the layout is asked of the stored object.
-These checks fail when a second copy of a kernel method, a layout hook
-on a store class, or a second store grows back, when a store or the
-fault injector reads the link matrix behind the delivery rule's back,
-and when a ``StoreConfig`` field appears that only the tests set.
+43 same-named methods, every fix written twice; then ``FusionStore``
+was a ``BaselineStore`` that reached the fixed-block path through
+``splits_chunks`` branches and ``super()`` hops.  Now the kernel
+(``repro.core.kernel.StoreKernel``) is the one store, each stored-object
+class owns its layout's Put, Get, Query and invalidation, and the two
+stores differ only in their Put policy.  These checks fail when a store
+grows anything but its Put policy, when a store subclasses the other or
+a layout flag or ``super()`` hop grows back, when a stored-object class
+lacks a layout operation, when a store or the fault injector reads the
+link matrix behind the delivery rule's back, when a refused op is caught
+anywhere the refusal rule does not expect, and when a ``StoreConfig``
+field appears that only the tests set.
 """
 
 import ast
@@ -24,16 +27,17 @@ from repro.core.kernel import StoreKernel
 
 CORE = pathlib.Path(repro.core.__file__).parent
 SRC = CORE.parent
+STORES = (FusionStore, BaselineStore)
 
-#: The cache hook both stores define (see the kernel's module docstring).
-HOOKS = {"_invalidate_block"}
-#: Genuinely different policy per layout: FAC bins vs. fixed cuts,
-#: pushdown vs. fetch-and-evaluate.
-POLICY = {"_put_body", "_get_body", "_query_body"}
-#: What FusionStore redefines of what it inherits.
-FUSION_OVERRIDES = {"__init__", "_invalidate_object_caches"} | HOOKS | POLICY
-#: Layout hooks every stored-object class defines.
-OBJECT_HOOKS = {"locate_block", "block_moved", "dangling_locations", "snapshot"}
+#: All a store defines: which layout a Put picks, and its span label.
+PUT_POLICY = {"span_label", "_put_body"}
+#: Layout operations every stored-object class defines (see the
+#: kernel's module docstring).
+LAYOUT_OPS = {
+    "kind", "lay_out", "publish", "get", "query", "invalidate",
+    "locate_block", "block_moved", "dangling_locations",
+    "snapshot", "replica_nodes", "total_bytes",
+}
 
 
 def _defined(cls) -> set[str]:
@@ -44,37 +48,55 @@ def _defined(cls) -> set[str]:
     }
 
 
-def test_the_two_stores_share_only_hooks_and_policy_bodies():
-    assert _defined(FusionStore) & _defined(BaselineStore) == HOOKS | POLICY
+def _code(path: pathlib.Path) -> str:
+    """A module's source without its docstrings."""
+    return re.sub(r'""".*?"""', "", path.read_text(), flags=re.S)
+
+
+def test_each_store_defines_only_its_put_policy():
+    for cls in STORES:
+        own = {name for name in vars(cls) if not name.startswith("__")}
+        assert own == PUT_POLICY, cls
+        assert cls.span_label
 
 
 def test_kernel_methods_are_overridden_only_where_documented():
-    inherited = _defined(BaselineStore) | _defined(StoreKernel)
-    assert _defined(FusionStore) & inherited == FUSION_OVERRIDES
-    assert _defined(BaselineStore) & _defined(StoreKernel) == set()
+    for cls in STORES:
+        assert _defined(cls) & _defined(StoreKernel) == set(), cls
 
 
-def test_fusion_is_a_baseline_store_with_a_fac_first_put():
-    assert issubclass(BaselineStore, StoreKernel) and issubclass(FusionStore, BaselineStore)
-    for cls in (FusionStore, BaselineStore):
-        assert cls.span_label
+def test_both_stores_are_the_kernel_plus_a_put_policy():
+    for cls in STORES:
+        assert cls.__bases__ == (StoreKernel,), cls
+    assert not issubclass(FusionStore, BaselineStore)
+    assert not issubclass(BaselineStore, FusionStore)
 
 
 def test_layout_hooks_live_on_the_stored_objects():
     for cls in (StoredFusionObject, StoredFixedObject):
-        assert OBJECT_HOOKS <= _defined(cls), cls
+        missing = LAYOUT_OPS - set(dir(cls)) - {f.name for f in dataclasses.fields(cls)}
+        assert not missing, (cls, missing)
     assert (StoredFusionObject.kind, StoredFixedObject.kind) == ("fac", "fixed")
-    assert StoredFixedObject.splits_chunks and not StoredFusionObject.splits_chunks
-    for cls in (StoreKernel, BaselineStore, FusionStore):
+    for cls in (StoreKernel, *STORES):
         assert not {"_locate_block", "_block_moved", "_dangling_locations"} & _defined(cls)
         assert not hasattr(cls, "store_kind"), cls
 
 
 def test_kernel_dispatches_through_hooks_only():
+    """The layout is asked of the object: no store or kernel module
+    branches on a layout flag or type, and none hops to another layout's
+    path through ``super()``."""
     for name in ("kernel.py", "store.py", "baseline_store.py", "fsck.py", "repair.py", "rebalance.py"):
-        code = re.sub(r'""".*?"""', "", (CORE / name).read_text(), flags=re.S)
+        code = _code(CORE / name)
         for forbidden in (r"hasattr\(", r"isinstance\((self|obj)"):
             assert not re.search(forbidden, code), (name, forbidden)
+    hop = re.compile(r"super\(\)\.(_put_body|_get_body|_query_body|_invalidate_block)\b")
+    for path in sorted(CORE.rglob("*.py")):
+        assert not hop.search(path.read_text()), path
+    for root in (SRC, SRC.parents[1] / "tests"):
+        for path in sorted(root.rglob("*.py")):
+            if path.name != "test_store_kernel.py":
+                assert "splits_chunks" not in path.read_text(), path
 
 
 def test_consumers_walk_the_stripe_records():
@@ -95,6 +117,73 @@ def test_the_delivery_rule_is_the_only_way_into_the_link_matrix():
     paths = sorted(CORE.rglob("*.py")) + [SRC / "cluster" / "faults.py"]
     for path in paths:
         assert not pattern.search(path.read_text()), path
+
+
+#: Every ``except`` clause under ``src/repro/core/`` that names
+#: ``QueueFull``, by (module, enclosing function), and why it may.  The
+#: refusal rule: a refused op is shed where its stage may shed and
+#: otherwise surfaces as a typed ``QueueFull`` - never retried into the
+#: node that refused it, never reconstructed from other nodes - and the
+#: executor (``scatter_gather``) alone decides between the two.
+REFUSAL_CATCHES = {
+    ("scatter_gather.py", "_shielded"):
+        "turns an op's refusal into the executor's rejection sentinel",
+    ("scatter_gather.py", "_node_group"):
+        "a refused batched request refuses every op of its group at once",
+    ("scatter_gather.py", "_node_group.run_op_body"):
+        "re-raises, so the generic failure branch never swallows a refusal",
+    ("kernel.py", "StoreKernel.query_process"):
+        "accounts a query killed by a coordinator-side refusal, then re-raises",
+    ("kernel.py", "StoreKernel._side_by_side.caught"):
+        "hands a refused background exchange back to its round as a value",
+    ("kernel.py", "StoreKernel._rebuild.write"):
+        "defers the stripes of a refused repair write to a later pass",
+    ("rebalance.py", "Rebalancer.rebalance_process"):
+        "defers a refused migration to a later run",
+}
+
+
+def _exception_names(node) -> set[str]:
+    if isinstance(node, ast.Tuple):
+        return set().union(*(_exception_names(e) for e in node.elts))
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return set()
+
+
+def _handlers_of(tree: ast.AST, name: str, scope: tuple[str, ...] = ()):
+    """``(enclosing function, line)`` of every ``except`` clause under
+    ``tree`` that names exception ``name``."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _handlers_of(child, name, scope + (child.name,))
+            continue
+        if isinstance(child, ast.ExceptHandler) and name in _exception_names(child.type):
+            yield ".".join(scope), child.lineno
+        yield from _handlers_of(child, name, scope)
+
+
+def test_a_refused_op_is_caught_only_where_the_refusal_rule_allows():
+    """Guarded like the delivery rule: a new ``except QueueFull`` under
+    ``src/repro/core/`` (a store retrying a refused op itself, say) fails
+    here until it is pinned with its reason, and the executor's retry
+    budget and rejection sentinel are read nowhere but the executor."""
+    found: dict[tuple[str, str], list[int]] = {}
+    for path in sorted(CORE.rglob("*.py")):
+        for function, line in _handlers_of(ast.parse(path.read_text()), "QueueFull"):
+            found.setdefault((path.name, function), []).append(line)
+    assert set(found) == set(REFUSAL_CATCHES), found
+    assert all(len(lines) == 1 for lines in found.values()), found
+    for path in sorted(SRC.rglob("*.py")):
+        if path == CORE / "scatter_gather.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            assert name not in {"MAX_RETRIES", "_REJECTED"}, (path, node.lineno)
 
 
 def test_fixed_object_views_are_for_tests_and_benches_only():

@@ -57,7 +57,7 @@ def _target(obj):
     """The read handle, stripe record and position of the data block
     furthest into the object that holds a filter-column chunk (so its
     decoded values and page index are both cached)."""
-    if obj.splits_chunks:
+    if obj.kind == "fixed":
         placement = obj.stripes[-1]
         return placement.stripe_id * len(placement.data_block_ids), placement, 0
     located = [
@@ -73,9 +73,7 @@ def _lines(store, name: str, step: str) -> int:
     obj = store.objects[name]
     handle, placement, i = _target(obj)
     block_id, node_id = placement.block_ids[i], placement.node_ids[i]
-    caches = [store._decode_cache, store._degraded_bin_cache]
-    caches += [store._page_index_cache] if isinstance(store, FusionStore) else []
-    for cache in caches:
+    for cache in (store._decode_cache, store._page_index_cache, store._degraded_bin_cache):
         cache.clear()
     store.query(f"SELECT id, val, x FROM {name} WHERE val < 3")
     obj.locate_block(handle)  # any index the layout builds lazily
@@ -96,7 +94,7 @@ def test_objects_have_the_sizes_the_guard_compares(store_cls):
     store = _store(store_cls)
     assert [len(store.objects[name].stripes) for name in SIZES] == [2, 40]
     for name in SIZES:
-        assert store.objects[name].splits_chunks == (store_cls is BaselineStore)
+        assert store.objects[name].kind == ("fixed" if store_cls is BaselineStore else "fac")
 
 
 @pytest.mark.parametrize("step", STEPS)

@@ -248,7 +248,7 @@ def _boundaries(store) -> list[int]:
     """Every segment boundary of the object: header / chunk / footer for
     FAC, block edges for the fixed layout."""
     obj = store.objects["tbl"]
-    if obj.splits_chunks:
+    if obj.kind == "fixed":
         return sorted({block.start for block in obj.layout.blocks[1:]})
     chunks = obj.metadata.all_chunks()
     return sorted({len(obj.header_bytes)} | {c.offset for c in chunks} | {chunks[-1].end_offset})

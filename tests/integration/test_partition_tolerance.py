@@ -41,7 +41,7 @@ def _system(store_cls, num_nodes=12, put=True, **config_kw):
 
 def _meta_holders(store, name: str) -> tuple[int, ...]:
     obj = store.objects[name]
-    if isinstance(store, FusionStore):
+    if obj.kind == "fac":
         return tuple(obj.location_map.replica_nodes)
     return tuple(obj.replica_nodes)
 
@@ -62,7 +62,7 @@ def _first_data_holder(store) -> int:
     """A node holding a data block of ``tbl`` (so its loss forces a
     degraded read on the Get path)."""
     obj = store.objects["tbl"]
-    if isinstance(store, FusionStore):
+    if obj.kind == "fac":
         placement = obj.stripes[0]
         j = next(i for i, s in enumerate(placement.data_sizes) if s > 0)
         return placement.node_ids[j]
@@ -80,7 +80,7 @@ def _get_with_metrics(store, name: str):
 def _corrupt_data_block_avoiding(store, cluster, avoid: set[int]) -> tuple[int, str]:
     """Corrupt one stripe-0 data block on a node outside ``avoid``."""
     obj = store.objects["tbl"]
-    if isinstance(store, FusionStore):
+    if obj.kind == "fac":
         placement = obj.stripes[0]
         for j, size in enumerate(placement.data_sizes):
             if size > 0 and placement.node_ids[j] not in avoid:
@@ -372,7 +372,7 @@ class TestMinHealthyFloor:
     def _stripe_zero(self, store):
         """(block handle, holder node ids) for the object's first stripe."""
         obj = store.objects["tbl"]
-        if isinstance(store, FusionStore):
+        if obj.kind == "fac":
             placement = obj.stripes[0]
             j = next(i for i, s in enumerate(placement.data_sizes) if s > 0)
             return obj, placement.data_block_ids[j], list(placement.node_ids)
@@ -411,7 +411,7 @@ class TestMinHealthyFloor:
         # guaranteed-degraded reconstruction.
         result, metrics = _get_with_metrics(store, "tbl")
         assert result == data
-        if isinstance(store, FusionStore):
+        if obj.kind == "fac":
             # Chunks on greylisted holders split: below-floor stripes
             # attempt direct, healthy-majority stripes reconstruct.
             grey_chunks = [

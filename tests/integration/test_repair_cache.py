@@ -39,7 +39,7 @@ def _store(store_cls):
 
 def _caches(store) -> dict:
     caches = {"decode": store._decode_cache, "degraded": store._degraded_bin_cache}
-    if isinstance(store, FusionStore):
+    if store.objects["tbl"].kind == "fac":
         caches["page index"] = store._page_index_cache
     return caches
 
@@ -70,8 +70,8 @@ def test_node_rebuild_evicts_every_cached_entry_of_the_object(store_cls):
     # The holder of row group 0's ``qty`` chunk (or, fixed, of its first
     # bytes), which the query filters on.
     victim = (
-        obj.stripes[0].node_ids[0] if obj.splits_chunks
-        else obj.location_map.lookup((0, 1)).node_id
+        obj.location_map.lookup((0, 1)).node_id if obj.kind == "fac"
+        else obj.stripes[0].node_ids[0]
     )
     cluster.fail_node(victim, wipe=True)
     # A degraded query fills all three caches with entries of the object.
@@ -109,7 +109,7 @@ def _assert_replicas_match_without_aliasing(store, obj) -> None:
     for copy in current:
         assert [(p.stripe_id, list(p.node_ids), list(p.checksums)) for p in copy.stripes] == live
         assert not {id(p) for p in copy.stripes} & {id(p) for p in obj.stripes}
-        if not obj.splits_chunks:
+        if obj.kind == "fac":
             assert copy.location_map.entries == obj.location_map.entries
             assert copy.location_map.entries is not obj.location_map.entries
 
@@ -144,8 +144,8 @@ def test_poisoned_selection_memo_leaves_with_the_object(store_cls, event):
     store = _store(store_cls)
     obj = store.objects["tbl"]
     victim = (
-        obj.stripes[0].node_ids[0] if obj.splits_chunks
-        else obj.location_map.lookup((0, 1)).node_id
+        obj.location_map.lookup((0, 1)).node_id if obj.kind == "fac"
+        else obj.stripes[0].node_ids[0]
     )
     if event == "repair":
         store.cluster.fail_node(victim, wipe=True)

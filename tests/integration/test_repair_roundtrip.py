@@ -38,7 +38,7 @@ def _system(store_cls, num_nodes=12):
 def _corrupt_one_data_block(store, cluster) -> tuple[int, str]:
     """Flip a byte in one stored data block; returns (node_id, block_id)."""
     obj = store.objects["tbl"]
-    if isinstance(store, FusionStore):
+    if obj.kind == "fac":
         placement = obj.stripes[0]
         i = next(j for j, s in enumerate(placement.data_sizes) if s > 0)
         bid = placement.data_block_ids[i]

@@ -99,7 +99,7 @@ class TestRpcAccounting:
         result, m = store.query("SELECT qty FROM tbl WHERE qty < 10")
         assert result.matched_rows > 0
         nodes_touched = len(
-            {loc for loc in store.chunk_nodes("tbl").values()}
+            {loc for loc in store.objects["tbl"].chunk_nodes.values()}
         )
         # Fused stage: one batched request per touched node (replies
         # stream over the open exchange), plus the final result transfer
