@@ -383,12 +383,13 @@ def execute_remote_ops(
             if value is _DEADLINE:
                 _abort_deadline(cluster, metrics, scope, "fallback")
             if value is _REJECTED:
+                # The refusal rule holds for reconstruction reads too.
                 if allow_shed:
                     shed.add(i)
                     continue
-                raise RemoteOpError(
-                    "degraded fallback refused by admission control and "
-                    "partial results are not allowed"
+                raise QueueFull(
+                    f"degraded fallback of the op {_where(ops, [i])} "
+                    "refused by admission control"
                 )
             if value is _FAILED:
                 if allow_shed:

@@ -22,6 +22,7 @@ from repro.core import (
     RemoteOpError,
     StoreConfig,
 )
+from repro.core.location_map import ChecksumError
 from repro.core.scatter_gather import SHED, RemoteOp, execute_remote_ops
 from repro.format import write_table
 from repro.sql import execute_local
@@ -78,6 +79,45 @@ def test_a_refused_op_in_a_stage_that_may_shed_is_shed():
     assert outcome["value"] == [SHED]
     assert runs == {"execute": 1, "fallback": 0}
     assert metrics.retries == 0
+
+
+def test_a_refused_degraded_fallback_in_a_stage_that_may_not_shed_raises_queue_full():
+    """Corrupt bytes send the op straight to its degraded fallback; when
+    admission control refuses the fallback's own reads, the refusal
+    surfaces as ``QueueFull`` (which ``query_process`` accounts as a
+    failed query), not as a ``RemoteOpError``."""
+    sim = Simulator()
+    cluster = Cluster(sim, ClusterConfig(num_nodes=4))
+    runs = {"execute": 0, "fallback": 0}
+
+    def execute():
+        runs["execute"] += 1
+        yield sim.timeout(0.001)
+        raise ChecksumError("rotten chunk")
+
+    def fallback():
+        runs["fallback"] += 1
+        yield sim.timeout(0.001)
+        raise QueueFull("node 2 cpu")
+
+    op = RemoteOp(node=cluster.node(1), request_bytes=64, execute=execute, fallback=fallback)
+    metrics = QueryMetrics()
+    outcome = {}
+
+    def stage():
+        try:
+            outcome["value"] = yield from execute_remote_ops(
+                cluster, cluster.node(0), [op], metrics, config=StoreConfig(),
+            )
+        except (QueueFull, RemoteOpError) as exc:
+            outcome["error"] = exc
+
+    sim.process(stage())
+    sim.run()
+    assert type(outcome.get("error")) is QueueFull, outcome
+    assert runs == {"execute": 1, "fallback": 1}
+    assert metrics.retries == 0
+    assert metrics.requests_rejected == 1
 
 
 def test_a_failed_op_keeps_its_retries_and_fallback():
