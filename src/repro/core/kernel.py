@@ -491,18 +491,6 @@ class StoreKernel:
         )
         return candidate / meta.num_values
 
-    def _node_pressured(self, node) -> bool:
-        """Is the node's CPU admission queue at capacity right now?
-
-        Pure queue-length read; always ``False`` with admission control
-        off, so default-knob runs take the cost estimator's branch
-        untouched.  Used for graceful degradation: pushing compute to a
-        node whose service queue is already full would likely just burn
-        a round trip on a rejection.
-        """
-        depth = self.config.admission_queue_depth
-        return depth > 0 and node.cpu.queue_length >= depth
-
     def _may_shed(self, query: Query) -> bool:
         """May the query's stages shed refused ops?  Partial results: a
         scan (no aggregate, no GROUP BY) may trade shed chunks for a typed
