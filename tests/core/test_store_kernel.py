@@ -11,8 +11,9 @@ grows anything but its Put policy, when a store subclasses the other or
 a layout flag or ``super()`` hop grows back, when a stored-object class
 lacks a layout operation, when a store or the fault injector reads the
 link matrix behind the delivery rule's back, when a refused op is caught
-anywhere the refusal rule does not expect, and when a ``StoreConfig``
-field appears that only the tests set.
+anywhere the refusal rule does not expect, when Fusion's query path
+grows a second op builder, chunk read or stage round, and when a
+``StoreConfig`` field appears that only the tests set.
 """
 
 import ast
@@ -24,6 +25,7 @@ import repro.core
 from repro.core import BaselineStore, FusionStore, StoreConfig, StoredFusionObject
 from repro.core.baseline_store import StoredFixedObject
 from repro.core.kernel import StoreKernel
+from repro.core.store import _ChunkOp
 
 CORE = pathlib.Path(repro.core.__file__).parent
 SRC = CORE.parent
@@ -184,6 +186,53 @@ def test_a_refused_op_is_caught_only_where_the_refusal_rule_allows():
             if isinstance(node, ast.alias):
                 name = node.name
             assert name not in {"MAX_RETRIES", "_REJECTED"}, (path, node.lineno)
+
+
+def _calls_of(tree: ast.AST, name: str, scope: tuple[str, ...] = ()):
+    """Enclosing function of every call of ``name`` (a function or a
+    method) under ``tree``."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _calls_of(child, name, scope + (child.name,))
+            continue
+        if isinstance(child, ast.Call) and name in _exception_names(child.func):
+            yield ".".join(scope)
+        yield from _calls_of(child, name, scope)
+
+
+#: Where ``store.py`` may call each name of Fusion's query path: one
+#: routine builds every ``RemoteOp``, one reads and one reconstructs
+#: every chunk, and one stage runner runs every stage's round.
+QUERY_PATH_CALLS = {
+    "RemoteOp": ["_ChunkOp.remote_op"] * 2,  # direct, or standalone degraded
+    "_read_chunk": ["_ChunkOp.execute"],
+    "_degraded_chunk": ["_ChunkOp.degraded"],
+    "execute_remote_ops": ["_run_stage"],
+    "_run_stage": [
+        "StoredFusionObject.query",  # the filter and projection stages
+        "StoredFusionObject.query",
+        "StoredFusionObject._fused_query",
+        "StoredFusionObject._aggregate_pushdown_stage",
+    ],
+}
+#: All a query op may define: what it evaluates on the decoded chunk,
+#: what that weighs in the reply, and where its Cost Equation decides.
+CHUNK_OP_HOOKS = {"__init__", "evaluate", "size", "pushes", "verdict"}
+
+
+def test_fusion_queries_through_one_chunk_op_and_one_stage_runner():
+    """The filter, fused, projection and aggregate ops differ only in
+    what they evaluate, reply and decide: a second op builder, a second
+    read or reconstruction of a chunk, or a stage that runs its own
+    round fails here."""
+    tree = ast.parse((CORE / "store.py").read_text())
+    for name, where in QUERY_PATH_CALLS.items():
+        assert sorted(_calls_of(tree, name)) == sorted(where), name
+    ops = _ChunkOp.__subclasses__()
+    assert len(ops) == 4
+    for cls in ops:
+        assert cls.__bases__ == (_ChunkOp,) and not cls.__subclasses__(), cls
+        assert _defined(cls) <= CHUNK_OP_HOOKS, cls
 
 
 def test_fixed_object_views_are_for_tests_and_benches_only():
