@@ -20,7 +20,6 @@ from repro.bench.harness import (
     Comparison,
     build_pair,
     build_system,
-    run_open_loop,
     run_workload,
 )
 from repro.bench.report import format_table
@@ -1836,10 +1835,8 @@ def tenant_qos(
 
         def qos_build(**extra):
             base = dict(
-                qos_enabled=True,
                 tenant_weights={"A": 1.0, "B": 1.0},
                 admission_queue_depth=16,
-                tenant_queue_depth=16,
                 rpc_retry_jitter=0.5,
             )
             base.update(extra)

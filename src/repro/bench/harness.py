@@ -133,10 +133,6 @@ def enable_obs_capture(
     }
 
 
-def obs_capture_enabled() -> bool:
-    return _OBS_CAPTURE is not None
-
-
 def collect_obs() -> tuple[dict, str, dict]:
     """Exports from every system built since :func:`enable_obs_capture`.
 

@@ -79,9 +79,9 @@ class Cluster:
         #: remembered so nodes joining at runtime get the same bound (set
         #: by repro.cluster.overload.install_admission_control).
         self.admission: int | None = None
-        #: Optional TenantQos board (installed by the stores when
-        #: StoreConfig.qos_enabled is set; see repro.cluster.qos): DRR
-        #: fair queues on node service loops plus tenant quota buckets.
+        #: Optional TenantQos board (installed by the stores when a
+        #: StoreConfig tenant map is non-empty; see repro.cluster.qos):
+        #: DRR fair queues on node service loops plus tenant quota buckets.
         self.qos = None
         #: In-flight block migrations (block_id -> MigrationEntry, see
         #: repro.core.rebalance).  Metadata-plane intent registry: fsck

@@ -221,23 +221,13 @@ class ClusterMetrics:
         self.blocks_migrated += blocks
         self.rebalance_seconds += seconds
         if self.registry is not None:
-            # getattr-guarded: duck-typed sinks predating the rebalance
-            # counters keep working.
-            record = getattr(self.registry, "record_rebalance", None)
-            if record is not None:
-                record(nbytes, blocks, seconds)
+            self.registry.record_rebalance(nbytes, blocks, seconds)
 
     def record_read_repair(self, nbytes: int, blocks: int, seconds: float) -> None:
         """Account one read-repair run's traffic (separate from scrub repair)."""
         self.read_repair_bytes += nbytes
         self.blocks_read_repaired += blocks
         self.read_repair_seconds += seconds
-        if self.registry is not None:
-            # getattr-guarded like record_rebalance: older duck-typed
-            # sinks without the read-repair counters keep working.
-            record = getattr(self.registry, "record_read_repair", None)
-            if record is not None:
-                record(nbytes, blocks, seconds)
 
     def latencies(self) -> list[float]:
         return [q.latency for q in self.queries]

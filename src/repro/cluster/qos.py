@@ -23,7 +23,8 @@ This module adds the missing half:
   events and cannot perturb the timeline).
 * :class:`QuotaExceeded` — the typed refusal an over-quota request gets.
 
-Everything here is off unless ``StoreConfig.qos_enabled`` is set, and a
+Everything here is off unless ``StoreConfig.tenant_weights`` or
+``StoreConfig.tenant_requests_per_s`` names a tenant, and a
 :class:`~repro.cluster.simcore.Resource` without an attached FairQueue
 (or an acquisition without a ``tenant``) runs the exact pre-QoS code
 path — fault-free default-knob runs stay event-stream bit-identical.
@@ -289,21 +290,22 @@ class TenantQos:
 def install_qos(cluster, config) -> None:
     """Install the tenant QoS board and per-node DRR dispatchers.
 
-    No-op unless ``config.qos_enabled``; idempotent (both stores call it
-    from their constructors, same pattern as admission control).  The
-    board is remembered on the cluster so nodes added at runtime get the
-    same dispatchers (see ``Cluster.add_node``).
+    No-op unless ``config.tenant_weights`` or
+    ``config.tenant_requests_per_s`` is non-empty; idempotent (both stores
+    call it from their constructors, same pattern as admission control).
+    Each tenant sub-queue is bounded by ``config.admission_queue_depth``.
+    The board is remembered on the cluster so nodes added at runtime get
+    the same dispatchers (see ``Cluster.add_node``).
     """
-    if getattr(cluster, "qos", None) is not None:
+    if cluster.qos is not None:
         return
-    if not getattr(config, "qos_enabled", False):
+    if not (config.tenant_weights or config.tenant_requests_per_s):
         return
-    depth = config.tenant_queue_depth or config.admission_queue_depth or 0
     qos = TenantQos(
         cluster.sim,
         weights=config.tenant_weights,
         requests_per_s=config.tenant_requests_per_s,
-        depth_limit=depth,
+        depth_limit=config.admission_queue_depth,
     )
     cluster.qos = qos
     for node in cluster.nodes:

@@ -81,10 +81,6 @@ class FixedLayout:
             remaining -= take
         return fragments
 
-    def blocks_for_range(self, offset: int, length: int) -> list[int]:
-        """Indices of blocks a byte range touches."""
-        return [f.block_index for f in self.locate(offset, length)]
-
     @property
     def parity_bytes(self) -> int:
         """Parity cost: each stripe's parity blocks match its largest block."""

@@ -11,9 +11,9 @@ traffic — repair bytes land in ``ClusterMetrics.repair_bytes`` via
 Corruption isolation lives here too: :func:`localise_stripe` localises
 *which* readable shard is damaged by treating candidate shards as
 erasures and checking whether the remainder re-encodes consistently —
-the standard decode-trial localisation for MDS codes.  Repair is paced
-by ``StoreConfig.repair_throttle_bps``, round by round, so background
-reconstruction does not starve foreground queries.
+the standard decode-trial localisation for MDS codes.  Repair is not
+paced: it runs in the background priority lane under admission control,
+and a stripe whose exchange a full queue refuses waits for a later run.
 """
 
 from __future__ import annotations
@@ -147,7 +147,6 @@ class RepairManager:
         self.store = store
         self.cluster = store.cluster
         self.sim = store.sim
-        self.config = store.config
 
     # -- public entry points (each has a run-the-sim convenience) ---------
 
@@ -224,7 +223,7 @@ class RepairManager:
         stripe: a stripe whose exchange admission control refused, or
         whose rewrite was lost in flight, is left for a later run, and so
         are an object's stripes when its coordinator is cut off from the
-        object's metadata majority.  The throttle paces each round.
+        object's metadata majority.
         """
         metrics = QueryMetrics(priority=BACKGROUND_PRIORITY)
         report = RepairReport(started=self.sim.now)
@@ -261,7 +260,6 @@ class RepairManager:
                     report.stripes_repaired += 1
                     report.blocks_repaired += outcome
                     touched.add(name)
-            yield from self._throttle(metrics, report.started)
         report.objects = sorted(touched)
         report.repair_bytes = metrics.network_bytes
         report.finished = self.sim.now
@@ -278,13 +276,3 @@ class RepairManager:
         )
         record(metrics.network_bytes, report.blocks_repaired, report.time_to_repair)
         return report
-
-    def _throttle(self, metrics: QueryMetrics, started: float):
-        """Pace repair to ``repair_throttle_bps`` of simulated traffic."""
-        bps = self.config.repair_throttle_bps
-        if bps <= 0:
-            return
-        target_elapsed = metrics.network_bytes / bps
-        lag = target_elapsed - (self.sim.now - started)
-        if lag > 0:
-            yield self.sim.timeout(lag)

@@ -187,10 +187,3 @@ def pending_operations(records: list[WalRecord]) -> dict[int, WalRecord]:
         else:
             resolved.add(record.op_id)
     return {op_id: rec for op_id, rec in intents.items() if op_id not in resolved}
-
-
-def committed_operations(records: list[WalRecord]) -> dict[int, WalRecord]:
-    """Intent records of operations that did log a commit."""
-    intents = {r.op_id: r for r in records if r.phase == "intent"}
-    committed = {r.op_id for r in records if r.phase == "commit"}
-    return {op_id: rec for op_id, rec in intents.items() if op_id in committed}

@@ -214,8 +214,5 @@ class PushdownAuditLog:
                     out.ex_post_optimal += 1
         return out
 
-    def to_dicts(self) -> list[dict]:
-        return [r.to_dict() for r in self.records]
-
 
 __all__ = ["AuditSummary", "PushdownAuditLog", "PushdownAuditRecord"]

@@ -96,9 +96,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 def log_buckets(lo: float, hi: float, factor: float = 2.0) -> list[float]:
     """Geometric bucket upper bounds from ``lo`` up to at least ``hi``."""

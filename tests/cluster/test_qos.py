@@ -326,14 +326,27 @@ class TestInstallQos:
     def test_noop_when_disabled(self):
         sim = Simulator()
         cluster = Cluster(sim, ClusterConfig(num_nodes=3))
-        install_qos(cluster, StoreConfig())
+        install_qos(cluster, StoreConfig(admission_queue_depth=7))
         assert cluster.qos is None
         assert cluster.node(0).cpu.fair is None
+
+    @pytest.mark.parametrize(
+        "maps",
+        [{"tenant_weights": {"a": 2.0}}, {"tenant_requests_per_s": {"a": 50.0}}],
+        ids=["weights", "quotas"],
+    )
+    def test_a_tenant_map_alone_installs_the_board(self, maps):
+        sim = Simulator()
+        cluster = Cluster(sim, ClusterConfig(num_nodes=3))
+        install_qos(cluster, StoreConfig(admission_queue_depth=7, **maps))
+        assert isinstance(cluster.qos, TenantQos)
+        assert cluster.qos.depth_limit == 7
+        assert all(node.cpu.fair is not None for node in cluster.nodes)
 
     def test_installs_fair_queues_on_all_service_loops(self):
         sim = Simulator()
         cluster = Cluster(sim, ClusterConfig(num_nodes=3))
-        config = StoreConfig(qos_enabled=True, tenant_weights={"a": 2.0})
+        config = StoreConfig(tenant_weights={"a": 2.0})
         install_qos(cluster, config)
         assert cluster.qos is not None
         assert cluster.qos.weight("a") == 2.0
@@ -350,38 +363,26 @@ class TestInstallQos:
     def test_idempotent_for_store_pair(self):
         sim = Simulator()
         cluster = Cluster(sim, ClusterConfig(num_nodes=2))
-        config = StoreConfig(qos_enabled=True)
+        config = StoreConfig(tenant_weights={"a": 1.0})
         install_qos(cluster, config)
         board = cluster.qos
+        assert board is not None
         install_qos(cluster, config)
         assert cluster.qos is board
 
     def test_runtime_added_node_gets_fair_queues(self):
         sim = Simulator()
         cluster = Cluster(sim, ClusterConfig(num_nodes=2))
-        install_qos(cluster, StoreConfig(qos_enabled=True))
+        install_qos(cluster, StoreConfig(tenant_weights={"a": 1.0}))
         node_id = cluster.add_node()
         assert cluster.node(node_id).cpu.fair is not None
 
     def test_depth_falls_back_to_admission_depth(self):
-        sim = Simulator()
-        cluster = Cluster(sim, ClusterConfig(num_nodes=2))
-        install_qos(
-            cluster,
-            StoreConfig(qos_enabled=True, admission_queue_depth=7),
-        )
-        assert cluster.qos.depth_limit == 7
-        sim2 = Simulator()
-        cluster2 = Cluster(sim2, ClusterConfig(num_nodes=2))
-        install_qos(
-            cluster2,
-            StoreConfig(
-                qos_enabled=True,
-                admission_queue_depth=7,
-                tenant_queue_depth=3,
-            ),
-        )
-        assert cluster2.qos.depth_limit == 3
+        # admission_queue_depth=0 leaves the tenant sub-queues unbounded,
+        # like the admission queues themselves.
+        cluster = Cluster(Simulator(), ClusterConfig(num_nodes=2))
+        install_qos(cluster, StoreConfig(tenant_weights={"a": 1.0}))
+        assert cluster.qos.depth_limit is None
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +407,7 @@ class TestTenantStormFault:
         cluster = Cluster(sim, ClusterConfig(num_nodes=2))
         install_qos(
             cluster,
-            StoreConfig(qos_enabled=True, tenant_requests_per_s={"noisy": 50.0}),
+            StoreConfig(tenant_requests_per_s={"noisy": 50.0}),
         )
         schedule = [
             FaultEvent(at=0.0, kind="tenant_storm", node_id=0,

@@ -146,7 +146,7 @@ class TestFallbackObjectRouting:
         assert store_spans() == [("scrub", "fusion", None)]
 
     def test_tenant_query_is_admitted_once(self):
-        store, _table, _data = _fixed_layout_store(qos_enabled=True)
+        store, _table, _data = _fixed_layout_store(tenant_weights={"t1": 1.0})
         store.query("SELECT k FROM skewed WHERE k < 5", tenant="t1")
         assert store.cluster.qos.stats["t1"]["admitted"] == 1
 

@@ -254,12 +254,12 @@ KNOBS = (
     "code", "block_size", "size_scale", "storage_overhead_threshold",
     "pushdown_mode", "enable_aggregate_pushdown", "baseline_whole_block_reads",
     "enable_page_skipping", "op_timeout_s", "greylist_latency_factor",
-    "repair_throttle_bps", "metadata_replicas", "tracing_enabled",
+    "metadata_replicas", "tracing_enabled",
     "metrics_registry_enabled", "pushdown_audit_enabled", "default_deadline_s",
     "admission_queue_depth", "breaker_failure_threshold",
     "breaker_window_s", "breaker_reset_s", "allow_partial_results",
-    "membership_enabled", "rpc_retry_jitter", "qos_enabled", "tenant_weights",
-    "tenant_requests_per_s", "tenant_queue_depth", "scrape_interval_s", "slo_enabled",
+    "membership_enabled", "rpc_retry_jitter", "tenant_weights",
+    "tenant_requests_per_s", "scrape_interval_s", "slo_enabled",
     "exemplars_enabled",
 )
 #: Knobs no bench, benchmark or example sets, each kept for a reason.
@@ -267,10 +267,6 @@ UNBENCHED_KNOBS = {
     # ROADMAP "One baseline read mode, chosen by the scorecard" picks the
     # baseline's one read mode and deletes this.
     "baseline_whole_block_reads",
-    # Paces each round of RepairManager._repair_targets (ROADMAP "One
-    # gather primitive for Get, query, repair and scrub"); a throttled
-    # repair still has no bench, only test_throttled_repair_takes_longer.
-    "repair_throttle_bps",
     # Set only to its default (on) here; tests switch it off.  ROADMAP
     # "StoreConfig describes the store" moves it out of StoreConfig with
     # the other telemetry switches.

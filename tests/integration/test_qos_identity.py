@@ -11,14 +11,12 @@ from repro.check import fingerprint
 from repro.core import StoreConfig
 from tests.closed_loop import NUM_QUERIES, each_store, fingerprinted, recorded, run, same_answers
 
-#: Armed but inert: fair queues installed on every service loop, quotas
-#: far above anything the workload offers.  Untenanted requests must
-#: still take the legacy code path untouched.
+#: Armed but inert: the tenant maps alone install fair queues on every
+#: service loop, with quotas far above anything the workload offers.
+#: Untenanted requests must still take the legacy code path untouched.
 ARMED = dict(
-    qos_enabled=True,
     tenant_weights={"a": 2.0, "b": 1.0},
     tenant_requests_per_s={"a": 1e9},
-    tenant_queue_depth=10_000,
 )
 
 
@@ -68,7 +66,5 @@ def test_tenanted_run_is_deterministic_and_labelled(kind):
 
 def test_default_config_keeps_qos_off():
     config = StoreConfig()
-    assert config.qos_enabled is False
     assert config.tenant_weights == {}
     assert config.tenant_requests_per_s == {}
-    assert config.tenant_queue_depth == 0

@@ -94,11 +94,9 @@ def test_storming_tenant_cannot_crowd_out_a_paced_one(store_cls, monkeypatch):
     # wholesale out of the initial bucket.
     monkeypatch.setattr(qos, "QUOTA_BURST_S", duration / 10.0)
     policy = dict(
-        qos_enabled=True,
         tenant_weights={"A": 1.0, "B": 4.0},
         tenant_requests_per_s={"A": 0.2 * capacity_qps},
         admission_queue_depth=16,
-        tenant_queue_depth=16,
     )
 
     # Tenant B alone under the same policy: the isolation yardstick.

@@ -181,29 +181,3 @@ class TestCacheInvalidation:
         result, qm = store.query(SQL)
         assert result.equals(execute_local(SQL, table))
         assert qm.degraded_reads == 0
-
-    def test_throttled_repair_takes_longer(self):
-        def repair_time(throttle):
-            sim = Simulator()
-            cluster = Cluster(sim, ClusterConfig(num_nodes=12))
-            table = make_small_table(num_rows=2500, seed=77)
-            data = write_table(table, row_group_rows=500)
-            store = FusionStore(
-                cluster,
-                StoreConfig(
-                    size_scale=50.0,
-                    storage_overhead_threshold=0.1,
-                    block_size=500_000,
-                    repair_throttle_bps=throttle,
-                ),
-            )
-            store.put("tbl", data)
-            victim = sorted(_placement_nodes(store))[0]
-            cluster.fail_node(victim)
-            report = RepairManager(store).repair_node(victim)
-            assert store.verify_object("tbl").clean
-            return report.time_to_repair
-
-        unthrottled = repair_time(0.0)
-        throttled = repair_time(1e6)  # 1 MB/s of simulated repair traffic
-        assert throttled > unthrottled * 2
