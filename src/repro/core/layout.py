@@ -114,9 +114,14 @@ class StripeLayout:
         return sum(bs.data_bytes for bs in self.binsets) - self.stored_padding_bytes
 
     @property
+    def objective(self) -> int:
+        """The paper's Equation (1): the sum over stripes of the largest bin."""
+        return sum(bs.max_bin for bs in self.binsets)
+
+    @property
     def parity_bytes(self) -> int:
         """Physical parity bytes across all stripes."""
-        return self.params.parity * sum(bs.max_bin for bs in self.binsets)
+        return self.params.parity * self.objective
 
     @property
     def stored_bytes(self) -> int:

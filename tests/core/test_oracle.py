@@ -18,10 +18,6 @@ def _items(sizes):
     return [ChunkItem(key=(0, i), size=s) for i, s in enumerate(sizes)]
 
 
-def _objective(layout):
-    return sum(bs.max_bin for bs in layout.binsets)
-
-
 class TestOptimality:
     @pytest.mark.parametrize(
         "sizes",
@@ -35,19 +31,19 @@ class TestOptimality:
     )
     def test_matches_brute_force(self, sizes):
         layout = construct_oracle_layout(SMALL, _items(sizes))
-        assert _objective(layout) == brute_force_optimal(SMALL, _items(sizes))
+        assert layout.objective == brute_force_optimal(SMALL, _items(sizes))
 
     def test_never_worse_than_fac(self):
         for seed, sizes in enumerate([[9, 8, 7, 3, 2, 1], [20, 5, 5, 5, 5, 5]]):
             items = _items(sizes)
             oracle = construct_oracle_layout(SMALL, items)
             fac = construct_stripes(SMALL, items)
-            assert _objective(oracle) <= _objective(fac) + 1e-9
+            assert oracle.objective <= fac.objective + 1e-9
 
     def test_respects_lower_bound(self):
         items = _items([10, 9, 8, 5, 4, 2])
         layout = construct_oracle_layout(SMALL, items)
-        assert _objective(layout) >= optimal_objective_lower_bound(SMALL, items) - 1e-9
+        assert layout.objective >= optimal_objective_lower_bound(SMALL, items) - 1e-9
 
     def test_layout_is_valid_partition(self):
         items = _items([10, 9, 8, 5, 4, 2, 1])
