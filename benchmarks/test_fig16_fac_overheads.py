@@ -1,21 +1,17 @@
 """Figure 16: FAC storage/runtime overhead vs the optimum and padding."""
 
 from repro.bench.experiments import fig16a_fac_overhead, fig16bc_strategy_compare
+from repro.bench.scorecard import failed_checks
 
 
 def test_fig16a_fac_overhead(run_experiment):
     result = run_experiment(
         fig16a_fac_overhead, chunk_counts=(50, 100, 500, 1000), skews=(0.0, 0.99), runs=10
     )
-    raw = result.raw
-    for skew in (0.0, 0.99):
-        # Overhead decreases with chunk count and converges toward zero
-        # (paper: ~3% at 100 chunks, 0.8% at 500).
-        assert raw[(skew, 50)] >= raw[(skew, 500)]
-        assert raw[(skew, 500)] < 1.0
-        assert raw[(skew, 1000)] < 0.6
-    # Skew barely matters (paper's surprising finding).
-    assert abs(raw[(0.0, 500)] - raw[(0.99, 500)]) < 1.0
+    # Overhead decreases with chunk count and converges toward zero
+    # (paper: ~3% at 100 chunks, 0.8% at 500); skew barely matters (the
+    # paper's surprising finding).
+    assert failed_checks("fig16a", result.raw) == []
 
 
 def test_fig16bc_strategy_compare(run_experiment):

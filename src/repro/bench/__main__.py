@@ -6,8 +6,11 @@ Usage::
     python -m repro.bench fig13ab [--json DIR]
     python -m repro.bench all [--json DIR]
     python -m repro.bench bench <plane|all|list|summary [DIR]>
+    python -m repro.bench scorecard
 
 ``bench`` runs the acceptance planes (see :mod:`repro.bench.acceptance`).
+``scorecard`` is the ``paper`` plane: it writes ``BENCH_paper.json``
+(see :mod:`repro.bench.scorecard`).
 ``--json DIR`` additionally writes each result as ``DIR/<name>.json``.
 ``--trace-out PATH`` captures a merged Chrome ``trace_event`` JSON of
 every system built during the run (open it at https://ui.perfetto.dev).
@@ -46,6 +49,8 @@ def _take_flag(argv: list[str], flag: str) -> tuple[list[str], str | None]:
 def main(argv: list[str]) -> int:
     if argv[:1] == ["bench"]:
         return acceptance.main(argv[1:])
+    if argv[:1] == ["scorecard"]:
+        return acceptance.main(["paper"])
     json_dir = None
     if "--json" in argv:
         at = argv.index("--json")

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.bench import experiments as ex
+from repro.bench import scorecard
 from repro.bench.envelope import load_bench_report, write_bench_report
 from repro.bench.experiments import ExperimentResult
 
@@ -239,6 +240,7 @@ PLANES: dict[str, Plane] = {
         _overload,
         {"goodput_floor": GOODPUT_FLOOR, "admission_queue_depth": ADMISSION_DEPTH},
     ),
+    "paper": Plane(scorecard.scorecard, scorecard.check, scorecard.FLOORS),
     "partition": Plane(
         ex.partition_tolerance, _partition, dict.fromkeys(PARTITION_CHECKS, True)
     ),

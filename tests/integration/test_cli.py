@@ -73,10 +73,10 @@ class TestBenchCli:
         out = capsys.readouterr().out
         for name in (
             "dataplane", "fault_tolerance", "membership", "metadata_chaos",
-            "obs_overhead", "overload", "partition", "qos",
+            "obs_overhead", "overload", "paper", "partition", "qos",
         ):
             assert name in out
-        assert len(PLANES) == 8
+        assert len(PLANES) == 9
 
     def test_unknown_plane(self, capsys):
         assert main(["bench", "nope"]) == 1
