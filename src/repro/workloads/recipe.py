@@ -44,11 +44,8 @@ def recipe_table(num_rows: int = DEFAULT_ROWS, seed: int = 11) -> Table:
 
 
 def _links(rng: np.random.Generator, count: int) -> np.ndarray:
-    ids = rng.integers(0, 10**9, size=count)
-    out = np.empty(count, dtype=object)
-    for i, v in enumerate(ids):
-        out[i] = f"www.recipes.example/{v:09x}"
-    return out
+    ids = rng.integers(0, 10**9, size=count).tolist()
+    return np.array([f"www.recipes.example/{v:09x}" for v in ids], dtype=object)
 
 
 def recipe_file(

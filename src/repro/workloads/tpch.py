@@ -59,12 +59,7 @@ def lineitem_table(num_rows: int = DEFAULT_ROWS, seed: int = 42) -> Table:
 
     # Orders have 1-7 lineitems; orderkey is sorted (as dbgen emits).
     orderkey = np.sort(rng.integers(1, max(2, num_rows // 4), size=num_rows))
-    linenumber = np.zeros(num_rows, dtype=np.int64)
-    run_start = 0
-    for i in range(1, num_rows + 1):
-        if i == num_rows or orderkey[i] != orderkey[run_start]:
-            linenumber[run_start:i] = np.arange(1, i - run_start + 1)
-            run_start = i
+    linenumber = _linenumbers(orderkey)
 
     quantity = rng.integers(1, 51, size=num_rows)
     partkey = rng.integers(1, 200_000, size=num_rows)
@@ -112,6 +107,14 @@ def lineitem_table(num_rows: int = DEFAULT_ROWS, seed: int = 42) -> Table:
             "l_comment": (ColumnType.STRING, comment),
         }
     )
+
+
+def _linenumbers(orderkey: np.ndarray) -> np.ndarray:
+    """1, 2, ... within each run of equal order keys."""
+    run_start = np.zeros(len(orderkey), dtype=np.int64)
+    starts = np.flatnonzero(np.diff(orderkey)) + 1
+    run_start[starts] = starts
+    return np.arange(1, len(orderkey) + 1) - np.maximum.accumulate(run_start)
 
 
 def lineitem_file(

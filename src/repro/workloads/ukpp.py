@@ -59,26 +59,17 @@ def ukpp_table(num_rows: int = DEFAULT_ROWS, seed: int = 13) -> Table:
 
 
 def _postcodes(rng: np.random.Generator, count: int) -> np.ndarray:
-    letters = "ABCDEFGHJKLMNPRSTUWYZ"
-    out = np.empty(count, dtype=object)
-    a = rng.integers(0, len(letters), size=count)
-    b = rng.integers(0, len(letters), size=count)
-    n1 = rng.integers(1, 30, size=count)
-    n2 = rng.integers(0, 10, size=count)
-    c = rng.integers(0, len(letters), size=count)
-    d = rng.integers(0, len(letters), size=count)
-    for i in range(count):
-        out[i] = f"{letters[a[i]]}{letters[b[i]]}{n1[i]} {n2[i]}{letters[c[i]]}{letters[d[i]]}"
-    return out
+    letters = np.array(list("ABCDEFGHJKLMNPRSTUWYZ"), dtype=object)
+    a, b = (letters[rng.integers(0, len(letters), size=count)] for _ in range(2))
+    n1 = rng.integers(1, 30, size=count).astype(str).astype(object)
+    n2 = rng.integers(0, 10, size=count).astype(str).astype(object)
+    c, d = (letters[rng.integers(0, len(letters), size=count)] for _ in range(2))
+    return a + b + n1 + " " + n2 + c + d
 
 
 def _streets(rng: np.random.Generator, count: int) -> np.ndarray:
     names = random_codes(rng, count, "ST", 40_000)
-    suffix = pick(rng, count, _STREET_SUFFIX)
-    out = np.empty(count, dtype=object)
-    for i in range(count):
-        out[i] = f"{names[i]} {suffix[i]}"
-    return out
+    return names + " " + pick(rng, count, _STREET_SUFFIX)
 
 
 def ukpp_file(
