@@ -59,11 +59,19 @@ def _fig16a_series(raw: dict) -> Series:
     return series
 
 
+def _max_reductions(series: Series) -> dict[str, float]:
+    return {
+        "max_p50_reduction_pct": max(series["p50_reduction_pct"].values()),
+        "max_p99_reduction_pct": max(series["p99_reduction_pct"].values()),
+    }
+
+
 def _splits_shrink_with_blocks(split: dict) -> bool:
     return split["0.1MB"] >= split["1MB"] >= split["10MB"] >= split["100MB"]
 
 
 QUERIES = ("Q1", "Q2", "Q3", "Q4")
+SKEWS = ("zipf 0", "zipf 0.99")
 
 FIGURES: dict[str, Figure] = {
     # Paper: splits stay significant at 100 MB blocks (~40% / ~24%) and
@@ -91,10 +99,7 @@ FIGURES: dict[str, Figure] = {
         run=ex.fig13ab_column_sweep,
         series=_reductions,
         paper={"max_p50_reduction_pct": 65.0, "max_p99_reduction_pct": 81.0},
-        ours=lambda s: {
-            "max_p50_reduction_pct": max(s["p50_reduction_pct"].values()),
-            "max_p99_reduction_pct": max(s["p99_reduction_pct"].values()),
-        },
+        ours=_max_reductions,
         checks={
             **{
                 f"column {cid} {p} reduction > {floor}%": (
@@ -118,10 +123,7 @@ FIGURES: dict[str, Figure] = {
         run=ex.fig15a_realworld,
         series=_reductions,
         paper={"max_p50_reduction_pct": 48.0, "max_p99_reduction_pct": 48.0},
-        ours=lambda s: {
-            "max_p50_reduction_pct": max(s["p50_reduction_pct"].values()),
-            "max_p99_reduction_pct": max(s["p99_reduction_pct"].values()),
-        },
+        ours=_max_reductions,
         checks={
             **{
                 f"{q} p99 reduction > 0": lambda s, q=q: s["p99_reduction_pct"][q] > 0
@@ -156,13 +158,16 @@ FIGURES: dict[str, Figure] = {
         },
         checks={
             **{
-                name: check
-                for zipf in ("zipf 0", "zipf 0.99")
-                for name, check in (
-                    (f"{zipf}: overhead at 50 chunks >= at 500", lambda s, z=zipf: s[z]["50"] >= s[z]["500"]),
-                    (f"{zipf}: overhead at 500 chunks < 1.0%", lambda s, z=zipf: s[z]["500"] < 1.0),
-                    (f"{zipf}: overhead at 1000 chunks < 0.6%", lambda s, z=zipf: s[z]["1000"] < 0.6),
-                )
+                f"{z}: overhead at 50 chunks >= at 500": lambda s, z=z: s[z]["50"] >= s[z]["500"]
+                for z in SKEWS
+            },
+            **{
+                f"{z}: overhead at 500 chunks < 1.0%": lambda s, z=z: s[z]["500"] < 1.0
+                for z in SKEWS
+            },
+            **{
+                f"{z}: overhead at 1000 chunks < 0.6%": lambda s, z=z: s[z]["1000"] < 0.6
+                for z in SKEWS
             },
             "zipf 0 and 0.99 within 1 point at 500 chunks": lambda s: (
                 abs(s["zipf 0"]["500"] - s["zipf 0.99"]["500"]) < 1.0

@@ -60,10 +60,12 @@ def ukpp_table(num_rows: int = DEFAULT_ROWS, seed: int = 13) -> Table:
 
 def _postcodes(rng: np.random.Generator, count: int) -> np.ndarray:
     letters = np.array(list("ABCDEFGHJKLMNPRSTUWYZ"), dtype=object)
-    a, b = (letters[rng.integers(0, len(letters), size=count)] for _ in range(2))
+    a = letters[rng.integers(0, len(letters), size=count)]
+    b = letters[rng.integers(0, len(letters), size=count)]
     n1 = rng.integers(1, 30, size=count).astype(str).astype(object)
     n2 = rng.integers(0, 10, size=count).astype(str).astype(object)
-    c, d = (letters[rng.integers(0, len(letters), size=count)] for _ in range(2))
+    c = letters[rng.integers(0, len(letters), size=count)]
+    d = letters[rng.integers(0, len(letters), size=count)]
     return a + b + n1 + " " + n2 + c + d
 
 
