@@ -62,7 +62,7 @@ class Disk:
             raise ValueError("cannot read a negative number of bytes")
         start = self.sim.now
         tracer = self.sim.tracer
-        span = tracer.begin(_op, cat="device", bytes=nbytes) if tracer is not None else None
+        span_id = tracer.begin(_op, cat="device", bytes=nbytes) if tracer is not None else None
         priority = None if query is None else query.priority
         tenant = None if query is None else query.tenant
         try:
@@ -76,11 +76,11 @@ class Disk:
                 )
                 yield self.sim.timeout(duration * self.slow_factor * self.gray_factor)
         except QueueFull:
-            if span is not None:
-                tracer.finish(span, rejected=True)
+            if span_id is not None:
+                tracer.finish(span_id, rejected=True)
             raise
-        if span is not None:
-            tracer.finish(span)
+        if span_id is not None:
+            tracer.finish(span_id)
         self.total_bytes += nbytes
         if query is not None:
             query.add(m.DISK, self.sim.now - start)

@@ -278,7 +278,7 @@ class Network:
             query.rpcs_issued += issued
             query.rpcs_saved += saved
         tracer = self.sim.tracer
-        span = (
+        span_id = (
             tracer.begin("net.transfer", cat="device", src=src.name, dst=dst.name,
                          bytes=nbytes)
             if tracer is not None
@@ -303,11 +303,11 @@ class Network:
                     duration = nbytes / self.config.bandwidth_bps * slow + latency_s
                     yield self.sim.timeout(duration)
         except QueueFull:
-            if span is not None:
-                tracer.finish(span, rejected=True)
+            if span_id is not None:
+                tracer.finish(span_id, rejected=True)
             raise
-        if span is not None:
-            tracer.finish(span)
+        if span_id is not None:
+            tracer.finish(span_id)
         self.total_bytes += nbytes
         # Network processing burns CPU at both endpoints, overlapped with
         # the transfer itself (busy time for utilisation accounting; it

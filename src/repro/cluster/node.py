@@ -220,7 +220,7 @@ class StorageNode:
             raise ValueError("negative compute time")
         start = self.sim.now
         tracer = self.sim.tracer
-        span = (
+        span_id = (
             tracer.begin("cpu.compute", cat="device", node=self.node_id, work_s=seconds)
             if tracer is not None
             else None
@@ -235,11 +235,11 @@ class StorageNode:
             ):
                 yield self.sim.timeout(seconds)
         except QueueFull:
-            if span is not None:
-                tracer.finish(span, rejected=True)
+            if span_id is not None:
+                tracer.finish(span_id, rejected=True)
             raise
-        if span is not None:
-            tracer.finish(span)
+        if span_id is not None:
+            tracer.finish(span_id)
         if query is not None:
             query.add(m.CPU, self.sim.now - start)
 

@@ -34,6 +34,7 @@ Example::
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from heapq import heappop, heappush
 from typing import Callable, Generator, Iterable
@@ -184,18 +185,39 @@ class Simulator:
         #: step (``None`` between steps).  Used by cancellation scopes to
         #: avoid closing a generator from within its own frame.
         self.active_process: Process | None = None
-        #: Clock listeners: ``callback(to)`` fires in :meth:`run` whenever
-        #: the clock is about to advance from ``now`` to ``to`` (once per
-        #: distinct time step, before the event at ``to`` executes).
-        #: Listeners are observers only — they must never schedule events
-        #: or mutate simulation state, which keeps the event stream
-        #: bit-identical with or without them (the telemetry scraper's
-        #: zero-perturbation contract).
-        self._clock_listeners: list[Callable[[float], None]] = []
+        #: Clock listeners (see :meth:`add_clock_listener`) and, per
+        #: listener, the time it is next due; ``_clock_due`` is the
+        #: earliest of those (``inf`` with none registered).
+        self._clock_listeners: list[Callable[[float], float | None]] = []
+        self._listener_dues: list[float] = []
+        self._clock_due = math.inf
 
-    def add_clock_listener(self, callback: Callable[[float], None]) -> None:
-        """Register an observe-only callback for clock advances."""
+    def add_clock_listener(self, callback: Callable[[float], float | None]) -> None:
+        """Register an observe-only callback for clock advances.
+
+        ``callback(to)`` runs in :meth:`run` when the clock is about to
+        advance from ``now`` to ``to`` (before the event at ``to``
+        executes), from the next advance on, even one inside the current
+        :meth:`run`.  It returns the time it is next due: it is skipped on
+        every advance to a ``to`` below that time, and a return of
+        ``None`` asks for the next advance, whatever its ``to``.
+        Listeners are observers only: they must never schedule events or
+        mutate simulation state, which keeps the event stream
+        bit-identical with or without them (the telemetry scraper's
+        zero-perturbation contract).
+        """
         self._clock_listeners.append(callback)
+        self._listener_dues.append(-math.inf)
+        self._clock_due = -math.inf
+
+    def _advance_clock(self, to: float) -> None:
+        """Call every clock listener due at ``to``; note when each is next due."""
+        dues = self._listener_dues
+        for i, listener in enumerate(self._clock_listeners):
+            if dues[i] <= to:
+                due = listener(to)
+                dues[i] = -math.inf if due is None else due
+        self._clock_due = min(dues)
 
     def _schedule(self, at: float, callback: Callable, arg: object) -> None:
         """Push ``callback(arg)`` onto the heap.  Every heap push goes through
@@ -226,19 +248,18 @@ class Simulator:
         """Run until the heap drains (or the clock passes ``until``; an
         ``until`` in the past runs nothing and leaves the clock alone)."""
         heap = self._heap
-        listeners = self._clock_listeners
         while heap:
             if until is not None and heap[0][0] > until:
                 break
             at, _seq, callback, arg = heappop(heap)
             if at > self.now:
-                for listener in listeners:
-                    listener(at)
+                if at >= self._clock_due:
+                    self._advance_clock(at)
                 self.now = at
             callback(arg)
         if until is not None and until > self.now:
-            for listener in listeners:
-                listener(until)
+            if until >= self._clock_due:
+                self._advance_clock(until)
             self.now = until
 
 
@@ -374,21 +395,21 @@ class Resource:
                 self._reject(tenant)
             gate = Event(self.sim)
             fair_entry = self.fair.push(tenant, priority, gate, cost)
-            wspan = self._begin_wait()
+            wait_id = self._begin_wait()
             try:
                 yield gate
             except GeneratorExit:
-                self._finish_wait(wspan, cancelled=True)
+                self._finish_wait(wait_id, cancelled=True)
                 if not self.fair.remove(fair_entry) and gate.fired:
                     self._release()
                 raise
-            self._finish_wait(wspan)
+            self._finish_wait(wait_id)
         else:
-            gate, wspan = self._enqueue(priority)
+            gate, wait_id = self._enqueue(priority)
             try:
                 yield gate
             except GeneratorExit:
-                self._finish_wait(wspan, cancelled=True)
+                self._finish_wait(wait_id, cancelled=True)
                 # The owning process was cancelled while queued: withdraw
                 # the request so _release never hands a slot to a corpse.
                 try:
@@ -399,13 +420,13 @@ class Resource:
                         # landed; pass it on so it is not leaked.
                         self._release()
                 raise
-            self._finish_wait(wspan)
+            self._finish_wait(wait_id)
             # Slot was transferred to us by _release; nothing to increment.
         return _ReleaseContext(self)
 
     def _enqueue(self, priority: int | None):
         """Join the legacy FIFO lane (admission-checked when ``priority`` is
-        given); returns the waiter's gate and its ``queue.wait`` span."""
+        given); returns the waiter's gate and its ``queue.wait`` span id."""
         if (
             priority is not None
             and self.max_queue is not None
@@ -417,7 +438,8 @@ class Resource:
         return gate, self._begin_wait()
 
     def _begin_wait(self):
-        """Open a ``queue.wait`` span around a queued acquisition.
+        """Open a ``queue.wait`` span around a queued acquisition and return
+        its id (``None`` with tracing off).
 
         Metadata-plane: spans never schedule events, so tracing a wait
         cannot perturb the timeline.
@@ -430,9 +452,9 @@ class Resource:
             resource=self.trace_name, node=self.trace_node,
         )
 
-    def _finish_wait(self, span, **args) -> None:
-        if span is not None:
-            self.sim.tracer.finish(span, **args)
+    def _finish_wait(self, span_id, **args) -> None:
+        if span_id is not None:
+            self.sim.tracer.finish(span_id, **args)
 
     def occupy(self, seconds: float, priority: int | None = None) -> None:
         """Detached hold: take a slot for ``seconds``; nobody waits for it.
@@ -460,7 +482,7 @@ class Resource:
         if tracer is not None:
             prev, tracer._current = tracer._current, ctx
         try:
-            gate, wspan = self._enqueue(priority)
+            gate, wait_id = self._enqueue(priority)
         except QueueFull:
             return
         finally:
@@ -468,7 +490,7 @@ class Resource:
                 tracer._current = prev
 
         def granted(gate: Event) -> None:
-            self._finish_wait(wspan)
+            self._finish_wait(wait_id)
             sim._schedule(sim.now + seconds, self._release, None)
 
         gate.add_callback(granted)

@@ -233,7 +233,7 @@ class StoredFixedObject(PublishedStripes):
 
         # Stage 2: local evaluation at the coordinator.
         tracer = store.sim.tracer
-        eval_span = tracer.begin("eval_stage", cat="store") if tracer is not None else None
+        eval_span_id = tracer.begin("eval_stage", cat="store") if tracer is not None else None
         rg_selected: dict[int, Bitmap] = {}
         for rg in kept:
             num_rows = self.metadata.row_groups[rg].num_rows
@@ -266,8 +266,8 @@ class StoredFixedObject(PublishedStripes):
         result = engine.assemble_result(
             physical, self.metadata, kept, {rg: rg_selected[rg].bits for rg in kept}, rg_projected
         )
-        if eval_span is not None:
-            tracer.finish(eval_span)
+        if eval_span_id is not None:
+            tracer.finish(eval_span_id)
         return partial_result(result, shed_ops, shed_rgs, metrics)
 
     def _fetch_whole_blocks(self, store, coordinator, needed, metrics, allow_shed: bool):

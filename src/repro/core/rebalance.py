@@ -181,7 +181,7 @@ class Rebalancer:
         metrics = QueryMetrics(priority=BACKGROUND_PRIORITY)
         report = RebalanceReport(started=self.sim.now)
         tracer = self.sim.tracer
-        run_span = (
+        run_span_id = (
             tracer.begin("rebalance_run", cat="rebalance", epoch=membership.epoch)
             if tracer is not None
             else None
@@ -223,9 +223,9 @@ class Rebalancer:
         report.objects = sorted(touched)
         report.rebalance_bytes = metrics.network_bytes
         report.finished = self.sim.now
-        if run_span is not None:
+        if run_span_id is not None:
             tracer.finish(
-                run_span,
+                run_span_id,
                 stripes_migrated=report.stripes_migrated,
                 blocks_moved=report.blocks_moved,
                 deferred=report.stripes_deferred,

@@ -228,7 +228,7 @@ class RepairManager:
         metrics = QueryMetrics(priority=BACKGROUND_PRIORITY)
         report = RepairReport(started=self.sim.now)
         tracer = self.sim.tracer
-        run_span = (
+        run_span_id = (
             tracer.begin("repair_run", cat="repair", targets=len(targets))
             if tracer is not None
             else None
@@ -263,9 +263,9 @@ class RepairManager:
         report.objects = sorted(touched)
         report.repair_bytes = metrics.network_bytes
         report.finished = self.sim.now
-        if run_span is not None:
+        if run_span_id is not None:
             tracer.finish(
-                run_span,
+                run_span_id,
                 stripes_repaired=report.stripes_repaired,
                 blocks_repaired=report.blocks_repaired,
             )

@@ -481,14 +481,14 @@ def _lost(cluster, node_id, op_start, metrics, config):
     remaining = max(0.0, op_start + config.op_timeout_s - sim.now)
     if remaining > 0:
         tracer = sim.tracer
-        span = (
+        span_id = (
             tracer.begin("rpc.timeout_wait", cat="rpc", wait_s=remaining)
             if tracer is not None
             else None
         )
         yield sim.timeout(remaining)
-        if span is not None:
-            tracer.finish(span)
+        if span_id is not None:
+            tracer.finish(span_id)
     if metrics is not None:
         metrics.timeouts += 1
         metrics.add(m.OTHER, remaining)
@@ -513,7 +513,7 @@ def _node_group(cluster, coordinator, group: list[RemoteOp], metrics, config, sc
     faults = cluster.faults if node.endpoint is not coordinator.endpoint else None
     start = sim.now
     tracer = sim.tracer
-    batch_span = (
+    batch_span_id = (
         tracer.begin("rpc.batch", cat="rpc", node=node.node_id, ops=len(group))
         if tracer is not None
         else None
@@ -532,8 +532,8 @@ def _node_group(cluster, coordinator, group: list[RemoteOp], metrics, config, sc
             # group is refused in one decision; each op in it is one
             # refused logical request.
             _record_rejection(cluster, node.node_id, metrics, group)
-            if batch_span is not None:
-                tracer.finish(batch_span, outcome="rejected")
+            if batch_span_id is not None:
+                tracer.finish(batch_span_id, outcome="rejected")
             return [_REJECTED] * len(group)
         except LinkDown:
             lost = True
@@ -542,12 +542,14 @@ def _node_group(cluster, coordinator, group: list[RemoteOp], metrics, config, sc
         lost = not node.alive
     if lost:
         yield from _lost(cluster, node.node_id, start, metrics, config)
-        if batch_span is not None:
-            tracer.finish(batch_span, outcome="request_dropped" if request_sizes else "node_dead")
+        if batch_span_id is not None:
+            tracer.finish(
+                batch_span_id, outcome="request_dropped" if request_sizes else "node_dead"
+            )
         return [_FAILED] * len(group)
 
     def run_op(op: RemoteOp):
-        op_span = (
+        op_span_id = (
             tracer.begin("rpc.op", cat="rpc", node=node.node_id)
             if tracer is not None
             else None
@@ -556,8 +558,8 @@ def _node_group(cluster, coordinator, group: list[RemoteOp], metrics, config, sc
             value = yield from run_op_body(op)
             return value
         finally:
-            if op_span is not None:
-                tracer.finish(op_span)
+            if op_span_id is not None:
+                tracer.finish(op_span_id)
 
     def run_op_body(op: RemoteOp):
         if deadline is not None:
@@ -614,7 +616,7 @@ def _node_group(cluster, coordinator, group: list[RemoteOp], metrics, config, sc
     # cancels this process along with its ops.  Per-op deadline hits
     # surface as _DEADLINE values through the shields.
     yield barrier
-    if batch_span is not None:
-        tracer.finish(batch_span)
+    if batch_span_id is not None:
+        tracer.finish(batch_span_id)
     return barrier.value
 

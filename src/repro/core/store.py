@@ -378,7 +378,7 @@ class StoredFusionObject(PublishedStripes):
             ))
 
         # ---- Filter stage: push every live leaf down, gather bitmaps. ----
-        filter_span = (
+        filter_span_id = (
             tracer.begin("filter_stage", cat="store") if tracer is not None else None
         )
         # Row-group bitmaps travel as Bitmap objects: each remembers its
@@ -413,8 +413,8 @@ class StoredFusionObject(PublishedStripes):
             rg_selected[rg] = (
                 bitmaps[0] if bitmaps and bits is bitmaps[0].bits else Bitmap(bits)
             )
-        if filter_span is not None:
-            tracer.finish(filter_span, ops=len(ops))
+        if filter_span_id is not None:
+            tracer.finish(filter_span_id, ops=len(ops))
 
         # ---- Projection stage -------------------------------------------------
         if config.enable_aggregate_pushdown and query.has_aggregates() and not query.group_by:
@@ -423,7 +423,7 @@ class StoredFusionObject(PublishedStripes):
                 self._aggregate_pushdown_stage(at, physical, row_groups, rg_selected, dropped),
                 "aggregate_stage", "store",
             ))
-        projection_span = (
+        projection_span_id = (
             tracer.begin("projection_stage", cat="store") if tracer is not None else None
         )
         rg_projected: dict[tuple[int, str], np.ndarray] = {}
@@ -440,8 +440,8 @@ class StoredFusionObject(PublishedStripes):
         rg_projected.update((yield from _run_stage(at, ops, dropped, allow_shed)))
         selected = {rg: bitmap.bits for rg, bitmap in rg_selected.items()}
         result = self._answer(physical, row_groups, selected, rg_projected, dropped, metrics)
-        if projection_span is not None:
-            tracer.finish(projection_span, ops=len(ops))
+        if projection_span_id is not None:
+            tracer.finish(projection_span_id, ops=len(ops))
         return result
 
     def _fused_query(self, at, physical: PhysicalPlan, row_groups, allow_shed, dropped):

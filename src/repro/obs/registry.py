@@ -220,6 +220,9 @@ class MetricsRegistry:
     ) -> None:
         self.const_labels = dict(const_labels or {})
         self._families: dict[str, _Family] = {}
+        #: (kind, name, label items as passed) -> the series' instance: a
+        #: series is checked and resolved on first use only.
+        self._bound: dict[tuple, Counter | Gauge | Histogram] = {}
         #: When on, ``record_query`` forwards each query's ``trace_id``
         #: into the latency histograms as a bucket exemplar.
         self.exemplars_enabled = exemplars_enabled
@@ -251,18 +254,32 @@ class MetricsRegistry:
         return inst
 
     def counter(self, name: str, help: str = "", **labels) -> Counter:
-        family = self._family(name, "counter", help)
-        return self._instance(family, labels, lambda: Counter(labels))
+        key = ("counter", name, *labels.items())
+        inst = self._bound.get(key)
+        if inst is None:
+            family = self._family(name, "counter", help)
+            inst = self._bound[key] = self._instance(family, labels, lambda: Counter(labels))
+        return inst
 
     def gauge(self, name: str, help: str = "", **labels) -> Gauge:
-        family = self._family(name, "gauge", help)
-        return self._instance(family, labels, lambda: Gauge(labels))
+        key = ("gauge", name, *labels.items())
+        inst = self._bound.get(key)
+        if inst is None:
+            family = self._family(name, "gauge", help)
+            inst = self._bound[key] = self._instance(family, labels, lambda: Gauge(labels))
+        return inst
 
     def histogram(
         self, name: str, help: str = "", buckets: list[float] | None = None, **labels
     ) -> Histogram:
-        family = self._family(name, "histogram", help, buckets)
-        return self._instance(family, labels, lambda: Histogram(labels, family.bounds))
+        key = ("histogram", name, *labels.items())
+        inst = self._bound.get(key)
+        if inst is None:
+            family = self._family(name, "histogram", help, buckets)
+            inst = self._bound[key] = self._instance(
+                family, labels, lambda: Histogram(labels, family.bounds)
+            )
+        return inst
 
     # -- the ClusterMetrics feed ------------------------------------------
 

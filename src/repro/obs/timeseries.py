@@ -10,10 +10,11 @@ series, with delta / rate / windowed-quantile derivation on top.
 
 Zero simulated perturbation, by construction: the scraper rides the
 kernel's clock-listener hook (:meth:`Simulator.add_clock_listener`),
-which fires when the clock is *about to* advance — it is an observer
-only and never calls ``_schedule``, so a run's scheduled-event stream is
-bit-identical with scraping on or off (the same invariant every prior
-observability layer upheld, now for sampled state).
+which fires when the clock is *about to* advance past the next scrape
+boundary — it is an observer only and never calls ``_schedule``, so a
+run's scheduled-event stream is bit-identical with scraping on or off
+(the same invariant every prior observability layer upheld, now for
+sampled state).
 
 Exports:
 
@@ -118,13 +119,15 @@ class Scraper:
             self.sim.add_clock_listener(self._on_clock)
             self._installed = True
 
-    def _on_clock(self, to: float) -> None:
-        # Fire once per scrape boundary crossed by this clock advance.
+    def _on_clock(self, to: float) -> float:
+        # Fire once per scrape boundary crossed by this clock advance, and
+        # ask the kernel not to call again before the next boundary.
         # Boundaries are computed as k * interval from the sample count
         # (not by accumulating floats), so long runs cannot drift.
         while self._next_t <= to:
             self._sample(self._next_t)
             self._next_t = (len(self.times) + 1) * self.interval_s
+        return self._next_t
 
     # -- sampling ----------------------------------------------------------
 

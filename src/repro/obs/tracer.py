@@ -9,7 +9,10 @@ check).  Components open spans with the context manager::
         ...
 
 or, in the instrumented code of this repo, the equivalent explicit
-pattern (``begin``/``finish``) where a ``with`` block is awkward.
+pattern where a ``with`` block is awkward: ``begin`` returns the new
+span's id and ``finish`` takes it, so the hot path builds no
+:class:`Span` handle.  Handles are for readers (``spans``, ``find``,
+``current``, the ``span()`` context manager).
 
 Correct parent/child attribution across interleaved simulation
 processes comes from the kernel: each :class:`~repro.cluster.simcore.Process`
@@ -108,7 +111,7 @@ class _SpanHandle:
         return self
 
     def __exit__(self, *exc) -> None:
-        self._tracer.finish(self.span)
+        self._tracer.finish(self.span.span_id)
 
 
 class _SpanView(Sequence):
@@ -164,10 +167,10 @@ class Tracer:
 
     def span(self, name: str, cat: str = "sim", **args) -> _SpanHandle:
         """Open a span as a context manager (closed on ``__exit__``)."""
-        return _SpanHandle(self, self.begin(name, cat=cat, **args))
+        return _SpanHandle(self, Span(self, self.begin(name, cat=cat, **args)))
 
-    def begin(self, name: str, cat: str = "sim", **args) -> Span:
-        """Open a span explicitly; pair with :meth:`finish`."""
+    def begin(self, name: str, cat: str = "sim", **args) -> int:
+        """Open a span explicitly and return its id; pair with :meth:`finish`."""
         self._name.append(name)
         self._cat.append(cat)
         self._args.append(args)
@@ -175,11 +178,11 @@ class Tracer:
         self._end.append(_OPEN)
         self._parent.append(self._current)
         span_id = self._current = len(self._name)
-        return Span(self, span_id)
+        return span_id
 
-    def finish(self, span: Span, **args) -> None:
-        """Close ``span`` at the current simulated time."""
-        span_id = span.span_id
+    def finish(self, span_id: int, **args) -> None:
+        """Close the span ``begin`` returned ``span_id`` for, at the current
+        simulated time."""
         row = span_id - 1
         if args:
             self._args[row].update(args)
@@ -370,14 +373,14 @@ def traced(sim, gen, name: str, cat: str = "sim", metrics=None, **args):
     if tracer is None:
         value = yield from gen
         return value
-    span = tracer.begin(name, cat=cat, **args)
+    span_id = tracer.begin(name, cat=cat, **args)
     if metrics is not None:
-        metrics.trace_id = span.span_id
+        metrics.trace_id = span_id
     try:
         value = yield from gen
         return value
     finally:
-        tracer.finish(span)
+        tracer.finish(span_id)
 
 
 def _jsonable(args: dict) -> dict:

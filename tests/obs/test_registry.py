@@ -60,6 +60,27 @@ def test_histogram_quantiles_nearest_rank():
     assert h.quantile(0.0) == 1.0  # rank clamps to 1
 
 
+def test_histogram_bucket_edges():
+    """Each value's bucket, pinned at the edges a bucket search can get
+    wrong: ``bisect.bisect_left`` would file NaN in the first bucket, while
+    ``observe`` files it under ``+Inf`` (NaN is not ``<=`` any bound)."""
+    bounds = [1.0, 2.0, 4.0]
+    for value, bucket in [
+        (0.5, 0),  # below the first bound
+        (1.0, 0),  # equal to a bound: ``le`` is inclusive
+        (2.0, 1),
+        (2.5, 2),
+        (4.0, 2),
+        (4.5, 3),  # above the last bound: +Inf
+        (math.inf, 3),
+        (math.nan, 3),
+    ]:
+        h = Histogram({}, bounds=bounds)
+        h.observe(value, trace_id=1)
+        assert h.counts == [int(i == bucket) for i in range(4)], value
+        assert list(h.exemplars) == [bucket], value
+
+
 def test_histogram_empty_quantile_zero():
     assert Histogram({}).p99() == 0.0
 

@@ -1,9 +1,13 @@
-"""What telemetry costs to keep on: nothing per unit of history.
+"""What telemetry costs to keep on: nothing per unit of history, little
+per call.
 
 A scrape plus its SLO evaluation executes the same lines at sample 2,000
 as at sample 20; recorded spans leave nothing behind for the garbage
 collector to walk; and a collector that appears mid-run (a registry family,
-a breaker board, a tenant) has its series from the next sample on.
+a breaker board, a tenant) has its series from the next sample on.  Per
+call: opening and closing a span builds no :class:`Span` handle, a
+registry series is resolved on its first use only, and the scraper is
+called at its scrape boundaries, not at every clock advance.
 """
 
 import gc
@@ -15,8 +19,9 @@ from repro.cluster import Cluster, ClusterConfig, Simulator
 from repro.cluster.overload import CircuitBreakerBoard
 from repro.cluster.qos import TenantQos
 from repro.core import StoreConfig
+from repro.cluster.metrics import QueryMetrics
 from repro.obs import MetricsRegistry, Scraper, SLOEngine, Span, default_objectives
-from tests.closed_loop import SQLS, build, run
+from tests.closed_loop import SQLS, build, each_store, run
 from tests.integration.test_golden_identity import TELEMETRY
 
 
@@ -116,3 +121,86 @@ def test_collectors_born_between_two_samples_have_series_from_the_next():
         assert points("repro_node_breaker_state", node=node) == [[2.0, 0.0], [3.0, 0.0]]
     assert points("repro_node_up", node="3") == [[2.0, 1.0], [3.0, 1.0]]
     assert points("repro_node_inflight", node="3", resource="disk") == [[2.0, 0.0], [3.0, 0.0]]
+
+
+def _counting(monkeypatch, cls, name: str) -> list:
+    """Count the calls of ``cls.name`` (one list entry per call)."""
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+@each_store
+def test_a_traced_run_builds_no_span_handle(kind, monkeypatch):
+    system = build(kind, num_nodes=9, **TELEMETRY)
+    handles = _counting(monkeypatch, Span, "__init__")
+    spans_before = len(system.sim.tracer.spans)
+    run(system, 50, num_clients=1)
+    assert len(system.sim.tracer.spans) - spans_before > 50 * 20
+    assert handles == []
+
+
+def test_a_registry_series_is_resolved_on_its_first_use_only(monkeypatch):
+    registry = MetricsRegistry(exemplars_enabled=True)
+    qm = QueryMetrics(tenant="acme")
+    qm.start_time, qm.end_time, qm.trace_id = 0.0, 0.25, 7
+    qm.add("network", 0.1)
+    registry.record_query(qm)
+    before = registry.export()
+    lookups = _counting(monkeypatch, MetricsRegistry, "_family")
+    registry.record_query(qm)
+    assert lookups == []
+    # Every series the first call made moved; none was added.
+    assert registry.export() != before
+    assert registry.export().count("\n") == before.count("\n")
+
+
+@each_store
+def test_the_scraper_is_called_at_its_boundaries_not_at_every_advance(kind, monkeypatch):
+    calls = _counting(monkeypatch, Scraper, "_on_clock")
+    system = build(kind, num_nodes=9, **TELEMETRY)
+    sim, scraper = system.sim, system.cluster.scraper
+    advances = []
+    sim.add_clock_listener(advances.append)  # returns None: every advance
+    samples = len(scraper.times)
+    del calls[:]
+    run(system, 50, num_clients=2)
+    for step in (0.001, 0.5, 3.0, 0.25):
+        sim.run(until=sim.now + step * scraper.interval_s)
+    # The scraper's boundary arithmetic, replayed over every advance: one
+    # call per advance that crosses a boundary, the ``run(until)`` ones too.
+    crossing = 0
+    next_t = (samples + 1) * scraper.interval_s
+    for to in advances:
+        crossing += next_t <= to
+        while next_t <= to:
+            samples += 1
+            next_t = (samples + 1) * scraper.interval_s
+    assert len(calls) == crossing and samples == len(scraper.times)
+    assert 10 < len(calls) < len(advances) / 4
+
+
+def test_a_listener_registered_mid_run_is_called_from_the_next_advance():
+    sim = Simulator()
+    far, seen = [], []
+
+    def far_listener(to):
+        far.append(to)
+        return 100.0  # nothing to do before t=100
+
+    sim.add_clock_listener(far_listener)
+    for at in (1.0, 2.0, 3.0, 4.0):
+        sim.timeout(at)
+    late = sim.timeout(2.0)
+    late.add_callback(lambda _event: sim.add_clock_listener(seen.append))
+    sim.run()
+    sim.run(until=10.0)
+    assert far == [1.0] and seen == [3.0, 4.0, 10.0]
+    sim.run(until=100.0)
+    assert far == [1.0, 100.0] and seen == [3.0, 4.0, 10.0, 100.0]

@@ -117,15 +117,15 @@ def test_spans_view_is_a_read_only_sequence_of_handles():
     sim = Simulator()
     tracer = Tracer(sim)
     assert not tracer.spans and len(tracer.spans) == 0
-    a = tracer.begin("a", k=1)
-    b = tracer.begin("b")
+    assert (tracer.begin("a", k=1), tracer.begin("b")) == (1, 2)  # span ids
+    a, b = tracer.spans
     assert tracer.current == b and tracer.current is not b
-    tracer.finish(b)
+    tracer.finish(b.span_id)
     spans = tracer.spans
     assert len(spans) == 2 and list(spans) == [a, b] == spans[:] == spans[-2:]
     assert spans[0] == a and spans[-1] == b and spans[1].parent_id == a.span_id
     assert spans.index(b) == 1 and b in spans and {a, spans[0]} == {a}
-    assert a != b and a != Tracer(sim).begin("a")
+    assert a != b and a != Tracer(sim).span("a").span
     assert (a.end, a.duration, b.end) == (None, 0.0, 0.0)
     with pytest.raises(IndexError):
         spans[2]
