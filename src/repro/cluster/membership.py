@@ -179,7 +179,7 @@ def install_membership(cluster, config) -> None:
     manager is already installed — every store built on one cluster
     calls this, and the first install wins.
     """
-    if not getattr(config, "membership_enabled", False):
+    if not config.membership_enabled:
         return
     if cluster.membership is not None:
         return

@@ -11,8 +11,8 @@ simulated primitives query execution is built from:
 
 Real data sizes are multiplied by the store's ``size_scale`` before being
 charged to simulated devices, letting small generated datasets exercise
-paper-scale behaviour (a 10 MB generated lineitem file behaves like the
-paper's 10 GB one with ``size_scale=1000``).
+paper-scale behaviour (the ~1.5 MB generated lineitem file behaves like
+the paper's 10 GB one with ``size_scale`` ~6,500).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ The layout erasure-codes an object into fixed-size blocks with no
 knowledge of its internal structure, so column chunks straddle block -
 and therefore node - boundaries.  Queries run entirely at a coordinator
 node, which first *reassembles* every needed column chunk by fetching
-its fragments from the nodes holding them (the paper's Figure 5
+the whole blocks holding it from their nodes (the paper's Figure 5
 behaviour) and only then decodes, filters and projects.  The one
 optimisation it shares with FAC is footer-based row-group pruning.
 
@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.cluster.metrics import QueryMetrics
 from repro.cluster.overload import check_deadline
-from repro.cluster.simcore import all_of
 from repro.core import engine
 from repro.core.fixed import FixedLayout, build_fixed_layout
 from repro.core.kernel import (
@@ -217,13 +216,10 @@ class StoredFixedObject(PublishedStripes):
         needed = [(rg, col) for rg in row_groups for col in columns]
 
         # Stage 1: fetch every needed chunk to the coordinator, in parallel.
-        fetch = (
-            self._fetch_whole_blocks if config.baseline_whole_block_reads
-            else self._fetch_fragments
-        )
+        allow_shed = store._may_shed(physical.query)
         decoded, shed_ops = yield from traced(
             store.sim,
-            fetch(store, coordinator, needed, metrics, store._may_shed(physical.query)),
+            self._fetch_blocks(store, coordinator, needed, metrics, allow_shed),
             "fetch_stage", "store", chunks=len(needed),
         )
         # A shed fetch leaves its chunk unreadable; drop the whole row
@@ -270,7 +266,7 @@ class StoredFixedObject(PublishedStripes):
             tracer.finish(eval_span_id)
         return partial_result(result, shed_ops, shed_rgs, metrics)
 
-    def _fetch_whole_blocks(self, store, coordinator, needed, metrics, allow_shed: bool):
+    def _fetch_blocks(self, store, coordinator, needed, metrics, allow_shed: bool):
         """Fetch whole erasure-code blocks covering the needed chunks.
 
         Blocks are the placement and I/O unit of fixed-block stores, so
@@ -314,62 +310,6 @@ class StoredFixedObject(PublishedStripes):
                 metrics,
             )
             decoded[(rg, col)] = chunk
-        return decoded, shed_ops
-
-    def _fetch_fragments(self, store, coordinator, needed, metrics, allow_shed: bool):
-        """Reassemble each needed chunk from its exact byte fragments.
-
-        All chunks' fragments travel in one scatter-gather round (one
-        exchange per holding node); each chunk is then decoded at the
-        coordinator once its bytes are assembled.  Returns
-        ``(decoded, shed_ops)``: chunks with a shed fragment map to the
-        ``SHED`` sentinel and are never decoded.
-        """
-        frag_ops = []
-        frag_owner: list[int] = []  # fragment -> index into ``needed``
-        for ci, (rg, col) in enumerate(needed):
-            meta = self.metadata.chunk(rg, col)
-            for f in self.layout.locate(meta.offset, meta.size):
-                frag_owner.append(ci)
-                read = self.block_read(f.block_index, f.block_offset, f.block_offset + f.length)
-                frag_ops.append(store._range_read_op(self, coordinator, *read, metrics))
-        payloads = yield from execute_remote_ops(
-            store.cluster,
-            coordinator,
-            frag_ops,
-            metrics,
-            config=store.config,
-            allow_shed=allow_shed,
-        )
-        shed_ops = sum(1 for p in payloads if p is SHED)
-        chunk_parts: dict[int, list] = {ci: [] for ci in range(len(needed))}
-        for ci, payload in zip(frag_owner, payloads):
-            chunk_parts[ci].append(payload)
-
-        # NOTE: decode_one runs as a spawned process, so it must never
-        # raise typed errors (they would escape the event loop rather
-        # than reach the query); deadline enforcement stays with the
-        # scatter-gather stage and the eval loops.
-        def decode_one(rg: int, col: str, parts: list):
-            meta = self.metadata.chunk(rg, col)
-            yield from coordinator.compute(
-                coordinator.decode_seconds(meta.size, meta.plain_size, store.config.size_scale),
-                metrics,
-            )
-            return store._decoded_chunk(self.name, meta, parts)
-
-        decoded: dict = {}
-        decode_keys = []
-        decodes = []
-        for ci, (rg, col) in enumerate(needed):
-            if any(p is SHED for p in chunk_parts[ci]):
-                decoded[(rg, col)] = SHED
-                continue
-            decode_keys.append((rg, col))
-            decodes.append(store.sim.process(decode_one(rg, col, chunk_parts[ci])))
-        barrier = all_of(store.sim, decodes)
-        yield barrier
-        decoded.update(dict(zip(decode_keys, barrier.value)))
         return decoded, shed_ops
 
     # Read-only views for tests and benches (the store itself indexes

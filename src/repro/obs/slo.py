@@ -112,7 +112,7 @@ def default_objectives(config) -> list[SLObjective]:
     (the paper's operational question is "are queries meeting their
     deadline", not an absolute number).
     """
-    deadline = getattr(config, "default_deadline_s", 0.0) or 0.0
+    deadline = config.default_deadline_s
     return [
         SLObjective(name="availability", kind="availability", target=0.99),
         SLObjective(

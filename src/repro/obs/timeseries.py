@@ -452,9 +452,9 @@ def install_telemetry(cluster, config) -> None:
     any telemetry knob force-installs a metrics registry; exemplars also
     force-install the tracer (trace ids must exist to be captured).
     """
-    scrape = getattr(config, "scrape_interval_s", 0.0) or 0.0
-    slo = getattr(config, "slo_enabled", False)
-    exemplars = getattr(config, "exemplars_enabled", False)
+    scrape = config.scrape_interval_s
+    slo = config.slo_enabled
+    exemplars = config.exemplars_enabled
     if not scrape and not slo and not exemplars:
         return
     sim = cluster.sim
@@ -464,12 +464,12 @@ def install_telemetry(cluster, config) -> None:
         cluster.metrics.registry = MetricsRegistry(exemplars_enabled=exemplars)
     elif exemplars:
         cluster.metrics.registry.exemplars_enabled = True
-    if (scrape or slo) and getattr(cluster, "scraper", None) is None:
+    if (scrape or slo) and cluster.scraper is None:
         interval = scrape if scrape > 0 else 0.25
         scraper = Scraper(cluster, interval)
         scraper.install()
         cluster.scraper = scraper
-    if slo and getattr(cluster, "slo", None) is None:
+    if slo and cluster.slo is None:
         from repro.obs.slo import SLOEngine, default_objectives
 
         cluster.slo = SLOEngine(

@@ -252,8 +252,8 @@ def test_fixed_object_views_are_for_tests_and_benches_only():
 #: example that sets it (below); a deleted one leaves this list.
 KNOBS = (
     "code", "block_size", "size_scale", "storage_overhead_threshold",
-    "pushdown_mode", "enable_aggregate_pushdown", "baseline_whole_block_reads",
-    "enable_page_skipping", "op_timeout_s", "greylist_latency_factor",
+    "pushdown_mode", "enable_aggregate_pushdown", "enable_page_skipping",
+    "op_timeout_s", "greylist_latency_factor",
     "metadata_replicas", "tracing_enabled",
     "metrics_registry_enabled", "pushdown_audit_enabled", "default_deadline_s",
     "admission_queue_depth", "breaker_failure_threshold",
@@ -264,9 +264,6 @@ KNOBS = (
 )
 #: Knobs no bench, benchmark or example sets, each kept for a reason.
 UNBENCHED_KNOBS = {
-    # ROADMAP "One baseline read mode, chosen by the scorecard" picks the
-    # baseline's one read mode and deletes this.
-    "baseline_whole_block_reads",
     # Set only to its default (on) here; tests switch it off.  ROADMAP
     # "StoreConfig describes the store" moves it out of StoreConfig with
     # the other telemetry switches.

@@ -207,6 +207,7 @@ def test_install_telemetry_knobs():
         scrape_interval_s = 0.0
         slo_enabled = False
         exemplars_enabled = False
+        default_deadline_s = 0.0
 
     install_telemetry(cluster, Cfg())
     assert getattr(cluster, "scraper", None) is None
