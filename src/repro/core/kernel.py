@@ -305,17 +305,19 @@ class _SharedGather:
     The first degraded read of the stripe, or the Get round that marked
     it, fetches and decode-charges the shards; later reads in the same
     request wait on ``done`` and reuse ``shards``.  When the gather fails, the entry leaves the
-    table, ``shards`` stays ``None`` and ``error`` holds what it raised
-    (``None`` if it was cancelled).
+    table, ``dropped`` is set, ``shards`` stays ``None`` and ``error``
+    holds what it raised (``None`` if it was cancelled).  A fetch of a
+    dropped gather that still lands neither charges nor publishes.
     """
 
-    __slots__ = ("done", "shards", "error", "waiters")
+    __slots__ = ("done", "shards", "error", "waiters", "dropped")
 
     def __init__(self, done) -> None:
         self.done = done
         self.shards: list[np.ndarray | None] | None = None
         self.error: Exception | None = None
         self.waiters = 0
+        self.dropped = False
 
 
 def partial_result(result, shed: int, dropped, metrics: QueryMetrics):
@@ -1221,7 +1223,8 @@ class StoreKernel:
         One gather and one decode charge per (request, stripe): a real
         coordinator reconstructing several lost bins of one stripe for
         one request reads the k survivors once, and one decode recovers
-        every lost bin.  The first read publishes its gather in the
+        every lost bin.  The first read runs the stripe's
+        :meth:`_gather_ops` as a one-stripe round, published in the
         request's table (:meth:`_request_scoped`); a later read of the
         stripe takes the shards, waiting if the gather is still in
         flight, and is not counted in ``degraded_reads``.  A gather that
@@ -1247,16 +1250,9 @@ class StoreKernel:
             if shared.error is not None:
                 raise shared.error
         shared = self._open_gather(table, key, metrics)
-        try:
-            shards = yield from self._gather_for_decode(placement, coordinator, metrics)
-            yield from self._charge_decode(coordinator, shards, metrics)
-        except BaseException as exc:
-            # Raised, or cancelled (GeneratorExit).
-            self._drop_gather(table, key, shared, exc)
-            raise
-        shared.shards = shards
-        shared.done.succeed()
-        return shards
+        ops = self._gather_ops(placement, shared, coordinator, metrics)
+        yield from self._gathering_round(ops, table, {key: shared}, coordinator, metrics)
+        return shared.shards
 
     def _open_gather(self, table, key: tuple[str, int], metrics) -> _SharedGather:
         """Publish a new gather of stripe ``key`` in the request's
@@ -1268,11 +1264,31 @@ class StoreKernel:
             table[key] = shared
         return shared
 
+    def _gathering_round(self, ops, table, gathers, coordinator, metrics):
+        """Process: run ``ops``, which carry the shard fetches of
+        ``gathers`` (stripe key -> :class:`_SharedGather`), as one
+        scatter-gather round; returns their payloads.  A round that
+        raises or is cancelled drops its gathers (:meth:`_drop_gather`)."""
+        try:
+            return (yield from execute_remote_ops(
+                self.cluster, coordinator, ops, metrics, config=self.config
+            ))
+        except BaseException as exc:
+            # Raised, or cancelled (GeneratorExit).
+            for key, shared in gathers.items():
+                self._drop_gather(table, key, shared, exc)
+            raise
+
     def _drop_gather(self, table, key: tuple[str, int], shared: _SharedGather, exc) -> None:
         """A gather raised ``exc`` or was cancelled: drop its entry and
         hand the typed error on to its waiters.  They are woken from the
         heap rather than from the unwinding frame, so a waiter cancelled
-        by the same scope is already gone when the wake lands."""
+        by the same scope is already gone when the wake lands.  A gather
+        its completing fetch already published stays: its waiters have
+        the shards."""
+        if shared.shards is not None:
+            return
+        shared.dropped = True
         if table is not None:
             table.pop(key, None)
         if isinstance(exc, Exception):
@@ -1340,7 +1356,7 @@ class StoreKernel:
         goes through :meth:`_degraded_block_read`, which decodes from
         the published shards at no new charge and falls back to verified
         recovery when the decode is wrong.  A failed round drops its
-        unfinished gathers as :meth:`_stripe_shards` does.
+        unfinished gathers (:meth:`_gathering_round`).
         """
         direct_ops = [self._range_read_op(obj, coordinator, *read, metrics) for read in reads]
         located = [obj.locate_block(read[0]) for read in reads]
@@ -1362,26 +1378,19 @@ class StoreKernel:
         # gathering it.  Stripe order measured a lower tail than read
         # order or gathers-first on degraded_repair.
         table = self._request_gathers.get(id(metrics))
-        gathers: dict[int, _SharedGather] = {}
+        gathers: dict[tuple[str, int], _SharedGather] = {}
         ops: list[RemoteOp] = []
         direct: list[tuple[int, int]] = []  # (read, op) index pairs
         for sid in sorted(by_stripe):
             rs = by_stripe[sid]
+            key = (obj.name, sid)
             if sid not in marked:
                 direct += [(r, len(ops) + n) for n, r in enumerate(rs)]
                 ops += [direct_ops[r] for r in rs]
-            elif table is None or (obj.name, sid) not in table:
-                shared = gathers[sid] = self._open_gather(table, (obj.name, sid), metrics)
+            elif table is None or key not in table:
+                shared = gathers[key] = self._open_gather(table, key, metrics)
                 ops += self._gather_ops(located[rs[0]][0], shared, coordinator, metrics)
-        try:
-            payloads = yield from execute_remote_ops(
-                self.cluster, coordinator, ops, metrics, config=self.config
-            )
-        except BaseException as exc:
-            for sid, shared in gathers.items():
-                if shared.shards is None:
-                    self._drop_gather(table, (obj.name, sid), shared, exc)
-            raise
+        payloads = yield from self._gathering_round(ops, table, gathers, coordinator, metrics)
         out: list[object] = [None] * len(reads)
         for r, o in direct:
             out[r] = payloads[o]
@@ -1390,7 +1399,7 @@ class StoreKernel:
         ):
             if placement.stripe_id not in marked:
                 continue
-            shared = gathers.get(placement.stripe_id)
+            shared = gathers.get((obj.name, placement.stripe_id))
             if shared is not None:
                 shards = shared.shards
             else:
@@ -1405,9 +1414,10 @@ class StoreKernel:
         return out
 
     def _gather_ops(self, placement: StripePlacement, shared: _SharedGather, coordinator, metrics):
-        """The shard fetches of one stripe's gather inside a larger
-        round.  The fetch that completes the shard set charges the
-        decode and publishes the shards on ``shared``."""
+        """The shard fetches of one stripe's gather, for a Get's round
+        or a degraded read's one-stripe round.  The fetch that completes
+        the shard set charges the decode and publishes the shards on
+        ``shared``."""
         shards, gather = self._shards_to_gather(placement, coordinator)
         if not gather:
             shared.shards = shards  # nothing to fetch, nothing to decode
@@ -1419,7 +1429,7 @@ class StoreKernel:
             def finalize(data):
                 shards[j] = data
                 waiting.discard(j)
-                if not waiting and shared.shards is None:
+                if not waiting and not shared.dropped and shared.shards is None:
                     yield from self._charge_decode(coordinator, shards, metrics)
                     shared.shards = shards
                     shared.done.succeed()
@@ -1432,7 +1442,7 @@ class StoreKernel:
             for j, node, bid in gather
         ]
 
-    def _shard_fetch_op(self, node, block_id: str, metrics, finalize=None) -> RemoteOp:
+    def _shard_fetch_op(self, node, block_id: str, metrics, finalize) -> RemoteOp:
         """Op reading one whole shard on its node and shipping it to the
         coordinator."""
 
@@ -1480,26 +1490,6 @@ class StoreKernel:
         ]
         suspect = [c for c in candidates if not health.usable(c[1].node_id)]
         return shards, (healthy + grey + suspect)[: max(0, k - pending)]
-
-    def _gather_for_decode(self, placement: StripePlacement, coordinator, metrics):
-        """Process: fetch the decode set of the stripe
-        (:meth:`_shards_to_gather`) onto the coordinator as one
-        scatter-gather round; returns the n shards (``None`` where
-        nothing was fetched, an empty array for never-written data
-        positions).  The stripe spreads over distinct nodes, so this is
-        one RPC per surviving node either way, but the reads overlap
-        instead of serialising."""
-        shards, gather = self._shards_to_gather(placement, coordinator)
-        payloads = yield from execute_remote_ops(
-            self.cluster,
-            coordinator,
-            [self._shard_fetch_op(node, bid, metrics) for _j, node, bid in gather],
-            metrics,
-            config=self.config,
-        )
-        for (j, _node, _bid), data in zip(gather, payloads):
-            shards[j] = data
-        return shards
 
     # -- Delete ----------------------------------------------------------------
 

@@ -19,7 +19,7 @@ import pytest
 
 from repro.check import digest
 from repro.cluster import Deadline, QueryMetrics
-from repro.core import DeadlineExceeded, RemoteOpError, kernel
+from repro.core import DeadlineExceeded, RemoteOp, RemoteOpError, kernel
 from repro.core.location_map import chunk_checksum
 from repro.sql.local import execute_local
 from tests.closed_loop import TABLE, build, encoded, recorded
@@ -161,17 +161,18 @@ def _lost_tag_bin():
 
 
 def _watch_gathers(store) -> list[tuple[float, float]]:
-    """Record the simulated (start, end) of every degraded gather round."""
+    """Record the simulated (start, end) of every round that carries a
+    gather.  A query's degraded reads run one such round per gather."""
     windows: list[tuple[float, float]] = []
-    gather = store._gather_for_decode
+    gathering_round = store._gathering_round
 
     def watched(*args):
         start = store.sim.now
-        shards = yield from gather(*args)
+        payloads = yield from gathering_round(*args)
         windows.append((start, store.sim.now))
-        return shards
+        return payloads
 
-    store._gather_for_decode = watched
+    store._gathering_round = watched
     return windows
 
 
@@ -243,18 +244,20 @@ def test_failed_gather_wakes_its_waiter_with_the_typed_error():
     fails typed instead of hanging on a barrier nobody will fire."""
     store, _table, stripe = _lost_tag_bin()
     reads = _watch_stripe_reads(store)
-    gather = store._gather_for_decode
+    gather_ops = store._gather_ops
     gathers: list[int] = []
+
+    def fail():
+        yield store.sim.timeout(0.001)
+        raise RemoteOpError("survivor lost mid-gather")
 
     def fails_first(placement, *rest):
         gathers.append(placement.stripe_id)
         if placement.stripe_id == stripe:
-            yield store.sim.timeout(0.001)
-            raise RemoteOpError("survivor lost mid-gather")
-        shards = yield from gather(placement, *rest)
-        return shards
+            return [RemoteOp(standalone=fail)]
+        return gather_ops(placement, *rest)
 
-    store._gather_for_decode = fails_first
+    store._gather_ops = fails_first
     outcome = []
 
     def client():
