@@ -120,6 +120,13 @@ WATCH_OBJECTIVES = [
 #: artifact moved but the baseline's SLO state and critical-path
 #: attribution (indices 7 and 8) and Fusion's critical-path attribution
 #: (index 8).  The span digest without telemetry (index 2) did not move.
+#: Both telemetry entries had the spans, the Chrome trace and the text
+#: summary (indices 2, 5, 6) re-pinned when every degraded read's gather
+#: became the stripe's ``_gather_ops`` run as a round of its own: the
+#: fetch that completes the decode set charges the decode, so a degraded
+#: query's decode ``cpu.compute`` span opens under that fetch's
+#: ``rpc.op``, as a degraded Get's already did.  No event and no time
+#: moved, and every other digest held.
 GOLDEN = {
     ("fusion", False): (
         "5d83fde61ddfd923fc78072fec87f92926be7a892301a047a9f12b9d78692f8c",
@@ -129,11 +136,11 @@ GOLDEN = {
     ("fusion", True): (
         "5d83fde61ddfd923fc78072fec87f92926be7a892301a047a9f12b9d78692f8c",
         "2c935948679d3cc985504ff6819ee26b52503161bbb6cb7ae3fe7f060f033605",
-        "d4bc766324d2cd99238b7e1dccc15fd5dd5c269169fa0e04e3d57595eb8dd4f6",
+        "7066bcb362f66e3fa70ebc26637c3c959abfa3c62c489cf7e2b29961669c9cc3",
         "0e40d0512e0d830b64c012cd0a2b3aa4157e54ab04f269dfcbaac4cd45bf237e",
         "fb67ee1c762cdda4d877027119b6fda9ddc75fd9b147ce85b757ba4debd96482",
-        "a9b7694fd415ddb79860c493f8ab3d5c0e92eda75244f62ac4cea39a3fd64a32",
-        "0ad4139b8dc49d1995c41999f77b196f11f8395fdf4b4c2e333f609ce9506fe4",
+        "6bbc9bd3f7997aeb602dd80ad432d865d31012880205f8c97fef4fe851a11bfd",
+        "e58f46386718f7c41a420028a157d52b7d73933dd7b2b5780fc8c885f7b0c1dc",
         "e82e23cfb823892dc66b474f2986d5705d6a7e18f0a23f4e274b72dffe1d8475",
         "2d47a9f6359d65a7fe1f9722fcab8fd9dbae5e0ba939d2c972df9ca897a65ec0",
     ),
@@ -145,11 +152,11 @@ GOLDEN = {
     ("baseline", True): (
         "327192310965e35de01c99730b298cd319c36f8b5beee9bf0c0250b9d5b83052",
         "243953814573f0e16d5f17860953b47ed55f3a4e43e0eaf25f7b4e210a815c26",
-        "57c6261bb88e15b2b088ad99bbb3c3ff4690e915c3def33ef3a79469e709d06f",
+        "676ed42ead3388f9ab34930d94dedabd26c218fb702fade52711f199eb4f9003",
         "bf9696fac9a1a262317d6ab675a2eda25d6c26731c7f377f0cbaf7e47f38af4c",
         "5c66aeebe7ed4762b085bf5a8802a6a4276809d4bdc00587b11ade4338908027",
-        "48a77eac12a5b95752a464eb0e9dbeb9a1ee4b38b2f3960206693979f1155794",
-        "8eaf5a047a271f2fcecb9d805ed61b073a883d321794eba83dc2ebabdd09169c",
+        "7e74177abfee25ccd55f62ab7d7313fd90f6ab1791e9095b0603f6ffc7d793c4",
+        "46cce73f04e0df25aac1841f9deab65bd44b2583d4d504943dcdebf2f1b0ccc3",
         "49ddcfdbfc09d9f405b5d7b459cc0b31446ef13d7722bd0cf28c6c72d0a357d0",
         "10d51628ac5f1d5da2b4756a0e981d80f926c7c0dfe4deba4e6eb1fe2579907d",
     ),
