@@ -12,8 +12,10 @@ a layout flag or ``super()`` hop grows back, when a stored-object class
 lacks a layout operation, when a store or the fault injector reads the
 link matrix behind the delivery rule's back, when a refused op is caught
 anywhere the refusal rule does not expect, when Fusion's query path
-grows a second op builder, chunk read or stage round, and when a
-``StoreConfig`` field appears that only the tests set.
+grows a second op builder, chunk read or stage round, when a degraded
+gather's shard fetch is built or its gather published outside
+``_gather_ops``, and when a ``StoreConfig`` field appears that only the
+tests set.
 """
 
 import ast
@@ -233,6 +235,32 @@ def test_fusion_queries_through_one_chunk_op_and_one_stage_runner():
     for cls in ops:
         assert cls.__bases__ == (_ChunkOp,) and not cls.__subclasses__(), cls
         assert _defined(cls) <= CHUNK_OP_HOOKS, cls
+
+
+def _fires_of(tree: ast.AST, event: str, scope: tuple[str, ...] = ()):
+    """Enclosing function of every ``<x>.<event>.succeed()`` under
+    ``tree``."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _fires_of(child, event, scope + (child.name,))
+            continue
+        func = child.func if isinstance(child, ast.Call) else None
+        if (
+            isinstance(func, ast.Attribute) and func.attr == "succeed"
+            and isinstance(func.value, ast.Attribute) and func.value.attr == event
+        ):
+            yield ".".join(scope)
+        yield from _fires_of(child, event, scope)
+
+
+def test_every_degraded_gather_is_built_by_gather_ops():
+    """A stripe's decode-set fetch is built in one place, and a gather is
+    published or dropped in one place each: a second fetch builder, or a
+    caller that publishes a gather by hand, fails here."""
+    tree = ast.parse((CORE / "kernel.py").read_text())
+    assert list(_calls_of(tree, "_shard_fetch_op")) == ["StoreKernel._gather_ops"]
+    fired = {".".join(scope.split(".")[:2]) for scope in _fires_of(tree, "done")}
+    assert fired == {"StoreKernel._gather_ops", "StoreKernel._drop_gather"}
 
 
 def test_fixed_object_views_are_for_tests_and_benches_only():
