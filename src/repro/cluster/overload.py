@@ -10,8 +10,8 @@ metastable-failure shape).  This module holds the mechanism layer:
   hop and inside per-chunk evaluation.  Checks are pure clock reads; no
   timeline events are scheduled, so carrying a deadline that never
   expires leaves the scheduled-event stream bit-identical.
-* :class:`CancelScope` — groups the processes fanned out for one
-  operation so that when the deadline (or the parent op) dies, every
+* :class:`CancelScope` — groups the processes one fan-out spawned so
+  that when its owner raises, is cancelled or hits its deadline, every
   in-flight child is cancelled rather than orphaned.
 * :class:`CircuitBreakerBoard` — per-node closed→open→half-open state
   machines layered on :class:`~repro.cluster.health.NodeHealthTracker`:
@@ -148,22 +148,41 @@ def fail_query(
 
 
 class CancelScope:
-    """The set of child processes fanned out for one operation.
+    """The child processes one fan-out spawned, stopped with their owner.
 
-    The owner spawns children through :meth:`spawn`; if the operation
-    dies (deadline, parent failure) it calls :meth:`cancel` and every
-    still-pending child is stopped — resources released, queue slots
-    withdrawn — instead of being orphaned.  ``expired`` is a bare signal
-    event: the first child that observes a blown deadline fires it, so
-    the owner (racing it against the round barrier with ``any_of``) can
-    cancel siblings promptly rather than waiting for the full barrier.
+    Every fan-out opens one as a context manager and spawns its children
+    through :meth:`spawn`; its owner is the process running when it was
+    opened.  When the owner raises, or is stopped by
+    :meth:`~repro.cluster.simcore.Process.cancel`, leaving the ``with``
+    block cancels every still-pending child (resources released, queue
+    slots withdrawn), so no child outlives the request that spawned it.
+    An owner that returns cancels nothing, and neither does a generator
+    the garbage collector closes after a run that raised: closing
+    children from the collector would tie the event stream to
+    collection timing.
+
+    Under a deadline, ``expired`` is a bare signal event: the first
+    child that observes a blown deadline fires it, so the owner (racing
+    it against the round barrier with ``any_of``) can :meth:`cancel`
+    siblings promptly rather than waiting for the full barrier.
     """
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
+        self.owner = sim.active_process
         self.expired = sim.event()
         self._noted = False
         self._procs: list[Process] = []
+
+    def __enter__(self) -> "CancelScope":
+        return self
+
+    def __exit__(self, exc_type, _exc, _tb) -> None:
+        if exc_type is None:
+            return
+        if exc_type is GeneratorExit and (self.owner is None or not self.owner.cancelled):
+            return  # the garbage collector closing an abandoned generator
+        self.cancel()
 
     def spawn(self, gen: Generator) -> Process:
         proc = self.sim.process(gen)

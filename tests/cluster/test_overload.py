@@ -1,6 +1,9 @@
 """Overload-protection mechanism layer: admission-bounded resources,
 deadlines, cancel scopes, and the per-node circuit breaker board."""
 
+import gc
+import sys
+
 import pytest
 
 from repro.cluster import (
@@ -22,7 +25,7 @@ from repro.cluster.overload import (
     install_admission_control,
     install_circuit_breakers,
 )
-from repro.cluster.simcore import QueueFull, Resource
+from repro.cluster.simcore import Process, QueueFull, Resource, all_of
 from repro.core.config import StoreConfig
 
 
@@ -184,6 +187,105 @@ class TestCancelScope:
         scope.spawn(quick())
         sim.run()
         assert scope.cancel() == 0
+
+    @staticmethod
+    def _child(sim, finished, tag):
+        yield sim.timeout(10.0)
+        finished.append(tag)
+
+    def test_owner_that_raises_cancels_pending_children(self):
+        sim = Simulator()
+        finished, children = [], []
+
+        def owner():
+            with CancelScope(sim) as scope:
+                children.extend(scope.spawn(self._child(sim, finished, i)) for i in range(3))
+                yield sim.timeout(1.0)
+                raise RuntimeError("owner failed")
+
+        sim.process(owner())
+        with pytest.raises(RuntimeError, match="owner failed"):
+            sim.run()
+        assert all(p.cancelled for p in children)
+        sim.run()
+        assert finished == []
+        assert not sim._heap
+
+    def test_cancelled_owner_cancels_pending_children(self):
+        sim = Simulator()
+        finished, children = [], []
+
+        def owner():
+            with CancelScope(sim) as scope:
+                children.extend(scope.spawn(self._child(sim, finished, i)) for i in range(3))
+                yield all_of(sim, children)
+
+        proc = sim.process(owner())
+        sim.run(until=1.0)
+        proc.cancel()
+        assert all(p.cancelled for p in children)
+        sim.run()
+        assert finished == []
+        assert not sim._heap
+
+    def test_owner_that_returns_cancels_nothing(self):
+        sim = Simulator()
+        finished, children = [], []
+
+        def owner():
+            with CancelScope(sim) as scope:
+                children.extend(scope.spawn(self._child(sim, finished, i)) for i in range(3))
+                yield sim.timeout(1.0)
+            return "returned"
+
+        proc = sim.process(owner())
+        sim.run()
+        assert proc.value == "returned"
+        assert not any(p.cancelled for p in children)
+        assert finished == [0, 1, 2]
+
+    def test_collected_owner_of_a_run_that_raised_cancels_nothing(self, monkeypatch):
+        """A run that raised abandons its processes mid-wait; when the
+        garbage collector closes the owner's generator the scope cancels
+        none of its children, and nothing is raised from the collector."""
+        cancels, closed, unraisable = [], [], []
+        cancel = Process.cancel
+
+        def recorded(proc):
+            cancels.append(proc)
+            cancel(proc)
+
+        monkeypatch.setattr(Process, "cancel", recorded)
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+
+        def abandoned_run():
+            sim = Simulator()
+            finished = []
+
+            def owner():
+                try:
+                    with CancelScope(sim) as scope:
+                        children = [scope.spawn(self._child(sim, finished, i)) for i in range(3)]
+                        yield all_of(sim, children)
+                finally:
+                    closed.append("owner")
+
+            def crash():
+                yield sim.timeout(1.0)
+                raise RuntimeError("run failed")
+
+            sim.process(owner())
+            sim.process(crash())
+            try:
+                sim.run()
+            except RuntimeError:
+                pass
+
+        abandoned_run()
+        gc.collect()
+        assert closed == ["owner"]
+        assert cancels == []
+        assert unraisable == []
 
     def test_note_deadline_fires_expired_once_via_heap(self):
         sim = Simulator()
