@@ -60,8 +60,9 @@ class QueryMetrics:
     #: 1 when the query returned a typed PartialResult (shed chunks
     #: dropped under allow_partial_results) instead of failing.
     partial_results: int = 0
-    #: In-flight child processes cancelled when this query's deadline or
-    #: parent op died (none left orphaned).
+    #: In-flight child processes cancelled when this query's deadline
+    #: expired (children of a round that raises or is cancelled for
+    #: another reason are cancelled too, but not counted here).
     cancellations: int = 0
     #: Individual refused remote-op attempts (counted once per attempt).
     #: ``requests_rejected`` above counts once per logical request — a

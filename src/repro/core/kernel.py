@@ -83,6 +83,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.membership import install_membership
 from repro.cluster.metrics import QueryMetrics
 from repro.cluster.overload import (
+    CancelScope,
     Deadline,
     DeadlineExceeded,
     PartialResult,
@@ -304,20 +305,19 @@ class _SharedGather:
 
     The first degraded read of the stripe, or the Get round that marked
     it, fetches and decode-charges the shards; later reads in the same
-    request wait on ``done`` and reuse ``shards``.  When the gather fails, the entry leaves the
-    table, ``dropped`` is set, ``shards`` stays ``None`` and ``error``
-    holds what it raised (``None`` if it was cancelled).  A fetch of a
-    dropped gather that still lands neither charges nor publishes.
+    request wait on ``done`` and reuse ``shards``.  When the gather
+    fails, the entry leaves the table, ``shards`` stays ``None`` and
+    ``error`` holds what it raised (``None`` if it was cancelled); its
+    round's scope has cancelled every fetch still in flight.
     """
 
-    __slots__ = ("done", "shards", "error", "waiters", "dropped")
+    __slots__ = ("done", "shards", "error", "waiters")
 
     def __init__(self, done) -> None:
         self.done = done
         self.shards: list[np.ndarray | None] | None = None
         self.error: Exception | None = None
         self.waiters = 0
-        self.dropped = False
 
 
 def partial_result(result, shed: int, dropped, metrics: QueryMetrics):
@@ -642,7 +642,8 @@ class StoreKernel:
         hole is queued for read-repair.  A refused upload piece or a
         stripe with more holes aborts the Put with LinkDown before
         commit: the upload, the encode lane and every write still in
-        flight are cancelled, so nothing moves after the failure, and
+        flight are cancelled with the Put (they run in one
+        ``CancelScope``), so nothing moves after the failure, and
         recovery rolls the Put back."""
         code, sim = self.config.code, self.sim
         order = sorted(
@@ -659,6 +660,7 @@ class StoreKernel:
         sizes.insert(0, size - sum(sizes))
         arrived = [sim.event() for _ in sizes]
         abort = sim.event()
+        scope = CancelScope(sim)
         writes = []
         holes = {placement.stripe_id: 0 for placement in obj.stripes}
 
@@ -671,7 +673,7 @@ class StoreKernel:
                             f"Put of {obj.name!r}: a stripe lost more blocks than n - k"
                         ))
 
-            proc = sim.process(self._write_block(coordinator, nid, bid, payload))
+            proc = scope.spawn(self._write_block(coordinator, nid, bid, payload))
             proc.add_callback(landed)
             writes.append(proc)
 
@@ -697,9 +699,9 @@ class StoreKernel:
             if abort.fired:
                 raise abort.value
 
-        upload = sim.process(self._upload(coordinator, sizes, arrived, abort))
-        lane = sim.process(encode_lane())
-        try:
+        with scope:
+            scope.spawn(self._upload(coordinator, sizes, arrived, abort))
+            lane = scope.spawn(encode_lane())
             yield from until(arrived[0])
             if parse_s:
                 yield from coordinator.compute(parse_s)
@@ -708,10 +710,6 @@ class StoreKernel:
                 write(*block)
             yield from until(lane)
             yield from until(all_of(sim, writes))
-        except LinkDown:
-            for proc in (upload, lane, *writes):
-                proc.cancel()
-            raise
         for sid, count in holes.items():
             if count:
                 self.cluster.enqueue_read_repair(self, obj.kind, obj.name, sid)
@@ -1015,13 +1013,9 @@ class StoreKernel:
 
         if len(bodies) == 1:
             return [(yield from caught(bodies[0]))]
-        procs = [self.sim.process(caught(body)) for body in bodies]
-        try:
+        with CancelScope(self.sim) as scope:
+            procs = [scope.spawn(caught(body)) for body in bodies]
             yield all_of(self.sim, procs)
-        except GeneratorExit:
-            for proc in procs:
-                proc.cancel()
-            raise
         return [proc.value for proc in procs]
 
     def _gather_round(self, stripes, metrics):
@@ -1288,7 +1282,6 @@ class StoreKernel:
         the shards."""
         if shared.shards is not None:
             return
-        shared.dropped = True
         if table is not None:
             table.pop(key, None)
         if isinstance(exc, Exception):
@@ -1429,7 +1422,7 @@ class StoreKernel:
             def finalize(data):
                 shards[j] = data
                 waiting.discard(j)
-                if not waiting and not shared.dropped and shared.shards is None:
+                if not waiting and shared.shards is None:
                     yield from self._charge_decode(coordinator, shards, metrics)
                     shared.shards = shards
                     shared.done.succeed()

@@ -1,9 +1,9 @@
 """Scatter-gather execution of per-chunk remote ops, one exchange per node.
 
 Both stores execute query stages as fan-outs of small per-chunk ops
-(push a filter, push a projection, fetch a fragment).  This module
-groups each stage's ops by destination node: all ops bound for the same
-storage node share *one* batched request message
+(push a filter or a projection, fetch a chunk, read a whole EC block).
+This module groups each stage's ops by destination node: all ops bound
+for the same storage node share *one* batched request message
 (``Network.batch_transfer``), and their replies stream back per-op over
 the open exchange (``Network.stream_transfer``) as each op finishes —
 paying the fixed per-RPC overhead and the RTT once per node instead of
@@ -48,15 +48,20 @@ at construction time (the stores consult the tracker).  Node-side
 exceptions from ``execute`` (e.g. a wiped block) are treated as an
 immediate error reply — a fast failure, no timeout wait.
 
-Overload protection
--------------------
+Cancellation and overload protection
+------------------------------------
+
+Every call spawns its children (node exchanges, their ops, standalone
+and fallback reads) through one
+:class:`~repro.cluster.overload.CancelScope`: when the executor raises
+or its caller is cancelled, every child still in flight is cancelled
+with it, so no op outlives the request that spawned it.
 
 When the metrics object carries a :class:`~repro.cluster.overload.Deadline`
 (set by the store from ``StoreConfig.default_deadline_s``), every hop
 checks it: before each round, before each retry/backoff, and inside each
-op attempt.  The first attempt to observe expiry signals the stage's
-:class:`~repro.cluster.overload.CancelScope`; the executor then cancels
-every other in-flight child (nothing is orphaned) and raises the typed
+op attempt.  The first attempt to observe expiry signals the scope; the
+executor then cancels every other in-flight child and raises the typed
 :class:`~repro.cluster.overload.DeadlineExceeded`.  Retry backoff is
 budgeted against the remaining deadline.  Admission
 rejections (:class:`~repro.cluster.simcore.QueueFull` from a bounded
@@ -194,18 +199,9 @@ def _record_rejection(cluster, node_id, metrics, ops=()) -> None:
             metrics.breaker_open_total += 1
 
 
-def _spawn(sim, scope, gen):
-    """Spawn a child process, registered with the cancel scope if any."""
-    return scope.spawn(gen) if scope is not None else sim.process(gen)
-
-
-def _deadline_of(metrics):
-    return metrics.deadline if metrics is not None else None
-
-
 def _abort_deadline(cluster, metrics, scope, where: str):
     """Cancel every in-flight child and raise the typed deadline error."""
-    cancelled = scope.cancel() if scope is not None else 0
+    cancelled = scope.cancel()
     if metrics is not None:
         metrics.cancellations += cancelled
     if cluster.sim.tracer is not None:
@@ -215,49 +211,36 @@ def _abort_deadline(cluster, metrics, scope, where: str):
     raise DeadlineExceeded(f"deadline exceeded at {where} ({cancelled} op(s) cancelled)")
 
 
-def _shielded(cluster, gen, node_id, metrics, scope, op=None):
-    """Run ``gen``, mapping typed overload failures to op sentinels.
+def _shielded(cluster, gen, node_id, metrics, scope, op):
+    """Run the child ``gen``, mapping its typed failures to op sentinels.
 
-    Neither exception type can be raised in a run without the overload
+    The overload failures cannot be raised in a run without the overload
     knobs.  ``op`` is the RemoteOp the work belongs to, threaded through
     so a refusal is deduped per logical request (see
-    :func:`_record_rejection`).
+    :func:`_record_rejection`).  A degraded read runs its own nested
+    remote ops, which can exhaust permanently and raise
+    :class:`RemoteOpError` inside this child, where it would escape
+    ``sim.run`` instead of resolving the op: it maps to ``_FAILED`` so
+    the barrier decides (shed the op, or re-raise from the caller's own
+    frame).
     """
     try:
         value = yield from gen
     except DeadlineExceeded:
-        if scope is not None:
-            scope.note_deadline()
+        scope.note_deadline()
         return _DEADLINE
     except QueueFull:
-        _record_rejection(cluster, node_id, metrics, (op,) if op is not None else ())
+        _record_rejection(cluster, node_id, metrics, (op,))
         return _REJECTED
-    return value
-
-
-def _shielded_fallback(cluster, gen, metrics, scope, op=None):
-    """Shield a degraded-fallback child.
-
-    A fallback runs its own nested remote ops (reconstruction reads);
-    under pressure those can exhaust permanently and raise
-    :class:`RemoteOpError` *inside the spawned child*, which would escape
-    ``sim.run`` instead of resolving the op.  Map it to ``_FAILED`` so
-    the barrier decides: shed the op when partial results are allowed,
-    or re-raise from the caller's own frame."""
-    try:
-        value = yield from _shielded(cluster, gen, None, metrics, scope, op)
     except RemoteOpError:
         return _FAILED
     return value
 
 
 def _await_barrier(sim, barrier, scope, cluster, metrics, where):
-    """Wait for a stage barrier; with a cancel scope, race it against the
-    deadline signal so in-flight siblings are cancelled promptly instead
-    of running the round to completion after the budget is blown."""
-    if scope is None:
-        yield barrier
-        return
+    """Wait for a stage barrier, raced against the scope's deadline
+    signal so in-flight siblings are cancelled promptly instead of
+    running the round to completion after the budget is blown."""
     yield any_of(sim, [barrier, scope.expired])
     if not barrier.fired:
         _abort_deadline(cluster, metrics, scope, where)
@@ -285,123 +268,120 @@ def execute_remote_ops(
     sim = cluster.sim
     results: list[object] = [None] * len(ops)
     pending = list(range(len(ops)))
-    deadline = _deadline_of(metrics)
-    scope = CancelScope(sim) if deadline is not None else None
+    deadline = metrics.deadline if metrics is not None else None
     if deadline is not None:
         deadline.check("stage entry")
-    attempts = 0
-    exhausted: list[int] = []
-    shed: set[int] = set()
-    while True:
-        failed, corrupt, rejected, deadlined = yield from _run_round(
-            cluster, coordinator, ops, pending, results, metrics, config, scope, deadline,
-        )
-        exhausted.extend(corrupt)
-        if deadlined or (deadline is not None and deadline.expired):
-            _abort_deadline(cluster, metrics, scope, "round barrier")
-        if rejected:
-            # Shedding beats amplifying: a refused op is never retried
-            # into the node that refused it, nor rebuilt from k peers
-            # that are just as saturated.  It is dropped from the answer
-            # where the stage may shed, and surfaces typed otherwise.
-            if not allow_shed:
-                raise QueueFull(
-                    f"{len(rejected)} op(s) refused by admission control "
-                    f"{_where(ops, rejected)}"
-                )
-            shed.update(rejected)
-        if not failed:
-            break
-        attempts += 1
-        retry: list[int] = []
-        for i in failed:
-            node = ops[i].node
-            if (
-                attempts <= MAX_RETRIES
-                and node is not None
-                and node.alive
-                and cluster.routable(node.node_id)
-            ):
-                retry.append(i)
-            else:
-                # Out of attempts, or the health tracker / circuit breaker
-                # says to stop hammering this node: go straight to
-                # reconstruction.
-                exhausted.append(i)
-        if not retry:
-            break
-        if metrics is not None:
-            metrics.retries += len(retry)
-        if sim.tracer is not None:
-            sim.tracer.instant(
-                "rpc.retry", cat="rpc", ops=len(retry), attempt=attempts,
-                nodes=sorted({ops[i].node.node_id for i in retry}),
+    with CancelScope(sim) as scope:
+        attempts = 0
+        exhausted: list[int] = []
+        shed: set[int] = set()
+        while True:
+            failed, corrupt, rejected, deadlined = yield from _run_round(
+                cluster, coordinator, ops, pending, results, metrics, config, scope, deadline,
             )
-        backoff = RETRY_BACKOFF_S * (2 ** (attempts - 1))
-        jitter = config.rpc_retry_jitter
-        if jitter > 0:
-            # Seeded full-jitter: sleep uniformly in
-            # [backoff * (1 - jitter), backoff] so synchronized retry
-            # storms decorrelate.  jitter=0 draws nothing from the RNG.
-            backoff -= backoff * jitter * cluster.jitter_rng.random()
-        if deadline is not None and (deadline.expired or backoff >= deadline.remaining):
-            # The remaining budget cannot cover the backoff, let alone
-            # another attempt: give up now instead of sleeping past it.
-            _abort_deadline(cluster, metrics, scope, "retry backoff")
-        if backoff > 0:
-            yield sim.timeout(backoff)
-        pending = retry
+            exhausted.extend(corrupt)
+            if deadlined or (deadline is not None and deadline.expired):
+                _abort_deadline(cluster, metrics, scope, "round barrier")
+            if rejected:
+                # Shedding beats amplifying: a refused op is never retried
+                # into the node that refused it, nor rebuilt from k peers
+                # that are just as saturated.  It is dropped from the answer
+                # where the stage may shed, and surfaces typed otherwise.
+                if not allow_shed:
+                    raise QueueFull(
+                        f"{len(rejected)} op(s) refused by admission control "
+                        f"{_where(ops, rejected)}"
+                    )
+                shed.update(rejected)
+            if not failed:
+                break
+            attempts += 1
+            retry: list[int] = []
+            for i in failed:
+                node = ops[i].node
+                if (
+                    attempts <= MAX_RETRIES
+                    and node is not None
+                    and node.alive
+                    and cluster.routable(node.node_id)
+                ):
+                    retry.append(i)
+                else:
+                    # Out of attempts, or the health tracker / circuit breaker
+                    # says to stop hammering this node: go straight to
+                    # reconstruction.
+                    exhausted.append(i)
+            if not retry:
+                break
+            if metrics is not None:
+                metrics.retries += len(retry)
+            if sim.tracer is not None:
+                sim.tracer.instant(
+                    "rpc.retry", cat="rpc", ops=len(retry), attempt=attempts,
+                    nodes=sorted({ops[i].node.node_id for i in retry}),
+                )
+            backoff = RETRY_BACKOFF_S * (2 ** (attempts - 1))
+            jitter = config.rpc_retry_jitter
+            if jitter > 0:
+                # Seeded full-jitter: sleep uniformly in
+                # [backoff * (1 - jitter), backoff] so synchronized retry
+                # storms decorrelate.  jitter=0 draws nothing from the RNG.
+                backoff -= backoff * jitter * cluster.jitter_rng.random()
+            if deadline is not None and (deadline.expired or backoff >= deadline.remaining):
+                # The remaining budget cannot cover the backoff, let alone
+                # another attempt: give up now instead of sleeping past it.
+                _abort_deadline(cluster, metrics, scope, "retry backoff")
+            if backoff > 0:
+                yield sim.timeout(backoff)
+            pending = retry
 
-    if exhausted:
-        exhausted.sort()
-        missing = [i for i in exhausted if ops[i].fallback is None]
-        if missing and allow_shed:
-            shed.update(missing)
-            exhausted = [i for i in exhausted if ops[i].fallback is not None]
-            missing = []
-        if missing:
-            raise RemoteOpError(
-                f"{len(missing)} remote op(s) failed permanently "
-                f"{_where(ops, missing)} and had no degraded fallback"
-            )
-    if exhausted:
-        if sim.tracer is not None:
-            sim.tracer.instant("rpc.fallback", cat="rpc", ops=len(exhausted))
-        procs = [
-            _spawn(
-                sim, scope,
-                _boxed(
-                    _shielded_fallback(cluster, ops[i].fallback(), metrics, scope, ops[i])
-                ),
-            )
-            for i in exhausted
-        ]
-        barrier = all_of(sim, procs)
-        yield from _await_barrier(sim, barrier, scope, cluster, metrics, "fallback barrier")
-        for i, boxed in zip(exhausted, barrier.value):
-            value = boxed[0]
-            if value is _DEADLINE:
-                _abort_deadline(cluster, metrics, scope, "fallback")
-            if value is _REJECTED:
-                # The refusal rule holds for reconstruction reads too.
-                if allow_shed:
-                    shed.add(i)
-                    continue
-                raise QueueFull(
-                    f"degraded fallback of the op {_where(ops, [i])} "
-                    "refused by admission control"
-                )
-            if value is _FAILED:
-                if allow_shed:
-                    shed.add(i)
-                    continue
+        if exhausted:
+            exhausted.sort()
+            missing = [i for i in exhausted if ops[i].fallback is None]
+            if missing and allow_shed:
+                shed.update(missing)
+                exhausted = [i for i in exhausted if ops[i].fallback is not None]
+                missing = []
+            if missing:
                 raise RemoteOpError(
-                    "degraded fallback failed permanently"
+                    f"{len(missing)} remote op(s) failed permanently "
+                    f"{_where(ops, missing)} and had no degraded fallback"
                 )
-            results[i] = value
-    for i in shed:
-        results[i] = SHED
-    return results
+        if exhausted:
+            if sim.tracer is not None:
+                sim.tracer.instant("rpc.fallback", cat="rpc", ops=len(exhausted))
+            procs = [
+                scope.spawn(
+                    _boxed(_shielded(cluster, ops[i].fallback(), None, metrics, scope, ops[i]))
+                )
+                for i in exhausted
+            ]
+            barrier = all_of(sim, procs)
+            yield from _await_barrier(sim, barrier, scope, cluster, metrics, "fallback barrier")
+            for i, boxed in zip(exhausted, barrier.value):
+                value = boxed[0]
+                if value is _DEADLINE:
+                    _abort_deadline(cluster, metrics, scope, "fallback")
+                if value is _REJECTED:
+                    # The refusal rule holds for reconstruction reads too.
+                    if allow_shed:
+                        shed.add(i)
+                        continue
+                    raise QueueFull(
+                        f"degraded fallback of the op {_where(ops, [i])} "
+                        "refused by admission control"
+                    )
+                if value is _FAILED:
+                    if allow_shed:
+                        shed.add(i)
+                        continue
+                    raise RemoteOpError(
+                        "degraded fallback failed permanently"
+                    )
+                results[i] = value
+        for i in shed:
+            results[i] = SHED
+        return results
 
 
 def _where(ops, indices) -> str:
@@ -447,16 +427,16 @@ def _run_round(cluster, coordinator, ops, indices, results, metrics, config, sco
         op = ops[i]
         if op.standalone is not None:
             waits.append(
-                ([i], _spawn(sim, scope, _boxed(
-                    _shielded_fallback(cluster, op.standalone(), metrics, scope, op)
-                )))
+                ([i], scope.spawn(
+                    _boxed(_shielded(cluster, op.standalone(), None, metrics, scope, op))
+                ))
             )
         else:
             groups.setdefault(op.node.node_id, []).append(i)
     for group_indices in groups.values():
         group = [ops[i] for i in group_indices]
         waits.append(
-            (group_indices, _spawn(sim, scope, _node_group(
+            (group_indices, scope.spawn(_node_group(
                 cluster, coordinator, group, metrics, config, scope, deadline
             )))
         )
@@ -495,7 +475,7 @@ def _lost(cluster, node_id, op_start, metrics, config):
     _record_failure(cluster, node_id, metrics)
 
 
-def _node_group(cluster, coordinator, group: list[RemoteOp], metrics, config, scope=None, deadline=None):
+def _node_group(cluster, coordinator, group: list[RemoteOp], metrics, config, scope, deadline):
     """All of one node's ops for a stage, as one scatter-gather exchange.
 
     One batched request opens the exchange (one RPC overhead, half an
@@ -607,7 +587,7 @@ def _node_group(cluster, coordinator, group: list[RemoteOp], metrics, config, sc
         return value
 
     procs = [
-        _spawn(sim, scope, _shielded(cluster, run_op(op), node.node_id, metrics, scope, op))
+        scope.spawn(_shielded(cluster, run_op(op), node.node_id, metrics, scope, op))
         for op in group
     ]
     barrier = all_of(sim, procs)

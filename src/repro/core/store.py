@@ -34,7 +34,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from repro.cluster.metrics import QueryMetrics
-from repro.cluster.overload import check_deadline
+from repro.cluster.overload import CancelScope, check_deadline
 from repro.cluster.simcore import LinkDown, all_of
 from repro.core import engine
 from repro.core.baseline_store import StoredFixedObject
@@ -295,14 +295,15 @@ class StoredFusionObject(PublishedStripes):
                 return
             node.put_meta(self.name, replica)
 
-        replications = []
-        for nid in self.replica_nodes:
-            node = store.cluster.node(nid)
-            if node is coordinator:
-                node.put_meta(self.name, replica)
-            else:
-                replications.append(store.sim.process(replicate(node)))
-        yield all_of(store.sim, replications)
+        with CancelScope(store.sim) as scope:
+            replications = []
+            for nid in self.replica_nodes:
+                node = store.cluster.node(nid)
+                if node is coordinator:
+                    node.put_meta(self.name, replica)
+                else:
+                    replications.append(scope.spawn(replicate(node)))
+            yield all_of(store.sim, replications)
         if deadline is not None:
             deadline.check("put meta")
 

@@ -14,7 +14,8 @@ link matrix behind the delivery rule's back, when a refused op is caught
 anywhere the refusal rule does not expect, when Fusion's query path
 grows a second op builder, chunk read or stage round, when a degraded
 gather's shard fetch is built or its gather published outside
-``_gather_ops``, and when a ``StoreConfig`` field appears that only the
+``_gather_ops``, when a child process is spawned outside a
+``CancelScope``, and when a ``StoreConfig`` field appears that only the
 tests set.
 """
 
@@ -261,6 +262,21 @@ def test_every_degraded_gather_is_built_by_gather_ops():
     assert list(_calls_of(tree, "_shard_fetch_op")) == ["StoreKernel._gather_ops"]
     fired = {".".join(scope.split(".")[:2]) for scope in _fires_of(tree, "done")}
     assert fired == {"StoreKernel._gather_ops", "StoreKernel._drop_gather"}
+
+
+def test_every_child_is_spawned_through_a_cancel_scope():
+    """One fan-out rule: under ``src/repro/core/`` only
+    ``StoreKernel._run`` starts a process of its own (the request it
+    runs alone); every other child is spawned through
+    ``CancelScope.spawn``, so it is cancelled with the round that
+    spawned it.  A bare ``sim.process`` fan-out fails here."""
+    found = [
+        (path.name, function)
+        for path in sorted(CORE.rglob("*.py"))
+        for name in ("process", "Process")
+        for function in _calls_of(ast.parse(path.read_text()), name)
+    ]
+    assert found == [("kernel.py", "StoreKernel._run")]
 
 
 def test_fixed_object_views_are_for_tests_and_benches_only():

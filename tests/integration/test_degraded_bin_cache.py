@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.check import digest
-from repro.cluster import Deadline, QueryMetrics
+from repro.cluster import Deadline, QueryMetrics, StorageNode
 from repro.core import DeadlineExceeded, RemoteOp, RemoteOpError, kernel
 from repro.core.location_map import chunk_checksum
 from repro.sql.local import execute_local
@@ -276,15 +276,28 @@ def test_failed_gather_wakes_its_waiter_with_the_typed_error():
     assert store._request_gathers == {}
 
 
-def test_cancelled_gather_hands_over_to_its_waiter():
+def test_cancelled_gather_hands_over_to_its_waiter(monkeypatch):
     """A gatherer cancelled mid-gather has no error to share: the read
-    waiting on it wakes and gathers for itself."""
+    waiting on it wakes and gathers for itself.  The cancelled gather's
+    shard reads are cancelled with it, so only the waiter's own k reads
+    complete after the cancel."""
     store, _table, stripe = _lost_tag_bin()
     obj = store.objects["tbl"]
     placement = obj.stripes[stripe]
     coordinator = store.cluster.coordinator_for("tbl")
     windows = _watch_gathers(store)
     metrics = QueryMetrics()
+    cancelled = [False]
+    late_reads: list[str] = []
+    read_block = StorageNode.read_block
+
+    def counted(node, block_id, *args):
+        block = yield from read_block(node, block_id, *args)
+        if cancelled[0]:
+            late_reads.append(block_id)
+        return block
+
+    monkeypatch.setattr(StorageNode, "read_block", counted)
 
     def request():
         procs = [
@@ -293,6 +306,7 @@ def test_cancelled_gather_hands_over_to_its_waiter():
         ]
         yield store.sim.timeout(0)  # both reads started: one gathers, one waits
         procs[0].cancel()
+        cancelled[0] = True
         yield procs[1]
         return procs[1].value
 
@@ -301,6 +315,7 @@ def test_cancelled_gather_hands_over_to_its_waiter():
     shards = proc.value
     assert sum(s is not None for s in shards) >= store.config.code.k
     assert len(windows) == 1  # only the waiter's own gather finished
+    assert len(late_reads) == store.config.code.k == 6
     assert metrics.degraded_reads == 2
     assert not store.sim._heap
     assert store._request_gathers == {}
