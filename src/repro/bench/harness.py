@@ -309,7 +309,10 @@ def run_open_loop(
     rate_qps: float,
     duration_s: float,
 ) -> WorkloadStats:
-    """Open-loop workload at a fixed arrival rate (the Fig 14d load)."""
+    """Open-loop workload: ``rate_qps * duration_s`` queries, cycling
+    through ``sqls``, each arriving ``1 / rate_qps`` simulated seconds
+    after the last whether or not earlier ones have finished.  (Fig 14d
+    drives the closed-loop :func:`run_workload` instead.)"""
     if rate_qps <= 0 or duration_s <= 0:
         raise ValueError("rate and duration must be positive")
     sim = system.sim
