@@ -309,10 +309,8 @@ def run_open_loop(
     rate_qps: float,
     duration_s: float,
 ) -> WorkloadStats:
-    """Open-loop workload: ``rate_qps * duration_s`` queries, cycling
-    through ``sqls``, each arriving ``1 / rate_qps`` simulated seconds
-    after the last whether or not earlier ones have finished.  (Fig 14d
-    drives the closed-loop :func:`run_workload` instead.)"""
+    """Open-loop workload: a query of ``sqls`` every ``1 / rate_qps``
+    simulated seconds for ``duration_s`` (Fig 14d runs closed-loop)."""
     if rate_qps <= 0 or duration_s <= 0:
         raise ValueError("rate and duration must be positive")
     sim = system.sim

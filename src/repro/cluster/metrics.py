@@ -61,8 +61,7 @@ class QueryMetrics:
     #: dropped under allow_partial_results) instead of failing.
     partial_results: int = 0
     #: In-flight child processes cancelled when this query's deadline
-    #: expired (children of a round that raises or is cancelled for
-    #: another reason are cancelled too, but not counted here).
+    #: expired (other cancelled rounds are not counted).
     cancellations: int = 0
     #: Individual refused remote-op attempts (counted once per attempt).
     #: ``requests_rejected`` above counts once per logical request — a

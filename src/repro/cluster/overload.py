@@ -150,21 +150,18 @@ def fail_query(
 class CancelScope:
     """The child processes one fan-out spawned, stopped with their owner.
 
-    Every fan-out opens one as a context manager and spawns its children
-    through :meth:`spawn`; its owner is the process running when it was
-    opened.  When the owner raises, or is stopped by
-    :meth:`~repro.cluster.simcore.Process.cancel`, leaving the ``with``
-    block cancels every still-pending child (resources released, queue
-    slots withdrawn), so no child outlives the request that spawned it.
-    An owner that returns cancels nothing, and neither does a generator
-    the garbage collector closes after a run that raised: closing
-    children from the collector would tie the event stream to
-    collection timing.
+    A fan-out opens one as a context manager and spawns its children
+    through :meth:`spawn`; the owner is the process running when it was
+    opened.  When the owner raises or is stopped by ``Process.cancel``,
+    leaving the ``with`` block cancels every pending child (resources
+    released, queue slots withdrawn), so no child outlives its request.
+    An owner that returns cancels nothing, nor does a generator the
+    garbage collector closes after a run that raised (that would tie the
+    event stream to collection timing).
 
-    Under a deadline, ``expired`` is a bare signal event: the first
-    child that observes a blown deadline fires it, so the owner (racing
-    it against the round barrier with ``any_of``) can :meth:`cancel`
-    siblings promptly rather than waiting for the full barrier.
+    ``expired`` is a bare deadline signal: the first child that observes
+    a blown deadline fires it, so the owner (racing it against the round
+    barrier with ``any_of``) can :meth:`cancel` siblings promptly.
     """
 
     def __init__(self, sim: Simulator) -> None:

@@ -239,11 +239,8 @@ def _shielded(cluster, gen, node_id, metrics, scope, op):
 
 def _await_barrier(sim, barrier, scope, deadline, cluster, metrics, where):
     """Wait for a stage barrier.  Under a deadline, race it against the
-    scope's deadline signal so in-flight siblings are cancelled promptly
-    instead of running the round to completion after the budget is
-    blown.  Without one the signal cannot fire, and the plain wait
-    measured cheaper on the benchmark's cached reads (the race cost the
-    baseline ~4% of its host ops/s on ``query_hot``)."""
+    scope's deadline signal so in-flight siblings are cancelled promptly;
+    without one the signal cannot fire, and the plain wait is cheaper."""
     if deadline is None:
         yield barrier
         return
