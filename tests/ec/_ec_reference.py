@@ -3,8 +3,9 @@
 These are the implementations the production paths replaced:
 
 * :func:`gf_matmul_blocks` derives its row plan (XOR rows, dense-row
-  groups, lane tables) on every call; production memoises it per
-  coefficient matrix.
+  groups, lane tables) on every call, at every width; production
+  memoises it per coefficient matrix and uses it only for shards at
+  least one tile wide.
 * :func:`decode_stripe` pads every shard to the stripe width, then the
   coder re-stacks them; production stacks the survivors once.
 * :func:`codeword` / :func:`localise_stripe` and

@@ -235,12 +235,17 @@ def _coefficient_matrix(draw, r: int, k: int) -> np.ndarray:
     return matrix
 
 
+#: Shards narrower than one tile take the translate product, wider ones
+#: the lane tables: draw both sides of the cut, odd widths included.
+TILE = 2 * gf256._TILE_PAIRS
+
+
 class TestMatmulPlan:
     @settings(max_examples=80, deadline=None)
     @given(
         st.integers(1, 5),
         st.integers(1, 8),
-        st.sampled_from([1, 2, 3, 64, 711, 2 * 65536 + 1]),
+        st.sampled_from([1, 2, 3, 64, 711, TILE - 1, TILE, TILE + 1]),
         st.integers(0, 2**32 - 1),
         st.data(),
     )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.ec import RS_14_10, decode_stripe, encode_stripe, gf256
+from repro.ec import RS_9_6, RS_14_10, decode_stripe, encode_stripe, gf256
 
 elements = st.integers(min_value=0, max_value=255)
 nonzero = st.integers(min_value=1, max_value=255)
@@ -146,14 +146,16 @@ class TestLaneTableMemo:
     def test_decoding_every_pattern_stays_bounded(self):
         """Decode's inverse rows mint lane tables per erasure pattern
         (every RS(14,10) pattern: 8,066 tables, 3.5 GiB unbounded); the
-        memo stays within 64 MiB, and no plan keeps an evicted table."""
+        memo stays within 64 MiB, and no plan keeps an evicted table.
+        Only shards at least one tile wide reach the memo."""
+        width = 2 * gf256._TILE_PAIRS
         rng = np.random.default_rng(14)
-        data = [rng.integers(0, 256, 64, dtype=np.uint8) for _ in range(10)]
+        data = [rng.integers(0, 256, width, dtype=np.uint8) for _ in range(10)]
         shards = encode_stripe(RS_14_10, data).shards()
         for lost in range(1, RS_14_10.parity + 1):
             for erased in combinations(range(RS_14_10.n), lost):
                 trial = [None if i in erased else s for i, s in enumerate(shards)]
-                recovered = decode_stripe(RS_14_10, trial, [64] * 10)
+                recovered = decode_stripe(RS_14_10, trial, [width] * 10)
                 assert all(np.array_equal(r, d) for r, d in zip(recovered, data))
                 held = sum(t.nbytes for t in gf256._LANE_TABLES.values())
                 assert held <= 64 << 20
@@ -161,3 +163,20 @@ class TestLaneTableMemo:
         for _xor_rows, groups in gf256._PLANS.values():
             for _group, terms in groups:
                 assert all(id(table) in live for _j, table in terms)
+
+
+class TestNarrowProduct:
+    def test_narrow_decode_builds_no_lane_table(self):
+        """Shards narrower than one tile (Fusion's stripes, the
+        baseline's blocks) decode through 256-byte translate tables:
+        every RS(9,6) two-loss pattern at 2 KiB adds no lane table and
+        no plan."""
+        rng = np.random.default_rng(9)
+        data = [rng.integers(0, 256, 2048, dtype=np.uint8) for _ in range(RS_9_6.k)]
+        shards = encode_stripe(RS_9_6, data).shards()
+        tables, plans = list(gf256._LANE_TABLES), list(gf256._PLANS)
+        for erased in combinations(range(RS_9_6.n), 2):
+            trial = [None if i in erased else s for i, s in enumerate(shards)]
+            recovered = decode_stripe(RS_9_6, trial, [2048] * RS_9_6.k)
+            assert all(np.array_equal(r, d) for r, d in zip(recovered, data))
+        assert (list(gf256._LANE_TABLES), list(gf256._PLANS)) == (tables, plans)
