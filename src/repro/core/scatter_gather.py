@@ -165,7 +165,7 @@ def _record_success(cluster, node_id, elapsed=None) -> None:
         cluster.breakers.record_success(node_id)
 
 
-def _record_rejection(cluster, node_id, metrics, ops=()) -> None:
+def _record_rejection(cluster, node_id, metrics, ops) -> None:
     """Account an admission refusal and feed the circuit breaker.
 
     Rejections signal saturation, not death, so they count toward the
@@ -177,22 +177,14 @@ def _record_rejection(cluster, node_id, metrics, ops=()) -> None:
     retried op refused again bumps only
     ``refusal_attempts`` (every refusal, attempt by attempt, still feeds
     the breaker window — repeat refusals are exactly the saturation
-    signal it exists to catch).  An empty ``ops`` means the refusal has
-    no op identity to dedupe on (a coordinator-side refusal outside any
-    scatter-gather stage) and counts as one fresh request.
+    signal it exists to catch).
     """
     if metrics is not None:
-        fresh = 1
-        if ops:
-            metrics.refusal_attempts += len(ops)
-            fresh = 0
-            for op in ops:
-                if not getattr(op, "_refusal_counted", False):
-                    op._refusal_counted = True
-                    fresh += 1
-        else:
-            metrics.refusal_attempts += 1
-        metrics.requests_rejected += fresh
+        metrics.refusal_attempts += len(ops)
+        for op in ops:
+            if not getattr(op, "_refusal_counted", False):
+                op._refusal_counted = True
+                metrics.requests_rejected += 1
     board = cluster.breakers
     if board is not None and node_id is not None:
         if board.record_failure(node_id) and metrics is not None:

@@ -542,12 +542,3 @@ class TestRefusalAccounting:
         record(cluster, 0, metrics, group)
         assert metrics.requests_rejected == 3
         assert metrics.refusal_attempts == 6
-
-    def test_opless_refusal_counts_once_per_call(self):
-        # Coordinator-side refusals outside any scatter-gather stage have
-        # no op identity; each call is its own logical request.
-        cluster, metrics, _RemoteOp, record = self._env()
-        record(cluster, None, metrics)
-        record(cluster, None, metrics)
-        assert metrics.requests_rejected == 2
-        assert metrics.refusal_attempts == 2
