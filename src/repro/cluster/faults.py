@@ -279,7 +279,7 @@ class FaultInjector:
         elif event.kind == "blip":
             self.cluster.fail_node(event.node_id, wipe=event.wipe)
             self._later(event.duration, lambda: self.cluster.restore_node(event.node_id))
-        elif event.kind == "slow":
+        elif event.kind in ("slow", "slow_burst"):
             node.disk.slow_factor = event.factor
             node.endpoint.slow_factor = event.factor
 
@@ -299,19 +299,11 @@ class FaultInjector:
             )
         elif event.kind == "overload":
             nbytes = event.nbytes if event.nbytes > 0 else 262_144
-            sim.process(
-                self._overload_driver(node, sim.now + event.duration, event.rate, nbytes)
-            )
+            sim.process(self._fire_at_rate(
+                sim.now + event.duration, event.rate,
+                lambda: self._background_request(node, nbytes),
+            ))
             detail = f"{event.rate:.0f} req/s of {nbytes}B for {event.duration:.3f}s"
-        elif event.kind == "slow_burst":
-            node.disk.slow_factor = event.factor
-            node.endpoint.slow_factor = event.factor
-
-            def reset_burst(n=node):
-                n.disk.slow_factor = 1.0
-                n.endpoint.slow_factor = 1.0
-
-            self._later(event.duration, reset_burst)
         elif event.kind == "join":
             if self.cluster.membership is None:
                 detail = "membership disabled; join ignored"
@@ -333,11 +325,10 @@ class FaultInjector:
             detail = f"flapping at {event.rate:.1f} cycles/s for {event.duration:.3f}s"
         elif event.kind == "tenant_storm":
             nbytes = event.nbytes if event.nbytes > 0 else 262_144
-            sim.process(
-                self._tenant_storm_driver(
-                    node, sim.now + event.duration, event.rate, nbytes, event.tenant
-                )
-            )
+            sim.process(self._fire_at_rate(
+                sim.now + event.duration, event.rate,
+                lambda: self._tenant_request(node, nbytes, event.tenant),
+            ))
             detail = (
                 f"tenant {event.tenant!r} storming at {event.rate:.0f} req/s "
                 f"of {nbytes}B for {event.duration:.3f}s"
@@ -424,12 +415,14 @@ class FaultInjector:
             yield sim.timeout(half_cycle)
         self.cluster.restore_node(node_id)
 
-    def _overload_driver(self, node, until: float, rate: float, nbytes: int):
-        """Process: fire background requests at ``node`` until ``until``."""
+    def _fire_at_rate(self, until: float, rate: float, request):
+        """Process: start the process ``request()`` returns, ``rate`` times
+        per second, until ``until`` (``overload`` fires background
+        requests, ``tenant_storm`` a tenant's foreground ones)."""
         sim = self.cluster.sim
         interval = 1.0 / rate
         while sim.now < until:
-            sim.process(self._background_request(node, nbytes))
+            sim.process(request())
             yield sim.timeout(interval)
 
     def _background_request(self, node, nbytes: int):
@@ -449,14 +442,6 @@ class FaultInjector:
             yield from node.compute(nbytes / node.cpu_config.scan_bps, metrics)
         except QueueFull:
             pass
-
-    def _tenant_storm_driver(self, node, until: float, rate: float, nbytes: int, tenant: str):
-        """Process: fire foreground requests tagged ``tenant`` until ``until``."""
-        sim = self.cluster.sim
-        interval = 1.0 / rate
-        while sim.now < until:
-            sim.process(self._tenant_request(node, nbytes, tenant))
-            yield sim.timeout(interval)
 
     def _tenant_request(self, node, nbytes: int, tenant: str):
         """One storming-tenant request: quota check, disk read, scan.

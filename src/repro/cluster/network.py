@@ -115,10 +115,6 @@ class Network:
         #: counts as 1 saved.
         self.rpcs_saved = 0
 
-    def set_bandwidth_gbps(self, gbps: float) -> None:
-        """Adjust link bandwidth (the Fig 14c bandwidth sweep knob)."""
-        self.config.bandwidth_bps = gbps * 1e9 / 8
-
     # -- per-link fault plane ------------------------------------------------
 
     def set_link(

@@ -54,9 +54,6 @@ class FixedLayout:
         k = self.params.k
         return (len(self.blocks) + k - 1) // k
 
-    def stripe_of(self, block_index: int) -> int:
-        return block_index // self.params.k
-
     def stripe_blocks(self, stripe: int) -> list[BlockExtent]:
         k = self.params.k
         return self.blocks[stripe * k : (stripe + 1) * k]

@@ -680,7 +680,7 @@ class StoreKernel:
         def encode_lane():
             arrivals = iter(arrived[1:])
             for placement, payloads in order:
-                shards = encode_stripe(code, payloads).shards()
+                shards = encode_stripe(code, payloads)
                 placement.checksums = [chunk_checksum(s) for s in shards]
                 for payload in payloads:
                     if payload.size:

@@ -80,10 +80,6 @@ class BinSet:
     def data_bytes(self) -> int:
         return sum(b.occupied for b in self.bins)
 
-    def padding_bytes(self) -> int:
-        """Implicit zero padding needed to equalise bins for encoding."""
-        return self.k * self.max_bin - self.data_bytes
-
     def items(self) -> list[ChunkItem]:
         return [item for b in self.bins for item in b.items]
 

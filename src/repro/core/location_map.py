@@ -86,9 +86,6 @@ class LocationMap:
         """
         return ENTRY_BYTES * len(self.entries)
 
-    def nodes_used(self) -> set[int]:
-        return {loc.node_id for loc in self.entries.values()}
-
     def snapshot(self) -> dict[tuple[int, int], ChunkLocation]:
         """Copy of the entries for a metadata replica (entries are frozen,
         so a shallow dict copy is a true snapshot)."""

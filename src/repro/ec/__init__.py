@@ -6,7 +6,11 @@ Public API:
   with the paper's defaults :data:`RS_9_6` and :data:`RS_14_10`.
 * :class:`repro.ec.reed_solomon.ReedSolomon` — encoder/decoder.
 * :func:`repro.ec.stripe.encode_stripe` / :func:`repro.ec.stripe.decode_stripe`
-  — variable-block stripes with implicit zero padding (Fusion's layout).
+  — variable-block stripes with implicit zero padding (Fusion's layout):
+  encode returns the stripe's ``n`` shards, decode its ``k`` data blocks.
+* :func:`repro.ec.stripe.stripe_codeword` / :func:`repro.ec.stripe.stripe_codewords`
+  — the one solve that both rebuilds lost shards (repair) and proves
+  that the readable shards form one codeword (scrub).
 """
 
 from repro.ec.reed_solomon import (
@@ -18,8 +22,6 @@ from repro.ec.reed_solomon import (
     get_coder,
 )
 from repro.ec.stripe import (
-    EncodedStripe,
-    StripeShapeStats,
     decode_stripe,
     encode_stripe,
 )
@@ -31,8 +33,6 @@ __all__ = [
     "DecodeError",
     "ReedSolomon",
     "get_coder",
-    "EncodedStripe",
-    "StripeShapeStats",
     "decode_stripe",
     "encode_stripe",
 ]

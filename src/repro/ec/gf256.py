@@ -62,25 +62,11 @@ del _a, _row
 _MUL_ROWS = [row.tobytes() for row in _MUL]
 
 
-def gf_add(a: int, b: int) -> int:
-    """Add two field elements (XOR in characteristic 2)."""
-    return a ^ b
-
-
 def gf_mul(a: int, b: int) -> int:
     """Multiply two field elements."""
     if a == 0 or b == 0:
         return 0
     return int(_EXP[_LOG[a] + _LOG[b]])
-
-
-def gf_div(a: int, b: int) -> int:
-    """Divide ``a`` by ``b``; raises ``ZeroDivisionError`` when ``b`` is 0."""
-    if b == 0:
-        raise ZeroDivisionError("division by zero in GF(2^8)")
-    if a == 0:
-        return 0
-    return int(_EXP[_LOG[a] - _LOG[b] + (FIELD_SIZE - 1)])
 
 
 def gf_inv(a: int) -> int:
@@ -138,21 +124,15 @@ def gf_addmul_bytes(acc: np.ndarray, coeff: int, data: np.ndarray) -> None:
 #: an LRU bounded to ``_LANE_TABLE_BYTES``.  Only products at least one
 #: tile wide use it (the data plane's multi-MB shards); at the perf
 #: benchmark's size scale Fusion's stripes and the baseline's blocks are
-#: narrower, so a run of its ``degraded_repair`` builds none.
+#: narrower, so a run of its ``degraded_repair`` builds none.  It is the
+#: matmul's only memo: each wide product derives its row plan afresh
+#: (:func:`_matmul_plan`) and looks its tables up here, so an eviction
+#: needs no other bookkeeping.
 _LANE_TABLES: OrderedDict[tuple[int, ...], np.ndarray] = OrderedDict()
 
 _LANE_TABLE_BYTES = 48 << 20
 
 _LANE_DTYPES = {1: np.uint16, 2: np.uint32, 3: np.uint64, 4: np.uint64}
-
-#: Row plans of :func:`gf_matmul_blocks`, keyed by coefficient matrix
-#: (shape and bytes).  Its callers pass the code's fixed parity rows
-#: and the inverse rows of each erasure pattern, so a handful of plans
-#: serve every call.  Plans hold lane tables: evicting a table drops every
-#: plan, so no plan pins one; at ``_MAX_PLANS`` the memo starts over.
-_PLANS: dict[tuple[tuple[int, int], bytes], tuple[list, list]] = {}
-
-_MAX_PLANS = 1024
 
 _LITTLE_ENDIAN = np.dtype(np.uint16).newbyteorder("=") == np.dtype("<u2")
 
@@ -181,21 +161,19 @@ def _lane_table(coeffs: tuple[int, ...]) -> np.ndarray:
     held = sum(t.nbytes for t in _LANE_TABLES.values())
     while held > _LANE_TABLE_BYTES:
         held -= _LANE_TABLES.popitem(last=False)[1].nbytes
-        _PLANS.clear()
     return table
 
 
 def _matmul_plan(matrix: np.ndarray) -> tuple[list, list]:
-    """The row plan of one coefficient matrix, memoised.
+    """The row plan of one coefficient matrix, derived per product.
 
     Rows whose coefficients are all 0/1 (the all-ones Cauchy parity row,
     identity-derived inverse rows) need no gathers at all, just an XOR of
     the inputs they select.  The other rows go in groups of up to four
-    lanes, each with one lane table per input shard it reads."""
-    key = (matrix.shape, matrix.tobytes())
-    plan = _PLANS.get(key)
-    if plan is not None:
-        return plan
+    lanes, each with one lane table per input shard it reads.  Deriving
+    it costs microseconds against milliseconds for a product at least
+    one tile wide, and the plan holds its tables only for that product,
+    so an evicted table is never pinned."""
     rows = matrix.tolist()
     dense = [i for i, row in enumerate(rows) if max(row, default=0) > 1]
     xor_rows = []
@@ -213,10 +191,7 @@ def _matmul_plan(matrix: np.ndarray) -> tuple[list, list]:
             if any(coeffs):
                 terms.append((j, _lane_table(coeffs)))
         groups.append((group, terms))
-    if len(_PLANS) >= _MAX_PLANS:
-        _PLANS.clear()
-    plan = _PLANS[key] = (xor_rows, groups)
-    return plan
+    return xor_rows, groups
 
 
 def _translate_product(matrix: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -249,7 +224,7 @@ def gf_matmul_blocks(matrix: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     benchmark's size scale) take :func:`_translate_product`.  Wider ones
     produce output rows in groups of up to four, each group accumulated
     with one lane-table gather per input shard over uint16 byte-pairs,
-    with the row plan derived once per matrix (:func:`_matmul_plan`).
+    following the matrix's row plan (:func:`_matmul_plan`).
     """
     matrix = np.asarray(matrix, dtype=np.uint8)
     blocks = np.ascontiguousarray(blocks, dtype=np.uint8)

@@ -191,16 +191,6 @@ class ReedSolomon:
                 out.append(np.ascontiguousarray(shards[i], dtype=np.uint8))
         return out
 
-    def verify(self, shards: list[np.ndarray]) -> bool:
-        """Check that a full stripe is consistent (parity matches data)."""
-        if len(shards) != self.params.n:
-            return False
-        expected = self.encode(list(shards[: self.params.k]))
-        return all(
-            np.array_equal(expected[i], shards[self.params.k + i])
-            for i in range(self.params.parity)
-        )
-
 
 _CODER_CACHE: dict[CodeParams, ReedSolomon] = {}
 

@@ -16,76 +16,10 @@ fixed-block layout) and can degrade to ``n - k`` when one block dominates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.ec import gf256
 from repro.ec.reed_solomon import CodeParams, DecodeError, get_coder
-
-
-@dataclass(frozen=True)
-class StripeShapeStats:
-    """Size accounting for one stripe of variable-sized data blocks."""
-
-    data_sizes: tuple[int, ...]
-    parity_count: int
-
-    @property
-    def max_block(self) -> int:
-        return max(self.data_sizes) if self.data_sizes else 0
-
-    @property
-    def data_bytes(self) -> int:
-        return sum(self.data_sizes)
-
-    @property
-    def parity_bytes(self) -> int:
-        return self.parity_count * self.max_block
-
-    @property
-    def stored_bytes(self) -> int:
-        """Bytes physically stored: plaintext data plus full-size parity."""
-        return self.data_bytes + self.parity_bytes
-
-    @property
-    def overhead(self) -> float:
-        """Storage overhead ratio ``parity_bytes / data_bytes``."""
-        if self.data_bytes == 0:
-            return 0.0
-        return self.parity_bytes / self.data_bytes
-
-
-@dataclass
-class EncodedStripe:
-    """A stripe after erasure coding.
-
-    ``data_blocks`` keep their original (unpadded) sizes; ``parity_blocks``
-    all have the size of the largest data block.
-    """
-
-    params: CodeParams
-    data_blocks: list[np.ndarray]
-    parity_blocks: list[np.ndarray]
-    stats: StripeShapeStats = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.stats = StripeShapeStats(
-            data_sizes=tuple(int(b.size) for b in self.data_blocks),
-            parity_count=len(self.parity_blocks),
-        )
-
-    @property
-    def n(self) -> int:
-        return self.params.n
-
-    @property
-    def k(self) -> int:
-        return self.params.k
-
-    def shards(self) -> list[np.ndarray]:
-        """All ``n`` blocks in stripe order (data first, then parity)."""
-        return list(self.data_blocks) + list(self.parity_blocks)
 
 
 def _solve(
@@ -105,11 +39,13 @@ def _solve(
     return stack
 
 
-def encode_stripe(params: CodeParams, data_blocks: list[np.ndarray]) -> EncodedStripe:
+def encode_stripe(params: CodeParams, data_blocks: list[np.ndarray]) -> list[np.ndarray]:
     """Erasure-code one stripe of up to ``k`` variable-sized data blocks.
 
     Fewer than ``k`` blocks may be supplied (a trailing, partially-filled
-    stripe); the missing blocks are treated as empty.
+    stripe); the missing blocks are treated as empty.  Returns the ``n``
+    shards in stripe order: the data blocks at their own (unpadded)
+    sizes, then the ``n - k`` parity blocks at the largest one's size.
     """
     if not data_blocks:
         raise ValueError("stripe must contain at least one data block")
@@ -127,8 +63,7 @@ def encode_stripe(params: CodeParams, data_blocks: list[np.ndarray]) -> EncodedS
     stacked = np.zeros((params.k, max_size), dtype=np.uint8)
     for i, block in enumerate(blocks):
         stacked[i, : block.size] = block
-    parity = get_coder(params).encode(stacked)
-    return EncodedStripe(params=params, data_blocks=blocks, parity_blocks=parity)
+    return blocks + get_coder(params).encode(stacked)
 
 
 def decode_stripe(
@@ -268,45 +203,3 @@ def _solve_batch(params: CodeParams, stripes, chunk, columns: int, out) -> None:
             else (stack[i, lo : lo + sizes[i]] if i < k else parity[i - k, lo:hi]).copy()
             for i in range(n)
         ]
-
-
-def fixed_stripe_stats(params: CodeParams, total_bytes: int, block_size: int) -> StripeShapeStats:
-    """Size accounting for the conventional fixed-block layout of an object.
-
-    Models how a MinIO/Ceph-like system would stripe ``total_bytes`` into
-    ``block_size`` blocks: full stripes of ``k`` equal blocks plus one
-    trailing partial stripe.
-    """
-    if block_size <= 0:
-        raise ValueError("block size must be positive")
-    sizes: list[int] = []
-    remaining = total_bytes
-    while remaining > 0:
-        take = min(block_size, remaining)
-        sizes.append(take)
-        remaining -= take
-    # Group into stripes of k; overhead accrues per stripe.
-    parity_bytes = 0
-    for start in range(0, len(sizes), params.k):
-        stripe_sizes = sizes[start : start + params.k]
-        parity_bytes += params.parity * max(stripe_sizes)
-    return StripeShapeStats(data_sizes=tuple(sizes), parity_count=0) if total_bytes == 0 else _stats_from(
-        sizes, parity_bytes
-    )
-
-
-@dataclass(frozen=True)
-class _AggregateStats(StripeShapeStats):
-    """Aggregated multi-stripe stats where parity bytes are precomputed."""
-
-    explicit_parity_bytes: int = 0
-
-    @property
-    def parity_bytes(self) -> int:  # type: ignore[override]
-        return self.explicit_parity_bytes
-
-
-def _stats_from(sizes: list[int], parity_bytes: int) -> StripeShapeStats:
-    return _AggregateStats(
-        data_sizes=tuple(sizes), parity_count=0, explicit_parity_bytes=parity_bytes
-    )

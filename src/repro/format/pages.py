@@ -283,11 +283,6 @@ def decode_column_chunk(data) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def chunk_type(data: bytes) -> ColumnType:
-    """Peek at an encoded chunk's column type without decoding it."""
-    return _TYPES_BY_ID[data[0]]
-
-
 def chunk_page_index(data) -> list[PageInfo]:
     """Read the chunk's page headers and stats without decompressing.
 

@@ -264,13 +264,6 @@ class SLOEngine:
             "firing": self.firing,
         }
 
-    def write_json(self, path: str) -> None:
-        import json
-
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
 
 __all__ = [
     "Alert",

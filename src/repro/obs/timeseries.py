@@ -378,10 +378,6 @@ class Scraper:
         byte-identical TIMESERIES.json."""
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
-    def write_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-
     def openmetrics(self) -> str:
         """OpenMetrics-style text: every sample point with its simulated
         timestamp; histograms as their final snapshot with exemplars

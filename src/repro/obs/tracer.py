@@ -202,9 +202,6 @@ class Tracer:
         """All spans with the given name, in open order."""
         return [Span(self, i) for i, n in enumerate(self._name, 1) if n == name]
 
-    def children_of(self, span: Span) -> list[Span]:
-        return [Span(self, i) for i, p in enumerate(self._parent, 1) if p == span.span_id]
-
     def ancestors(self, span: Span) -> list[Span]:
         """Parent chain, innermost first."""
         chain = []

@@ -171,10 +171,6 @@ class Query:
     group_by: tuple[str, ...] = ()
     limit: int | None = None
 
-    def filter_columns(self) -> set[str]:
-        """Columns referenced by the WHERE clause."""
-        return self.where.columns() if self.where is not None else set()
-
     def projection_columns(self) -> list[str]:
         """Columns whose values must be materialised for the SELECT list,
         in first-mention order."""

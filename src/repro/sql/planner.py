@@ -70,10 +70,6 @@ class PhysicalPlan:
     def aggregates(self) -> list[Aggregate]:
         return self.query.aggregates()
 
-    def is_select_star(self) -> bool:
-        sel = self.query.select
-        return len(sel) == 1 and isinstance(sel[0], ColumnRef) and sel[0].name == "*"
-
 
 def plan(query: Query, schema: Schema) -> PhysicalPlan:
     """Validate ``query`` against ``schema`` and build its physical plan."""

@@ -123,12 +123,6 @@ class TestAccounting:
         sim.process(net.transfer(a, b, 1000))
         sim.run()  # must simply not crash
 
-    def test_bandwidth_knob(self):
-        sim = Simulator()
-        net = _net(sim)
-        net.set_bandwidth_gbps(10)
-        assert net.config.bandwidth_bps == pytest.approx(10e9 / 8)
-
 
 class TestBatchTransfer:
     def test_one_overhead_for_whole_batch(self):

@@ -152,9 +152,3 @@ class TestLocationMap:
         for i in range(5):
             m.add(self._loc(key=(0, i)))
         assert m.wire_size == 40  # 8 bytes per entry (paper Section 5)
-
-    def test_nodes_used(self):
-        m = LocationMap(object_name="o")
-        m.add(self._loc(key=(0, 0), node=1))
-        m.add(self._loc(key=(0, 1), node=4))
-        assert m.nodes_used() == {1, 4}

@@ -63,7 +63,6 @@ class TestFixedLayout:
         assert layout.num_stripes == 3
         assert len(layout.stripe_blocks(0)) == 6
         assert len(layout.stripe_blocks(2)) == 1
-        assert layout.stripe_of(12) == 2
 
     def test_parity_bytes_optimal_for_full_stripes(self):
         layout = build_fixed_layout(RS_9_6, 600, 100)

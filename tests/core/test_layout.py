@@ -38,7 +38,6 @@ class TestBinSet:
         bs = BinSet(bins=[_bin(50), _bin(30, start_key=1), _bin(10, start_key=2)])
         assert bs.max_bin == 50
         assert bs.data_bytes == 90
-        assert bs.padding_bytes() == 150 - 90
 
     def test_empty_bins(self):
         bs = BinSet(bins=[Bin(), Bin()])

@@ -2,16 +2,16 @@
 
 These are the implementations the production paths replaced:
 
-* :func:`gf_matmul_blocks` derives its row plan (XOR rows, dense-row
-  groups, lane tables) on every call, at every width; production
-  memoises it per coefficient matrix and uses it only for shards at
-  least one tile wide.
+* :func:`gf_matmul_blocks` runs its row plan (XOR rows, dense-row
+  groups, lane tables) at every width; production uses it only for
+  shards at least one tile wide and multiplies narrower ones through
+  256-byte translate tables.
 * :func:`decode_stripe` pads every shard to the stripe width, then the
   coder re-stacks them; production stacks the survivors once.
 * :func:`codeword` / :func:`localise_stripe` and
   :func:`degraded_stripe_corrupt` / :func:`check_stripe` check a stripe
-  by decode -> re-encode -> compare; production runs one codeword pass
-  (``repro.ec.stripe.stripe_codeword``).
+  by decode -> re-encode -> compare; production's repair and scrub both
+  run one codeword pass (``repro.ec.stripe.stripe_codeword``).
 
 ``tests/ec/test_ec_differential.py`` holds production to these.
 """
@@ -121,7 +121,7 @@ def codeword(
         recovered = decode_stripe(params, trial, data_sizes)
     except DecodeError:
         return None
-    expected = encode_stripe(params, recovered).shards()
+    expected = encode_stripe(params, recovered)
     for i, shard in enumerate(trial):
         if shard is None:
             continue
@@ -166,7 +166,7 @@ def degraded_stripe_corrupt(
         recovered = decode_stripe(params, shards, data_sizes)
     except DecodeError:
         return False
-    expected = encode_stripe(params, recovered).shards()
+    expected = encode_stripe(params, recovered)
     k = params.k
     for i, shard in enumerate(shards):
         if shard is None:
@@ -197,7 +197,7 @@ def check_stripe(
     if all(b.size == 0 for b in present):
         return "corrupt"
     expected = encode_stripe(params, present)
-    for stored, computed in zip(parity_blocks, expected.parity_blocks):
+    for stored, computed in zip(parity_blocks, expected[params.k :]):
         if not np.array_equal(np.ascontiguousarray(stored, dtype=np.uint8), computed):
             return "corrupt"
     return "ok"

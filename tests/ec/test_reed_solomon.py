@@ -63,20 +63,6 @@ class TestEncoding:
         p2 = coder.encode(blocks)
         assert all(np.array_equal(a, b) for a, b in zip(p1, p2))
 
-    def test_verify_accepts_good_stripe(self):
-        coder = ReedSolomon(RS_9_6)
-        blocks = _blocks(RS_9_6, 64)
-        shards = blocks + coder.encode(blocks)
-        assert coder.verify(shards)
-
-    def test_verify_rejects_corruption(self):
-        coder = ReedSolomon(RS_9_6)
-        blocks = _blocks(RS_9_6, 64)
-        shards = blocks + coder.encode(blocks)
-        shards[0] = shards[0].copy()
-        shards[0][10] ^= 0xFF
-        assert not coder.verify(shards)
-
 
 class TestDecoding:
     def test_all_single_and_double_erasures_rs96(self):

@@ -1,4 +1,4 @@
-"""Variable-block stripes: padding semantics and overhead accounting."""
+"""Variable-block stripes: padding semantics and round trips."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ec import RS_9_6, CodeParams, DecodeError, decode_stripe, encode_stripe
-from repro.ec.stripe import StripeShapeStats, fixed_stripe_stats
 
 
 def _random_blocks(sizes, seed=0):
@@ -17,19 +16,18 @@ def _random_blocks(sizes, seed=0):
 class TestEncodeStripe:
     def test_parity_matches_largest_block(self):
         blocks = _random_blocks([100, 40, 70, 10, 100, 5])
-        stripe = encode_stripe(RS_9_6, blocks)
-        assert all(p.size == 100 for p in stripe.parity_blocks)
-        assert len(stripe.parity_blocks) == 3
+        shards = encode_stripe(RS_9_6, blocks)
+        assert len(shards) == RS_9_6.n
+        assert [p.size for p in shards[RS_9_6.k :]] == [100] * 3
 
     def test_data_blocks_keep_original_sizes(self):
         sizes = [64, 32, 16, 8, 4, 2]
-        stripe = encode_stripe(RS_9_6, _random_blocks(sizes))
-        assert [b.size for b in stripe.data_blocks] == sizes
+        shards = encode_stripe(RS_9_6, _random_blocks(sizes))
+        assert [b.size for b in shards[: RS_9_6.k]] == sizes
 
     def test_partial_stripe_pads_with_empty_blocks(self):
-        stripe = encode_stripe(RS_9_6, _random_blocks([50, 20]))
-        assert len(stripe.data_blocks) == 6
-        assert [b.size for b in stripe.data_blocks] == [50, 20, 0, 0, 0, 0]
+        shards = encode_stripe(RS_9_6, _random_blocks([50, 20]))
+        assert [b.size for b in shards] == [50, 20, 0, 0, 0, 0, 50, 50, 50]
 
     def test_too_many_blocks_raises(self):
         with pytest.raises(ValueError, match="at most"):
@@ -43,22 +41,12 @@ class TestEncodeStripe:
         with pytest.raises(ValueError, match="empty"):
             encode_stripe(RS_9_6, [np.zeros(0, dtype=np.uint8)] * 3)
 
-    def test_overhead_equal_blocks_is_optimal(self):
-        stripe = encode_stripe(RS_9_6, _random_blocks([100] * 6))
-        assert stripe.stats.overhead == pytest.approx(0.5)
-
-    def test_overhead_skewed_blocks_is_higher(self):
-        stripe = encode_stripe(RS_9_6, _random_blocks([100, 1, 1, 1, 1, 1]))
-        # parity = 3 * 100, data = 105
-        assert stripe.stats.overhead == pytest.approx(300 / 105)
-
 
 class TestDecodeStripe:
     def test_roundtrip_with_losses(self):
         sizes = [100, 40, 70, 10, 100, 5]
         blocks = _random_blocks(sizes, seed=2)
-        stripe = encode_stripe(RS_9_6, blocks)
-        shards = stripe.shards()
+        shards = encode_stripe(RS_9_6, blocks)
         shards[1] = None
         shards[4] = None
         shards[7] = None
@@ -68,16 +56,14 @@ class TestDecodeStripe:
     def test_recovers_unpadded_sizes(self):
         sizes = [60, 30, 10, 5, 2, 1]
         blocks = _random_blocks(sizes, seed=3)
-        stripe = encode_stripe(RS_9_6, blocks)
-        shards = stripe.shards()
+        shards = encode_stripe(RS_9_6, blocks)
         shards[0] = None  # the largest block
         recovered = decode_stripe(RS_9_6, shards, sizes)
         assert [r.size for r in recovered] == sizes
 
     def test_unrecoverable_raises(self):
         sizes = [10] * 6
-        stripe = encode_stripe(RS_9_6, _random_blocks(sizes))
-        shards = stripe.shards()
+        shards = encode_stripe(RS_9_6, _random_blocks(sizes))
         for i in range(4):
             shards[i] = None
         with pytest.raises(DecodeError):
@@ -92,9 +78,9 @@ class TestDecodeStripe:
             decode_stripe(RS_9_6, [None] * 5, [10] * 6)
 
     def test_bad_size_count_raises(self):
-        stripe = encode_stripe(RS_9_6, _random_blocks([10] * 6))
+        shards = encode_stripe(RS_9_6, _random_blocks([10] * 6))
         with pytest.raises(ValueError):
-            decode_stripe(RS_9_6, stripe.shards(), [10] * 5)
+            decode_stripe(RS_9_6, shards, [10] * 5)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -104,40 +90,10 @@ class TestDecodeStripe:
     )
     def test_roundtrip_property(self, sizes, lost, seed):
         blocks = _random_blocks(sizes, seed=seed)
-        stripe = encode_stripe(RS_9_6, blocks)
-        shards = stripe.shards()
+        shards = encode_stripe(RS_9_6, blocks)
         for i in lost:
             shards[i] = None
         padded_sizes = sizes + [0] * (6 - len(sizes))
         recovered = decode_stripe(RS_9_6, shards, padded_sizes)
         assert all(np.array_equal(r, b) for r, b in zip(recovered, blocks))
 
-
-class TestStats:
-    def test_shape_stats_accounting(self):
-        stats = StripeShapeStats(data_sizes=(10, 20, 30), parity_count=3)
-        assert stats.max_block == 30
-        assert stats.data_bytes == 60
-        assert stats.parity_bytes == 90
-        assert stats.stored_bytes == 150
-        assert stats.overhead == pytest.approx(1.5)
-
-    def test_empty_stats(self):
-        stats = StripeShapeStats(data_sizes=(), parity_count=3)
-        assert stats.max_block == 0
-        assert stats.overhead == 0.0
-
-    def test_fixed_stripe_stats_exact_multiple(self):
-        stats = fixed_stripe_stats(RS_9_6, total_bytes=600, block_size=100)
-        # One full stripe of 6 blocks: parity = 3 * 100.
-        assert stats.parity_bytes == 300
-        assert stats.overhead == pytest.approx(0.5)
-
-    def test_fixed_stripe_stats_trailing_partial(self):
-        stats = fixed_stripe_stats(RS_9_6, total_bytes=650, block_size=100)
-        # Second stripe has one 50-byte block: parity = 3 * 50 extra.
-        assert stats.parity_bytes == 300 + 150
-
-    def test_fixed_stripe_stats_bad_block_size(self):
-        with pytest.raises(ValueError):
-            fixed_stripe_stats(RS_9_6, 100, 0)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.format.encoding import DICTIONARY, PLAIN
 from repro.format.pages import (
     chunk_page_index,
-    chunk_type,
     decode_column_chunk,
     encode_column_chunk,
 )
@@ -98,11 +97,6 @@ class TestChunkFacts:
             ColumnType.INT64, np.arange(50, dtype=np.int64), codec_name="zlib"
         )
         assert chunk.compressed_size == len(chunk.data)
-
-    def test_chunk_type_peek(self):
-        for type_ in ALL_TYPES:
-            chunk = encode_column_chunk(type_, _values(type_, 10), codec_name="none")
-            assert chunk_type(chunk.data) is type_
 
     def test_empty_chunk_roundtrip(self):
         values = np.zeros(0, dtype=np.int64)

@@ -74,8 +74,8 @@ class TestCheckStripe:
         blocks = [rng.integers(0, 256, size=s, dtype=np.uint8) for s in sizes]
         from repro.ec import encode_stripe
 
-        encoded = encode_stripe(RS_9_6, blocks)
-        return encoded.data_blocks, encoded.parity_blocks
+        shards = encode_stripe(RS_9_6, blocks)
+        return shards[: RS_9_6.k], shards[RS_9_6.k :]
 
     def test_ok(self):
         data, parity = self._stripe([100, 50, 25, 10, 5, 1])

@@ -45,7 +45,6 @@ def test_nesting_within_one_process():
     assert inner.parent_id == outer.span_id
     assert tracer.ancestors(inner) == [outer]
     assert tracer.path(inner) == "outer/inner"
-    assert tracer.children_of(outer) == [inner]
 
 
 def test_interleaved_processes_keep_separate_parent_context():

@@ -125,10 +125,6 @@ class TestParser:
         q = parse("SELECT a, b, a FROM t")
         assert q.projection_columns() == ["a", "b"]
 
-    def test_filter_columns(self):
-        q = parse("SELECT a FROM t WHERE b < 1 AND c < 2")
-        assert q.filter_columns() == {"b", "c"}
-
     @pytest.mark.parametrize(
         "bad",
         [

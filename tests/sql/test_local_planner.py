@@ -21,7 +21,6 @@ class TestPlanner:
     def test_select_star_expands(self, small_table):
         p = plan(parse("SELECT * FROM t"), small_table.schema)
         assert p.projection_columns == small_table.schema.names()
-        assert p.is_select_star()
 
     def test_unknown_projection_column(self, small_table):
         with pytest.raises(PlanError, match="projection"):
