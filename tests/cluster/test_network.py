@@ -123,6 +123,17 @@ class TestAccounting:
         sim.process(net.transfer(a, b, 1000))
         sim.run()  # must simply not crash
 
+    def test_bandwidth_knob(self):
+        """A cluster's ``NetworkConfig`` sets the bandwidth its transfers
+        run at: 10 Gbps moves 1.25 GB in one second."""
+        sim = Simulator()
+        fabric = NetworkConfig(bandwidth_bps=10e9 / 8, rtt_s=0.0, rpc_overhead_s=0.0, cpu_bps=0.0)
+        cluster = Cluster(sim, ClusterConfig(num_nodes=2, network=fabric))
+        assert cluster.network.config.bandwidth_bps == pytest.approx(10e9 / 8)
+        sim.process(cluster.network.transfer(cluster.client, cluster.node(1).endpoint, 1_250_000_000))
+        sim.run()
+        assert sim.now == pytest.approx(1.0)
+
 
 class TestBatchTransfer:
     def test_one_overhead_for_whole_batch(self):

@@ -152,3 +152,11 @@ class TestLocationMap:
         for i in range(5):
             m.add(self._loc(key=(0, i)))
         assert m.wire_size == 40  # 8 bytes per entry (paper Section 5)
+
+    def test_snapshot_is_a_copy(self):
+        m = LocationMap(object_name="o")
+        m.add(self._loc(key=(0, 0), node=1))
+        snap = m.snapshot()
+        m.add(self._loc(key=(0, 1), node=4))
+        assert {loc.node_id for loc in snap.values()} == {1}
+        assert {loc.node_id for loc in m.entries.values()} == {1, 4}

@@ -69,6 +69,12 @@ class TestFixedLayout:
         assert layout.parity_bytes == 300
         assert layout.stored_bytes == 900
 
+    def test_parity_bytes_trailing_partial_stripe(self):
+        layout = build_fixed_layout(RS_9_6, 650, 100)
+        # The second stripe holds one 50-byte block: parity = 3 * 50 more.
+        assert layout.parity_bytes == 300 + 150
+        assert layout.stored_bytes == 650 + 450
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             build_fixed_layout(RS_9_6, 100, 0)

@@ -274,3 +274,12 @@ class TestMatmulPlan:
             got = gf256.gf_matmul_blocks(matrix, blocks)
             assert got.shape == want.shape and np.array_equal(got, want)
         assert np.array_equal(ref.gf_matmul_blocks(matrix, blocks), want)
+
+    def test_same_bytes_other_shape_is_another_plan(self):
+        blocks = np.arange(12, dtype=np.uint8).reshape(2, 6)
+        wide = np.array([[3, 7]], dtype=np.uint8)
+        tall = np.array([[3], [7]], dtype=np.uint8)
+        assert np.array_equal(gf256.gf_matmul_blocks(wide, blocks), gf256.gf_matmul(wide, blocks))
+        assert np.array_equal(
+            gf256.gf_matmul_blocks(tall, blocks[:1]), gf256.gf_matmul(tall, blocks[:1])
+        )

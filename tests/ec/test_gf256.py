@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.ec import RS_9_6, RS_14_10, decode_stripe, encode_stripe, gf256
+from repro.ec.reed_solomon import build_encoding_matrix
 
 elements = st.integers(min_value=0, max_value=255)
 nonzero = st.integers(min_value=1, max_value=255)
@@ -45,6 +46,11 @@ class TestScalarOps:
     def test_inverse_of_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
             gf256.gf_inv(0)
+
+    def test_inverse_is_the_254th_power(self):
+        # The multiplicative group has order 255, so a^-1 = a^254.
+        for a in range(1, 256):
+            assert gf256.gf_inv(a) == gf256.gf_pow(a, 254)
 
     @given(nonzero, st.integers(min_value=0, max_value=300))
     def test_pow_matches_repeated_mul(self, a, n):
@@ -88,6 +94,18 @@ class TestBulkOps:
         gf256.gf_addmul_bytes(acc, 7, data)
         assert np.array_equal(acc, expected)
 
+    @pytest.mark.parametrize("width", [64, 2 * gf256._TILE_PAIRS + 3])
+    def test_matmul_is_linear_over_xor(self, rng, width):
+        """Field addition is XOR, so the product of a sum of blocks is the
+        XOR of their products, on both sides of the one-tile cut."""
+        matrix = rng.integers(0, 256, (3, 6), dtype=np.uint8)
+        a = rng.integers(0, 256, (6, width), dtype=np.uint8)
+        b = rng.integers(0, 256, (6, width), dtype=np.uint8)
+        assert np.array_equal(
+            gf256.gf_matmul_blocks(matrix, a ^ b),
+            gf256.gf_matmul_blocks(matrix, a) ^ gf256.gf_matmul_blocks(matrix, b),
+        )
+
     def test_addmul_zero_coeff_is_noop(self, rng):
         acc = rng.integers(0, 256, size=16, dtype=np.uint8)
         before = acc.copy()
@@ -105,6 +123,15 @@ class TestMatrixOps:
         inv = gf256.gf_mat_inv(matrix)
         product = gf256.gf_matmul(matrix, inv)
         assert np.array_equal(product, np.eye(6, dtype=np.uint8))
+
+    def test_every_decode_submatrix_inverts(self):
+        """Decode inverts the rows of any k survivors of the encoding
+        matrix; for RS(9,6) all 84 choices are invertible (MDS)."""
+        matrix = build_encoding_matrix(RS_9_6.n, RS_9_6.k)
+        eye = np.eye(RS_9_6.k, dtype=np.uint8)
+        for rows in combinations(range(RS_9_6.n), RS_9_6.k):
+            sub = matrix[list(rows)]
+            assert np.array_equal(gf256.gf_matmul(gf256.gf_mat_inv(sub), sub), eye)
 
     def test_singular_matrix_raises(self):
         singular = np.zeros((3, 3), dtype=np.uint8)

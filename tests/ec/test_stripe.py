@@ -6,11 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ec import RS_9_6, CodeParams, DecodeError, decode_stripe, encode_stripe
+from repro.ec.stripe import stripe_codeword
 
 
 def _random_blocks(sizes, seed=0):
     rng = np.random.default_rng(seed)
     return [rng.integers(0, 256, size=s, dtype=np.uint8) for s in sizes]
+
+
+def _overhead(shards):
+    """Stored parity bytes per data byte of one encoded stripe."""
+    data, parity = shards[: RS_9_6.k], shards[RS_9_6.k :]
+    return sum(p.size for p in parity) / sum(d.size for d in data)
 
 
 class TestEncodeStripe:
@@ -40,6 +47,15 @@ class TestEncodeStripe:
     def test_all_empty_blocks_raises(self):
         with pytest.raises(ValueError, match="empty"):
             encode_stripe(RS_9_6, [np.zeros(0, dtype=np.uint8)] * 3)
+
+    def test_overhead_equal_blocks_is_optimal(self):
+        shards = encode_stripe(RS_9_6, _random_blocks([100] * 6))
+        assert _overhead(shards) == pytest.approx(RS_9_6.optimal_overhead)
+
+    def test_overhead_skewed_blocks_is_higher(self):
+        shards = encode_stripe(RS_9_6, _random_blocks([100, 1, 1, 1, 1, 1]))
+        # parity = 3 * 100, data = 105
+        assert _overhead(shards) == pytest.approx(300 / 105)
 
 
 class TestDecodeStripe:
@@ -97,3 +113,47 @@ class TestDecodeStripe:
         recovered = decode_stripe(RS_9_6, shards, padded_sizes)
         assert all(np.array_equal(r, b) for r, b in zip(recovered, blocks))
 
+
+
+class TestStripeCodeword:
+    """``stripe_codeword``: the one check repair and scrub share."""
+
+    SIZES = [40, 9, 0, 40, 3, 17]
+
+    def _shards(self):
+        return encode_stripe(RS_9_6, _random_blocks(self.SIZES, seed=4))
+
+    def test_accepts_good_stripe(self):
+        shards = self._shards()
+        codeword = stripe_codeword(RS_9_6, shards, self.SIZES)
+        assert codeword is not None
+        assert all(got is want for got, want in zip(codeword, shards))
+
+    def test_rejects_corruption(self):
+        shards = self._shards()
+        shards[0] = shards[0].copy()
+        shards[0][10] ^= 0xFF
+        assert stripe_codeword(RS_9_6, shards, self.SIZES) is None
+
+    def test_rejects_wrong_length_shard(self):
+        shards = self._shards()
+        shards[4] = np.append(shards[4], np.uint8(0))  # a padding byte stored
+        assert stripe_codeword(RS_9_6, shards, self.SIZES) is None
+
+    def test_rejects_nonzero_padding_past_true_size(self):
+        """With exactly k shards readable no parity is left to compare;
+        a damaged parity byte past a lost block's true size still shows
+        as a recovered row that is non-zero where it must be padding."""
+        shards = self._shards()
+        shards[6] = shards[6].copy()
+        shards[6][30] ^= 1
+        lost = frozenset({4, 7, 8})  # block 4 holds 3 bytes
+        assert stripe_codeword(RS_9_6, shards, self.SIZES, erased=lost) is None
+        clean = self._shards()
+        codeword = stripe_codeword(RS_9_6, clean, self.SIZES, erased=lost)
+        assert codeword is not None and np.array_equal(codeword[4], clean[4])
+
+    def test_too_few_readable_is_no_codeword(self):
+        shards = self._shards()
+        erased = frozenset(range(RS_9_6.parity + 1))
+        assert stripe_codeword(RS_9_6, shards, self.SIZES, erased=erased) is None

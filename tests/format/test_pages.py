@@ -92,6 +92,14 @@ class TestChunkFacts:
         )
         assert chunk.num_values == 321
 
+    def test_chunk_header_carries_type(self):
+        """Decoding needs no schema: the chunk's own header names its
+        type, so each type comes back at its own dtype."""
+        for type_ in ALL_TYPES:
+            chunk = encode_column_chunk(type_, _values(type_, 10), codec_name="none")
+            out = decode_column_chunk(chunk.data)
+            assert out.dtype == (type_.numpy_dtype or np.dtype(object))
+
     def test_compressed_size_is_len_data(self):
         chunk = encode_column_chunk(
             ColumnType.INT64, np.arange(50, dtype=np.int64), codec_name="zlib"

@@ -98,6 +98,17 @@ class TestCheckStripe:
         data[1] = None
         assert check_stripe(RS_9_6, data, parity) == "incomplete"
 
+    def test_degraded_corrupt_needs_data_sizes(self):
+        """With a block unreadable, a damaged readable block shows only
+        when the Put-time sizes let the stripe be solved."""
+        sizes = [100, 50, 25, 10, 5, 1]
+        data, parity = self._stripe(sizes)
+        data[1] = None
+        parity[0] = parity[0].copy()
+        parity[0][7] ^= 1
+        assert check_stripe(RS_9_6, data, parity, sizes) == "corrupt"
+        assert check_stripe(RS_9_6, data, parity) == "incomplete"
+
 
 @pytest.mark.parametrize("store_cls", [FusionStore, BaselineStore])
 class TestRangedGet:

@@ -121,6 +121,10 @@ class TestParser:
         q = parse("SELECT a FROM t WHERE a < 1 AND (b < 2 OR c < 3)")
         assert [l.column for l in leaves(q.where)] == ["a", "b", "c"]
 
+    def test_where_columns(self):
+        q = parse("SELECT a FROM t WHERE b < 1 AND (c < 2 OR NOT b IN (3)) AND d LIKE 'x%'")
+        assert q.where.columns() == {"b", "c", "d"}
+
     def test_projection_columns_dedup(self):
         q = parse("SELECT a, b, a FROM t")
         assert q.projection_columns() == ["a", "b"]
